@@ -6,7 +6,8 @@ pseudo-ground-truth, the latter disabled in the first cycle), then a handful
 of denoiser updates on random windows of the stored poses (masked
 self-supervision), whose unmasked outputs overwrite the stored thetas. A
 single cosine learning-rate schedule spans every optimizer step of the whole
-run, with separate Adam moments per network.
+run, with separate Adam moments per network. The causal online pass is built
+from the same two steps, `hmr_step` and `md_step`.
 
 Nothing in this module reads 3D ground truth. Adaptation consumes features
 and 2D keypoints only (`AdaptInputs`); quality measurement happens through
@@ -151,12 +152,16 @@ class AdaptConfig:
 
 @dataclass
 class AdaptOptimizers:
-    """Shared step clock plus one Adam state per network."""
+    """Shared step clock plus one Adam state per network.
+
+    total_steps spans the offline loop's cosine schedule; the online pass
+    keeps a constant rate and leaves it at 0.
+    """
 
     hmr: object
     md: object
     clock: int
-    total_steps: int
+    total_steps: int = 0
 
 
 def windows_per_cycle(n_frames: int, window: int) -> int:
@@ -165,6 +170,67 @@ def windows_per_cycle(n_frames: int, window: int) -> int:
 
 def _lr(opt: AdaptOptimizers, config: AdaptConfig) -> float:
     return cosine_lr(min(opt.clock, opt.total_steps), opt.total_steps, config.lr_start, config.lr_end)
+
+
+def hmr_step(
+    inputs: AdaptInputs,
+    idx: np.ndarray,
+    model: BodyModel,
+    hmr_config: HmrConfig,
+    hmr_params: dict,
+    opt: AdaptOptimizers,
+    config: AdaptConfig,
+    lr: float,
+    pseudo_theta=None,
+    pseudo_beta=None,
+    rows=None,
+) -> tuple[dict, np.ndarray, np.ndarray]:
+    """One regressor update on the frames ``idx``, loss as in `hmr_loss_graph`.
+
+    Returns the new parameters and the batch's theta and beta from the
+    forward pass before the update; a frozen regressor only runs forward.
+    """
+    g = Graph()
+    theta, beta, cam = hmr_forward_graph(g, hmr_config, g.const(inputs.features[idx]))
+    loss = hmr_loss_graph(
+        g, model, theta, beta, cam, idx.size, inputs.keypoints[idx], pseudo_theta=pseudo_theta,
+        pseudo_beta=pseudo_beta, gamma=config.gamma, rows=rows, unweighted=config.unweighted_2d,
+    )
+    values = evaluate(g, hmr_params)
+    if not config.frozen_hmrnet:
+        grads = backward_from_values(g, values, loss)
+        hmr_params = adam_step(hmr_params, grads, opt.hmr, lr)
+        opt.clock += 1
+    return hmr_params, values[theta], values[beta]
+
+
+def md_step(
+    store: ResultStore,
+    idx: np.ndarray,
+    window_theta: np.ndarray,
+    mask,
+    md_config: MdConfig,
+    md_params: dict,
+    opt: AdaptOptimizers,
+    config: AdaptConfig,
+    lr: float,
+) -> dict:
+    """One denoiser update on a masked window, then the unmasked write-back.
+
+    Rows of ``window_theta`` past ``idx`` are padding and never written. A
+    frozen denoiser skips the update (and needs no mask) but still writes.
+    """
+    if not config.frozen_mdnet:
+        masked_input = np.where(mask[:, None] > 0, 0.0, window_theta)
+        g = Graph()
+        out = md_forward_graph(g, md_config, g.const(masked_input))
+        loss = md_loss_graph(g, out, window_theta, mask)
+        grads = backward(g, md_params, loss)
+        md_params = adam_step(md_params, grads, opt.md, lr)
+        opt.clock += 1
+    denoised = md_forward(md_params, window_theta, ramp=md_config.ramp)
+    store.write_md(idx, denoised[: idx.size])
+    return md_params
 
 
 def hmr_stage(
@@ -193,38 +259,19 @@ def hmr_stage(
     params = hmr_params
     for lo in range(0, n, config.batch):
         idx = order[lo : lo + config.batch]
-        pseudo_theta, pseudo_beta = store.fetch(idx)
-        g = Graph()
-        theta, beta, cam = hmr_forward_graph(g, hmr_config, g.const(inputs.features[idx]))
-        loss = hmr_loss_graph(
-            g,
-            model,
-            theta,
-            beta,
-            cam,
-            idx.size,
-            inputs.keypoints[idx],
-            pseudo_theta=pseudo_theta if use_pseudo else None,
-            pseudo_beta=pseudo_beta if use_pseudo else None,
-            gamma=config.gamma,
-            unweighted=config.unweighted_2d,
+        pseudo_theta, pseudo_beta = store.fetch(idx) if use_pseudo else (None, None)
+        params, out_theta, out_beta = hmr_step(
+            inputs, idx, model, hmr_config, params, opt, config, _lr(opt, config), pseudo_theta, pseudo_beta
         )
-        values = evaluate(g, params)
         if trace is not None:
             if use_pseudo:
                 l_smpl = float(
-                    np.abs(values[theta] - pseudo_theta).mean()
-                    + config.gamma * np.abs(values[beta] - pseudo_beta).mean()
+                    np.abs(out_theta - pseudo_theta).mean()
+                    + config.gamma * np.abs(out_beta - pseudo_beta).mean()
                 )
             else:
                 l_smpl = 0.0
             trace.setdefault("l_smpl", []).append((cycle_index, l_smpl))
-        out_theta = values[theta]
-        out_beta = values[beta]
-        if not config.frozen_hmrnet:
-            grads = backward_from_values(g, values, loss)
-            params = adam_step(params, grads, opt.hmr, _lr(opt, config))
-            opt.clock += 1
         store.write_hmr(idx, out_theta, out_beta)
     return params
 
@@ -258,26 +305,15 @@ def md_stage(
                 idx = np.arange(start, start + t)
                 window_theta = store.theta[idx].copy()
                 mask = sample_mask(t, rng)
-                real = t
             else:
                 # edge-replicate to a full window; padded rows never enter
                 # the mask, the loss, or the write-back
                 idx = np.arange(n)
                 window_theta = np.concatenate([store.theta, np.repeat(store.theta[-1:], t - n, axis=0)])
                 mask = np.concatenate([sample_mask(n, rng), np.zeros(t - n)])
-                real = n
             if trace is not None:
                 trace.setdefault("mask_counts", []).append(int(mask.sum()))
-            if not config.frozen_mdnet:
-                masked_input = np.where(mask[:, None] > 0, 0.0, window_theta)
-                g = Graph()
-                out = md_forward_graph(g, md_config, g.const(masked_input))
-                loss = md_loss_graph(g, out, window_theta, mask)
-                grads = backward(g, params, loss)
-                params = adam_step(params, grads, opt.md, _lr(opt, config))
-                opt.clock += 1
-            denoised = md_forward(params, window_theta, ramp=md_config.ramp)
-            store.write_md(idx, denoised[:real])
+            params = md_step(store, idx, window_theta, mask, md_config, params, opt, config, _lr(opt, config))
 
     if trace is not None and not np.array_equal(beta_before, store.beta):
         trace["md_beta_changed"] = True
@@ -394,13 +430,7 @@ def online_adapt(
     t = config.window
     store = ResultStore(n)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0, 2]))
-    md_active = not config.no_3d_loss
-    md_trainable = md_active and config.md_denoiser == "mdnet" and not config.frozen_mdnet
-    hmr_steps = 0 if config.frozen_hmrnet else n
-    md_steps = (n // t) if md_trainable else 0
-    opt = AdaptOptimizers(
-        hmr=adam_init(hmr_params), md=adam_init(md_params), clock=0, total_steps=max(1, hmr_steps + md_steps)
-    )
+    opt = AdaptOptimizers(hmr=adam_init(hmr_params), md=adam_init(md_params), clock=0)
     out_theta = np.zeros((n, THETA_SIZE))
     out_beta = np.zeros((n, BETA_SIZE))
 
@@ -410,45 +440,24 @@ def online_adapt(
             idx = np.concatenate([[i], past]).astype(int)
         else:
             idx = np.array([i])
-        g = Graph()
-        theta, beta, cam = hmr_forward_graph(g, hmr_config, g.const(inputs.features[idx]))
-        loss = hmr_loss_graph(
-            g, model, theta, beta, cam, idx.size, inputs.keypoints[idx], unweighted=config.unweighted_2d
+        hmr_params, theta, beta = hmr_step(
+            inputs, idx, model, hmr_config, hmr_params, opt, config, config.lr_start,
+            *store.fetch(idx), rows=store.md_written[idx],
         )
-        selected = store.md_written[idx]
-        if md_active and np.any(selected):
-            pseudo_theta, pseudo_beta = store.fetch(idx)
-            l_theta = g.mean_abs(g.sub(g.mask_select(theta, selected), g.const(pseudo_theta[selected])))
-            l_beta = g.scalar_mul(
-                g.mean_abs(g.sub(g.mask_select(beta, selected), g.const(pseudo_beta[selected]))),
-                config.gamma,
-            )
-            loss = g.add(loss, g.add(l_theta, l_beta))
-        values = evaluate(g, hmr_params)
-        out_theta[i] = values[theta][0]
-        out_beta[i] = values[beta][0]
-        if not config.frozen_hmrnet:
-            grads = backward_from_values(g, values, loss)
-            hmr_params = adam_step(hmr_params, grads, opt.hmr, config.lr_start)
-            opt.clock += 1
+        out_theta[i] = theta[0]
+        out_beta[i] = beta[0]
         store.write_hmr(np.array([i]), out_theta[i : i + 1], out_beta[i : i + 1])
 
-        if md_active and (i + 1) % t == 0:
+        if not config.no_3d_loss and (i + 1) % t == 0:
             idx_w = np.arange(i - t + 1, i + 1)
             window_theta = store.theta[idx_w].copy()
             if config.md_denoiser == "gaussian":
                 store.write_md(idx_w, gaussian_filter_baseline(window_theta, config.gaussian_std))
             else:
-                if md_trainable:
-                    mask = sample_mask(t, rng)
-                    masked_input = np.where(mask[:, None] > 0, 0.0, window_theta)
-                    g2 = Graph()
-                    out = md_forward_graph(g2, md_config, g2.const(masked_input))
-                    md_loss = md_loss_graph(g2, out, window_theta, mask)
-                    grads = backward(g2, md_params, md_loss)
-                    md_params = adam_step(md_params, grads, opt.md, config.lr_start)
-                    opt.clock += 1
-                store.write_md(idx_w, md_forward(md_params, window_theta, ramp=md_config.ramp))
+                mask = None if config.frozen_mdnet else sample_mask(t, rng)
+                md_params = md_step(
+                    store, idx_w, window_theta, mask, md_config, md_params, opt, config, config.lr_start
+                )
 
     report = evaluator(out_theta, out_beta) if evaluator is not None else None
     return OnlineRun(hmr_params, md_params, out_theta, out_beta, report, steps_taken=opt.clock)

@@ -20,7 +20,6 @@ headroom on the test video.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -64,13 +63,23 @@ MD_PRETRAIN_PLAN = ((6000, 1e-3), (6000, 3e-4))
 HMR_CONFIG = HmrConfig(feature_dim=FEATURE_DIM)
 MD_CONFIG = MdConfig()
 
-ENV_THREADS = "CYCLEADAPT_THREADS"
+# each table row: the AdaptConfig fields it overrides in the base config
+VARIANTS = {
+    "no_adapt": {"cycles": 0},
+    "2d_only": {"no_3d_loss": True},
+    "3d_noncyclic": {"frozen_mdnet": True},
+    "full_cyclic": {},
+    "gaussian": {"md_denoiser": "gaussian"},
+    # regressor held fixed; the denoiser either stays pretrained or adapts
+    "frozen_hmr": {"frozen_hmrnet": True, "frozen_mdnet": True},
+    "frozen_hmr_adapt_md": {"frozen_hmrnet": True, "frozen_mdnet": False},
+}
 
-VARIANTS = ("no_adapt", "2d_only", "3d_noncyclic", "full_cyclic", "gaussian")
 
-
-def benchmark_body() -> BodyModel:
-    return scale_body(build_toy_body(BODY_SEED, joints=JOINTS, vertices=VERTICES), BODY_SCALE)
+def benchmark_body(
+    seed: int = BODY_SEED, joints: int = JOINTS, vertices: int = VERTICES, scale: float = BODY_SCALE
+) -> BodyModel:
+    return scale_body(build_toy_body(seed, joints=joints, vertices=vertices), scale)
 
 
 def source_domain() -> DomainSpec:
@@ -97,7 +106,12 @@ def target_domain() -> DomainSpec:
     )
 
 
-def target_mixing(feature_dim: int = FEATURE_DIM, alpha: float = GAP_ALPHA):
+def target_mixing(
+    feature_dim: int = FEATURE_DIM,
+    alpha: float = GAP_ALPHA,
+    source: DomainSpec | None = None,
+    target: DomainSpec | None = None,
+):
     """Target feature map: source map blended toward an independent one.
 
     alpha = 0 is no gap at all, alpha = 1 an unrelated map; in between, a
@@ -105,8 +119,8 @@ def target_mixing(feature_dim: int = FEATURE_DIM, alpha: float = GAP_ALPHA):
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"target_mixing: alpha must be in [0, 1], got {alpha}")
-    a_src, b_src = mixing_matrices(source_domain(), feature_dim)
-    a_far, b_far = mixing_matrices(target_domain(), feature_dim)
+    a_src, b_src = mixing_matrices(source_domain() if source is None else source, feature_dim)
+    a_far, b_far = mixing_matrices(target_domain() if target is None else target, feature_dim)
     return (1.0 - alpha) * a_src + alpha * a_far, (1.0 - alpha) * b_src + alpha * b_far
 
 
@@ -116,11 +130,13 @@ def make_target_video(
     feature_dim: int = FEATURE_DIM,
     model: BodyModel | None = None,
     alpha: float = GAP_ALPHA,
+    source: DomainSpec | None = None,
+    target: DomainSpec | None = None,
 ) -> SyntheticVideo:
     model = benchmark_body() if model is None else model
-    return make_video(
-        target_domain(), model, n_frames, feature_dim, seed, mixing=target_mixing(feature_dim, alpha)
-    )
+    target = target_domain() if target is None else target
+    mixing = target_mixing(feature_dim, alpha, source, target)
+    return make_video(target, model, n_frames, feature_dim, seed, mixing=mixing)
 
 
 def make_source_videos(
@@ -128,34 +144,21 @@ def make_source_videos(
     seeds=SOURCE_SEEDS,
     n_frames: int = SOURCE_FRAMES,
     feature_dim: int = FEATURE_DIM,
+    source: DomainSpec | None = None,
 ) -> list:
     model = benchmark_body() if model is None else model
-    return [make_video(source_domain(), model, n_frames, feature_dim, s) for s in seeds]
+    source = source_domain() if source is None else source
+    return [make_video(source, model, n_frames, feature_dim, s) for s in seeds]
 
 
-def eval_threads() -> int:
-    """Evaluation parallelism hint from the environment, default 1."""
-    raw = os.environ.get(ENV_THREADS)
-    if raw is None:
-        return 1
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ValueError(f"{ENV_THREADS} must be a positive integer, got {raw!r}")
-    return threads
-
-
-def make_evaluator(model: BodyModel, video: SyntheticVideo, threads: int | None = None):
+def make_evaluator(model: BodyModel, video: SyntheticVideo):
     """Closure over the ground truth; adaptation itself never sees it."""
     gt_joints = video.gt_joints
     gt_mesh = video.gt_mesh
-    threads = eval_threads() if threads is None else threads
 
     def evaluator(theta: np.ndarray, beta: np.ndarray) -> MetricReport:
         verts, joints = body_forward_batch(model, theta, beta)
-        return evaluate_sequence(joints, gt_joints, verts, gt_mesh, threads=threads)
+        return evaluate_sequence(joints, gt_joints, verts, gt_mesh)
 
     return evaluator
 
@@ -169,49 +172,55 @@ def pretrain_nets(
     cache_dir=None,
     hmr_steps: int = HMR_PRETRAIN_STEPS,
     md_plan=MD_PRETRAIN_PLAN,
+    hmr_lr: float = HMR_PRETRAIN_LR,
+    md_sigma: float = MD_PRETRAIN_SIGMA,
+    videos: list | None = None,
+    hmr_config: HmrConfig = HMR_CONFIG,
+    md_config: MdConfig = MD_CONFIG,
 ) -> tuple[dict, dict, float]:
-    """Both networks trained on the source domain, plus the recorded tau.
+    """Both networks trained on source videos, plus the recorded tau.
 
-    With cache_dir set, checkpoints are reused if present and written after
-    a fresh run (pre-training is deterministic, so the cache is just time).
+    The videos default to `make_source_videos(model)`. With cache_dir set,
+    checkpoints are reused if present and written after a fresh run
+    (pre-training is deterministic, so the cache is just time).
     """
     if cache_dir is not None:
         cache = Path(cache_dir)
         hmr_path, md_path, tau_path = cache / "hmr_src.ckpt", cache / "md_src.ckpt", cache / "pretrain.json"
         if hmr_path.exists() and md_path.exists() and tau_path.exists():
-            hmr_config, hmr_params = load_hmr(hmr_path)
-            md_config, md_params = load_md(md_path)
-            if hmr_config == HMR_CONFIG and md_config == MD_CONFIG:
+            cached_hmr_config, hmr_params = load_hmr(hmr_path)
+            cached_md_config, md_params = load_md(md_path)
+            if cached_hmr_config == hmr_config and cached_md_config == md_config:
                 with open(tau_path) as fh:
                     tau = float(json.load(fh)["tau"])
                 return hmr_params, md_params, tau
     model = benchmark_body() if model is None else model
-    videos = make_source_videos(model)
+    videos = make_source_videos(model) if videos is None else videos
     result = hmr_pretrain(
         model,
-        HMR_CONFIG,
-        hmr_init(HMR_CONFIG, seed=0),
+        hmr_config,
+        hmr_init(hmr_config, seed=0),
         videos,
         steps=hmr_steps,
-        lr=HMR_PRETRAIN_LR,
+        lr=hmr_lr,
         seed=0,
     )
     motions = [np.stack([p.theta for p in v.gt_params]) for v in videos]
-    md_params = md_init(MD_CONFIG, seed=0)
+    md_params = md_init(md_config, seed=0)
     for stage, (steps, lr) in enumerate(md_plan):
         md_params, _ = md_pretrain(
-            MD_CONFIG,
+            md_config,
             md_params,
             motions,
-            sigma=MD_PRETRAIN_SIGMA,
+            sigma=md_sigma,
             steps=steps,
             lr=lr,
             seed=stage,
         )
     if cache_dir is not None:
         cache.mkdir(parents=True, exist_ok=True)
-        save_hmr(hmr_path, HMR_CONFIG, result.params)
-        save_md(md_path, MD_CONFIG, md_params)
+        save_hmr(hmr_path, hmr_config, result.params)
+        save_md(md_path, md_config, md_params)
         with open(tau_path, "w") as fh:
             json.dump({"tau": result.tau}, fh)
     return result.params, md_params, result.tau
@@ -219,18 +228,10 @@ def pretrain_nets(
 
 def variant_config(variant: str, seed: int, base: AdaptConfig | None = None) -> AdaptConfig:
     """Table-row configs differ from the base only in the documented flags."""
-    base = AdaptConfig(seed=seed) if base is None else replace(base, seed=seed)
-    if variant == "no_adapt":
-        return replace(base, cycles=0)
-    if variant == "2d_only":
-        return replace(base, no_3d_loss=True)
-    if variant == "3d_noncyclic":
-        return replace(base, frozen_mdnet=True)
-    if variant == "full_cyclic":
-        return base
-    if variant == "gaussian":
-        return replace(base, md_denoiser="gaussian")
-    raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}, expected one of {tuple(VARIANTS)}")
+    base = AdaptConfig(seed=seed) if base is None else base
+    return replace(base, seed=seed, **VARIANTS[variant])
 
 
 def run_variant(
@@ -243,19 +244,20 @@ def run_variant(
     base: AdaptConfig | None = None,
     trace=None,
     checkpoint_dir=None,
-    threads: int | None = None,
+    hmr_config: HmrConfig = HMR_CONFIG,
+    md_config: MdConfig = MD_CONFIG,
 ) -> AdaptRun:
     model = benchmark_body() if model is None else model
     video = make_target_video(seed, model=model) if video is None else video
     return cycle_adapt(
         adapt_inputs(video),
         model,
-        HMR_CONFIG,
+        hmr_config,
         hmr_params,
-        MD_CONFIG,
+        md_config,
         md_params,
         variant_config(variant, seed, base),
-        evaluator=make_evaluator(model, video, threads),
+        evaluator=make_evaluator(model, video),
         trace=trace,
         checkpoint_dir=checkpoint_dir,
     )
@@ -268,22 +270,10 @@ def run_frozen_hmr(
     adapt_md: bool,
     model: BodyModel | None = None,
     video: SyntheticVideo | None = None,
-    threads: int | None = None,
 ) -> AdaptRun:
     """Regressor held fixed; the denoiser either adapts or stays pretrained."""
-    model = benchmark_body() if model is None else model
-    video = make_target_video(seed, model=model) if video is None else video
-    config = replace(AdaptConfig(seed=seed), frozen_hmrnet=True, frozen_mdnet=not adapt_md)
-    return cycle_adapt(
-        adapt_inputs(video),
-        model,
-        HMR_CONFIG,
-        hmr_params,
-        MD_CONFIG,
-        md_params,
-        config,
-        evaluator=make_evaluator(model, video, threads),
-    )
+    variant = "frozen_hmr_adapt_md" if adapt_md else "frozen_hmr"
+    return run_variant(variant, seed, hmr_params, md_params, model=model, video=video)
 
 
 def run_online(
@@ -292,19 +282,22 @@ def run_online(
     md_params: dict,
     model: BodyModel | None = None,
     video: SyntheticVideo | None = None,
-    threads: int | None = None,
+    base: AdaptConfig | None = None,
+    hmr_config: HmrConfig = HMR_CONFIG,
+    md_config: MdConfig = MD_CONFIG,
 ) -> OnlineRun:
+    """The full-cyclic config, run as one causal pass."""
     model = benchmark_body() if model is None else model
     video = make_target_video(seed, model=model) if video is None else video
     return online_adapt(
         adapt_inputs(video),
         model,
-        HMR_CONFIG,
+        hmr_config,
         hmr_params,
-        MD_CONFIG,
+        md_config,
         md_params,
-        AdaptConfig(seed=seed),
-        evaluator=make_evaluator(model, video, threads),
+        variant_config("full_cyclic", seed, base),
+        evaluator=make_evaluator(model, video),
     )
 
 

@@ -8,15 +8,16 @@ Subcommands cover the whole pipeline on synthetic data:
   eval      recompute the error report for any checkpoint + video pair
   ablate    run a named suite of configurations into one combined CSV
 
-Every command echoes its effective config as ``config.json`` into the
-output directory, so any run is reproducible from that file and nothing
-else.  The only environment variable consulted is CYCLEADAPT_THREADS
-(evaluation parallelism; it never changes results).
+The work itself is done by the `benchmark` module; this one parses the
+config, writes the files and maps failures onto exit codes. Every command
+echoes its effective config as ``config.json`` into the output directory,
+so any run is reproducible from that file and nothing else.
 
 Exit codes: 0 success, 1 unusable config or file (the message names the
-offending path), 2 a violated internal invariant.  The ``online`` flag
-makes ``frozen_mdnet`` pointless (the causal pass owns its own denoiser
-updates); that combination is documented here rather than rejected.
+offending path), 2 a violated internal invariant or a numerical failure
+mid-run. The ``online`` flag keeps ``frozen_mdnet`` meaningful: the causal
+pass then still writes denoised windows to the store, but never updates
+the denoiser.
 """
 
 from __future__ import annotations
@@ -29,15 +30,7 @@ import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-import numpy as np
-
-from .adapt import (
-    AdaptConfig,
-    InvariantError,
-    adapt_inputs,
-    cycle_adapt,
-    online_adapt,
-)
+from .adapt import AdaptConfig, InvariantError
 from .benchmark import (
     BODY_SCALE,
     BODY_SEED,
@@ -53,51 +46,37 @@ from .benchmark import (
     SOURCE_FRAMES,
     SOURCE_SEEDS,
     VERTICES,
+    benchmark_body,
     make_evaluator,
+    make_source_videos,
+    make_target_video,
+    pretrain_nets,
+    random_nets,
+    run_online,
+    run_variant,
     source_domain,
     target_domain,
-    variant_config,
 )
-from .bodymodel import BodyModel, build_toy_body, scale_body
-from .checkpoint import CheckpointError, load_hmr, load_md, save_hmr, save_md
-from .hmrnet import HmrConfig, hmr_forward, hmr_init
-from .mdnet import MdConfig, md_init, md_pretrain
-from .metrics import MetricReport
-from .pretrain import hmr_pretrain
-from .synth import (
-    DomainSpec,
-    VideoFormatError,
-    make_video,
-    mixing_matrices,
-    read_video,
-    write_video,
-)
+from .bodymodel import DegenerateRotationError
+from .checkpoint import load_hmr, load_md, save_hmr, save_md
+from .hmrnet import HmrConfig, hmr_forward
+from .mdnet import MdConfig
+from .metrics import DegenerateGeometryError, MetricReport
+from .synth import DomainSpec, read_video, write_video
 
 CSV_HEADER = "cycle,source,mpjpe,pa_mpjpe,mpvpe,accel"
 
-FLAGS = ("frozen_mdnet", "no_3d_loss", "random_init", "online", "unweighted_2d")
-
+# suite -> rows of (label, benchmark variant, random_init override or None
+# for the config's own flag, row source); rows sharing a run reuse it
 SUITES = {
-    "table1": ("frozen_hmrnet", "store_before", "store_after"),
-    "table2": ("no_adapt", "2d_only", "3d_noncyclic", "full_cyclic"),
-    "table4": ("full_cyclic", "gaussian"),
-    "suppE": ("pretrained", "random_init"),
-}
-
-_DEFAULT_PATHS = {
-    "out_dir": "run_out",
-    "hmr_ckpt": "hmr.ckpt",
-    "md_ckpt": "md.ckpt",
-    "video": None,
-}
-_DEFAULT_ADAPT = {
-    "cycles": 12,
-    "batch": 32,
-    "lr_start": 5e-5,
-    "lr_end": 1e-6,
-    "gamma": 1e-3,
-    "md_denoiser": "mdnet",
-    "gaussian_std": 2.0,
+    "table1": (
+        ("frozen_hmrnet", "frozen_hmr", None, "hmrnet"),
+        ("store_before", "frozen_hmr", None, "store"),
+        ("store_after", "frozen_hmr_adapt_md", None, "store"),
+    ),
+    "table2": tuple((v, v, None, "hmrnet") for v in ("no_adapt", "2d_only", "3d_noncyclic", "full_cyclic")),
+    "table4": tuple((v, v, None, "hmrnet") for v in ("full_cyclic", "gaussian")),
+    "suppE": (("pretrained", "full_cyclic", False, "hmrnet"), ("random_init", "full_cyclic", True, "hmrnet")),
 }
 
 
@@ -105,84 +84,126 @@ class ConfigError(ValueError):
     """The config file (or a file it references) cannot be used as given."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one run needs; the JSON file mirrors this, in sections.
+_CASTS = {"str": str, "str | None": str, "bool": bool, "int": int, "float": float}
 
-    The five mode flags live at the top level and are folded into the
-    adaptation stage config together with the seed and the denoiser window,
-    so a flag is never specified in two places.
-    """
 
-    seed: int
-    out_dir: str
-    hmr_ckpt: str
-    md_ckpt: str
-    video: str | None
-    frozen_mdnet: bool
-    no_3d_loss: bool
-    random_init: bool
-    online: bool
-    unweighted_2d: bool
-    hmr: HmrConfig
-    md: MdConfig
-    cycles: int
-    batch: int
-    lr_start: float
-    lr_end: float
-    gamma: float
-    md_denoiser: str
-    gaussian_std: float
-    source: DomainSpec
-    target: DomainSpec
-    body_seed: int
-    body_joints: int
-    body_vertices: int
-    body_scale: float
-    video_frames: int
-    gap_alpha: float
-    source_count: int
-    source_frames: int
-    hmr_steps: int
-    hmr_lr: float
-    md_sigma: float
-    md_plan: tuple
+class _Cast:
+    """Base of the sections whose JSON values are cast to the declared field types."""
 
     def __post_init__(self) -> None:
-        named = {"out_dir": self.out_dir, "hmr_ckpt": self.hmr_ckpt, "md_ckpt": self.md_ckpt}
-        if self.video is not None:
-            named["video"] = self.video
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if value is not None and field.type in _CASTS:
+                object.__setattr__(self, field.name, _CASTS[field.type](value))
+
+
+@dataclass(frozen=True)
+class Paths(_Cast):
+    out_dir: str = "run_out"
+    hmr_ckpt: str = "hmr.ckpt"
+    md_ckpt: str = "md.ckpt"
+    video: str | None = None
+
+
+@dataclass(frozen=True)
+class Flags(_Cast):
+    frozen_mdnet: bool = False
+    no_3d_loss: bool = False
+    random_init: bool = False
+    online: bool = False
+    unweighted_2d: bool = False
+
+
+@dataclass(frozen=True)
+class AdaptKnobs:
+    cycles: int = 12
+    batch: int = 32
+    lr_start: float = 5e-5
+    lr_end: float = 1e-6
+    gamma: float = 1e-3
+    md_denoiser: str = "mdnet"
+    gaussian_std: float = 2.0
+
+
+@dataclass(frozen=True)
+class Body(_Cast):
+    seed: int = BODY_SEED
+    joints: int = JOINTS
+    vertices: int = VERTICES
+    scale: float = BODY_SCALE
+
+
+@dataclass(frozen=True)
+class Synth(_Cast):
+    video_frames: int = N_FRAMES
+    gap_alpha: float = GAP_ALPHA
+    source_count: int = len(SOURCE_SEEDS)
+    source_frames: int = SOURCE_FRAMES
+
+
+@dataclass(frozen=True)
+class Pretrain(_Cast):
+    hmr_steps: int = HMR_PRETRAIN_STEPS
+    hmr_lr: float = HMR_PRETRAIN_LR
+    md_sigma: float = MD_PRETRAIN_SIGMA
+    md_plan: tuple = MD_PRETRAIN_PLAN
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Everything one run needs: the seed plus one field per JSON section.
+
+    The five mode flags are folded into the adaptation stage config together
+    with the seed and the denoiser window, so a flag is never specified in
+    two places.
+    """
+
+    seed: int = 0
+    paths: Paths = Paths()
+    flags: Flags = Flags()
+    hmr: HmrConfig = HMR_CONFIG
+    md: MdConfig = MD_CONFIG
+    adapt: AdaptKnobs = AdaptKnobs()
+    source: DomainSpec = source_domain()
+    target: DomainSpec = target_domain()
+    body: Body = Body()
+    synth: Synth = Synth()
+    pretrain: Pretrain = Pretrain()
+
+    def __post_init__(self) -> None:
+        named = {"out_dir": self.paths.out_dir, "hmr_ckpt": self.paths.hmr_ckpt, "md_ckpt": self.paths.md_ckpt}
+        if self.paths.video is not None:
+            named["video"] = self.paths.video
         seen: dict = {}
         for label, p in named.items():
             key = os.path.normpath(str(p))
             if key in seen:
                 raise ConfigError(f"paths must be distinct: {seen[key]} and {label} both name {key!r}")
             seen[key] = label
-        for name in ("video_frames", "source_count", "source_frames", "hmr_steps"):
-            if getattr(self, name) < 1:
+        for section, name in (
+            (self.synth, "video_frames"),
+            (self.synth, "source_count"),
+            (self.synth, "source_frames"),
+            (self.pretrain, "hmr_steps"),
+        ):
+            if getattr(section, name) < 1:
                 raise ConfigError(f"RunConfig.{name} must be >= 1")
-        if not 0.0 <= self.gap_alpha <= 1.0:
-            raise ConfigError(f"RunConfig.gap_alpha must be in [0, 1], got {self.gap_alpha}")
-        if self.hmr_lr <= 0 or self.md_sigma < 0:
+        if not 0.0 <= self.synth.gap_alpha <= 1.0:
+            raise ConfigError(f"RunConfig.gap_alpha must be in [0, 1], got {self.synth.gap_alpha}")
+        if self.pretrain.hmr_lr <= 0 or self.pretrain.md_sigma < 0:
             raise ConfigError("RunConfig: need hmr_lr > 0 and md_sigma >= 0")
-        if not self.md_plan or any(s < 1 or lr <= 0 for s, lr in self.md_plan):
+        if not self.pretrain.md_plan or any(s < 1 or lr <= 0 for s, lr in self.pretrain.md_plan):
             raise ConfigError("RunConfig.md_plan needs at least one (steps >= 1, lr > 0) stage")
         self.adapt_config()  # surface bad stage knobs at load time, not mid-run
 
     def adapt_config(self) -> AdaptConfig:
         return AdaptConfig(
-            cycles=self.cycles,
-            batch=self.batch,
-            lr_start=self.lr_start,
-            lr_end=self.lr_end,
-            gamma=self.gamma,
+            **dataclasses.asdict(self.adapt),
             window=self.md.window,
             seed=self.seed,
-            frozen_mdnet=self.frozen_mdnet,
-            no_3d_loss=self.no_3d_loss,
-            unweighted_2d=self.unweighted_2d,
-            md_denoiser=self.md_denoiser,
-            gaussian_std=self.gaussian_std,
+            frozen_mdnet=self.flags.frozen_mdnet,
+            no_3d_loss=self.flags.no_3d_loss,
+            unweighted_2d=self.flags.unweighted_2d,
         )
 
 
@@ -191,10 +212,6 @@ def _take(section: dict, allowed: dict, where: str) -> dict:
     if section:
         raise ConfigError(f"{where}: unknown key(s) {sorted(section)}; allowed: {sorted(allowed)}")
     return out
-
-
-def _build(cls, section: dict, default, where: str):
-    return cls(**_take(section, dataclasses.asdict(default), where))
 
 
 def _parse_plan(raw, where: str) -> tuple:
@@ -206,110 +223,24 @@ def _parse_plan(raw, where: str) -> tuple:
 
 def config_from_dict(data: dict, where: str = "<config>") -> RunConfig:
     data = dict(data)
-
-    def section(name: str) -> dict:
-        raw = data.pop(name, {})
+    sections = {}
+    for field in dataclasses.fields(RunConfig)[1:]:
+        raw = data.pop(field.name, {})
         if not isinstance(raw, dict):
-            raise ConfigError(f"{where}: section {name!r} must be a JSON object")
-        return dict(raw)
-
-    paths = _take(section("paths"), dict(_DEFAULT_PATHS), f"{where} paths")
-    flags = _take(section("flags"), {k: False for k in FLAGS}, f"{where} flags")
-    hmr = _build(HmrConfig, section("hmr"), HMR_CONFIG, f"{where} hmr")
-    md = _build(MdConfig, section("md"), MD_CONFIG, f"{where} md")
-    knobs = _take(section("adapt"), dict(_DEFAULT_ADAPT), f"{where} adapt")
-    source = _build(DomainSpec, section("source"), source_domain(), f"{where} source")
-    target = _build(DomainSpec, section("target"), target_domain(), f"{where} target")
-    body = _take(
-        section("body"),
-        {"seed": BODY_SEED, "joints": JOINTS, "vertices": VERTICES, "scale": BODY_SCALE},
-        f"{where} body",
-    )
-    synth = _take(
-        section("synth"),
-        {
-            "video_frames": N_FRAMES,
-            "gap_alpha": GAP_ALPHA,
-            "source_count": len(SOURCE_SEEDS),
-            "source_frames": SOURCE_FRAMES,
-        },
-        f"{where} synth",
-    )
-    pre = _take(
-        section("pretrain"),
-        {
-            "hmr_steps": HMR_PRETRAIN_STEPS,
-            "hmr_lr": HMR_PRETRAIN_LR,
-            "md_sigma": MD_PRETRAIN_SIGMA,
-            "md_plan": [list(stage) for stage in MD_PRETRAIN_PLAN],
-        },
-        f"{where} pretrain",
-    )
+            raise ConfigError(f"{where}: section {field.name!r} must be a JSON object")
+        values = _take(dict(raw), dataclasses.asdict(field.default), f"{where} {field.name}")
+        if field.name == "pretrain":
+            values["md_plan"] = _parse_plan(values["md_plan"], where)
+        sections[field.name] = type(field.default)(**values)
     seed = data.pop("seed", 0)
     if data:
         raise ConfigError(f"{where}: unknown top-level key(s) {sorted(data)}")
-    return RunConfig(
-        seed=int(seed),
-        out_dir=str(paths["out_dir"]),
-        hmr_ckpt=str(paths["hmr_ckpt"]),
-        md_ckpt=str(paths["md_ckpt"]),
-        video=None if paths["video"] is None else str(paths["video"]),
-        **{k: bool(flags[k]) for k in FLAGS},
-        hmr=hmr,
-        md=md,
-        **knobs,
-        source=source,
-        target=target,
-        body_seed=int(body["seed"]),
-        body_joints=int(body["joints"]),
-        body_vertices=int(body["vertices"]),
-        body_scale=float(body["scale"]),
-        video_frames=int(synth["video_frames"]),
-        gap_alpha=float(synth["gap_alpha"]),
-        source_count=int(synth["source_count"]),
-        source_frames=int(synth["source_frames"]),
-        hmr_steps=int(pre["hmr_steps"]),
-        hmr_lr=float(pre["hmr_lr"]),
-        md_sigma=float(pre["md_sigma"]),
-        md_plan=_parse_plan(pre["md_plan"], where),
-    )
+    return RunConfig(seed=int(seed), **sections)
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
     """Inverse of config_from_dict; round trips exactly."""
-    return {
-        "seed": cfg.seed,
-        "paths": {
-            "out_dir": cfg.out_dir,
-            "hmr_ckpt": cfg.hmr_ckpt,
-            "md_ckpt": cfg.md_ckpt,
-            "video": cfg.video,
-        },
-        "flags": {name: getattr(cfg, name) for name in FLAGS},
-        "hmr": dataclasses.asdict(cfg.hmr),
-        "md": dataclasses.asdict(cfg.md),
-        "adapt": {name: getattr(cfg, name) for name in _DEFAULT_ADAPT},
-        "source": dataclasses.asdict(cfg.source),
-        "target": dataclasses.asdict(cfg.target),
-        "body": {
-            "seed": cfg.body_seed,
-            "joints": cfg.body_joints,
-            "vertices": cfg.body_vertices,
-            "scale": cfg.body_scale,
-        },
-        "synth": {
-            "video_frames": cfg.video_frames,
-            "gap_alpha": cfg.gap_alpha,
-            "source_count": cfg.source_count,
-            "source_frames": cfg.source_frames,
-        },
-        "pretrain": {
-            "hmr_steps": cfg.hmr_steps,
-            "hmr_lr": cfg.hmr_lr,
-            "md_sigma": cfg.md_sigma,
-            "md_plan": [list(stage) for stage in cfg.md_plan],
-        },
-    }
+    return dataclasses.asdict(cfg)
 
 
 def default_config() -> RunConfig:
@@ -377,56 +308,59 @@ def parse_metrics_csv(path) -> list:
     return rows
 
 
-def run_body(cfg: RunConfig) -> BodyModel:
-    base = build_toy_body(cfg.body_seed, joints=cfg.body_joints, vertices=cfg.body_vertices)
-    return scale_body(base, cfg.body_scale)
+def _body(cfg: RunConfig):
+    return benchmark_body(**dataclasses.asdict(cfg.body))
 
 
-def blended_mixing(cfg: RunConfig):
-    """Target features come from a blend of the two domains' linear maps."""
-    a_src, b_src = mixing_matrices(cfg.source, cfg.hmr.feature_dim)
-    a_tgt, b_tgt = mixing_matrices(cfg.target, cfg.hmr.feature_dim)
-    a = cfg.gap_alpha
-    return (1.0 - a) * a_src + a * a_tgt, (1.0 - a) * b_src + a * b_tgt
+def _source_videos(cfg: RunConfig, model, seeds) -> list:
+    return make_source_videos(model, seeds, cfg.synth.source_frames, cfg.hmr.feature_dim, cfg.source)
 
 
-def source_videos(cfg: RunConfig, model: BodyModel) -> list:
-    base = SOURCE_SEEDS[0]
-    return [
-        make_video(cfg.source, model, cfg.source_frames, cfg.hmr.feature_dim, base + i)
-        for i in range(cfg.source_count)
-    ]
-
-
-def target_video(cfg: RunConfig, model: BodyModel):
-    """The config's video file if given, else synthesized from (config, seed)."""
-    if cfg.video is not None:
-        video, _spec = read_video(cfg.video)
-        if video.features.shape[1] != cfg.hmr.feature_dim:
-            raise ConfigError(
-                f"{cfg.video}: feature dim {video.features.shape[1]} does not match "
-                f"the regressor's {cfg.hmr.feature_dim}"
-            )
-        if video.gt_joints.shape[1] != cfg.body_joints:
-            raise ConfigError(
-                f"{cfg.video}: {video.gt_joints.shape[1]} joints but the body has {cfg.body_joints}"
-            )
-        return video
-    return make_video(
-        cfg.target, model, cfg.video_frames, cfg.hmr.feature_dim, cfg.seed, mixing=blended_mixing(cfg)
+def _synth_target(cfg: RunConfig, model):
+    return make_target_video(
+        cfg.seed, cfg.synth.video_frames, cfg.hmr.feature_dim, model, cfg.synth.gap_alpha, cfg.source, cfg.target
     )
 
 
+def _read_checked_video(cfg: RunConfig, path):
+    """A video file, checked against the run's regressor and body."""
+    video, _spec = read_video(path)
+    if video.features.shape[1] != cfg.hmr.feature_dim:
+        raise ConfigError(
+            f"{path}: feature dim {video.features.shape[1]} does not match "
+            f"the regressor's {cfg.hmr.feature_dim}"
+        )
+    if video.gt_joints.shape[1] != cfg.body.joints:
+        raise ConfigError(f"{path}: {video.gt_joints.shape[1]} joints but the body has {cfg.body.joints}")
+    return video
+
+
+def target_video(cfg: RunConfig, model):
+    """The config's video file if given, else synthesized from (config, seed)."""
+    if cfg.paths.video is None:
+        return _synth_target(cfg, model)
+    return _read_checked_video(cfg, cfg.paths.video)
+
+
+def _load_checked(load, path, config, what: str) -> dict:
+    loaded, params = load(path)
+    if loaded != config:
+        raise ConfigError(f"{path}: checkpoint {what} config {loaded} != run's {config}")
+    return params
+
+
 def load_nets(cfg: RunConfig) -> tuple[dict, dict]:
-    if cfg.random_init:
-        return hmr_init(cfg.hmr, seed=cfg.seed), md_init(cfg.md, seed=cfg.seed)
-    hmr_config, hmr_params = load_hmr(cfg.hmr_ckpt)
-    md_config, md_params = load_md(cfg.md_ckpt)
-    if hmr_config != cfg.hmr:
-        raise ConfigError(f"{cfg.hmr_ckpt}: checkpoint regressor config {hmr_config} != run's {cfg.hmr}")
-    if md_config != cfg.md:
-        raise ConfigError(f"{cfg.md_ckpt}: checkpoint denoiser config {md_config} != run's {cfg.md}")
-    return hmr_params, md_params
+    if cfg.flags.random_init:
+        return random_nets(cfg.seed, cfg.hmr, cfg.md)
+    return (
+        _load_checked(load_hmr, cfg.paths.hmr_ckpt, cfg.hmr, "regressor"),
+        _load_checked(load_md, cfg.paths.md_ckpt, cfg.md, "denoiser"),
+    )
+
+
+def _run_args(cfg: RunConfig, model, video) -> dict:
+    """What every benchmark run driver takes from the config."""
+    return dict(model=model, video=video, base=cfg.adapt_config(), hmr_config=cfg.hmr, md_config=cfg.md)
 
 
 def _last_row(run, source: str):
@@ -437,13 +371,13 @@ def _last_row(run, source: str):
 
 
 def cmd_synth(cfg: RunConfig) -> int:
-    model = run_body(cfg)
-    out = Path(cfg.out_dir)
+    model = _body(cfg)
+    out = Path(cfg.paths.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     # the source sample reuses the pretraining seed family so it looks like
     # one more training video; the target is the evaluation video itself
-    src = make_video(cfg.source, model, cfg.source_frames, cfg.hmr.feature_dim, SOURCE_SEEDS[0] + cfg.seed)
-    tgt = target_video(replace(cfg, video=None), model)
+    (src,) = _source_videos(cfg, model, (SOURCE_SEEDS[0] + cfg.seed,))
+    tgt = _synth_target(cfg, model)
     write_video(out / "source.video", src, cfg.source)
     write_video(out / "target.video", tgt, cfg.target)
     write_config_echo(cfg, out)
@@ -452,54 +386,47 @@ def cmd_synth(cfg: RunConfig) -> int:
 
 
 def cmd_pretrain(cfg: RunConfig) -> int:
-    model = run_body(cfg)
-    videos = source_videos(cfg, model)
-    result = hmr_pretrain(
-        model, cfg.hmr, hmr_init(cfg.hmr, seed=0), videos, steps=cfg.hmr_steps, lr=cfg.hmr_lr, seed=0
+    model = _body(cfg)
+    seeds = range(SOURCE_SEEDS[0], SOURCE_SEEDS[0] + cfg.synth.source_count)
+    hmr_params, md_params, tau = pretrain_nets(
+        model,
+        videos=_source_videos(cfg, model, seeds),
+        hmr_config=cfg.hmr,
+        md_config=cfg.md,
+        **dataclasses.asdict(cfg.pretrain),
     )
-    motions = [np.stack([p.theta for p in v.gt_params]) for v in videos]
-    md_params = md_init(cfg.md, seed=0)
-    for stage, (steps, lr) in enumerate(cfg.md_plan):
-        md_params, _ = md_pretrain(
-            cfg.md, md_params, motions, sigma=cfg.md_sigma, steps=steps, lr=lr, seed=stage
-        )
-    for p in (cfg.hmr_ckpt, cfg.md_ckpt):
+    for p in (cfg.paths.hmr_ckpt, cfg.paths.md_ckpt):
         Path(p).parent.mkdir(parents=True, exist_ok=True)
-    save_hmr(cfg.hmr_ckpt, cfg.hmr, result.params)
-    save_md(cfg.md_ckpt, cfg.md, md_params)
-    out = Path(cfg.out_dir)
+    save_hmr(cfg.paths.hmr_ckpt, cfg.hmr, hmr_params)
+    save_md(cfg.paths.md_ckpt, cfg.md, md_params)
+    out = Path(cfg.paths.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "pretrain.json", "w", newline="\n") as fh:
-        fh.write(json.dumps({"tau": result.tau}) + "\n")
+        fh.write(json.dumps({"tau": tau}) + "\n")
     write_config_echo(cfg, out)
-    print(f"wrote {cfg.hmr_ckpt} and {cfg.md_ckpt}; source error tau={result.tau:.6g}")
+    print(f"wrote {cfg.paths.hmr_ckpt} and {cfg.paths.md_ckpt}; source error tau={tau:.6g}")
     return 0
 
 
 def cmd_adapt(cfg: RunConfig) -> int:
-    model = run_body(cfg)
+    model = _body(cfg)
     video = target_video(cfg, model)
     hmr_params, md_params = load_nets(cfg)
-    evaluator = make_evaluator(model, video)
-    out = Path(cfg.out_dir)
+    out = Path(cfg.paths.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if cfg.online:
-        run = online_adapt(
-            adapt_inputs(video), model, cfg.hmr, hmr_params, cfg.md, md_params,
-            cfg.adapt_config(), evaluator=evaluator,
-        )
+    if cfg.flags.online:
+        run = run_online(cfg.seed, hmr_params, md_params, **_run_args(cfg, model, video))
         rows = [(0, "hmrnet", run.report)]
         save_hmr(out / "hmr_final.ckpt", cfg.hmr, run.hmr_params)
         save_md(out / "md_final.ckpt", cfg.md, run.md_params)
     else:
-        run = cycle_adapt(
-            adapt_inputs(video), model, cfg.hmr, hmr_params, cfg.md, md_params,
-            cfg.adapt_config(), evaluator=evaluator, checkpoint_dir=out,
+        run = run_variant(
+            "full_cyclic", cfg.seed, hmr_params, md_params, checkpoint_dir=out, **_run_args(cfg, model, video)
         )
         rows = run.rows
     emit_metrics_csv(out / "metrics.csv", rows)
     write_config_echo(cfg, out)
-    cycle, rep = _last_row(run, "hmrnet") if not cfg.online else (0, run.report)
+    cycle, rep = _last_row(run, "hmrnet") if not cfg.flags.online else (0, run.report)
     print(f"wrote {out / 'metrics.csv'} ({len(rows)} rows); final mpjpe {rep.mpjpe:.6g} at cycle {cycle}")
     return 0
 
@@ -507,24 +434,13 @@ def cmd_adapt(cfg: RunConfig) -> int:
 def cmd_eval(cfg: RunConfig, checkpoint, video_path) -> int:
     if video_path is None:
         raise ConfigError("eval needs a video file: pass --video or set paths.video")
-    model = run_body(cfg)
-    video, _spec = read_video(video_path)
-    if video.gt_joints.shape[1] != cfg.body_joints:
-        raise ConfigError(
-            f"{video_path}: {video.gt_joints.shape[1]} joints but the body has {cfg.body_joints}"
-        )
-    hmr_config, params = load_hmr(checkpoint)
-    if hmr_config != cfg.hmr:
-        raise ConfigError(f"{checkpoint}: checkpoint regressor config {hmr_config} != run's {cfg.hmr}")
-    if video.features.shape[1] != cfg.hmr.feature_dim:
-        raise ConfigError(
-            f"{video_path}: feature dim {video.features.shape[1]} does not match "
-            f"the regressor's {cfg.hmr.feature_dim}"
-        )
+    model = _body(cfg)
+    video = _read_checked_video(cfg, video_path)
+    params = _load_checked(load_hmr, checkpoint, cfg.hmr, "regressor")
     theta, beta, _cam = hmr_forward(params, video.features)
     report = make_evaluator(model, video)(theta, beta)
     rows = [(0, "hmrnet", report)]
-    out = Path(cfg.out_dir)
+    out = Path(cfg.paths.out_dir)
     emit_metrics_csv(out / "metrics.csv", rows)
     write_config_echo(cfg, out)
     print(format_metrics_rows(rows), end="")
@@ -534,43 +450,19 @@ def cmd_eval(cfg: RunConfig, checkpoint, video_path) -> int:
 def cmd_ablate(cfg: RunConfig, suite: str) -> int:
     if suite not in SUITES:
         raise ConfigError(f"unknown suite {suite!r}, expected one of {sorted(SUITES)}")
-    model = run_body(cfg)
+    model = _body(cfg)
     video = target_video(cfg, model)
-    inputs = adapt_inputs(video)
-    evaluator = make_evaluator(model, video)
-    base = cfg.adapt_config()
-
-    def run_with(config: AdaptConfig, hmr_params: dict, md_params: dict):
-        return cycle_adapt(
-            inputs, model, cfg.hmr, hmr_params, cfg.md, md_params, config, evaluator=evaluator
-        )
-
+    runs: dict = {}
     rows = []
-    if suite in ("table2", "table4"):
-        hmr_params, md_params = load_nets(cfg)
-        for variant in SUITES[suite]:
-            run = run_with(variant_config(variant, cfg.seed, base), hmr_params, md_params)
-            cycle, rep = _last_row(run, "hmrnet")
-            rows.append((cycle, variant, rep))
-    elif suite == "table1":
-        hmr_params, md_params = load_nets(cfg)
-        before = run_with(replace(base, frozen_hmrnet=True, frozen_mdnet=True), hmr_params, md_params)
-        after = run_with(replace(base, frozen_hmrnet=True, frozen_mdnet=False), hmr_params, md_params)
-        for label, run, source in (
-            ("frozen_hmrnet", before, "hmrnet"),
-            ("store_before", before, "store"),
-            ("store_after", after, "store"),
-        ):
-            cycle, rep = _last_row(run, source)
-            rows.append((cycle, label, rep))
-    else:  # suppE: same schedule from a pretrained vs a freshly seeded start
-        pre = load_nets(replace(cfg, random_init=False))
-        rnd = hmr_init(cfg.hmr, seed=cfg.seed), md_init(cfg.md, seed=cfg.seed)
-        for label, (hmr_params, md_params) in (("pretrained", pre), ("random_init", rnd)):
-            run = run_with(base, hmr_params, md_params)
-            cycle, rep = _last_row(run, "hmrnet")
-            rows.append((cycle, label, rep))
-    out = Path(cfg.out_dir)
+    for label, variant, random_init, source in SUITES[suite]:
+        flags = cfg.flags if random_init is None else replace(cfg.flags, random_init=random_init)
+        key = (variant, flags.random_init)
+        if key not in runs:
+            nets = load_nets(replace(cfg, flags=flags))
+            runs[key] = run_variant(variant, cfg.seed, *nets, **_run_args(cfg, model, video))
+        cycle, rep = _last_row(runs[key], source)
+        rows.append((cycle, label, rep))
+    out = Path(cfg.paths.out_dir)
     emit_metrics_csv(out / "ablate.csv", rows)
     write_config_echo(cfg, out)
     print(f"wrote {out / 'ablate.csv'} ({len(rows)} configurations)")
@@ -614,25 +506,26 @@ def run(argv) -> int:
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
         if args.out is not None:
-            cfg = replace(cfg, out_dir=args.out)
+            cfg = replace(cfg, paths=replace(cfg.paths, out_dir=args.out))
         if args.command == "synth":
             return cmd_synth(cfg)
         if args.command == "pretrain":
             return cmd_pretrain(cfg)
         if args.command == "adapt":
             if args.online:
-                cfg = replace(cfg, online=True)
+                cfg = replace(cfg, flags=replace(cfg.flags, online=True))
             return cmd_adapt(cfg)
         if args.command == "eval":
-            return cmd_eval(cfg, args.checkpoint or cfg.hmr_ckpt, args.video or cfg.video)
+            return cmd_eval(cfg, args.checkpoint or cfg.paths.hmr_ckpt, args.video or cfg.paths.video)
         return cmd_ablate(cfg, args.suite)
     except InvariantError as exc:
         print(f"invariant violated: {exc}", file=sys.stderr)
         return 2
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, CheckpointError, VideoFormatError, ValueError) as exc:
+    except (DegenerateRotationError, DegenerateGeometryError) as exc:
+        # ValueError subclasses, but a failure of the numbers, not of the config
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
+    except (OSError, ValueError) as exc:  # ConfigError, CheckpointError, VideoFormatError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

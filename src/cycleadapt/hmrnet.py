@@ -191,14 +191,15 @@ def hmr_loss_graph(
     pseudo_theta=None,
     pseudo_beta=None,
     gamma: float = 0.001,
-    first_cycle: bool = False,
+    rows=None,
     unweighted: bool = False,
 ) -> int:
     """Scalar adaptation loss node: L1 pseudo-parameter term + weighted L1 reprojection.
 
-    The parameter term is dropped in the first cycle and whenever no pseudo
-    targets are given; the reprojection term is exactly zero when every
-    confidence is zero.
+    The parameter term is dropped when no pseudo targets are given. A
+    boolean ``rows`` mask over the batch restricts it to the rows set there,
+    and drops it when none is set. The reprojection term is exactly zero
+    when every confidence is zero.
     """
     if gamma < 0:
         raise ValueError(f"hmr_loss_graph: gamma must be >= 0, got {gamma}")
@@ -216,10 +217,15 @@ def hmr_loss_graph(
         weighted = g.mul(residual, g.const(weights[:, :, None]))
         loss_2d = g.scalar_mul(g.mean_abs(weighted), float(n_joints))
 
-    if first_cycle or pseudo_theta is None:
+    if pseudo_theta is None or (rows is not None and not np.any(rows)):
         return loss_2d
-    pseudo_theta = np.asarray(pseudo_theta, dtype=np.float64)
-    pseudo_beta = np.asarray(pseudo_beta, dtype=np.float64)
-    loss_theta = g.mean_abs(g.sub(theta_node, g.const(pseudo_theta)))
-    loss_beta = g.scalar_mul(g.mean_abs(g.sub(beta_node, g.const(pseudo_beta))), gamma)
+
+    def pull(node: int, target) -> int:
+        target = np.asarray(target, dtype=np.float64)
+        if rows is not None:
+            node, target = g.mask_select(node, rows), target[np.asarray(rows, dtype=bool)]
+        return g.mean_abs(g.sub(node, g.const(target)))
+
+    loss_theta = pull(theta_node, pseudo_theta)
+    loss_beta = g.scalar_mul(pull(beta_node, pseudo_beta), gamma)
     return g.add(g.add(loss_theta, loss_beta), loss_2d)

@@ -7,7 +7,6 @@ Everything here is a pure function, safe to call from any thread.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,58 +60,53 @@ def mpjpe(pred_joints, gt_joints, root_index: int = 0) -> float:
     return float(np.linalg.norm(p - g, axis=-1).mean() * MM_PER_M)
 
 
-def procrustes_align(pred, gt) -> tuple[float, np.ndarray, np.ndarray]:
-    """Best similarity transform taking ``pred`` onto ``gt``.
+def procrustes_align(pred, gt) -> tuple:
+    """Best similarity transform taking ``pred`` onto ``gt``, per frame.
 
-    Returns (scale, rotation, translation) minimizing
-    ``sum_j ||s R p_j + t - g_j||^2`` in closed form: SVD of the cross
-    covariance, with the weakest direction flipped when needed so that
-    det(rotation) = +1 (a proper rotation, never a reflection).
+    Takes one (J, 3) frame or a stack (F, J, 3). Returns (scale, rotation,
+    translation) minimizing ``sum_j ||s R p_j + t - g_j||^2`` in closed form:
+    SVD of the cross covariance, with the weakest direction flipped when
+    needed so that det(rotation) = +1 (a proper rotation, never a
+    reflection). A stack gives (F,), (F, 3, 3) and (F, 3) arrays, all frames
+    solved by one batched SVD; a single frame gives (float, (3, 3), (3,)).
     """
     p = np.asarray(pred, dtype=np.float64)
     g = np.asarray(gt, dtype=np.float64)
-    if p.shape != g.shape or p.ndim != 2 or p.shape[1] != 3 or p.shape[0] < 3:
+    if p.shape != g.shape or p.ndim not in (2, 3) or p.shape[-1] != 3 or p.shape[-2] < 3:
         raise ValueError(
-            f"procrustes_align: need two matching (J >= 3, 3) arrays, got {p.shape} and {g.shape}"
+            f"procrustes_align: need two matching (J >= 3, 3) or (F, J >= 3, 3) arrays, "
+            f"got {p.shape} and {g.shape}"
         )
-    n = p.shape[0]
-    mu_p = p.mean(axis=0)
-    mu_g = g.mean(axis=0)
-    pc = p - mu_p
-    gc = g - mu_g
-    var_p = float((pc**2).sum()) / n
-    if var_p < 1e-18:
-        raise DegenerateGeometryError("procrustes_align: prediction points are coincident")
-    cov = gc.T @ pc / n
+    if p.ndim == 2:
+        scale, rot, trans = procrustes_align(p[None], g[None])
+        return float(scale[0]), rot[0], trans[0]
+    n = p.shape[1]
+    mu_p = p.mean(axis=1)
+    mu_g = g.mean(axis=1)
+    pc = p - mu_p[:, None]
+    gc = g - mu_g[:, None]
+    var_p = (pc**2).reshape(p.shape[0], -1).sum(axis=1) / n
+    coincident = np.flatnonzero(var_p < 1e-18)
+    if coincident.size:
+        raise DegenerateGeometryError(
+            f"procrustes_align: prediction points are coincident in frame {coincident[0]}"
+        )
+    cov = np.swapaxes(gc, 1, 2) @ pc / n
     u, d, vt = np.linalg.svd(cov)
-    flip = np.ones(3)
-    if np.linalg.det(u) * np.linalg.det(vt) < 0:
-        flip[2] = -1.0
-    rot = (u * flip) @ vt
-    scale = float((d * flip).sum() / var_p)
-    trans = mu_g - scale * rot @ mu_p
+    flip = np.ones_like(d)
+    flip[np.linalg.det(u) * np.linalg.det(vt) < 0, 2] = -1.0
+    rot = (u * flip[:, None, :]) @ vt
+    scale = (d * flip).sum(axis=1) / var_p
+    trans = mu_g - ((scale[:, None, None] * rot) @ mu_p[:, :, None])[:, :, 0]
     return scale, rot, trans
 
 
-def pa_mpjpe(pred_joints, gt_joints, threads: int = 1) -> float:
-    """Mean joint error in mm after an optimal per-frame similarity fit.
-
-    ``threads`` > 1 spreads the per-frame alignments over a thread pool;
-    the result is bit-identical to the serial computation.
-    """
+def pa_mpjpe(pred_joints, gt_joints) -> float:
+    """Mean joint error in mm after an optimal per-frame similarity fit."""
     p, g = _as_pair(pred_joints, gt_joints, "pa_mpjpe")
-
-    def frame_error(i: int) -> float:
-        s, rot, t = procrustes_align(p[i], g[i])
-        aligned = s * p[i] @ rot.T + t
-        return float(np.linalg.norm(aligned - g[i], axis=-1).mean())
-
-    if threads > 1 and p.shape[0] > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            errors = list(pool.map(frame_error, range(p.shape[0])))
-    else:
-        errors = [frame_error(i) for i in range(p.shape[0])]
-    return float(np.mean(errors) * MM_PER_M)
+    scale, rot, trans = procrustes_align(p, g)
+    aligned = scale[:, None, None] * p @ np.swapaxes(rot, 1, 2) + trans[:, None, :]
+    return float(np.linalg.norm(aligned - g, axis=-1).mean(axis=1).mean() * MM_PER_M)
 
 
 def mpvpe(pred_mesh, gt_mesh, pred_root, gt_root) -> float:
@@ -151,14 +145,13 @@ def evaluate_sequence(
     pred_mesh,
     gt_mesh,
     root_index: int = 0,
-    threads: int = 1,
 ) -> MetricReport:
     """All four metrics for one sequence, packed into a MetricReport."""
     pj = np.asarray(pred_joints, dtype=np.float64)
     gj = np.asarray(gt_joints, dtype=np.float64)
     return MetricReport(
         mpjpe=mpjpe(pj, gj, root_index),
-        pa_mpjpe=pa_mpjpe(pj, gj, threads=threads),
+        pa_mpjpe=pa_mpjpe(pj, gj),
         mpvpe=mpvpe(pred_mesh, gt_mesh, pj[:, root_index], gj[:, root_index]),
         accel=accel_error(pj, gj),
     )

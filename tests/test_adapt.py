@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cycleadapt import adapt
 from cycleadapt.adapt import (
     AdaptConfig,
     AdaptInputs,
@@ -391,3 +392,23 @@ def test_online_step_budget_and_determinism():
     assert a.report == b.report
     for key in a.hmr_params:
         assert np.array_equal(a.hmr_params[key], b.hmr_params[key])
+
+
+def test_online_frozen_mdnet_still_denoises_the_store(monkeypatch):
+    stores = []
+
+    class RecordedStore(ResultStore):
+        def __init__(self, n_frames):
+            super().__init__(n_frames)
+            stores.append(self)
+
+    monkeypatch.setattr(adapt, "ResultStore", RecordedStore)
+    inputs = _setup(12)
+    md0 = md_init(MD_CONFIG, seed=0)
+    run = online_adapt(inputs, MODEL, HMR_CONFIG, hmr_init(HMR_CONFIG, seed=0),
+                       MD_CONFIG, md0, _config(frozen_mdnet=True))
+    assert run.md_params is md0
+    assert run.steps_taken == 12  # one regressor step per frame, no denoiser step
+    (store,) = stores
+    assert store.md_written[:10].all()  # two full windows of 5, denoised
+    assert not store.md_written[10:].any()

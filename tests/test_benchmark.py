@@ -72,20 +72,6 @@ def test_target_mixing_rejects_out_of_range_alpha():
         bench.target_mixing(alpha=1.5)
 
 
-def test_eval_threads_default_and_parsing(monkeypatch):
-    monkeypatch.delenv(bench.ENV_THREADS, raising=False)
-    assert bench.eval_threads() == 1
-    monkeypatch.setenv(bench.ENV_THREADS, "3")
-    assert bench.eval_threads() == 3
-
-
-@pytest.mark.parametrize("raw", ["0", "-2", "two", "1.5"])
-def test_eval_threads_rejects_bad_values(monkeypatch, raw):
-    monkeypatch.setenv(bench.ENV_THREADS, raw)
-    with pytest.raises(ValueError, match=bench.ENV_THREADS):
-        bench.eval_threads()
-
-
 def test_variant_config_flags():
     assert bench.variant_config("no_adapt", 3).cycles == 0
     assert bench.variant_config("2d_only", 3).no_3d_loss
@@ -94,6 +80,10 @@ def test_variant_config_flags():
     assert not (full.no_3d_loss or full.frozen_mdnet or full.frozen_hmrnet)
     assert full.seed == 3
     assert bench.variant_config("gaussian", 3).md_denoiser == "gaussian"
+    frozen = bench.variant_config("frozen_hmr", 3)
+    assert frozen.frozen_hmrnet and frozen.frozen_mdnet
+    adapting = bench.variant_config("frozen_hmr_adapt_md", 3, base=frozen)
+    assert adapting.frozen_hmrnet and not adapting.frozen_mdnet
     with pytest.raises(ValueError, match="unknown variant"):
         bench.variant_config("bogus", 3)
 
@@ -107,7 +97,7 @@ def test_variant_config_respects_base():
 
 def test_make_evaluator_hides_ground_truth(tiny_bench):
     model, video = tiny_bench
-    evaluator = bench.make_evaluator(model, video, threads=1)
+    evaluator = bench.make_evaluator(model, video)
     thetas = np.stack([p.theta for p in video.gt_params])
     betas = np.stack([p.beta for p in video.gt_params])
     report = evaluator(thetas, betas)

@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from cycleadapt import cli
+from cycleadapt import benchmark, cli
 from cycleadapt.adapt import InvariantError
-from cycleadapt.metrics import MetricReport
+from cycleadapt.bodymodel import DegenerateRotationError
+from cycleadapt.metrics import DegenerateGeometryError, MetricReport
 from cycleadapt.synth import read_video
 
 TINY = {
@@ -85,6 +86,65 @@ def test_config_round_trips_through_dict():
     assert cli.config_from_dict(cli.config_to_dict(cfg2)) == cfg2
 
 
+def test_default_config_schema_is_pinned():
+    assert cli.config_to_dict(cli.default_config()) == {
+        "seed": 0,
+        "paths": {"out_dir": "run_out", "hmr_ckpt": "hmr.ckpt", "md_ckpt": "md.ckpt", "video": None},
+        "flags": {
+            "frozen_mdnet": False,
+            "no_3d_loss": False,
+            "random_init": False,
+            "online": False,
+            "unweighted_2d": False,
+        },
+        "hmr": {"feature_dim": 512, "hidden_dim": 256, "num_hidden_layers": 3},
+        "md": {"window": 49, "pose_dim": 144, "blocks": 4, "ramp": False},
+        "adapt": {
+            "cycles": 12,
+            "batch": 32,
+            "lr_start": 5e-5,
+            "lr_end": 1e-6,
+            "gamma": 1e-3,
+            "md_denoiser": "mdnet",
+            "gaussian_std": 2.0,
+        },
+        "source": {
+            "name": "source",
+            "freq_range": (0.01, 0.04),
+            "amp_range": (0.2, 0.6),
+            "mixing_seed": 101,
+            "feature_noise_std": 0.01,
+            "kp_noise_std": 0.0,
+            "p_drop": 0.0,
+        },
+        "target": {
+            "name": "target",
+            "freq_range": (0.01, 0.04),
+            "amp_range": (0.2, 0.6),
+            "mixing_seed": 202,
+            "feature_noise_std": 0.3,
+            "kp_noise_std": 0.02,
+            "p_drop": 0.2,
+        },
+        "body": {"seed": 7, "joints": 24, "vertices": 120, "scale": 0.15},
+        "synth": {"video_frames": 500, "gap_alpha": 0.35, "source_count": 6, "source_frames": 400},
+        "pretrain": {
+            "hmr_steps": 4000,
+            "hmr_lr": 1e-3,
+            "md_sigma": 0.05,
+            "md_plan": ((6000, 1e-3), (6000, 3e-4)),
+        },
+    }
+
+
+def test_config_casts_loosely_typed_json_values():
+    cfg = cli.config_from_dict({"body": {"scale": 1}, "synth": {"gap_alpha": 0}, "flags": {"online": 1}})
+    echo = cli.config_to_dict(cfg)
+    assert echo["body"]["scale"] == 1.0 and isinstance(echo["body"]["scale"], float)
+    assert isinstance(echo["synth"]["gap_alpha"], float)
+    assert echo["flags"]["online"] is True
+
+
 def test_config_rejects_unknown_keys():
     with pytest.raises(cli.ConfigError, match="typo"):
         cli.config_from_dict({"typo": 1})
@@ -132,7 +192,7 @@ def test_synth_writes_both_videos_and_echo(ws, tmp_path):
     assert tgt.frame_count == TINY["synth"]["video_frames"]
     assert src_spec.name == "source" and tgt_spec.name == "target"
     echoed = cli.load_config(out / "config.json")
-    assert echoed.out_dir == str(out)
+    assert echoed.paths.out_dir == str(out)
     assert echoed.hmr == cli.load_config(ws["cfg_path"]).hmr
 
 
@@ -227,7 +287,18 @@ def test_invariant_failure_exits_2(ws, tmp_path, monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise InvariantError("store written out of order")
 
-    monkeypatch.setattr(cli, "cycle_adapt", boom)
+    monkeypatch.setattr(benchmark, "cycle_adapt", boom)
     code = cli.run(["adapt", "--config", str(ws["cfg_path"]), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "store written out of order" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [DegenerateRotationError, DegenerateGeometryError])
+def test_numerical_failure_exits_2(ws, tmp_path, monkeypatch, capsys, error):
+    def boom(*args, **kwargs):
+        raise error("columns are nearly parallel")
+
+    monkeypatch.setattr(benchmark, "cycle_adapt", boom)
+    code = cli.run(["adapt", "--config", str(ws["cfg_path"]), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "columns are nearly parallel" in capsys.readouterr().err

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cycleadapt.bodymodel import body_forward_batch, build_toy_body, identity_pose, project_batch
-from cycleadapt.diffcore import Graph, evaluate, grad_check
+from cycleadapt.diffcore import Graph, backward, evaluate, grad_check
 from cycleadapt.hmrnet import (
     OUTPUT_SIZE,
     HmrConfig,
@@ -180,20 +180,51 @@ def test_loss_matches_reprojection_oracle():
     assert abs(loss - expected) < 1e-9
 
 
-def test_first_cycle_drops_parameter_term():
-    model, params, features, kp = _loss_setup(13)
+def test_row_mask_pull_equals_pull_on_selected_rows_alone():
+    model, params, features, kp = _loss_setup(13, batch=5, conf=0.0)
     theta, beta, _ = hmr_forward(params, features)
-    first = _loss_value(
-        model, SMALL, params, features, kp,
-        pseudo_theta=theta + 5.0, pseudo_beta=beta - 3.0, first_cycle=True,
+    rng = np.random.default_rng(13)
+    pseudo_theta = theta + rng.normal(size=theta.shape)
+    pseudo_beta = beta + rng.normal(size=beta.shape)
+    rows = np.array([True, False, True, True, False])
+    masked = _loss_value(
+        model, SMALL, params, features, kp, pseudo_theta=pseudo_theta, pseudo_beta=pseudo_beta, rows=rows
     )
-    no_pseudo = _loss_value(model, SMALL, params, features, kp)
-    other_pseudo = _loss_value(
-        model, SMALL, params, features, kp,
-        pseudo_theta=theta - 7.0, pseudo_beta=beta, first_cycle=True,
+    alone = _loss_value(
+        model, SMALL, params, features[rows], kp[rows],
+        pseudo_theta=pseudo_theta[rows], pseudo_beta=pseudo_beta[rows],
     )
-    assert first == no_pseudo == other_pseudo
-    assert abs(first - _l2d_oracle(model, params, features, kp)) < 1e-9
+    expected = np.abs(theta - pseudo_theta)[rows].mean() + 0.001 * np.abs(beta - pseudo_beta)[rows].mean()
+    assert abs(masked - alone) < 1e-12
+    assert abs(masked - expected) < 1e-12
+    none = _loss_value(
+        model, SMALL, params, features, kp, pseudo_theta=pseudo_theta, pseudo_beta=pseudo_beta,
+        rows=np.zeros(5, dtype=bool),
+    )
+    assert none == _loss_value(model, SMALL, params, features, kp) == 0.0
+
+
+def test_row_mask_pull_sends_no_gradient_to_unselected_rows():
+    model, _, _, kp = _loss_setup(17, batch=4)
+    rng = np.random.default_rng(17)
+    bindings = {
+        "theta": np.tile(identity_pose(24), (4, 1)) + 0.1 * rng.normal(size=(4, 144)),
+        "beta": 0.1 * rng.normal(size=(4, 10)),
+        "cam": np.tile([1.0, 0.0, 0.0], (4, 1)),
+    }
+    rows = np.array([False, True, False, True])
+
+    def grads(**pull):
+        g = Graph()
+        theta, beta, cam = (g.leaf(name, trainable=True) for name in ("theta", "beta", "cam"))
+        loss = hmr_loss_graph(g, model, theta, beta, cam, 4, kp, **pull)
+        return backward(g, bindings, loss)
+
+    plain = grads()
+    pulled = grads(pseudo_theta=np.zeros((4, 144)), pseudo_beta=np.zeros((4, 10)), rows=rows)
+    for name in ("theta", "beta"):
+        assert np.array_equal(pulled[name][~rows], plain[name][~rows])
+        assert np.all(np.any(pulled[name][rows] != plain[name][rows], axis=1))
 
 
 def test_zero_confidence_coordinates_cannot_leak():

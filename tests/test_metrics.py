@@ -195,11 +195,31 @@ def test_pa_mpjpe_never_exceeds_mpjpe(seed):
     assert pa_mpjpe(pred, gt) <= mpjpe(pred, gt) + 1e-9
 
 
-def test_pa_mpjpe_threads_match_serial():
+def test_procrustes_stack_matches_per_frame_solves():
     rng = np.random.default_rng(6)
     gt = rng.normal(size=(9, 24, 3))
     pred = gt + rng.normal(scale=0.1, size=gt.shape)
-    assert pa_mpjpe(pred, gt, threads=4) == pa_mpjpe(pred, gt)
+    pred[4] = -pred[4]  # a reflected frame needs the determinant flip
+    scales, rots, trans = procrustes_align(pred, gt)
+    assert scales.shape == (9,) and rots.shape == (9, 3, 3) and trans.shape == (9, 3)
+    errors = []
+    for i in range(9):
+        s, rot, t = procrustes_align(pred[i], gt[i])
+        assert isinstance(s, float)
+        assert s == scales[i] and np.array_equal(rot, rots[i]) and np.array_equal(t, trans[i])
+        assert np.linalg.det(rot) > 0
+        s_ref, rot_ref, t_ref = _horn_similarity(pred[i], gt[i])
+        errors.append(np.linalg.norm(s_ref * pred[i] @ rot_ref.T + t_ref - gt[i], axis=-1).mean())
+    assert abs(pa_mpjpe(pred, gt) - 1000.0 * np.mean(errors)) < 1e-9
+
+
+def test_procrustes_stack_names_the_coincident_frame():
+    rng = np.random.default_rng(7)
+    gt = rng.normal(size=(5, 6, 3))
+    pred = gt.copy()
+    pred[3] = 1.0
+    with pytest.raises(DegenerateGeometryError, match="frame 3"):
+        procrustes_align(pred, gt)
 
 
 def test_mpvpe_identical_is_zero():
