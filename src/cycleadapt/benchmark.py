@@ -19,8 +19,9 @@ headroom on the test video.
 
 from __future__ import annotations
 
+import hashlib
 import json
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -167,6 +168,11 @@ def random_nets(seed: int, hmr_config: HmrConfig = HMR_CONFIG, md_config: MdConf
     return hmr_init(hmr_config, seed=seed), md_init(md_config, seed=seed)
 
 
+def _body_digest(model: BodyModel) -> str:
+    arrays = (np.asarray(getattr(model, field.name)) for field in fields(model))
+    return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+
 def pretrain_nets(
     model: BodyModel | None = None,
     cache_dir=None,
@@ -181,20 +187,25 @@ def pretrain_nets(
     """Both networks trained on source videos, plus the recorded tau.
 
     The videos default to `make_source_videos(model)`. With cache_dir set,
-    checkpoints are reused if present and written after a fresh run
+    the nets are made from the default videos; checkpoints are reused when
+    the recipe recorded beside them (steps, rates, noise, net configs and
+    body) matches this call exactly, and written after a fresh run
     (pre-training is deterministic, so the cache is just time).
     """
-    if cache_dir is not None:
-        cache = Path(cache_dir)
-        hmr_path, md_path, tau_path = cache / "hmr_src.ckpt", cache / "md_src.ckpt", cache / "pretrain.json"
-        if hmr_path.exists() and md_path.exists() and tau_path.exists():
-            cached_hmr_config, hmr_params = load_hmr(hmr_path)
-            cached_md_config, md_params = load_md(md_path)
-            if cached_hmr_config == hmr_config and cached_md_config == md_config:
-                with open(tau_path) as fh:
-                    tau = float(json.load(fh)["tau"])
-                return hmr_params, md_params, tau
+    if cache_dir is not None and videos is not None:
+        raise ValueError("pretrain_nets: cache_dir is keyed on the default videos; pass one or the other")
     model = benchmark_body() if model is None else model
+    if cache_dir is not None:
+        recipe = dict(hmr_steps=hmr_steps, md_plan=md_plan, hmr_lr=hmr_lr, md_sigma=md_sigma)
+        recipe.update(hmr_config=asdict(hmr_config), md_config=asdict(md_config), body=_body_digest(model))
+        recipe = json.loads(json.dumps(recipe))  # the form it takes in the file
+        cache = Path(cache_dir)
+        hmr_path, md_path, record_path = cache / "hmr_src.ckpt", cache / "md_src.ckpt", cache / "pretrain.json"
+        if hmr_path.exists() and md_path.exists() and record_path.exists():
+            with open(record_path) as fh:
+                record = json.load(fh)
+            if record.get("recipe") == recipe:
+                return load_hmr(hmr_path)[1], load_md(md_path)[1], float(record["tau"])
     videos = make_source_videos(model) if videos is None else videos
     result = hmr_pretrain(
         model,
@@ -221,8 +232,8 @@ def pretrain_nets(
         cache.mkdir(parents=True, exist_ok=True)
         save_hmr(hmr_path, hmr_config, result.params)
         save_md(md_path, md_config, md_params)
-        with open(tau_path, "w") as fh:
-            json.dump({"tau": result.tau}, fh)
+        with open(record_path, "w") as fh:
+            json.dump({"tau": result.tau, "recipe": recipe}, fh)
     return result.params, md_params, result.tau
 
 

@@ -8,16 +8,16 @@ joints from the skinned mesh (so joints and mesh always share a frame).
 The root translation is pinned to the origin; every downstream error
 measure is root-aligned, which makes global translation unobservable.
 
-All positions are meters. Two parallel implementations are provided: plain
-numpy (`body_forward`, `body_forward_batch`) for data generation and
-evaluation, and a graph builder (`body_graph`) that appends the same
-computation to a `diffcore.Graph` so gradients can flow to pose, shape,
-and anything upstream of them.
+All positions are meters. Posing exists twice: `body_forward_batch` in
+plain numpy for data generation and evaluation, and the graph builder
+`body_graph`, which appends the same computation to a `diffcore.Graph` so
+gradients can flow to pose, shape, and anything upstream of them. The two
+agree to rounding error, not bit for bit, because their products are
+summed in different orders.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,12 +28,6 @@ IDENTITY_ROT6D = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
 
 THETA_SIZE = 144
 BETA_SIZE = 10
-
-# permutation matrices rolling the last axis of a stack of 3-vectors,
-# used to express a cross product with products and one subtraction
-_ROLL1 = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-_ROLL2 = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
-
 
 class DegenerateRotationError(ValueError):
     """6D code whose two columns are too short or too parallel to orthonormalize."""
@@ -73,18 +67,6 @@ class CameraParams:
         for name in ("s", "tx", "ty"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"CameraParams.{name} must be finite")
-
-
-@dataclass(frozen=True)
-class Mesh:
-    vertices: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.array(self.vertices, dtype=np.float64)
-        if v.ndim != 2 or v.shape[1] != 3 or not np.all(np.isfinite(v)):
-            raise ValueError(f"Mesh: vertices must be finite (V, 3), got {v.shape}")
-        v.flags.writeable = False
-        object.__setattr__(self, "vertices", v)
 
 
 @dataclass(frozen=True)
@@ -140,31 +122,6 @@ class BodyModel:
     @property
     def vertex_count(self) -> int:
         return self.template_vertices.shape[0]
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "template_vertices": self.template_vertices.tolist(),
-                "template_joints": self.template_joints.tolist(),
-                "parents": list(self.parents),
-                "skin_weights": self.skin_weights.tolist(),
-                "shape_dirs": self.shape_dirs.tolist(),
-                "joint_regressor": self.joint_regressor.tolist(),
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "BodyModel":
-        raw = json.loads(text)
-        return cls(
-            template_vertices=raw["template_vertices"],
-            template_joints=raw["template_joints"],
-            parents=tuple(raw["parents"]),
-            skin_weights=raw["skin_weights"],
-            shape_dirs=raw["shape_dirs"],
-            joint_regressor=raw["joint_regressor"],
-        )
-
 
 def identity_pose(joints: int) -> np.ndarray:
     """Pose vector holding every joint at its rest rotation."""
@@ -252,17 +209,6 @@ def body_forward_batch(model: BodyModel, thetas, betas) -> tuple[np.ndarray, np.
     verts += np.einsum("vj,bjx->bvx", model.skin_weights, shift)
     out_joints = np.einsum("jv,bvc->bjc", model.joint_regressor, verts)
     return verts, out_joints
-
-
-def body_forward(model: BodyModel, params: SmplParams) -> tuple[Mesh, np.ndarray]:
-    """Pose a single standard body; see body_forward_batch for the generic path."""
-    if 6 * model.joint_count != THETA_SIZE:
-        raise ValueError(
-            f"body_forward: model has {model.joint_count} joints, "
-            f"params carry {THETA_SIZE // 6}"
-        )
-    verts, joints = body_forward_batch(model, params.theta[None], params.beta[None])
-    return Mesh(vertices=verts[0]), joints[0]
 
 
 def project_weak_perspective(camera: CameraParams, points) -> np.ndarray:
@@ -408,9 +354,8 @@ def body_graph(g: Graph, model: BodyModel, theta_node: int, beta_node: int, batc
     rest = g.matmul(g.const(model.joint_regressor), shaped)
 
     rot9 = g.reshape(rot, (batch, joints, 9))
-    picks = [g.const(np.eye(joints)[j : j + 1]) for j in range(joints)]
-    loc_rot = [g.reshape(g.matmul(picks[j], rot9), (batch, 3, 3)) for j in range(joints)]
-    rest_row = [g.matmul(picks[j], rest) for j in range(joints)]
+    loc_rot = [g.reshape(g.take(rot9, [j], 1), (batch, 3, 3)) for j in range(joints)]
+    rest_row = [g.take(rest, [j], 1) for j in range(joints)]
 
     glob_rot: list = [None] * joints
     glob_t: list = [None] * joints
@@ -447,10 +392,8 @@ def body_graph(g: Graph, model: BodyModel, theta_node: int, beta_node: int, batc
 
 def _rot6d_graph(g: Graph, theta3: int, batch: int, joints: int) -> int:
     """(batch, J, 6) codes to (batch, J, 3, 3) rotations, same math as rot6d_batch."""
-    pick1 = g.const(np.vstack([np.eye(3), np.zeros((3, 3))]))
-    pick2 = g.const(np.vstack([np.zeros((3, 3)), np.eye(3)]))
-    a1 = g.matmul(theta3, pick1)
-    a2 = g.matmul(theta3, pick2)
+    a1 = g.take(theta3, slice(0, 3), -1)
+    a2 = g.take(theta3, slice(3, 6), -1)
 
     def normalize(v: int) -> int:
         return g.div(v, g.sqrt(g.sum(g.mul(v, v), axis=-1, keepdims=True)))
@@ -458,9 +401,11 @@ def _rot6d_graph(g: Graph, theta3: int, batch: int, joints: int) -> int:
     b1 = normalize(a1)
     along = g.sum(g.mul(b1, a2), axis=-1, keepdims=True)
     b2 = normalize(g.sub(a2, g.mul(along, b1)))
+    # cross product from the two cyclic rolls of the last axis
+    roll1, roll2 = [1, 2, 0], [2, 0, 1]
     b3 = g.sub(
-        g.mul(g.matmul(b1, g.const(_ROLL1)), g.matmul(b2, g.const(_ROLL2))),
-        g.mul(g.matmul(b1, g.const(_ROLL2)), g.matmul(b2, g.const(_ROLL1))),
+        g.mul(g.take(b1, roll1, -1), g.take(b2, roll2, -1)),
+        g.mul(g.take(b1, roll2, -1), g.take(b2, roll1, -1)),
     )
     stacked = g.concat([b1, b2, b3], axis=-1)
     return g.transpose(g.reshape(stacked, (batch, joints, 3, 3)))
@@ -472,7 +417,7 @@ def project_graph(g: Graph, camera_node: int, points_node: int, batch: int) -> i
     ``camera_node`` is (batch, 3) as (s, tx, ty); ``points_node`` is
     (batch, N, 3). Returns (batch, N, 2).
     """
-    xy = g.matmul(points_node, g.const(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])))
-    s = g.reshape(g.matmul(camera_node, g.const(np.array([[1.0], [0.0], [0.0]]))), (batch, 1, 1))
-    t = g.reshape(g.matmul(camera_node, g.const(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))), (batch, 1, 2))
+    xy = g.take(points_node, slice(0, 2), -1)
+    s = g.reshape(g.take(camera_node, slice(0, 1), -1), (batch, 1, 1))
+    t = g.reshape(g.take(camera_node, slice(1, 3), -1), (batch, 1, 2))
     return g.add(g.mul(xy, s), t)

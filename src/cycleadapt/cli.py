@@ -84,17 +84,29 @@ class ConfigError(ValueError):
     """The config file (or a file it references) cannot be used as given."""
 
 
-_CASTS = {"str": str, "str | None": str, "bool": bool, "int": int, "float": float}
+def _cast(name: str, kind: str, value):
+    """A JSON value as the field type ``kind``: a bool takes only a boolean, an int
+    only an integral number, a str only a string; a float also takes an integer."""
+    if kind.startswith("str") and (isinstance(value, str) or value is None and kind == "str | None"):
+        return value
+    if kind == "bool" and isinstance(value, bool):
+        return value
+    if kind in ("int", "float") and isinstance(value, (int, float)) and not isinstance(value, bool):
+        if kind == "float":
+            return float(value)
+        if isinstance(value, int) or value.is_integer():
+            return int(value)
+    raise TypeError(f"{name} must be {kind}, got {value!r}")
 
 
 class _Cast:
-    """Base of the sections whose JSON values are cast to the declared field types."""
+    """Base of the sections whose JSON values are checked against the declared field types."""
 
     def __post_init__(self) -> None:
         for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
-            if value is not None and field.type in _CASTS:
-                object.__setattr__(self, field.name, _CASTS[field.type](value))
+            if field.type in ("str", "str | None", "bool", "int", "float"):
+                value = _cast(f"{type(self).__name__.lower()}.{field.name}", field.type, getattr(self, field.name))
+                object.__setattr__(self, field.name, value)
 
 
 @dataclass(frozen=True)
@@ -216,7 +228,7 @@ def _take(section: dict, allowed: dict, where: str) -> dict:
 
 def _parse_plan(raw, where: str) -> tuple:
     try:
-        return tuple((int(steps), float(lr)) for steps, lr in raw)
+        return tuple((_cast("steps", "int", steps), _cast("lr", "float", lr)) for steps, lr in raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: pretrain.md_plan must be a list of [steps, lr] pairs") from exc
 
@@ -231,7 +243,10 @@ def config_from_dict(data: dict, where: str = "<config>") -> RunConfig:
         values = _take(dict(raw), dataclasses.asdict(field.default), f"{where} {field.name}")
         if field.name == "pretrain":
             values["md_plan"] = _parse_plan(values["md_plan"], where)
-        sections[field.name] = type(field.default)(**values)
+        try:
+            sections[field.name] = type(field.default)(**values)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{where}: {exc}") from None
     seed = data.pop("seed", 0)
     if data:
         raise ConfigError(f"{where}: unknown top-level key(s) {sorted(data)}")

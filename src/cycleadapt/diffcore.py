@@ -141,12 +141,16 @@ class Graph:
             keepdims=bool(keepdims),
         )
 
-    def mask_select(self, a: int, mask) -> int:
-        """Select rows along axis 0 where the fixed binary mask is set."""
-        m = np.asarray(mask).astype(bool)
-        if m.ndim != 1:
-            raise ShapeMismatchError("mask_select mask must be 1-D")
-        return self._add("mask_select", (a,), mask=m)
+    def take(self, a: int, index, axis: int) -> int:
+        """Entries ``index`` along ``axis``: a slice, or a 1-D array of distinct ints >= 0."""
+        if not isinstance(index, slice):
+            index = np.asarray(index)
+            if index.ndim != 1 or (index.size and index.dtype.kind not in "iu"):
+                raise ShapeMismatchError(f"take index must be a slice or a 1-D int array, got {index!r}")
+            index = index.astype(np.intp)
+            if np.any(index < 0) or np.unique(index).size != index.size:
+                raise ShapeMismatchError(f"take index must hold distinct non-negative ints, got {index}")
+        return self._add("take", (a,), index=index, axis=int(axis))
 
     def sqrt(self, a: int) -> int:
         return self._add("sqrt", (a,))
@@ -174,6 +178,17 @@ def _check_broadcast(i, node, sa, sb):
         return np.broadcast_shapes(sa, sb)
     except ValueError:
         raise _err(i, node, f"shapes {sa} and {sb} do not broadcast") from None
+
+
+def _take_key(i: int, node: Node, shape: tuple) -> tuple:
+    """Index tuple that applies a take node's selection to an array of ``shape``."""
+    axis, index = node.attrs["axis"], node.attrs["index"]
+    if not -len(shape) <= axis < len(shape):
+        raise _err(i, node, f"axis {axis} out of range for shape {shape}")
+    axis %= len(shape)
+    if not isinstance(index, slice) and index.size and index.max() >= shape[axis]:
+        raise _err(i, node, f"index {index.max()} out of range for axis {axis} of size {shape[axis]}")
+    return (slice(None),) * axis + (index,)
 
 
 def _forward(i: int, node: Node, xs: list, bindings: dict) -> np.ndarray:
@@ -247,12 +262,8 @@ def _forward(i: int, node: Node, xs: list, bindings: dict) -> np.ndarray:
         return np.asarray(np.mean(np.abs(xs[0])))
     if kind == "sum":
         return np.asarray(np.sum(xs[0], axis=node.attrs["axis"], keepdims=node.attrs["keepdims"]))
-    if kind == "mask_select":
-        mask = node.attrs["mask"]
-        x = xs[0]
-        if mask.shape[0] != x.shape[0]:
-            raise _err(i, node, f"mask length {mask.shape[0]} != leading dim {x.shape[0]}")
-        return x[mask]
+    if kind == "take":
+        return xs[0][_take_key(i, node, xs[0].shape)]
     if kind == "sqrt":
         return np.sqrt(xs[0])
     raise DiffcoreError(f"node {i}: unknown kind {kind!r}")
@@ -372,10 +383,9 @@ def backward_from_values(graph: Graph, values: list, loss_node: int) -> Gradient
             else:
                 gg = g if node.attrs["keepdims"] else np.expand_dims(g, axis)
                 _accum(grads, node.inputs[0], np.broadcast_to(gg, x.shape).copy())
-        elif kind == "mask_select":
-            x = xs[0]
-            full = np.zeros_like(x)
-            full[node.attrs["mask"]] = g
+        elif kind == "take":
+            full = np.zeros_like(xs[0])
+            full[_take_key(i, node, full.shape)] = g
             _accum(grads, node.inputs[0], full)
         elif kind == "sqrt":
             _accum(grads, node.inputs[0], g / (2.0 * values[i]))

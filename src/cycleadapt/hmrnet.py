@@ -6,6 +6,9 @@ pose reals, 10 shape reals, and 3 camera reals. The final bias is set so a
 zero feature yields the rest pose with a unit camera, which keeps early
 adaptation steps in the valid region of the 6D rotation decoder.
 
+The network is written once, as the graph builder `hmr_forward_graph`;
+`hmr_forward` builds that graph and evaluates it without a backward pass.
+
 The adaptation loss combines an L1 pull toward stored pseudo-ground-truth
 parameters with a confidence-weighted L1 reprojection error against 2D
 keypoints; both use mean reductions.
@@ -17,16 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodymodel import (
-    BETA_SIZE,
-    THETA_SIZE,
-    BodyModel,
-    CameraParams,
-    Graph,
-    body_graph,
-    identity_pose,
-    project_graph,
-)
+from .bodymodel import BETA_SIZE, THETA_SIZE, BodyModel, body_graph, identity_pose, project_graph
+from .diffcore import Graph, evaluate
 
 CAMERA_SIZE = 3
 OUTPUT_SIZE = THETA_SIZE + BETA_SIZE + CAMERA_SIZE
@@ -42,25 +37,6 @@ class HmrConfig:
         for name in ("feature_dim", "hidden_dim", "num_hidden_layers"):
             if getattr(self, name) < 1:
                 raise ValueError(f"HmrConfig.{name} must be positive")
-
-
-@dataclass(frozen=True)
-class HmrOutput:
-    """One frame's regressed parameters."""
-
-    theta_hat: np.ndarray
-    beta_hat: np.ndarray
-    k_hat: CameraParams
-
-    def __post_init__(self) -> None:
-        th = np.asarray(self.theta_hat, dtype=np.float64)
-        be = np.asarray(self.beta_hat, dtype=np.float64)
-        if th.shape != (THETA_SIZE,) or be.shape != (BETA_SIZE,):
-            raise ValueError(f"HmrOutput: got theta {th.shape}, beta {be.shape}")
-        if not (np.all(np.isfinite(th)) and np.all(np.isfinite(be))):
-            raise ValueError("HmrOutput: entries must be finite")
-        object.__setattr__(self, "theta_hat", th)
-        object.__setattr__(self, "beta_hat", be)
 
 
 @dataclass(frozen=True)
@@ -116,23 +92,14 @@ def hmr_forward(params: dict, features) -> tuple[np.ndarray, np.ndarray, np.ndar
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"hmr_forward: features must be (B, F), got {x.shape}")
-    width = params["w0"].shape[0]
+    width, hidden = params["w0"].shape
     if x.shape[1] != width:
         raise ValueError(f"hmr_forward: feature width {x.shape[1]} != network input width {width}")
-    h = x
-    for i in range(_layer_count(params)):
-        h = np.maximum(h @ params[f"w{i}"] + params[f"b{i}"], 0.0)
-    out = h @ params["w_out"] + params["b_out"]
-    return out[:, :THETA_SIZE], out[:, THETA_SIZE : THETA_SIZE + BETA_SIZE], out[:, -CAMERA_SIZE:]
-
-
-def hmr_forward_single(params: dict, feature) -> HmrOutput:
-    theta, beta, k = hmr_forward(params, np.asarray(feature, dtype=np.float64)[None])
-    return HmrOutput(
-        theta_hat=theta[0],
-        beta_hat=beta[0],
-        k_hat=CameraParams(s=float(k[0, 0]), tx=float(k[0, 1]), ty=float(k[0, 2])),
-    )
+    config = HmrConfig(feature_dim=width, hidden_dim=hidden, num_hidden_layers=_layer_count(params))
+    g = Graph()
+    outputs = hmr_forward_graph(g, config, g.const(x))
+    values = evaluate(g, params)
+    return tuple(values[node] for node in outputs)
 
 
 def hmr_forward_graph(g: Graph, config: HmrConfig, feature_node: int) -> tuple[int, int, int]:
@@ -147,15 +114,9 @@ def hmr_forward_graph(g: Graph, config: HmrConfig, feature_node: int) -> tuple[i
         b = g.leaf(f"b{i}", trainable=True)
         h = g.relu(g.add(g.matmul(h, w), b))
     out = g.add(g.matmul(h, g.leaf("w_out", trainable=True)), g.leaf("b_out", trainable=True))
-    pick_theta = np.zeros((OUTPUT_SIZE, THETA_SIZE))
-    pick_theta[:THETA_SIZE] = np.eye(THETA_SIZE)
-    pick_beta = np.zeros((OUTPUT_SIZE, BETA_SIZE))
-    pick_beta[THETA_SIZE : THETA_SIZE + BETA_SIZE] = np.eye(BETA_SIZE)
-    pick_cam = np.zeros((OUTPUT_SIZE, CAMERA_SIZE))
-    pick_cam[-CAMERA_SIZE:] = np.eye(CAMERA_SIZE)
-    theta = g.matmul(out, g.const(pick_theta))
-    beta = g.matmul(out, g.const(pick_beta))
-    camera = g.matmul(out, g.const(pick_cam))
+    theta = g.take(out, slice(0, THETA_SIZE), -1)
+    beta = g.take(out, slice(THETA_SIZE, THETA_SIZE + BETA_SIZE), -1)
+    camera = g.take(out, slice(OUTPUT_SIZE - CAMERA_SIZE, OUTPUT_SIZE), -1)
     return theta, beta, camera
 
 
@@ -223,7 +184,7 @@ def hmr_loss_graph(
     def pull(node: int, target) -> int:
         target = np.asarray(target, dtype=np.float64)
         if rows is not None:
-            node, target = g.mask_select(node, rows), target[np.asarray(rows, dtype=bool)]
+            node, target = g.take(node, np.flatnonzero(rows), 0), target[np.asarray(rows, dtype=bool)]
         return g.mean_abs(g.sub(node, g.const(target)))
 
     loss_theta = pull(theta_node, pseudo_theta)

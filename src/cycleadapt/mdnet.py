@@ -13,6 +13,9 @@ random half of the rows and asks the network to reproduce the original rows
 at the masked positions (L1, per-row mean). Pre-training instead corrupts
 every row with Gaussian noise and supervises the full output against the
 clean window.
+
+The network is written once, as the graph builder `md_forward_graph`;
+`md_forward` builds that graph and evaluates it without a backward pass.
 """
 
 from __future__ import annotations
@@ -86,13 +89,6 @@ def _check_mask(mask, window: int) -> np.ndarray:
     return m
 
 
-def _layer_norm_np(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    mu = x.mean(axis=-1, keepdims=True)
-    var = np.mean((x - mu) ** 2, axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    return (x - mu) * inv * gain + bias
-
-
 def _block_count(params: dict) -> int:
     return sum(1 for name in params if name.startswith("w_t"))
 
@@ -108,13 +104,9 @@ def md_forward(params: dict, theta, mask=None, ramp: bool = False) -> np.ndarray
     if mask is not None:
         m = _check_mask(mask, window)
         x = np.where(m[:, None] > 0, 0.0, x)
-    z = (x @ params["w_in"] + params["b_in"]).T
-    for i in range(_block_count(params)):
-        z = z @ params[f"w_t{i}"] + params[f"b_t{i}"]
-        z = _layer_norm_np(z, params[f"ln_g{i}"], params[f"ln_b{i}"])
-        if ramp:
-            z = np.maximum(z, 0.0)
-    return z.T @ params["w_out"] + params["b_out"]
+    g = Graph()
+    out = md_forward_graph(g, MdConfig(window=window, blocks=_block_count(params), ramp=ramp), g.const(x))
+    return evaluate(g, params)[out]
 
 
 def md_forward_graph(g: Graph, config: MdConfig, theta_node: int) -> int:
@@ -155,7 +147,7 @@ def md_loss_graph(g: Graph, out_node: int, target, mask) -> int:
     picked = int(m.sum())
     if picked == 0:
         return g.const(np.float64(0.0))
-    masked_diff = g.mask_select(g.sub(out_node, g.const(tgt)), m > 0)
+    masked_diff = g.take(g.sub(out_node, g.const(tgt)), np.flatnonzero(m), 0)
     return g.scalar_mul(g.mean_abs(masked_diff), picked / tgt.shape[0])
 
 
@@ -222,19 +214,6 @@ def md_pretrain(
         if (step + 1) % every == 0 or step == steps - 1:
             curve.append((step + 1, eval_error(params)))
     return params, curve
-
-
-def md_eval_graph(g: Graph, config: MdConfig, params: dict, theta_node: int) -> int:
-    """Denoiser with parameters baked in as constants (no trainable leaves)."""
-    h = g.add(g.matmul(theta_node, g.const(params["w_in"])), g.const(params["b_in"]))
-    z = g.transpose(h)
-    for i in range(config.blocks):
-        z = g.add(g.matmul(z, g.const(params[f"w_t{i}"])), g.const(params[f"b_t{i}"]))
-        z = g.layer_norm(z, g.const(params[f"ln_g{i}"]), g.const(params[f"ln_b{i}"]), eps=LN_EPS)
-        if config.ramp:
-            z = g.relu(z)
-    y = g.transpose(z)
-    return g.add(g.matmul(y, g.const(params["w_out"])), g.const(params["b_out"]))
 
 
 def gaussian_filter_baseline(theta, std_frames: float) -> np.ndarray:

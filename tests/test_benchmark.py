@@ -148,6 +148,14 @@ def test_pretrain_nets_cache_round_trip(tmp_path):
     assert cfg == bench.HMR_CONFIG
     cfg_md, params_md = load_md(tmp_path / "md_src.ckpt")
     assert cfg_md == bench.MD_CONFIG
+    # another recipe in the same directory trains afresh and replaces the cache
+    p3 = bench.pretrain_nets(cache_dir=tmp_path, hmr_steps=3, md_plan=((5, 1e-3),))
+    assert all(np.array_equal(p1[0][k], p3[0][k]) for k in p1[0])  # same regressor recipe
+    assert any(not np.array_equal(p1[1][k], p3[1][k]) for k in p1[1])
+    p4 = bench.pretrain_nets(cache_dir=tmp_path, hmr_steps=3, md_plan=((5, 1e-3),))
+    assert all(np.array_equal(p3[1][k], p4[1][k]) for k in p3[1])
+    with pytest.raises(ValueError, match="cache_dir"):
+        bench.pretrain_nets(cache_dir=tmp_path, hmr_steps=3, md_plan=plan, videos=[])
 
 
 def test_domain_gap_monotone_in_alpha():

@@ -1,5 +1,4 @@
 import dataclasses
-import json
 
 import numpy as np
 import pytest
@@ -8,9 +7,7 @@ from cycleadapt.bodymodel import (
     BodyModel,
     CameraParams,
     DegenerateRotationError,
-    Mesh,
     SmplParams,
-    body_forward,
     body_forward_batch,
     body_graph,
     build_toy_body,
@@ -76,10 +73,9 @@ def test_rot6d_round_trip_through_matrix():
 
 def test_identity_pose_reproduces_template():
     model = build_toy_body(42, joints=24, vertices=120)
-    params = SmplParams(theta=identity_pose(24), beta=np.zeros(10))
-    mesh, joints = body_forward(model, params)
-    assert np.abs(mesh.vertices - model.template_vertices).max() < 1e-12
-    assert np.abs(joints - model.template_joints).max() < 1e-12
+    verts, joints = body_forward_batch(model, identity_pose(24)[None], np.zeros((1, 10)))
+    assert np.abs(verts[0] - model.template_vertices).max() < 1e-12
+    assert np.abs(joints[0] - model.template_joints).max() < 1e-12
 
 
 def test_two_joint_chain_child_rotation():
@@ -254,23 +250,6 @@ def test_body_model_rejects_unnormalized_weights():
         )
 
 
-def test_body_model_json_round_trip():
-    model = build_toy_body(13, joints=10, vertices=40)
-    clone = BodyModel.from_json(model.to_json())
-    assert clone.parents == model.parents
-    for name in ("template_vertices", "template_joints", "skin_weights", "shape_dirs", "joint_regressor"):
-        assert np.array_equal(getattr(clone, name), getattr(model, name))
-    doc = json.loads(model.to_json())
-    assert set(doc) == {
-        "template_vertices",
-        "template_joints",
-        "parents",
-        "skin_weights",
-        "shape_dirs",
-        "joint_regressor",
-    }
-
-
 def test_params_validation():
     with pytest.raises(ValueError):
         SmplParams(theta=np.zeros(143), beta=np.zeros(10))
@@ -278,14 +257,3 @@ def test_params_validation():
         SmplParams(theta=np.full(144, np.nan), beta=np.zeros(10))
     with pytest.raises(ValueError):
         CameraParams(s=np.inf, tx=0.0, ty=0.0)
-    with pytest.raises(ValueError):
-        Mesh(vertices=np.zeros((4, 2)))
-
-
-def test_body_forward_shapes_and_types():
-    model = build_toy_body(21, joints=24, vertices=60)
-    params = SmplParams(theta=identity_pose(24), beta=np.zeros(10))
-    mesh, joints = body_forward(model, params)
-    assert isinstance(mesh, Mesh)
-    assert mesh.vertices.shape == (60, 3)
-    assert joints.shape == (24, 3)

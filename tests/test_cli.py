@@ -138,11 +138,35 @@ def test_default_config_schema_is_pinned():
 
 
 def test_config_casts_loosely_typed_json_values():
-    cfg = cli.config_from_dict({"body": {"scale": 1}, "synth": {"gap_alpha": 0}, "flags": {"online": 1}})
+    cfg = cli.config_from_dict({"body": {"scale": 1, "joints": 24.0}, "synth": {"gap_alpha": 0}, "flags": {"online": True}})
     echo = cli.config_to_dict(cfg)
     assert echo["body"]["scale"] == 1.0 and isinstance(echo["body"]["scale"], float)
+    assert echo["body"]["joints"] == 24 and isinstance(echo["body"]["joints"], int)
     assert isinstance(echo["synth"]["gap_alpha"], float)
     assert echo["flags"]["online"] is True
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("flags", "frozen_mdnet", "false"),
+        ("flags", "online", 1),
+        ("flags", "random_init", None),
+        ("body", "joints", 24.7),
+        ("body", "seed", True),
+        ("synth", "video_frames", "500"),
+        ("pretrain", "hmr_lr", "1e-3"),
+        ("body", "scale", False),
+    ],
+)
+def test_config_rejects_mistyped_values(section, key, value, tmp_path, capsys):
+    with pytest.raises(cli.ConfigError, match=rf"{section}\.{key} must be"):
+        cli.config_from_dict({section: {key: value}})
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({section: {key: value}}))
+    assert cli.run(["synth", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert f"{path}: {section}.{key} must be" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_config_rejects_unknown_keys():
@@ -162,6 +186,8 @@ def test_config_rejects_bad_plan():
         cli.config_from_dict({"pretrain": {"md_plan": [[0, 1e-3]]}})
     with pytest.raises(cli.ConfigError, match="md_plan"):
         cli.config_from_dict({"pretrain": {"md_plan": "soon"}})
+    with pytest.raises(cli.ConfigError, match="md_plan"):
+        cli.config_from_dict({"pretrain": {"md_plan": [[10.5, 1e-3]]}})
 
 
 def test_run_missing_config_exits_1(tmp_path, capsys):

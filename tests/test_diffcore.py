@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cycleadapt.diffcore import (
     Graph,
@@ -213,12 +215,14 @@ def _primitive_cases(rng):
         loss = _scalarize(g, g.sum(a, axis=axis, keepdims=keep))
         cases.append((g, {"a": new("a", (3, 4))}, loss))
 
-    g = Graph()
-    a = g.leaf("a", trainable=True)
+    # take: a row mask's rows, a slice of the last axis, a permutation
     mask = rng.random(5) < 0.5
     mask[0] = True  # never empty
-    loss = _scalarize(g, g.mask_select(a, mask))
-    cases.append((g, {"a": new("a", (5, 3))}, loss))
+    for index, axis in ((np.flatnonzero(mask), 0), (slice(1, 3), -1), ([2, 0, 1], 1)):
+        g = Graph()
+        a = g.leaf("a", trainable=True)
+        loss = _scalarize(g, g.take(a, index, axis))
+        cases.append((g, {"a": new("a", (5, 3))}, loss))
 
     g = Graph()
     a = g.leaf("a", trainable=True)
@@ -250,9 +254,64 @@ def test_forward_values_finite_on_finite_inputs():
 
 
 def test_mask_select_gradient_scatters_rows():
+    """Selecting a row mask's rows with take sends zero gradient to the others."""
     g = Graph()
     a = g.leaf("a", trainable=True)
     mask = np.array([True, False, True])
-    loss = g.sum(g.mask_select(a, mask))
+    loss = g.sum(g.take(a, np.flatnonzero(mask), 0))
     grads = backward(g, {"a": np.ones((3, 2))}, loss)
     np.testing.assert_array_equal(grads["a"], [[1.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
+
+
+@pytest.mark.parametrize("index", [[0, 2, 0], [[0, 1]], [-1, 0], [0.0, 1.0], np.array([True, False])])
+def test_take_rejects_bad_index_at_build(index):
+    g = Graph()
+    a = g.leaf("a")
+    with pytest.raises(ShapeMismatchError, match="take index"):
+        g.take(a, index, 0)
+
+
+def test_take_out_of_range_names_node():
+    g = Graph()
+    a = g.leaf("a")
+    node = g.take(a, [0, 3], 1)
+    with pytest.raises(ShapeMismatchError, match=f"node {node} \\(take\\).*index 3 out of range"):
+        evaluate(g, {"a": np.ones((2, 3))})
+    g2 = Graph()
+    bad_axis = g2.take(g2.leaf("a"), slice(0, 1), 2)
+    with pytest.raises(ShapeMismatchError, match=f"node {bad_axis} \\(take\\).*axis 2"):
+        evaluate(g2, {"a": np.ones((2, 3))})
+
+
+@st.composite
+def _take_case(draw):
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    axis = draw(st.integers(-len(shape), len(shape) - 1))
+    size = shape[axis]
+    if draw(st.booleans()):
+        start = draw(st.integers(0, size))
+        index = slice(start, draw(st.integers(start, size)))
+    else:
+        index = draw(st.permutations(range(size)))[: draw(st.integers(0, size))]
+    seed = draw(st.integers(0, 2**32 - 1))
+    return shape, axis, index, seed
+
+
+@settings(max_examples=200, deadline=None)
+@given(_take_case())
+def test_take_matches_numpy_and_its_vjp_is_the_adjoint(case):
+    shape, axis, index, seed = case
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=shape)
+    g = Graph()
+    leaf = g.leaf("x", trainable=True)
+    out = g.take(leaf, index, axis)
+    picked = evaluate(g, {"x": x})[out]
+    positions = np.arange(shape[axis])[index] if isinstance(index, slice) else np.asarray(index, dtype=int)
+    np.testing.assert_array_equal(picked, np.take(x, positions, axis=axis))
+    # <take(x), y> == <x, vjp(y)>, with the VJP read off a linear loss sum(take(x) * y)
+    y = rng.normal(size=picked.shape)
+    loss = g.sum(g.mul(out, g.const(y)))
+    vjp = backward(g, {"x": x}, loss)["x"]
+    assert vjp.shape == x.shape
+    assert np.isclose(np.sum(picked * y), np.sum(x * vjp), rtol=1e-12, atol=1e-12)

@@ -6,11 +6,9 @@ from cycleadapt.diffcore import Graph, backward, evaluate, grad_check
 from cycleadapt.hmrnet import (
     OUTPUT_SIZE,
     HmrConfig,
-    HmrOutput,
     Keypoints2D,
     hmr_forward,
     hmr_forward_graph,
-    hmr_forward_single,
     hmr_init,
     hmr_loss_graph,
     hmr_param_shapes,
@@ -98,18 +96,6 @@ def test_single_row_matches_batch():
         assert np.abs(c1[0] - cam[i]).max() <= 1e-12
 
 
-def test_forward_single_wraps_camera():
-    rng = np.random.default_rng(5)
-    params = hmr_init(SMALL, 5)
-    feature = rng.normal(size=5)
-    out = hmr_forward_single(params, feature)
-    assert isinstance(out, HmrOutput)
-    theta, beta, cam = hmr_forward(params, feature[None])
-    assert np.array_equal(out.theta_hat, theta[0])
-    assert np.array_equal(out.beta_hat, beta[0])
-    assert (out.k_hat.s, out.k_hat.tx, out.k_hat.ty) == (cam[0, 0], cam[0, 1], cam[0, 2])
-
-
 def test_forward_rejects_width_mismatch():
     params = hmr_init(SMALL, 0)
     with pytest.raises(ValueError, match="width"):
@@ -118,17 +104,26 @@ def test_forward_rejects_width_mismatch():
         hmr_forward(params, np.zeros(5))
 
 
+def _reference_forward(params, x):
+    """The documented architecture in plain numpy: relu MLP, then a 144/10/3 split."""
+    h = x
+    for i in range(SMALL.num_hidden_layers):
+        h = np.maximum(h @ params[f"w{i}"] + params[f"b{i}"], 0.0)
+    out = h @ params["w_out"] + params["b_out"]
+    return out[:, :144], out[:, 144:154], out[:, 154:]
+
+
 def test_graph_forward_matches_numpy():
     rng = np.random.default_rng(21)
     params = hmr_init(SMALL, 21)
+    params["b0"] = params["b0"] + rng.normal(size=params["b0"].shape)
     features = rng.normal(size=(6, 5))
     g = Graph()
-    theta_n, beta_n, cam_n = hmr_forward_graph(g, SMALL, g.const(features))
+    nodes = hmr_forward_graph(g, SMALL, g.const(features))
     values = evaluate(g, params)
-    theta, beta, cam = hmr_forward(params, features)
-    assert np.abs(values[theta_n] - theta).max() <= 1e-12
-    assert np.abs(values[beta_n] - beta).max() <= 1e-12
-    assert np.abs(values[cam_n] - cam).max() <= 1e-12
+    for node, got, want in zip(nodes, hmr_forward(params, features), _reference_forward(params, features)):
+        assert np.array_equal(values[node], want)
+        assert np.array_equal(got, want)
 
 
 def test_forward_graph_grad_check():

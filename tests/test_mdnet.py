@@ -5,7 +5,6 @@ from cycleadapt.diffcore import Graph, backward, evaluate, grad_check
 from cycleadapt.mdnet import (
     MdConfig,
     gaussian_filter_baseline,
-    md_eval_graph,
     md_forward,
     md_forward_graph,
     md_init,
@@ -118,18 +117,32 @@ def test_forward_rejects_bad_shapes():
         md_forward(params, np.zeros((5, 144)), mask=np.full(5, 0.5))
 
 
+def _reference_forward(params, x, config):
+    """The documented architecture in plain numpy: pose FC, time blocks with layer norm, pose FC."""
+    z = (x @ params["w_in"] + params["b_in"]).T
+    for i in range(config.blocks):
+        z = z @ params[f"w_t{i}"] + params[f"b_t{i}"]
+        mu = z.mean(axis=-1, keepdims=True)
+        var = np.mean((z - mu) ** 2, axis=-1, keepdims=True)
+        z = (z - mu) * (1.0 / np.sqrt(var + 1e-5)) * params[f"ln_g{i}"] + params[f"ln_b{i}"]
+        if config.ramp:
+            z = np.maximum(z, 0.0)
+    return z.T @ params["w_out"] + params["b_out"]
+
+
 def test_graph_forward_matches_numpy():
     rng = np.random.default_rng(5)
     for config in (TINY, MdConfig(window=4, blocks=2, ramp=True)):
         params = md_init(config, 5)
+        for name in params:
+            if name.startswith(("b_", "ln_")):
+                params[name] = params[name] + 0.5 * rng.normal(size=params[name].shape)
         x = rng.normal(size=(config.window, 144))
         g = Graph()
         out = md_forward_graph(g, config, g.const(x))
-        reference = md_forward(params, x, ramp=config.ramp)
-        assert np.abs(evaluate(g, params)[out] - reference).max() <= 1e-12
-        g2 = Graph()
-        out2 = md_eval_graph(g2, config, params, g2.const(x))
-        assert np.abs(evaluate(g2, {})[out2] - reference).max() <= 1e-12
+        reference = _reference_forward(params, x, config)
+        assert np.array_equal(evaluate(g, params)[out], reference)
+        assert np.array_equal(md_forward(params, x, ramp=config.ramp), reference)
 
 
 def test_sample_mask_counts():
@@ -219,9 +232,13 @@ def test_network_grad_check_through_input():
         target = rng.normal(size=(3, 144))
         g = Graph()
         inp = g.leaf("inp", trainable=True)
-        out = md_eval_graph(g, config, params, inp)
+        out = md_forward_graph(g, config, inp)
+        for node in g.nodes:
+            if node.kind == "leaf" and node.attrs["name"] != "inp":
+                node.attrs["trainable"] = False  # hold the parameters; check the input gradient only
+        assert [name for _, name in g.trainable_leaves()] == ["inp"]
         loss = md_loss_graph(g, out, target, np.array([1.0, 0.0, 1.0]))
-        assert grad_check(g, {"inp": noisy}, loss, step=1e-5) < 1e-4
+        assert grad_check(g, {**params, "inp": noisy}, loss, step=1e-5) < 1e-4
 
 
 def test_pretrain_curve_decreases_without_noise():
