@@ -34,7 +34,7 @@ from .mdnet import (
     md_loss_graph,
     sample_mask,
 )
-from .optim import adam_init, adam_step, cosine_lr  # noqa: F401  (cosine_lr is part of this module's API)
+from .optim import adam_init, adam_step, cosine_lr
 
 DENOISERS = ("mdnet", "gaussian")
 

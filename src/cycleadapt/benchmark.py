@@ -274,19 +274,6 @@ def run_variant(
     )
 
 
-def run_frozen_hmr(
-    seed: int,
-    hmr_params: dict,
-    md_params: dict,
-    adapt_md: bool,
-    model: BodyModel | None = None,
-    video: SyntheticVideo | None = None,
-) -> AdaptRun:
-    """Regressor held fixed; the denoiser either adapts or stays pretrained."""
-    variant = "frozen_hmr_adapt_md" if adapt_md else "frozen_hmr"
-    return run_variant(variant, seed, hmr_params, md_params, model=model, video=video)
-
-
 def run_online(
     seed: int,
     hmr_params: dict,

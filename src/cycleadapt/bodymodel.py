@@ -8,12 +8,11 @@ joints from the skinned mesh (so joints and mesh always share a frame).
 The root translation is pinned to the origin; every downstream error
 measure is root-aligned, which makes global translation unobservable.
 
-All positions are meters. Posing exists twice: `body_forward_batch` in
-plain numpy for data generation and evaluation, and the graph builder
-`body_graph`, which appends the same computation to a `diffcore.Graph` so
-gradients can flow to pose, shape, and anything upstream of them. The two
-agree to rounding error, not bit for bit, because their products are
-summed in different orders.
+All positions are meters. Posing is written once, as the graph builder
+`body_graph`, which appends it to a `diffcore.Graph` so gradients can flow
+to pose, shape, and anything upstream of them; `body_forward_batch` builds
+that graph on constant inputs and runs it forward only, for data generation
+and evaluation.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffcore import Graph
+from .diffcore import Graph, forward
 
 IDENTITY_ROT6D = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
 
@@ -154,25 +153,12 @@ def rot6d_batch(codes) -> np.ndarray:
     return np.stack([b1, b2, b3], axis=-1)
 
 
-def rot6d_to_rotmat(code) -> np.ndarray:
-    r = np.asarray(code, dtype=np.float64)
-    if r.shape != (6,):
-        raise ValueError(f"rot6d_to_rotmat: expected a 6-vector, got shape {r.shape}")
-    return rot6d_batch(r)
-
-
 def rotmat_to_rot6d(rots) -> np.ndarray:
     """Inverse embedding: keep the first two columns, flattened to (..., 6)."""
     r = np.asarray(rots, dtype=np.float64)
     if r.shape[-2:] != (3, 3):
         raise ValueError(f"rotmat_to_rot6d: expected (..., 3, 3), got {r.shape}")
     return np.concatenate([r[..., :, 0], r[..., :, 1]], axis=-1)
-
-
-def shaped_rest_mesh(model: BodyModel, beta) -> np.ndarray:
-    """Rest mesh after linear shape blending: template + shape_dirs . beta."""
-    b = np.asarray(beta, dtype=np.float64)
-    return model.template_vertices + np.einsum("vck,...k->...vc", model.shape_dirs, b)
 
 
 def body_forward_batch(model: BodyModel, thetas, betas) -> tuple[np.ndarray, np.ndarray]:
@@ -189,26 +175,10 @@ def body_forward_batch(model: BodyModel, thetas, betas) -> tuple[np.ndarray, np.
     if be.shape != (th.shape[0], BETA_SIZE):
         raise ValueError(f"body_forward_batch: shape must be ({th.shape[0]}, {BETA_SIZE}), got {be.shape}")
     nb = th.shape[0]
-    rots = rot6d_batch(th.reshape(nb, joints, 6))
-    shaped = shaped_rest_mesh(model, be)
-    rest = np.einsum("jv,bvc->bjc", model.joint_regressor, shaped)
-
-    glob_rot = np.empty((nb, joints, 3, 3))
-    glob_t = np.empty((nb, joints, 3))
-    glob_rot[:, 0] = rots[:, 0]
-    glob_t[:, 0] = rest[:, 0]
-    for j in range(1, joints):
-        p = model.parents[j]
-        glob_rot[:, j] = glob_rot[:, p] @ rots[:, j]
-        bone = rest[:, j] - rest[:, p]
-        glob_t[:, j] = glob_t[:, p] + np.einsum("bxy,by->bx", glob_rot[:, p], bone)
-
-    blended = np.einsum("vj,bjxy->bvxy", model.skin_weights, glob_rot)
-    shift = glob_t - np.einsum("bjxy,bjy->bjx", glob_rot, rest)
-    verts = np.einsum("bvxy,bvy->bvx", blended, shaped)
-    verts += np.einsum("vj,bjx->bvx", model.skin_weights, shift)
-    out_joints = np.einsum("jv,bvc->bjc", model.joint_regressor, verts)
-    return verts, out_joints
+    # the graph divides by the code norms unchecked; this raises on a degenerate code
+    rot6d_batch(th.reshape(nb, joints, 6))
+    g = Graph()
+    return tuple(forward(g, {}, body_graph(g, model, g.const(th), g.const(be), nb)))
 
 
 def project_weak_perspective(camera: CameraParams, points) -> np.ndarray:
@@ -338,8 +308,7 @@ def body_graph(g: Graph, model: BodyModel, theta_node: int, beta_node: int, batc
 
     ``theta_node`` must evaluate to (batch, 6J) and ``beta_node`` to
     (batch, 10). Returns node ids for the skinned vertices (batch, V, 3)
-    and the regressed joints (batch, J, 3). Matches body_forward_batch to
-    rounding error.
+    and the regressed joints (batch, J, 3).
     """
     joints = model.joint_count
     nverts = model.vertex_count

@@ -2,7 +2,9 @@
 
 A ``Graph`` is a flat, topologically ordered list of nodes built through
 its builder methods; node ids are plain list indices.  ``evaluate`` runs
-the forward pass for a set of leaf bindings, ``backward`` accumulates the
+the forward pass for a set of leaf bindings and keeps every value for a
+backward pass; ``forward`` returns only the requested nodes' values and
+frees each other value after its last use.  ``backward`` accumulates the
 gradient of a scalar node into every trainable leaf, and ``grad_check``
 compares those gradients against central finite differences, skipping
 parameters whose perturbation crosses an L1 or relu kink.
@@ -22,6 +24,7 @@ __all__ = [
     "Graph",
     "GradientMap",
     "evaluate",
+    "forward",
     "backward",
     "backward_from_values",
     "grad_check",
@@ -276,6 +279,32 @@ def evaluate(graph: Graph, bindings: dict) -> list:
         xs = [values[j] for j in node.inputs]
         values.append(_forward(i, node, xs, bindings))
     return values
+
+
+def forward(graph: Graph, bindings: dict, outputs) -> list:
+    """Forward pass with no backward to follow: the values of ``outputs`` only.
+
+    Computes the same values as ``evaluate``, but drops each other node's
+    value after its last consumer, so peak memory follows the widest cut of
+    the graph rather than its whole length.
+    """
+    outputs = list(outputs)
+    for o in outputs:
+        if not 0 <= o < len(graph.nodes):
+            raise DiffcoreError(f"output node id {o} out of range for a graph of {len(graph.nodes)} nodes")
+    # last[j]: the last node that reads node j's value, or j itself if none does
+    last = list(range(len(graph.nodes)))
+    for i, node in enumerate(graph.nodes):
+        for j in node.inputs:
+            last[j] = i
+    kept = set(outputs)
+    values: list = [None] * len(graph.nodes)
+    for i, node in enumerate(graph.nodes):
+        values[i] = _forward(i, node, [values[j] for j in node.inputs], bindings)
+        for j in (*node.inputs, i):
+            if last[j] == i and j not in kept:
+                values[j] = None
+    return [values[o] for o in outputs]
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:

@@ -7,7 +7,7 @@ zero feature yields the rest pose with a unit camera, which keeps early
 adaptation steps in the valid region of the 6D rotation decoder.
 
 The network is written once, as the graph builder `hmr_forward_graph`;
-`hmr_forward` builds that graph and evaluates it without a backward pass.
+`hmr_forward` builds that graph and runs it forward only.
 
 The adaptation loss combines an L1 pull toward stored pseudo-ground-truth
 parameters with a confidence-weighted L1 reprojection error against 2D
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bodymodel import BETA_SIZE, THETA_SIZE, BodyModel, body_graph, identity_pose, project_graph
-from .diffcore import Graph, evaluate
+from .diffcore import Graph, forward
 
 CAMERA_SIZE = 3
 OUTPUT_SIZE = THETA_SIZE + BETA_SIZE + CAMERA_SIZE
@@ -97,9 +97,7 @@ def hmr_forward(params: dict, features) -> tuple[np.ndarray, np.ndarray, np.ndar
         raise ValueError(f"hmr_forward: feature width {x.shape[1]} != network input width {width}")
     config = HmrConfig(feature_dim=width, hidden_dim=hidden, num_hidden_layers=_layer_count(params))
     g = Graph()
-    outputs = hmr_forward_graph(g, config, g.const(x))
-    values = evaluate(g, params)
-    return tuple(values[node] for node in outputs)
+    return tuple(forward(g, params, hmr_forward_graph(g, config, g.const(x))))
 
 
 def hmr_forward_graph(g: Graph, config: HmrConfig, feature_node: int) -> tuple[int, int, int]:

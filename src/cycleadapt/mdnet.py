@@ -15,7 +15,7 @@ every row with Gaussian noise and supervises the full output against the
 clean window.
 
 The network is written once, as the graph builder `md_forward_graph`;
-`md_forward` builds that graph and evaluates it without a backward pass.
+`md_forward` builds that graph and runs it forward only.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bodymodel import THETA_SIZE
-from .diffcore import Graph, backward, evaluate
+from .diffcore import Graph, backward, forward
 from .optim import adam_init, adam_step
 
 LN_EPS = 1e-5
@@ -106,7 +106,7 @@ def md_forward(params: dict, theta, mask=None, ramp: bool = False) -> np.ndarray
         x = np.where(m[:, None] > 0, 0.0, x)
     g = Graph()
     out = md_forward_graph(g, MdConfig(window=window, blocks=_block_count(params), ramp=ramp), g.const(x))
-    return evaluate(g, params)[out]
+    return forward(g, params, [out])[0]
 
 
 def md_forward_graph(g: Graph, config: MdConfig, theta_node: int) -> int:

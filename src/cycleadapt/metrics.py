@@ -146,12 +146,23 @@ def evaluate_sequence(
     gt_mesh,
     root_index: int = 0,
 ) -> MetricReport:
-    """All four metrics for one sequence, packed into a MetricReport."""
+    """All four metrics for one sequence, packed into a MetricReport.
+
+    A prediction with a non-finite joint or vertex raises
+    DegenerateGeometryError naming the first such frame.
+    """
     pj = np.asarray(pred_joints, dtype=np.float64)
     gj = np.asarray(gt_joints, dtype=np.float64)
+    pv = np.asarray(pred_mesh, dtype=np.float64)
+    bad = [np.flatnonzero(~np.isfinite(a).all(axis=tuple(range(1, a.ndim)))) for a in (pj, pv)]
+    first = min((b[0] for b in bad if b.size), default=None)
+    if first is not None:
+        raise DegenerateGeometryError(
+            f"evaluate_sequence: predicted joints or vertices are not finite in frame {first}"
+        )
     return MetricReport(
         mpjpe=mpjpe(pj, gj, root_index),
         pa_mpjpe=pa_mpjpe(pj, gj),
-        mpvpe=mpvpe(pred_mesh, gt_mesh, pj[:, root_index], gj[:, root_index]),
+        mpvpe=mpvpe(pv, gt_mesh, pj[:, root_index], gj[:, root_index]),
         accel=accel_error(pj, gj),
     )

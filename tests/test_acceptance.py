@@ -20,7 +20,7 @@ from test_diffcore import _primitive_cases  # one source of truth for the op lis
 
 from cycleadapt import benchmark as bench
 from cycleadapt import cli
-from cycleadapt.bodymodel import build_toy_body, identity_pose, rot6d_to_rotmat
+from cycleadapt.bodymodel import build_toy_body, identity_pose, rot6d_batch
 from cycleadapt.checkpoint import save_hmr, save_md
 from cycleadapt.diffcore import Graph, grad_check
 from cycleadapt.hmrnet import HmrConfig, hmr_forward_graph, hmr_init, hmr_loss_graph
@@ -75,10 +75,10 @@ def sweep(nets):
         rand = bench.run_variant("full_cyclic", seed, rand_h, rand_m,
                                  model=model, video=video)
         out["rand"][seed] = bench.final_mpjpe(rand)
-        kept = bench.run_frozen_hmr(seed, hmr_params, md_params, adapt_md=False,
-                                    model=model, video=video)
-        tuned = bench.run_frozen_hmr(seed, hmr_params, md_params, adapt_md=True,
-                                     model=model, video=video)
+        kept = bench.run_variant("frozen_hmr", seed, hmr_params, md_params,
+                                 model=model, video=video)
+        tuned = bench.run_variant("frozen_hmr_adapt_md", seed, hmr_params, md_params,
+                                  model=model, video=video)
         out["frozen"][seed] = bench.final_mpjpe(kept)
         out["before"][seed] = bench.final_store_mpjpe(kept)
         out["after"][seed] = bench.final_store_mpjpe(tuned)
@@ -137,7 +137,7 @@ def test_rotation_codes_give_orthonormal_proper_matrices():
     worst_ortho = 0.0
     worst_det = 0.0
     for code in rng.normal(size=(10_000, 6)):
-        rot = rot6d_to_rotmat(code)
+        rot = rot6d_batch(code)
         worst_ortho = max(worst_ortho, float(np.abs(rot.T @ rot - np.eye(3)).max()))
         worst_det = max(worst_det, abs(float(np.linalg.det(rot)) - 1.0))
     _verdict(
@@ -166,7 +166,7 @@ def test_metric_oracles_hold():
         s, rot, t = procrustes_align(pred, gt)
         best = float(((s * pred @ rot.T + t - gt) ** 2).sum())
         scales = rng.uniform(0.2, 3.0, size=10_000)
-        rots = np.stack([rot6d_to_rotmat(c) for c in rng.normal(size=(10_000, 6))])
+        rots = np.stack([rot6d_batch(c) for c in rng.normal(size=(10_000, 6))])
         trans = rng.normal(size=(10_000, 1, 3))
         moved = scales[:, None, None] * (pred @ rots.transpose(0, 2, 1)) + trans
         sampled = ((moved - gt) ** 2).sum(axis=(1, 2))
@@ -174,7 +174,7 @@ def test_metric_oracles_hold():
 
     # exact recovery: a similarity-transformed copy scores zero after alignment
     base = rng.normal(size=(1, 16, 3))
-    rot = rot6d_to_rotmat(rng.normal(size=6))
+    rot = rot6d_batch(rng.normal(size=6))
     moved = 1.3 * base @ rot.T + rng.normal(size=3)
     recovery = pa_mpjpe(moved, base) < 1e-9
 

@@ -13,6 +13,7 @@ from cycleadapt.bodymodel import build_toy_body, scale_body
 from cycleadapt.checkpoint import load_hmr, load_md
 from cycleadapt.hmrnet import hmr_init
 from cycleadapt.mdnet import md_init
+from cycleadapt.metrics import DegenerateGeometryError
 from cycleadapt.pretrain import pose_code_error
 
 
@@ -105,6 +106,17 @@ def test_make_evaluator_hides_ground_truth(tiny_bench):
     rng = np.random.default_rng(1)
     report2 = evaluator(thetas + rng.normal(scale=0.1, size=thetas.shape), betas)
     assert report2.mpjpe > report.mpjpe
+
+
+def test_evaluator_reports_a_non_finite_pose_code_as_degenerate(tiny_bench):
+    """A NaN code passes the rotation check (NaN <= eps is False); the
+    evaluator must name its frame, not fail inside the Procrustes SVD."""
+    model, video = tiny_bench
+    thetas = np.stack([p.theta for p in video.gt_params])
+    betas = np.stack([p.beta for p in video.gt_params])
+    thetas[5, 7] = np.nan
+    with pytest.raises(DegenerateGeometryError, match="frame 5$"):
+        bench.make_evaluator(model, video)(thetas, betas)
 
 
 @pytest.fixture(scope="module")

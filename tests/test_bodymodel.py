@@ -16,9 +16,7 @@ from cycleadapt.bodymodel import (
     project_graph,
     project_weak_perspective,
     rot6d_batch,
-    rot6d_to_rotmat,
     rotmat_to_rot6d,
-    shaped_rest_mesh,
 )
 from cycleadapt.diffcore import Graph, evaluate, grad_check
 
@@ -41,26 +39,64 @@ def _two_joint_chain():
 ROT_Z_90 = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 
 
+def _shaped_rest_mesh(model, beta):
+    """Reference: template + shape_dirs . beta, in plain numpy."""
+    return model.template_vertices + np.einsum("vck,...k->...vc", model.shape_dirs, np.asarray(beta))
+
+
+def _numpy_body_forward(model, thetas, betas):
+    """Reference posing in plain numpy: forward kinematics joint by joint, then
+    linear blend skinning, then joints regressed from the skinned mesh."""
+    nb, joints = thetas.shape[0], model.joint_count
+    rots = rot6d_batch(thetas.reshape(nb, joints, 6))
+    shaped = _shaped_rest_mesh(model, betas)
+    rest = np.einsum("jv,bvc->bjc", model.joint_regressor, shaped)
+    glob_rot = np.empty((nb, joints, 3, 3))
+    glob_t = np.empty((nb, joints, 3))
+    glob_rot[:, 0] = rots[:, 0]
+    glob_t[:, 0] = rest[:, 0]
+    for j in range(1, joints):
+        p = model.parents[j]
+        glob_rot[:, j] = glob_rot[:, p] @ rots[:, j]
+        glob_t[:, j] = glob_t[:, p] + np.einsum("bxy,by->bx", glob_rot[:, p], rest[:, j] - rest[:, p])
+    blended = np.einsum("vj,bjxy->bvxy", model.skin_weights, glob_rot)
+    shift = glob_t - np.einsum("bjxy,bjy->bjx", glob_rot, rest)
+    verts = np.einsum("bvxy,bvy->bvx", blended, shaped)
+    verts += np.einsum("vj,bjx->bvx", model.skin_weights, shift)
+    return verts, np.einsum("jv,bvc->bjc", model.joint_regressor, verts)
+
+
 def test_rot6d_identity_code():
-    assert np.array_equal(rot6d_to_rotmat([1, 0, 0, 0, 1, 0]), np.eye(3))
+    assert np.array_equal(rot6d_batch([1, 0, 0, 0, 1, 0]), np.eye(3))
 
 
 def test_rot6d_is_scale_invariant():
-    assert np.array_equal(rot6d_to_rotmat([2, 0, 0, 0, 3, 0]), np.eye(3))
+    assert np.array_equal(rot6d_batch([2, 0, 0, 0, 3, 0]), np.eye(3))
 
 
 def test_rot6d_random_code_is_orthonormal():
     rng = np.random.default_rng(0)
-    rot = rot6d_to_rotmat(rng.normal(size=6))
+    rot = rot6d_batch(rng.normal(size=6))
     assert np.abs(rot.T @ rot - np.eye(3)).max() < 1e-9
     assert abs(np.linalg.det(rot) - 1.0) < 1e-9
 
 
+DEGENERATE_CODES = [[0, 0, 0, 0, 1, 0], [1, 0, 0, 2, 0, 0]]  # a zero column; parallel columns
+
+
 def test_rot6d_rejects_degenerate_codes():
+    for code in DEGENERATE_CODES:
+        with pytest.raises(DegenerateRotationError):
+            rot6d_batch(code)
+
+
+@pytest.mark.parametrize("code", DEGENERATE_CODES)
+def test_body_forward_batch_rejects_a_degenerate_row(code):
+    model = build_toy_body(2, joints=4, vertices=10)
+    thetas = np.tile(identity_pose(4), (3, 1))
+    thetas[1, 12:18] = code
     with pytest.raises(DegenerateRotationError):
-        rot6d_to_rotmat([0, 0, 0, 0, 1, 0])
-    with pytest.raises(DegenerateRotationError):
-        rot6d_to_rotmat([1, 0, 0, 2, 0, 0])
+        body_forward_batch(model, thetas, np.zeros((3, 10)))
 
 
 def test_rot6d_round_trip_through_matrix():
@@ -119,7 +155,7 @@ def test_root_rotation_preserves_pairwise_joint_distances():
     theta = rng.normal(size=48)
     extra = rot6d_batch(rng.normal(size=6))
     rotated = theta.copy()
-    rotated[:6] = rotmat_to_rot6d(extra @ rot6d_to_rotmat(theta[:6]))
+    rotated[:6] = rotmat_to_rot6d(extra @ rot6d_batch(theta[:6]))
     _, j_a = body_forward_batch(model, theta[None], np.zeros((1, 10)))
     _, j_b = body_forward_batch(model, rotated[None], np.zeros((1, 10)))
     dist_a = np.linalg.norm(j_a[0][:, None] - j_a[0][None], axis=-1)
@@ -128,14 +164,15 @@ def test_root_rotation_preserves_pairwise_joint_distances():
 
 
 def test_shape_blending_is_linear():
+    """At the rest pose the posed mesh is the shaped rest mesh, linear in beta."""
     model = build_toy_body(7, joints=6, vertices=25)
     rng = np.random.default_rng(8)
     b1 = rng.normal(size=10)
     b2 = rng.normal(size=10)
-    zero = shaped_rest_mesh(model, np.zeros(10))
-    combined = shaped_rest_mesh(model, b1 + b2) - zero
-    separate = (shaped_rest_mesh(model, b1) - zero) + (shaped_rest_mesh(model, b2) - zero)
-    assert np.abs(combined - separate).max() < 1e-9
+    betas = np.stack([np.zeros(10), b1 + b2, b1, b2])
+    zero, both, one, two = body_forward_batch(model, np.tile(identity_pose(6), (4, 1)), betas)[0]
+    assert np.abs((both - zero) - ((one - zero) + (two - zero))).max() < 1e-9
+    assert np.abs(np.stack([zero, both, one, two]) - _shaped_rest_mesh(model, betas)).max() < 1e-12
 
 
 def test_body_graph_matches_numpy_forward():
@@ -149,9 +186,11 @@ def test_body_graph_matches_numpy_forward():
     be = g.leaf("beta")
     verts_node, joints_node = body_graph(g, model, th, be, batch=3)
     values = evaluate(g, {"theta": thetas, "beta": betas})
-    verts, joints = body_forward_batch(model, thetas, betas)
+    verts, joints = _numpy_body_forward(model, thetas, betas)
     assert np.abs(values[verts_node] - verts).max() < 1e-12
     assert np.abs(values[joints_node] - joints).max() < 1e-12
+    for got, want in zip(body_forward_batch(model, thetas, betas), (verts, joints)):
+        assert np.abs(got - want).max() < 1e-12
 
 
 def test_body_graph_gradients_match_finite_differences():

@@ -1,17 +1,21 @@
 """Unit tests for the reverse-mode autodiff core."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycleadapt.diffcore import (
+    DiffcoreError,
     Graph,
     NonScalarLossError,
     ShapeMismatchError,
     UnboundLeafError,
     backward,
     evaluate,
+    forward,
     grad_check,
 )
 
@@ -246,11 +250,58 @@ def test_every_primitive_matches_finite_differences(seed):
 
 
 def test_forward_values_finite_on_finite_inputs():
+    """evaluate gives finite values, and forward gives evaluate's bit for bit."""
     rng = np.random.default_rng(7)
     for g, bindings, loss in _primitive_cases(rng):
         vals = evaluate(g, bindings)
         for v in vals:
             assert np.all(np.isfinite(v))
+        every = range(len(g.nodes))
+        for got, want in zip(forward(g, bindings, every), vals, strict=True):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        (only,) = forward(g, bindings, [loss])
+        assert only.tobytes() == vals[loss].tobytes()
+
+
+def _peak_bytes(run, graph) -> int:
+    tracemalloc.start()
+    try:
+        run(graph)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_forward_frees_values_that_evaluate_keeps():
+    """Along a chain of elementwise nodes over a 1 MB array, forward's peak
+    memory stays flat while evaluate's grows by one array per node."""
+    x = np.ones(1 << 17)
+    mb = x.nbytes
+
+    def chain(length: int) -> Graph:
+        g = Graph()
+        node = g.leaf("x")
+        for _ in range(length):
+            node = g.scalar_mul(node, 1.0)
+        return g
+
+    def run_forward(g):
+        forward(g, {"x": x}, [len(g.nodes) - 1])
+
+    def run_evaluate(g):
+        evaluate(g, {"x": x})
+
+    short, long = chain(4), chain(16)
+    assert _peak_bytes(run_forward, long) < _peak_bytes(run_forward, short) + mb // 2
+    assert _peak_bytes(run_forward, long) < 3 * mb
+    assert _peak_bytes(run_evaluate, long) > _peak_bytes(run_evaluate, short) + 10 * mb
+
+
+def test_forward_rejects_unknown_output_node():
+    g = Graph()
+    g.relu(g.leaf("x"))
+    with pytest.raises(DiffcoreError, match="output node id 2"):
+        forward(g, {"x": np.ones(2)}, [2])
 
 
 def test_mask_select_gradient_scatters_rows():

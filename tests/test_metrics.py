@@ -303,3 +303,15 @@ def test_evaluate_sequence_matches_parts():
     assert rep.pa_mpjpe == pa_mpjpe(pred_j, gt_j)
     assert rep.mpvpe == mpvpe(pred_v, gt_v, pred_j[:, 0], gt_j[:, 0])
     assert rep.accel == accel_error(pred_j, gt_j)
+
+
+@pytest.mark.parametrize("points", ["joints", "vertices"])
+def test_evaluate_sequence_names_first_non_finite_frame(points):
+    rng = np.random.default_rng(13)
+    gt_j = rng.normal(size=(6, 24, 3))
+    gt_v = rng.normal(size=(6, 40, 3))
+    pred = {"joints": gt_j + 0.01, "vertices": gt_v + 0.01}
+    pred[points][4, 2, 1] = np.nan
+    pred[points][2, 0, 0] = np.inf
+    with pytest.raises(DegenerateGeometryError, match="not finite in frame 2$"):
+        evaluate_sequence(pred["joints"], gt_j, pred["vertices"], gt_v)
