@@ -24,7 +24,8 @@ import numpy as np
 
 from .bodymodel import BETA_SIZE, THETA_SIZE, BodyModel
 from .checkpoint import save_hmr, save_md
-from .diffcore import Graph, backward, backward_from_values, evaluate
+from . import diffcore
+from .diffcore import Graph, backward_from_values, evaluate
 from .hmrnet import HmrConfig, hmr_forward, hmr_forward_graph, hmr_loss_graph
 from .mdnet import (
     MdConfig,
@@ -172,6 +173,11 @@ def _lr(opt: AdaptOptimizers, config: AdaptConfig) -> float:
     return cosine_lr(min(opt.clock, opt.total_steps), opt.total_steps, config.lr_start, config.lr_end)
 
 
+def _check_loss(value: np.ndarray, stage: str, opt: AdaptOptimizers) -> None:
+    if not np.isfinite(value):
+        raise InvariantError(f"{stage} loss is {float(value)} at optimizer step {opt.clock}")
+
+
 def hmr_step(
     inputs: AdaptInputs,
     idx: np.ndarray,
@@ -189,6 +195,7 @@ def hmr_step(
 
     Returns the new parameters and the batch's theta and beta from the
     forward pass before the update; a frozen regressor only runs forward.
+    A loss that is not finite raises `InvariantError`.
     """
     g = Graph()
     theta, beta, cam = hmr_forward_graph(g, hmr_config, g.const(inputs.features[idx]))
@@ -197,6 +204,7 @@ def hmr_step(
         pseudo_beta=pseudo_beta, gamma=config.gamma, rows=rows, unweighted=config.unweighted_2d,
     )
     values = evaluate(g, hmr_params)
+    _check_loss(values[loss], "regressor", opt)
     if not config.frozen_hmrnet:
         grads = backward_from_values(g, values, loss)
         hmr_params = adam_step(hmr_params, grads, opt.hmr, lr)
@@ -219,13 +227,18 @@ def md_step(
 
     Rows of ``window_theta`` past ``idx`` are padding and never written. A
     frozen denoiser skips the update (and needs no mask) but still writes.
+    A loss that is not finite raises `InvariantError`.
     """
     if not config.frozen_mdnet:
         masked_input = np.where(mask[:, None] > 0, 0.0, window_theta)
         g = Graph()
         out = md_forward_graph(g, md_config, g.const(masked_input))
         loss = md_loss_graph(g, out, window_theta, mask)
-        grads = backward(g, md_params, loss)
+        # through `diffcore`: this module's `evaluate` and `backward_from_values`
+        # are the regressor step's, and perfbench's probes time them apart by name
+        values = diffcore.evaluate(g, md_params)
+        _check_loss(values[loss], "denoiser", opt)
+        grads = diffcore.backward_from_values(g, values, loss)
         md_params = adam_step(md_params, grads, opt.md, lr)
         opt.clock += 1
     denoised = md_forward(md_params, window_theta, ramp=md_config.ramp)

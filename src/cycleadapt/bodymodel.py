@@ -12,7 +12,12 @@ All positions are meters. Posing is written once, as the graph builder
 `body_graph`, which appends it to a `diffcore.Graph` so gradients can flow
 to pose, shape, and anything upstream of them; `body_forward_batch` builds
 that graph on constant inputs and runs it forward only, for data generation
-and evaluation.
+and evaluation. The 6D decoder, shape blending, the posed-joint regression
+and projection are single-op nodes; forward kinematics and skinning are one
+`diffcore` ``rigid_chain`` node with a hand-written VJP. That op takes its
+rotations contiguous, keeps its VJP's intermediates only when `evaluate`
+runs it (never under `forward`), and sums in the order of the joint-by-joint
+graph it replaced, so poses and gradients kept their bits.
 """
 
 from __future__ import annotations
@@ -320,41 +325,7 @@ def body_graph(g: Graph, model: BodyModel, theta_node: int, beta_node: int, batc
         g.const(model.template_vertices),
         g.reshape(g.matmul(beta_node, sd), (batch, nverts, 3)),
     )
-    rest = g.matmul(g.const(model.joint_regressor), shaped)
-
-    rot9 = g.reshape(rot, (batch, joints, 9))
-    loc_rot = [g.reshape(g.take(rot9, [j], 1), (batch, 3, 3)) for j in range(joints)]
-    rest_row = [g.take(rest, [j], 1) for j in range(joints)]
-
-    glob_rot: list = [None] * joints
-    glob_t: list = [None] * joints
-    glob_rot[0] = loc_rot[0]
-    glob_t[0] = rest_row[0]
-    rot_t: dict = {}
-
-    def transposed(j: int) -> int:
-        if j not in rot_t:
-            rot_t[j] = g.transpose(glob_rot[j])
-        return rot_t[j]
-
-    for j in range(1, joints):
-        p = model.parents[j]
-        bone = g.sub(rest_row[j], rest_row[p])
-        glob_t[j] = g.add(glob_t[p], g.matmul(bone, transposed(p)))
-        glob_rot[j] = g.matmul(glob_rot[p], loc_rot[j])
-
-    rows_t = [g.reshape(transposed(j), (batch, 1, 9)) for j in range(joints)]
-    blended = g.reshape(
-        g.matmul(g.const(model.skin_weights), g.concat(rows_t, axis=1)),
-        (batch, nverts, 3, 3),
-    )
-    shift = [g.sub(glob_t[j], g.matmul(rest_row[j], transposed(j))) for j in range(joints)]
-    offs = g.matmul(g.const(model.skin_weights), g.concat(shift, axis=1))
-    moved = g.reshape(
-        g.matmul(g.reshape(shaped, (batch, nverts, 1, 3)), blended),
-        (batch, nverts, 3),
-    )
-    verts = g.add(moved, offs)
+    verts = g.rigid_chain(rot, shaped, model.parents, model.skin_weights, model.joint_regressor)
     out_joints = g.matmul(g.const(model.joint_regressor), verts)
     return verts, out_joints
 

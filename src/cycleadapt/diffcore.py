@@ -7,7 +7,19 @@ backward pass; ``forward`` returns only the requested nodes' values and
 frees each other value after its last use.  ``backward`` accumulates the
 gradient of a scalar node into every trainable leaf, and ``grad_check``
 compares those gradients against central finite differences, skipping
-parameters whose perturbation crosses an L1 or relu kink.
+parameters whose perturbation crosses an L1 or relu kink.  The backward
+pass forms no gradient toward a node that no trainable leaf reaches.
+
+Besides the single ops there is one fused op, ``rigid_chain``: forward
+kinematics down a joint tree plus linear blend skinning, as in SMPL, from
+local rotations and a rest mesh to posed vertices.  Its contract:
+- it copies the rotations to a contiguous array first, so a transposed
+  view and a contiguous array of the same values give the same bits;
+- only ``evaluate`` keeps the intermediates its VJP reads, on the values
+  it returns (``Values.residuals``); ``forward`` keeps none of them;
+- its forward and its VJP run the products and sums of the joint-by-joint
+  graph of single ops it replaced, in that graph's order, so values and
+  gradients are bit-identical to it, not merely close.
 
 The tape is rebuilt per training step; nothing here caches graphs.
 """
@@ -23,6 +35,7 @@ __all__ = [
     "Node",
     "Graph",
     "GradientMap",
+    "Values",
     "evaluate",
     "forward",
     "backward",
@@ -158,6 +171,30 @@ class Graph:
     def sqrt(self, a: int) -> int:
         return self._add("sqrt", (a,))
 
+    def rigid_chain(self, rot: int, shaped: int, parents, skin_weights, joint_regressor) -> int:
+        """Forward kinematics plus linear blend skinning, as one node.
+
+        ``rot`` is (B, J, 3, 3) local rotations and ``shaped`` the (B, V, 3)
+        rest mesh. Rest joints are ``joint_regressor @ shaped``; each joint's
+        global rotation and translation compose down ``parents`` (root -1,
+        ``parents[j] < j``), and each vertex moves by its ``skin_weights``
+        blend of the joints' rigid motions. Returns the (B, V, 3) vertices.
+        """
+        parents = tuple(int(p) for p in parents)
+        if not parents or parents[0] != -1 or any(not 0 <= p < j for j, p in enumerate(parents[1:], 1)):
+            raise ShapeMismatchError(f"rigid_chain parents must be -1 then earlier joints, got {parents}")
+        children: list = [[] for _ in parents]
+        for j, p in enumerate(parents[1:], 1):
+            children[p].append(j)
+        return self._add(
+            "rigid_chain",
+            (rot, shaped),
+            parents=parents,
+            children=tuple(tuple(c) for c in children),
+            skin_weights=np.asarray(skin_weights, dtype=np.float64),
+            joint_regressor=np.asarray(joint_regressor, dtype=np.float64),
+        )
+
     # -- introspection ----------------------------------------------------
 
     def trainable_leaves(self) -> list:
@@ -194,7 +231,124 @@ def _take_key(i: int, node: Node, shape: tuple) -> tuple:
     return (slice(None),) * axis + (index,)
 
 
-def _forward(i: int, node: Node, xs: list, bindings: dict) -> np.ndarray:
+def _rigid_chain(i: int, node: Node, rot: np.ndarray, shaped: np.ndarray, keep: bool) -> tuple:
+    """A rigid_chain node's vertices, and with ``keep`` what its VJP reads.
+
+    Every product and sum is the one the joint-by-joint graph of single
+    ops made, on operands of the same memory layout, so the vertices carry
+    its bits: matmul results can depend on whether an operand is a
+    transposed view.
+    """
+    parents = node.attrs["parents"]
+    sw, jr = node.attrs["skin_weights"], node.attrs["joint_regressor"]
+    joints = len(parents)
+    if rot.ndim != 4 or rot.shape[1:] != (joints, 3, 3):
+        raise _err(i, node, f"rotations must be (B, {joints}, 3, 3), got {rot.shape}")
+    batch = rot.shape[0]
+    if shaped.ndim != 3 or shaped.shape[0] != batch or shaped.shape[2] != 3:
+        raise _err(i, node, f"rest mesh must be ({batch}, V, 3), got {shaped.shape}")
+    nverts = shaped.shape[1]
+    if sw.shape != (nverts, joints) or jr.shape != (joints, nverts):
+        raise _err(
+            i, node, f"skin weights {sw.shape} and regressor {jr.shape} do not fit {joints} joints, {nverts} vertices"
+        )
+    loc = np.ascontiguousarray(rot)
+    rest = jr @ shaped
+    rows = [rest[:, j : j + 1] for j in range(joints)]
+    rots = np.empty_like(loc)
+    rots[:, 0] = loc[:, 0]
+    trans = [rows[0]] + [None] * (joints - 1)
+    bones = [None] * joints
+    for j in range(1, joints):
+        p = parents[j]
+        bones[j] = rows[j] - rows[p]
+        trans[j] = trans[p] + bones[j] @ np.swapaxes(rots[:, p], -1, -2)
+        rots[:, j] = rots[:, p] @ loc[:, j]
+    rots_t = np.swapaxes(rots, -1, -2)
+    shift = np.concatenate(trans, axis=1) - (rest[:, :, None, :] @ rots_t)[:, :, 0]
+    rows_t = rots_t.reshape(batch, joints, 9)
+    saved = [loc, rots, rest, bones] if keep else None
+    # unless saved, each intermediate is freed before the next wide product
+    del loc, rest, rots, rots_t, trans, rows, bones
+    blended = (sw @ rows_t).reshape(batch, nverts, 3, 3)
+    del rows_t
+    verts = (shaped.reshape(batch, nverts, 1, 3) @ blended).reshape(batch, nverts, 3)
+    if keep:
+        saved.append(blended)
+    del blended
+    verts += sw @ shift
+    return verts, saved
+
+
+def _rigid_chain_vjp(
+    node: Node, g: np.ndarray, shaped: np.ndarray, saved: list, want_rot: bool, want_shaped: bool
+) -> tuple:
+    """Gradients of a rigid_chain node toward (rot, shaped); None where not wanted.
+
+    This replays the reverse sweep of the joint-by-joint graph, so the sums
+    run in its order and the gradients carry its bits. Joints go from last
+    to first; each accumulator takes its terms in the reverse of the order
+    the graph built the nodes that made them:
+    - the transposed global rotation of joint j: its shift term, its blend
+      term, then its children's bone terms, highest child first;
+    - the global rotation of joint p: each child's rotation term, highest
+      child first, then the transpose of the above, added at its lowest
+      child (a childless joint has the transpose alone);
+    - the translation of joint p: its shift term, then its children's;
+    - rest row j: its shift term, its children's bone terms, then its own.
+      The root's translation and rest row are one accumulator.
+    The rest mesh takes the skinning term first, then the rest joints'.
+    """
+    parents, children = node.attrs["parents"], node.attrs["children"]
+    sw_t = np.swapaxes(node.attrs["skin_weights"], -1, -2)
+    loc, rots, rest, bones, blended = saved
+    batch, joints = loc.shape[:2]
+    nverts = shaped.shape[1]
+    g4 = g.reshape(batch, nverts, 1, 3)
+    g_blend = np.swapaxes(shaped.reshape(batch, nverts, 1, 3), -1, -2) @ g4
+    g_shift = sw_t @ g
+    g_sm = -g_shift
+    row_terms = (g_sm[:, :, None, :] @ rots)[:, :, 0]
+    g_blend_t = (sw_t @ g_blend.reshape(batch, nverts, 9)).reshape(batch, joints, 3, 3)
+    g_rots_t = rest[:, :, :, None] @ g_sm[:, :, None, :] + g_blend_t
+
+    g_trans = [g_shift[:, j : j + 1] for j in range(joints)]
+    g_row = [row_terms[:, j : j + 1] for j in range(joints)]
+    g_row[0] = g_trans[0] + g_row[0]
+    g_rot_t = [g_rots_t[:, j] for j in range(joints)]
+    g_rot: list = [None if children[j] else np.swapaxes(g_rot_t[j], -1, -2) for j in range(joints)]
+
+    g_loc: list = [None] * joints
+    for c in range(joints - 1, 0, -1):
+        p = parents[c]
+        term = g_rot[c] @ np.swapaxes(loc[:, c], -1, -2)
+        g_rot[p] = term if g_rot[p] is None else g_rot[p] + term
+        if want_rot:
+            g_loc[c] = np.swapaxes(rots[:, p], -1, -2) @ g_rot[c]
+        if p:
+            g_trans[p] = g_trans[p] + g_trans[c]
+        else:
+            g_row[0] = g_row[0] + g_trans[c]
+        g_bone = g_trans[c] @ rots[:, p]
+        g_rot_t[p] = g_rot_t[p] + np.swapaxes(bones[c], -1, -2) @ g_trans[c]
+        if c == children[p][0]:
+            g_rot[p] = g_rot[p] + np.swapaxes(g_rot_t[p], -1, -2)
+        g_row[c] = g_row[c] + g_bone
+        g_row[p] = g_row[p] + (-g_bone)
+
+    grad_rot = grad_shaped = None
+    if want_rot:
+        g_loc[0] = g_rot[0]
+        grad_rot = np.stack(g_loc, axis=1)
+    if want_shaped:
+        skin = (g4 @ np.swapaxes(blended, -1, -2)).reshape(batch, nverts, 3)
+        jr_t = np.swapaxes(node.attrs["joint_regressor"], -1, -2)
+        grad_shaped = skin + jr_t @ np.concatenate(g_row, axis=1)
+    return grad_rot, grad_shaped
+
+
+def _forward(i: int, node: Node, xs: list, bindings: dict, residuals=None) -> np.ndarray:
+    """Node ``i``'s value; a rigid_chain node also files its VJP's inputs in ``residuals``."""
     kind = node.kind
     if kind == "leaf":
         name = node.attrs["name"]
@@ -269,15 +423,33 @@ def _forward(i: int, node: Node, xs: list, bindings: dict) -> np.ndarray:
         return xs[0][_take_key(i, node, xs[0].shape)]
     if kind == "sqrt":
         return np.sqrt(xs[0])
+    if kind == "rigid_chain":
+        verts, saved = _rigid_chain(i, node, xs[0], xs[1], keep=residuals is not None)
+        if residuals is not None:
+            residuals[i] = saved
+        return verts
     raise DiffcoreError(f"node {i}: unknown kind {kind!r}")
 
 
-def evaluate(graph: Graph, bindings: dict) -> list:
+class Values(list):
+    """Every node's value, indexed by node id, from one `evaluate` call.
+
+    ``residuals`` maps each rigid_chain node id to the intermediates its
+    VJP reads. They live here, with the values of the call that made them,
+    and not on the graph, which `grad_check` evaluates many times.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.residuals: dict = {}
+
+
+def evaluate(graph: Graph, bindings: dict) -> Values:
     """Forward pass; returns the value of every node, indexed by node id."""
-    values: list = []
+    values = Values()
     for i, node in enumerate(graph.nodes):
         xs = [values[j] for j in node.inputs]
-        values.append(_forward(i, node, xs, bindings))
+        values.append(_forward(i, node, xs, bindings, values.residuals))
     return values
 
 
@@ -328,15 +500,32 @@ def _accum(grads: list, idx: int, contrib: np.ndarray) -> None:
         grads[idx] = grads[idx] + contrib
 
 
+def _needs_grad(graph: Graph) -> list:
+    """Per node: does a trainable leaf reach it? Only those nodes take gradients."""
+    need: list = []
+    for node in graph.nodes:
+        if node.kind == "leaf":
+            need.append(bool(node.attrs["trainable"]))
+        else:
+            need.append(any(need[j] for j in node.inputs))
+    return need
+
+
 def backward_from_values(graph: Graph, values: list, loss_node: int) -> GradientMap:
-    """Reverse pass over already-evaluated values; see backward()."""
+    """Reverse pass over already-evaluated values; see backward().
+
+    VJP terms toward nodes that no trainable leaf reaches (constants, and
+    whatever is computed from constants alone) are never formed.
+    """
     loss = values[loss_node]
     if loss.size != 1:
         raise NonScalarLossError(
             f"loss node {loss_node} has shape {loss.shape}; a scalar is required"
         )
+    need = _needs_grad(graph)
     grads: list = [None] * len(graph.nodes)
-    grads[loss_node] = np.ones_like(loss)
+    if need[loss_node]:
+        grads[loss_node] = np.ones_like(loss)
     for i in range(loss_node, -1, -1):
         g = grads[i]
         if g is None:
@@ -346,42 +535,51 @@ def backward_from_values(graph: Graph, values: list, loss_node: int) -> Gradient
         if kind in ("leaf", "const"):
             continue
         xs = [values[j] for j in node.inputs]
+        # a single-input node takes a gradient only if its input needs one
+        a, b = node.inputs[0], node.inputs[1] if len(node.inputs) > 1 else None
         if kind == "add":
-            _accum(grads, node.inputs[0], _unbroadcast(g, xs[0].shape))
-            _accum(grads, node.inputs[1], _unbroadcast(g, xs[1].shape))
+            if need[a]:
+                _accum(grads, a, _unbroadcast(g, xs[0].shape))
+            if need[b]:
+                _accum(grads, b, _unbroadcast(g, xs[1].shape))
         elif kind == "sub":
-            _accum(grads, node.inputs[0], _unbroadcast(g, xs[0].shape))
-            _accum(grads, node.inputs[1], _unbroadcast(-g, xs[1].shape))
+            if need[a]:
+                _accum(grads, a, _unbroadcast(g, xs[0].shape))
+            if need[b]:
+                _accum(grads, b, _unbroadcast(-g, xs[1].shape))
         elif kind == "mul":
-            _accum(grads, node.inputs[0], _unbroadcast(g * xs[1], xs[0].shape))
-            _accum(grads, node.inputs[1], _unbroadcast(g * xs[0], xs[1].shape))
+            if need[a]:
+                _accum(grads, a, _unbroadcast(g * xs[1], xs[0].shape))
+            if need[b]:
+                _accum(grads, b, _unbroadcast(g * xs[0], xs[1].shape))
         elif kind == "div":
-            a, b = xs
-            _accum(grads, node.inputs[0], _unbroadcast(g / b, a.shape))
-            _accum(grads, node.inputs[1], _unbroadcast(-g * a / (b * b), b.shape))
+            if need[a]:
+                _accum(grads, a, _unbroadcast(g / xs[1], xs[0].shape))
+            if need[b]:
+                _accum(grads, b, _unbroadcast(-g * xs[0] / (xs[1] * xs[1]), xs[1].shape))
         elif kind == "scalar_mul":
-            _accum(grads, node.inputs[0], node.attrs["c"] * g)
+            _accum(grads, a, node.attrs["c"] * g)
         elif kind == "matmul":
-            a, b = xs
-            ga = g @ np.swapaxes(b, -1, -2)
-            gb = np.swapaxes(a, -1, -2) @ g
-            _accum(grads, node.inputs[0], _unbroadcast(ga, a.shape))
-            _accum(grads, node.inputs[1], _unbroadcast(gb, b.shape))
+            if need[a]:
+                _accum(grads, a, _unbroadcast(g @ np.swapaxes(xs[1], -1, -2), xs[0].shape))
+            if need[b]:
+                _accum(grads, b, _unbroadcast(np.swapaxes(xs[0], -1, -2) @ g, xs[1].shape))
         elif kind == "transpose":
             axes = node.attrs["axes"]
             if axes is None:
-                _accum(grads, node.inputs[0], np.swapaxes(g, -1, -2))
+                _accum(grads, a, np.swapaxes(g, -1, -2))
             else:
-                _accum(grads, node.inputs[0], np.transpose(g, np.argsort(axes)))
+                _accum(grads, a, np.transpose(g, np.argsort(axes)))
         elif kind == "reshape":
-            _accum(grads, node.inputs[0], g.reshape(xs[0].shape))
+            _accum(grads, a, g.reshape(xs[0].shape))
         elif kind == "concat":
             axis = node.attrs["axis"]
             sizes = np.cumsum([x.shape[axis] for x in xs])[:-1]
             for inp, piece in zip(node.inputs, np.split(g, sizes, axis=axis)):
-                _accum(grads, inp, piece)
+                if need[inp]:
+                    _accum(grads, inp, piece)
         elif kind == "relu":
-            _accum(grads, node.inputs[0], g * (xs[0] > 0.0))
+            _accum(grads, a, g * (xs[0] > 0.0))
         elif kind == "layer_norm":
             x, gain, _bias = xs
             eps = node.attrs["eps"]
@@ -389,35 +587,43 @@ def backward_from_values(graph: Graph, values: list, loss_node: int) -> Gradient
             var = np.mean((x - mu) ** 2, axis=-1, keepdims=True)
             inv = 1.0 / np.sqrt(var + eps)
             xhat = (x - mu) * inv
-            dgain = _unbroadcast(g * xhat, gain.shape)
-            dbias = _unbroadcast(g, gain.shape)
-            dxhat = g * gain
-            dx = inv * (
-                dxhat
-                - dxhat.mean(axis=-1, keepdims=True)
-                - xhat * np.mean(dxhat * xhat, axis=-1, keepdims=True)
-            )
-            _accum(grads, node.inputs[0], dx)
-            _accum(grads, node.inputs[1], dgain)
-            _accum(grads, node.inputs[2], dbias)
+            if need[a]:
+                dxhat = g * gain
+                dx = inv * (
+                    dxhat
+                    - dxhat.mean(axis=-1, keepdims=True)
+                    - xhat * np.mean(dxhat * xhat, axis=-1, keepdims=True)
+                )
+                _accum(grads, a, dx)
+            if need[b]:
+                _accum(grads, b, _unbroadcast(g * xhat, gain.shape))
+            if need[node.inputs[2]]:
+                _accum(grads, node.inputs[2], _unbroadcast(g, gain.shape))
         elif kind == "mean_abs":
             x = xs[0]
             # L1 subgradient at 0 is taken as 0.
-            _accum(grads, node.inputs[0], float(g) * np.sign(x) / x.size)
+            _accum(grads, a, float(g) * np.sign(x) / x.size)
         elif kind == "sum":
             x = xs[0]
             axis = node.attrs["axis"]
             if axis is None:
-                _accum(grads, node.inputs[0], np.broadcast_to(g, x.shape).copy())
+                _accum(grads, a, np.broadcast_to(g, x.shape).copy())
             else:
                 gg = g if node.attrs["keepdims"] else np.expand_dims(g, axis)
-                _accum(grads, node.inputs[0], np.broadcast_to(gg, x.shape).copy())
+                _accum(grads, a, np.broadcast_to(gg, x.shape).copy())
         elif kind == "take":
             full = np.zeros_like(xs[0])
             full[_take_key(i, node, full.shape)] = g
-            _accum(grads, node.inputs[0], full)
+            _accum(grads, a, full)
         elif kind == "sqrt":
-            _accum(grads, node.inputs[0], g / (2.0 * values[i]))
+            _accum(grads, a, g / (2.0 * values[i]))
+        elif kind == "rigid_chain":
+            saved = getattr(values, "residuals", {}).get(i) or _rigid_chain(i, node, *xs, keep=True)[1]
+            grad_rot, grad_shaped = _rigid_chain_vjp(node, g, xs[1], saved, need[a], need[b])
+            if need[a]:
+                _accum(grads, a, grad_rot)
+            if need[b]:
+                _accum(grads, b, grad_shaped)
         else:
             raise DiffcoreError(f"node {i}: unknown kind {kind!r}")
 

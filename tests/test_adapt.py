@@ -412,3 +412,25 @@ def test_online_frozen_mdnet_still_denoises_the_store(monkeypatch):
     (store,) = stores
     assert store.md_written[:10].all()  # two full windows of 5, denoised
     assert not store.md_written[10:].any()
+
+
+def test_hmr_step_rejects_a_non_finite_loss():
+    inputs = _setup(8)
+    params = hmr_init(HMR_CONFIG, seed=0)
+    params["w0"][2, 3] = np.nan
+    opt = _opt(params, md_init(MD_CONFIG, seed=0))
+    opt.clock = 7
+    with pytest.raises(InvariantError, match="regressor loss is nan at optimizer step 7"):
+        adapt.hmr_step(inputs, np.arange(8), MODEL, HMR_CONFIG, params, opt, _config(), 1e-4)
+    assert opt.clock == 7
+
+
+def test_md_step_rejects_a_non_finite_loss():
+    store = _filled_store(5)
+    params = md_init(MD_CONFIG, seed=0)
+    params["w_in"][0, 0] = np.inf
+    opt = _opt(hmr_init(HMR_CONFIG, seed=0), params)
+    opt.clock = 4
+    mask = np.array([0.0, 1.0, 0.0, 1.0, 0.0])
+    with pytest.raises(InvariantError, match="denoiser loss is (nan|inf) at optimizer step 4"):
+        adapt.md_step(store, np.arange(5), store.theta.copy(), mask, MD_CONFIG, params, opt, _config(), 1e-4)

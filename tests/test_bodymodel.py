@@ -1,9 +1,13 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cycleadapt.bodymodel import (
+    BETA_SIZE,
     BodyModel,
     CameraParams,
     DegenerateRotationError,
@@ -17,8 +21,10 @@ from cycleadapt.bodymodel import (
     project_weak_perspective,
     rot6d_batch,
     rotmat_to_rot6d,
+    scale_body,
 )
-from cycleadapt.diffcore import Graph, evaluate, grad_check
+from cycleadapt.bodymodel import _rot6d_graph
+from cycleadapt.diffcore import Graph, backward_from_values, evaluate, grad_check
 
 
 def _two_joint_chain():
@@ -64,6 +70,79 @@ def _numpy_body_forward(model, thetas, betas):
     verts = np.einsum("bvxy,bvy->bvx", blended, shaped)
     verts += np.einsum("vj,bjx->bvx", model.skin_weights, shift)
     return verts, np.einsum("jv,bvc->bjc", model.joint_regressor, verts)
+
+
+def _node_by_node_body_graph(g, model, theta_node, beta_node, batch):
+    """Reference: body_graph as it was before the rigid_chain op, with forward
+    kinematics and skinning spelled out one single-op node at a time (a pick,
+    a transpose, a 3x3 matmul per joint). The op must reproduce its values
+    and its gradients bit for bit."""
+    joints = model.joint_count
+    nverts = model.vertex_count
+    theta3 = g.reshape(theta_node, (batch, joints, 6))
+    rot = _rot6d_graph(g, theta3, batch, joints)
+
+    sd = g.const(model.shape_dirs.reshape(nverts * 3, BETA_SIZE).T)
+    shaped = g.add(
+        g.const(model.template_vertices),
+        g.reshape(g.matmul(beta_node, sd), (batch, nverts, 3)),
+    )
+    rest = g.matmul(g.const(model.joint_regressor), shaped)
+
+    rot9 = g.reshape(rot, (batch, joints, 9))
+    loc_rot = [g.reshape(g.take(rot9, [j], 1), (batch, 3, 3)) for j in range(joints)]
+    rest_row = [g.take(rest, [j], 1) for j in range(joints)]
+
+    glob_rot: list = [None] * joints
+    glob_t: list = [None] * joints
+    glob_rot[0] = loc_rot[0]
+    glob_t[0] = rest_row[0]
+    rot_t: dict = {}
+
+    def transposed(j: int) -> int:
+        if j not in rot_t:
+            rot_t[j] = g.transpose(glob_rot[j])
+        return rot_t[j]
+
+    for j in range(1, joints):
+        p = model.parents[j]
+        bone = g.sub(rest_row[j], rest_row[p])
+        glob_t[j] = g.add(glob_t[p], g.matmul(bone, transposed(p)))
+        glob_rot[j] = g.matmul(glob_rot[p], loc_rot[j])
+
+    rows_t = [g.reshape(transposed(j), (batch, 1, 9)) for j in range(joints)]
+    blended = g.reshape(
+        g.matmul(g.const(model.skin_weights), g.concat(rows_t, axis=1)),
+        (batch, nverts, 3, 3),
+    )
+    shift = [g.sub(glob_t[j], g.matmul(rest_row[j], transposed(j))) for j in range(joints)]
+    offs = g.matmul(g.const(model.skin_weights), g.concat(shift, axis=1))
+    moved = g.reshape(
+        g.matmul(g.reshape(shaped, (batch, nverts, 1, 3)), blended),
+        (batch, nverts, 3),
+    )
+    verts = g.add(moved, offs)
+    out_joints = g.matmul(g.const(model.joint_regressor), verts)
+    return verts, out_joints
+
+
+def _pose_and_grads(pose_graph, model, thetas, betas):
+    """Vertices, joints, and the theta and beta gradients of an L1 joint loss."""
+    g = Graph()
+    th = g.leaf("theta", trainable=True)
+    be = g.leaf("beta", trainable=True)
+    verts_node, joints_node = pose_graph(g, model, th, be, thetas.shape[0])
+    loss = g.mean_abs(g.sub(joints_node, g.const(0.05)))
+    values = evaluate(g, {"theta": thetas, "beta": betas})
+    grads = backward_from_values(g, values, loss)
+    return values[verts_node], values[joints_node], grads["theta"], grads["beta"]
+
+
+def _assert_matches_node_by_node(model, thetas, betas):
+    want = _pose_and_grads(_node_by_node_body_graph, model, thetas, betas)
+    got = _pose_and_grads(body_graph, model, thetas, betas)
+    for name, a, b in zip(("vertices", "joints", "theta grad", "beta grad"), got, want):
+        assert np.array_equal(a, b), f"{name} differ by up to {np.abs(a - b).max()}"
 
 
 def test_rot6d_identity_code():
@@ -191,6 +270,66 @@ def test_body_graph_matches_numpy_forward():
     assert np.abs(values[joints_node] - joints).max() < 1e-12
     for got, want in zip(body_forward_batch(model, thetas, betas), (verts, joints)):
         assert np.abs(got - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("batch", [1, 32])
+@pytest.mark.parametrize("seed,joints,scale", [(0, 2, 1.0), (1, 8, 1.0), (2, 15, 1.7), (3, 24, 1.0), (4, 24, 0.6)])
+def test_body_graph_matches_node_by_node_graph_bit_for_bit(seed, joints, scale, batch):
+    model = build_toy_body(seed, joints=joints, vertices=joints + 30)
+    if scale != 1.0:
+        model = scale_body(model, scale)
+    rng = np.random.default_rng(seed + 100 * batch)
+    thetas = identity_pose(joints)[None] + 0.4 * rng.normal(size=(batch, 6 * joints))
+    _assert_matches_node_by_node(model, thetas, rng.normal(size=(batch, 10)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**16), st.integers(2, 24), st.integers(1, 4))
+def test_body_graph_matches_node_by_node_graph_on_random_bodies(seed, joints, batch):
+    model = build_toy_body(seed, joints=joints, vertices=joints + 8)
+    rng = np.random.default_rng(seed)
+    thetas = identity_pose(joints)[None] + 0.5 * rng.normal(size=(batch, 6 * joints))
+    _assert_matches_node_by_node(model, thetas, rng.normal(size=(batch, 10)))
+
+
+def test_rigid_chain_gives_the_same_bits_for_contiguous_and_transposed_rotations():
+    model = build_toy_body(6, joints=9, vertices=30)
+    rng = np.random.default_rng(12)
+    rots = rot6d_batch(rng.normal(size=(4, 9, 6)))
+    as_view = np.swapaxes(np.ascontiguousarray(np.swapaxes(rots, -1, -2)), -1, -2)
+    assert not as_view.flags.c_contiguous and np.array_equal(as_view, rots)
+    shaped = model.template_vertices + 0.01 * rng.normal(size=(4, 30, 3))
+
+    def run(rot):
+        g = Graph()
+        r = g.leaf("rot", trainable=True)
+        s = g.leaf("shaped", trainable=True)
+        verts = g.rigid_chain(r, s, model.parents, model.skin_weights, model.joint_regressor)
+        loss = g.mean_abs(g.sub(verts, g.const(0.1)))
+        values = evaluate(g, {"rot": rot, "shaped": shaped})
+        grads = backward_from_values(g, values, loss)
+        return values[verts], grads["rot"], grads["shaped"]
+
+    for a, b in zip(run(rots), run(as_view)):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_posing_500_frames_keeps_no_intermediates():
+    """body_forward_batch runs forward only, so the chain's VJP inputs are
+    never kept: the peak stays at or under the 8.72 MB that the node-by-node
+    graph took for these inputs in the same forward-only pass."""
+    model = build_toy_body(0, joints=24, vertices=120)
+    rng = np.random.default_rng(13)
+    thetas = identity_pose(24)[None] + 0.2 * rng.normal(size=(500, 144))
+    betas = rng.normal(size=(500, 10))
+    body_forward_batch(model, thetas[:2], betas[:2])
+    tracemalloc.start()
+    try:
+        body_forward_batch(model, thetas, betas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8.72e6
 
 
 def test_body_graph_gradients_match_finite_differences():

@@ -5,10 +5,12 @@ dialect, config round trips, and the documented exit codes.
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cycleadapt import benchmark, cli
 from cycleadapt.adapt import InvariantError
+from cycleadapt.checkpoint import load_hmr, save_hmr
 from cycleadapt.bodymodel import DegenerateRotationError
 from cycleadapt.metrics import DegenerateGeometryError, MetricReport
 from cycleadapt.synth import read_video
@@ -328,3 +330,18 @@ def test_numerical_failure_exits_2(ws, tmp_path, monkeypatch, capsys, error):
     code = cli.run(["adapt", "--config", str(ws["cfg_path"]), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "columns are nearly parallel" in capsys.readouterr().err
+
+
+def test_non_finite_regressor_loss_exits_2(ws, tmp_path, capsys):
+    """A NaN weight makes the first online regressor step's loss NaN; the
+    step guard reports it as a numerical failure, not a finished run."""
+    config_hmr, params = load_hmr(ws["config"]["paths"]["hmr_ckpt"])
+    params["w_out"][0, 0] = np.nan
+    config = json.loads(json.dumps(ws["config"]))
+    config["paths"]["hmr_ckpt"] = str(tmp_path / "nan_hmr.ckpt")
+    save_hmr(config["paths"]["hmr_ckpt"], config_hmr, params)
+    cfg_path = tmp_path / "nan.json"
+    cfg_path.write_text(json.dumps(config))
+    code = cli.run(["adapt", "--online", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "regressor loss is nan at optimizer step 0" in capsys.readouterr().err

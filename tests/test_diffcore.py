@@ -14,6 +14,7 @@ from cycleadapt.diffcore import (
     ShapeMismatchError,
     UnboundLeafError,
     backward,
+    backward_from_values,
     evaluate,
     forward,
     grad_check,
@@ -239,6 +240,19 @@ def _primitive_cases(rng):
     loss = _scalarize(g, g.div(a, g.sqrt(b)))
     cases.append((g, {"a": new("a", (2, 3)), "b": np.abs(new("b", (2, 3))) + 0.3}, loss))
 
+    # rigid_chain: a 5-joint tree, weights and regressor rows that sum to one
+    parents = (-1, 0, 1, 0, 3)
+    weights = rng.random((7, 5)) + 0.1
+    regressor = rng.random((5, 7)) + 0.1
+    g = Graph()
+    rot = g.leaf("rot", trainable=True)
+    shaped = g.leaf("shaped", trainable=True)
+    weights /= weights.sum(axis=1, keepdims=True)
+    regressor /= regressor.sum(axis=1, keepdims=True)
+    verts = g.rigid_chain(rot, shaped, parents, weights, regressor)
+    loss = _scalarize(g, verts)
+    cases.append((g, {"rot": new("rot", (2, 5, 3, 3)), "shaped": new("shaped", (2, 7, 3))}, loss))
+
     return cases
 
 
@@ -295,6 +309,78 @@ def test_forward_frees_values_that_evaluate_keeps():
     assert _peak_bytes(run_forward, long) < _peak_bytes(run_forward, short) + mb // 2
     assert _peak_bytes(run_forward, long) < 3 * mb
     assert _peak_bytes(run_evaluate, long) > _peak_bytes(run_evaluate, short) + 10 * mb
+
+
+def test_backward_forms_no_gradient_toward_a_constant():
+    """matmul(const A, leaf W): the VJP toward A would be an array the size
+    of A. Nothing trainable lies behind A, so it is never formed."""
+    a = np.ones((2000, 2000))
+    g = Graph()
+    w = g.leaf("w", trainable=True)
+    loss = g.mean_abs(g.matmul(g.const(a), w))
+    bindings = {"w": np.ones((2000, 1))}
+    tracemalloc.start()
+    try:
+        grads = backward(g, bindings, loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_allclose(grads["w"], np.ones((2000, 1)), rtol=1e-12)
+    assert peak < a.nbytes // 4
+
+
+def test_pruned_backward_keeps_trainable_gradients_and_zero_fills_unreached_leaves():
+    rng = np.random.default_rng(5)
+    x, w, bias = rng.normal(size=(4, 5)), rng.normal(size=(5, 3)), rng.normal(size=3)
+    g = Graph()
+    xn = g.leaf("x")
+    h = g.relu(g.add(g.matmul(xn, g.leaf("w", trainable=True)), g.const(bias)))
+    g.leaf("idle", trainable=True)
+    loss = g.mean_abs(g.concat([h, g.scalar_mul(xn, 2.0)], axis=1))
+    grads = backward(g, {"x": x, "w": w, "idle": np.ones(2)}, loss)
+    pre = x @ w + bias
+    np.testing.assert_allclose(grads["w"], x.T @ ((pre > 0) / 32.0), rtol=1e-12)
+    np.testing.assert_array_equal(grads["idle"], np.zeros(2))
+
+
+def test_rigid_chain_keeps_residuals_per_evaluate_call():
+    """Residuals ride on each evaluate call's values, not on the graph, so
+    re-evaluating with other bindings leaves earlier values' VJP intact."""
+    rng = np.random.default_rng(9)
+    g = Graph()
+    rot = g.leaf("rot", trainable=True)
+    shaped = g.leaf("shaped", trainable=True)
+    weights = np.full((4, 3), 1.0 / 3.0)
+    regressor = np.full((3, 4), 0.25)
+    loss = _scalarize(g, g.rigid_chain(rot, shaped, (-1, 0, 1), weights, regressor))
+    first = {"rot": rng.normal(size=(2, 3, 3, 3)), "shaped": rng.normal(size=(2, 4, 3))}
+    second = {"rot": rng.normal(size=(2, 3, 3, 3)), "shaped": rng.normal(size=(2, 4, 3))}
+    values = evaluate(g, first)
+    assert set(values.residuals) == {len(g.nodes) - 4}
+    want = backward(g, first, loss)
+    evaluate(g, second)
+    got = backward_from_values(g, values, loss)
+    for name in ("rot", "shaped"):
+        assert got[name].tobytes() == want[name].tobytes()
+    # a plain list of the same values (no residuals) gives the same gradients
+    again = backward_from_values(g, list(values), loss)
+    for name in ("rot", "shaped"):
+        assert again[name].tobytes() == want[name].tobytes()
+
+
+@pytest.mark.parametrize("parents", [(0, 0), (-1, 1)])  # no root; a joint that is its own parent
+def test_rigid_chain_rejects_a_broken_tree(parents):
+    g = Graph()
+    with pytest.raises(ShapeMismatchError, match="rigid_chain parents"):
+        g.rigid_chain(g.leaf("rot"), g.leaf("shaped"), parents, np.full((4, 2), 0.5), np.full((2, 4), 0.25))
+
+
+@pytest.mark.parametrize("rot_shape,shaped_shape", [((1, 3, 3, 3), (1, 4, 3)), ((1, 2, 3, 3), (2, 4, 3))])
+def test_rigid_chain_names_itself_on_mismatched_shapes(rot_shape, shaped_shape):
+    g = Graph()
+    node = g.rigid_chain(g.leaf("rot"), g.leaf("shaped"), (-1, 0), np.full((4, 2), 0.5), np.full((2, 4), 0.25))
+    with pytest.raises(ShapeMismatchError, match=f"node {node} \\(rigid_chain\\)"):
+        evaluate(g, {"rot": np.ones(rot_shape), "shaped": np.ones(shaped_shape)})
 
 
 def test_forward_rejects_unknown_output_node():
