@@ -7,7 +7,8 @@ of denoiser updates on random windows of the stored poses (masked
 self-supervision), whose unmasked outputs overwrite the stored thetas. A
 single cosine learning-rate schedule spans every optimizer step of the whole
 run, with separate Adam moments per network. The causal online pass is built
-from the same two steps, `hmr_step` and `md_step`.
+from the same two steps, `hmr_step` and `md_step`; source pre-training is
+`hmr_step` with ground truth as the targets (`benchmark.hmr_pretrain`).
 
 Nothing in this module reads 3D ground truth. Adaptation consumes features
 and 2D keypoints only (`AdaptInputs`); quality measurement happens through
@@ -124,7 +125,6 @@ class AdaptConfig:
     lr_start: float = 5e-5
     lr_end: float = 1e-6
     gamma: float = 0.001
-    window: int = 49
     seed: int = 0
     frozen_mdnet: bool = False
     frozen_hmrnet: bool = False
@@ -136,9 +136,8 @@ class AdaptConfig:
     def __post_init__(self) -> None:
         if self.cycles < 0:
             raise ValueError(f"AdaptConfig.cycles must be >= 0, got {self.cycles}")
-        for name in ("batch", "window"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"AdaptConfig.{name} must be >= 1")
+        if self.batch < 1:
+            raise ValueError(f"AdaptConfig.batch must be >= 1, got {self.batch}")
         if self.lr_start < self.lr_end or self.lr_end < 0:
             raise ValueError("AdaptConfig: need lr_start >= lr_end >= 0")
         if self.gamma < 0:
@@ -305,7 +304,7 @@ def md_stage(
     happen but no parameter moves.
     """
     n = store.size
-    t = config.window
+    t = md_config.window
     beta_before = store.beta.copy() if trace is not None else None
     params = md_params
 
@@ -367,10 +366,6 @@ def cycle_adapt(
     not evaluable: zero pose codes are degenerate). Each later cycle logs
     one row for the regressor's outputs and one for the store contents.
     """
-    if config.window != md_config.window:
-        raise InvariantError(
-            f"cycle_adapt: config.window {config.window} != denoiser window {md_config.window}"
-        )
     n = inputs.frame_count
     store = ResultStore(n)
     if trace is not None:
@@ -378,7 +373,7 @@ def cycle_adapt(
 
     hmr_steps = 0 if config.frozen_hmrnet else -(-n // config.batch)
     md_trainable = not (config.no_3d_loss or config.frozen_mdnet or config.md_denoiser != "mdnet")
-    md_steps = windows_per_cycle(n, config.window) if md_trainable else 0
+    md_steps = windows_per_cycle(n, md_config.window) if md_trainable else 0
     opt = AdaptOptimizers(
         hmr=adam_init(hmr_params),
         md=adam_init(md_params),
@@ -435,12 +430,8 @@ def online_adapt(
     into early steps), so truncating the video never changes earlier
     outputs.
     """
-    if config.window != md_config.window:
-        raise InvariantError(
-            f"online_adapt: config.window {config.window} != denoiser window {md_config.window}"
-        )
     n = inputs.frame_count
-    t = config.window
+    t = md_config.window
     store = ResultStore(n)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0, 2]))
     opt = AdaptOptimizers(hmr=adam_init(hmr_params), md=adam_init(md_params), clock=0)

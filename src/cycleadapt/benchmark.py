@@ -28,18 +28,21 @@ import numpy as np
 
 from .adapt import (
     AdaptConfig,
+    AdaptInputs,
+    AdaptOptimizers,
     AdaptRun,
     OnlineRun,
     adapt_inputs,
     cycle_adapt,
+    hmr_step,
     online_adapt,
 )
 from .bodymodel import BodyModel, body_forward_batch, build_toy_body, scale_body
 from .checkpoint import load_hmr, load_md, save_hmr, save_md
-from .hmrnet import HmrConfig, hmr_init
+from .hmrnet import HmrConfig, hmr_forward, hmr_init
 from .mdnet import MdConfig, md_init, md_pretrain
 from .metrics import MetricReport, evaluate_sequence
-from .pretrain import hmr_pretrain
+from .optim import adam_init
 from .synth import DomainSpec, SyntheticVideo, make_video, mixing_matrices
 
 N_FRAMES = 500
@@ -168,6 +171,65 @@ def random_nets(seed: int, hmr_config: HmrConfig = HMR_CONFIG, md_config: MdConf
     return hmr_init(hmr_config, seed=seed), md_init(md_config, seed=seed)
 
 
+def pool_source_frames(videos) -> tuple[AdaptInputs, np.ndarray, np.ndarray]:
+    """Every frame of the source videos: features with the exact, confidence-one
+    projections of the true joints, then the true thetas and betas."""
+    if not videos:
+        raise ValueError("pool_source_frames: need at least one video")
+    keypoints = []
+    for video in videos:
+        cam = video.gt_camera
+        clean = np.ones(video.gt_joints.shape)
+        clean[:, :, :2] = cam.s * video.gt_joints[:, :, :2] + np.array([cam.tx, cam.ty])
+        keypoints.append(clean)
+    inputs = AdaptInputs(np.concatenate([v.features for v in videos]), np.concatenate(keypoints))
+    thetas = np.stack([p.theta for v in videos for p in v.gt_params])
+    betas = np.stack([p.beta for v in videos for p in v.gt_params])
+    return inputs, thetas, betas
+
+
+def pose_code_error(params: dict, features, thetas) -> float:
+    """Mean absolute 6D-code error of the regressor on given frames (tau on source frames)."""
+    theta_hat, _, _ = hmr_forward(params, np.asarray(features, dtype=np.float64))
+    return float(np.abs(theta_hat - np.asarray(thetas, dtype=np.float64)).mean())
+
+
+def hmr_pretrain(
+    model: BodyModel,
+    config: HmrConfig,
+    params: dict,
+    videos,
+    steps: int = 800,
+    batch: int = 32,
+    lr: float = 1e-3,
+    seed: int = 0,
+) -> tuple[dict, list]:
+    """Supervised source pre-training: the adaptation step with ground-truth targets.
+
+    Each seeded batch is one `hmr_step` with the true theta and beta as its
+    3D targets at full weight (gamma 1) and clean keypoints as its 2D ones;
+    a loss that is not finite raises `InvariantError`. Returns (params,
+    curve), the curve holding (step, source pose-code error) pairs on a
+    fixed set of up to 256 frames from step 0 on; the last error is tau.
+    """
+    if steps < 1 or batch < 1:
+        raise ValueError(f"hmr_pretrain: steps and batch must be >= 1, got {steps}, {batch}")
+    inputs, thetas, betas = pool_source_frames(videos)
+    n = inputs.frame_count
+    rng = np.random.default_rng(seed)
+    eval_idx = rng.choice(n, size=min(256, n), replace=False)
+    opt = AdaptOptimizers(hmr=adam_init(params), md=None, clock=0)
+    step_config = AdaptConfig(gamma=1.0)
+    every = max(1, -(-steps // 5))
+    curve = [(0, pose_code_error(params, inputs.features[eval_idx], thetas[eval_idx]))]
+    for step in range(1, steps + 1):
+        idx = rng.choice(n, size=min(batch, n), replace=False)
+        params, _, _ = hmr_step(inputs, idx, model, config, params, opt, step_config, lr, thetas[idx], betas[idx])
+        if step % every == 0 or step == steps:
+            curve.append((step, pose_code_error(params, inputs.features[eval_idx], thetas[eval_idx])))
+    return params, curve
+
+
 def _body_digest(model: BodyModel) -> str:
     arrays = (np.asarray(getattr(model, field.name)) for field in fields(model))
     return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
@@ -207,15 +269,10 @@ def pretrain_nets(
             if record.get("recipe") == recipe:
                 return load_hmr(hmr_path)[1], load_md(md_path)[1], float(record["tau"])
     videos = make_source_videos(model) if videos is None else videos
-    result = hmr_pretrain(
-        model,
-        hmr_config,
-        hmr_init(hmr_config, seed=0),
-        videos,
-        steps=hmr_steps,
-        lr=hmr_lr,
-        seed=0,
+    hmr_params, curve = hmr_pretrain(
+        model, hmr_config, hmr_init(hmr_config, seed=0), videos, steps=hmr_steps, lr=hmr_lr, seed=0
     )
+    tau = curve[-1][1]
     motions = [np.stack([p.theta for p in v.gt_params]) for v in videos]
     md_params = md_init(md_config, seed=0)
     for stage, (steps, lr) in enumerate(md_plan):
@@ -230,11 +287,11 @@ def pretrain_nets(
         )
     if cache_dir is not None:
         cache.mkdir(parents=True, exist_ok=True)
-        save_hmr(hmr_path, hmr_config, result.params)
+        save_hmr(hmr_path, hmr_config, hmr_params)
         save_md(md_path, md_config, md_params)
         with open(record_path, "w") as fh:
-            json.dump({"tau": result.tau, "recipe": recipe}, fh)
-    return result.params, md_params, result.tau
+            json.dump({"tau": tau, "recipe": recipe}, fh)
+    return hmr_params, md_params, tau
 
 
 def variant_config(variant: str, seed: int, base: AdaptConfig | None = None) -> AdaptConfig:

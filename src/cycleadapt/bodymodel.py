@@ -194,15 +194,6 @@ def project_weak_perspective(camera: CameraParams, points) -> np.ndarray:
     return camera.s * p[:, :2] + np.array([camera.tx, camera.ty])
 
 
-def project_batch(cameras, points) -> np.ndarray:
-    """Batched weak perspective: (B, 3) cameras against (B, N, 3) points."""
-    k = np.asarray(cameras, dtype=np.float64)
-    p = np.asarray(points, dtype=np.float64)
-    if k.shape != (p.shape[0], 3) or p.ndim != 3 or p.shape[2] != 3:
-        raise ValueError(f"project_batch: got cameras {k.shape} and points {p.shape}")
-    return k[:, :1, None] * p[:, :, :2] + k[:, None, 1:]
-
-
 def _segment_distances(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ab = b - a
     denom = float(ab @ ab)

@@ -84,6 +84,11 @@ class ConfigError(ValueError):
     """The config file (or a file it references) cannot be used as given."""
 
 
+# declared field types that a JSON value is checked against; tuple fields
+# (ranges, the pretraining plan) are checked where they are parsed
+_KINDS = ("str", "str | None", "bool", "int", "float")
+
+
 def _cast(name: str, kind: str, value):
     """A JSON value as the field type ``kind``: a bool takes only a boolean, an int
     only an integral number, a str only a string; a float also takes an integer."""
@@ -99,18 +104,8 @@ def _cast(name: str, kind: str, value):
     raise TypeError(f"{name} must be {kind}, got {value!r}")
 
 
-class _Cast:
-    """Base of the sections whose JSON values are checked against the declared field types."""
-
-    def __post_init__(self) -> None:
-        for field in dataclasses.fields(self):
-            if field.type in ("str", "str | None", "bool", "int", "float"):
-                value = _cast(f"{type(self).__name__.lower()}.{field.name}", field.type, getattr(self, field.name))
-                object.__setattr__(self, field.name, value)
-
-
 @dataclass(frozen=True)
-class Paths(_Cast):
+class Paths:
     out_dir: str = "run_out"
     hmr_ckpt: str = "hmr.ckpt"
     md_ckpt: str = "md.ckpt"
@@ -118,7 +113,7 @@ class Paths(_Cast):
 
 
 @dataclass(frozen=True)
-class Flags(_Cast):
+class Flags:
     frozen_mdnet: bool = False
     no_3d_loss: bool = False
     random_init: bool = False
@@ -138,7 +133,7 @@ class AdaptKnobs:
 
 
 @dataclass(frozen=True)
-class Body(_Cast):
+class Body:
     seed: int = BODY_SEED
     joints: int = JOINTS
     vertices: int = VERTICES
@@ -146,7 +141,7 @@ class Body(_Cast):
 
 
 @dataclass(frozen=True)
-class Synth(_Cast):
+class Synth:
     video_frames: int = N_FRAMES
     gap_alpha: float = GAP_ALPHA
     source_count: int = len(SOURCE_SEEDS)
@@ -154,7 +149,7 @@ class Synth(_Cast):
 
 
 @dataclass(frozen=True)
-class Pretrain(_Cast):
+class Pretrain:
     hmr_steps: int = HMR_PRETRAIN_STEPS
     hmr_lr: float = HMR_PRETRAIN_LR
     md_sigma: float = MD_PRETRAIN_SIGMA
@@ -166,8 +161,8 @@ class RunConfig:
     """Everything one run needs: the seed plus one field per JSON section.
 
     The five mode flags are folded into the adaptation stage config together
-    with the seed and the denoiser window, so a flag is never specified in
-    two places.
+    with the seed, so a flag is never specified in two places; the denoiser
+    window is the `md` section's alone.
     """
 
     seed: int = 0
@@ -211,7 +206,6 @@ class RunConfig:
     def adapt_config(self) -> AdaptConfig:
         return AdaptConfig(
             **dataclasses.asdict(self.adapt),
-            window=self.md.window,
             seed=self.seed,
             frozen_mdnet=self.flags.frozen_mdnet,
             no_3d_loss=self.flags.no_3d_loss,
@@ -244,6 +238,10 @@ def config_from_dict(data: dict, where: str = "<config>") -> RunConfig:
         if field.name == "pretrain":
             values["md_plan"] = _parse_plan(values["md_plan"], where)
         try:
+            for declared in dataclasses.fields(field.default):
+                if declared.type in _KINDS:
+                    name = f"{field.name}.{declared.name}"
+                    values[declared.name] = _cast(name, declared.type, values[declared.name])
             sections[field.name] = type(field.default)(**values)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{where}: {exc}") from None

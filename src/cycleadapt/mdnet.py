@@ -126,22 +126,12 @@ def md_forward_graph(g: Graph, config: MdConfig, theta_node: int) -> int:
     return g.add(g.matmul(y, g.leaf("w_out", trainable=True)), g.leaf("b_out", trainable=True))
 
 
-def md_selfsup_loss(theta_out, theta_in, mask) -> float:
-    """Masked reconstruction error: (1/T) sum_t m_t * mean_h |out - in|.
+def md_loss_graph(g: Graph, out_node: int, target, mask) -> int:
+    """Masked reconstruction error against a constant target window:
+    (1/T) sum_t m_t * mean_h |out - target|.
 
     Targets are the original rows, not the zeroed ones the network saw.
     """
-    out = np.asarray(theta_out, dtype=np.float64)
-    inp = np.asarray(theta_in, dtype=np.float64)
-    if out.shape != inp.shape or out.ndim != 2:
-        raise ValueError(f"md_selfsup_loss: shapes {out.shape} vs {inp.shape}")
-    m = _check_mask(mask, out.shape[0])
-    per_row = np.abs(out - inp).mean(axis=1)
-    return float((m * per_row).sum() / out.shape[0])
-
-
-def md_loss_graph(g: Graph, out_node: int, target, mask) -> int:
-    """Graph form of md_selfsup_loss against a constant target window."""
     tgt = np.asarray(target, dtype=np.float64)
     m = _check_mask(mask, tgt.shape[0])
     picked = int(m.sum())

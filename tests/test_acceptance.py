@@ -166,7 +166,7 @@ def test_metric_oracles_hold():
         s, rot, t = procrustes_align(pred, gt)
         best = float(((s * pred @ rot.T + t - gt) ** 2).sum())
         scales = rng.uniform(0.2, 3.0, size=10_000)
-        rots = np.stack([rot6d_batch(c) for c in rng.normal(size=(10_000, 6))])
+        rots = rot6d_batch(rng.normal(size=(10_000, 6)))
         trans = rng.normal(size=(10_000, 1, 3))
         moved = scales[:, None, None] * (pred @ rots.transpose(0, 2, 1)) + trans
         sampled = ((moved - gt) ** 2).sum(axis=(1, 2))

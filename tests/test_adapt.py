@@ -44,7 +44,7 @@ def _setup(n_frames, seed=3):
 
 
 def _config(**overrides):
-    base = dict(cycles=2, batch=8, lr_start=1e-4, lr_end=1e-6, window=5, seed=3)
+    base = dict(cycles=2, batch=8, lr_start=1e-4, lr_end=1e-6, seed=3)
     base.update(overrides)
     return AdaptConfig(**base)
 
@@ -97,7 +97,7 @@ def test_store_rejects_empty_and_bad_shapes():
     [
         dict(cycles=-1),
         dict(batch=0),
-        dict(window=0),
+        dict(lr_end=-1e-6),
         dict(lr_start=1e-6, lr_end=1e-4),
         dict(gamma=-0.1),
         dict(seed=-1),
@@ -343,15 +343,6 @@ def test_cycle_adapt_writes_loadable_per_cycle_checkpoints(tmp_path):
     assert md_config == MD_CONFIG
     for key in md_params:
         assert np.array_equal(md_params[key], run.md_params[key])
-
-
-def test_cycle_adapt_rejects_window_mismatch():
-    inputs = _setup(8)
-    with pytest.raises(InvariantError):
-        cycle_adapt(
-            inputs, MODEL, HMR_CONFIG, hmr_init(HMR_CONFIG, seed=0),
-            MD_CONFIG, md_init(MD_CONFIG, seed=0), _config(window=7),
-        )
 
 
 def test_online_truncation_leaves_earlier_outputs_bit_identical():

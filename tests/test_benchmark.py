@@ -14,7 +14,6 @@ from cycleadapt.checkpoint import load_hmr, load_md
 from cycleadapt.hmrnet import hmr_init
 from cycleadapt.mdnet import md_init
 from cycleadapt.metrics import DegenerateGeometryError
-from cycleadapt.pretrain import pose_code_error
 
 
 def test_benchmark_body_dimensions_and_scale():
@@ -90,9 +89,9 @@ def test_variant_config_flags():
 
 
 def test_variant_config_respects_base():
-    base = AdaptConfig(cycles=2, batch=8, window=5, seed=0)
+    base = AdaptConfig(cycles=2, batch=8, gamma=0.5, seed=0)
     cfg = bench.variant_config("2d_only", 7, base=base)
-    assert cfg.cycles == 2 and cfg.batch == 8 and cfg.window == 5
+    assert cfg.cycles == 2 and cfg.batch == 8 and cfg.gamma == 0.5
     assert cfg.seed == 7 and cfg.no_3d_loss
 
 
@@ -174,14 +173,12 @@ def test_domain_gap_monotone_in_alpha():
     """Pulling the target map toward the source map shrinks the gap."""
     model = bench.benchmark_body()
     videos = bench.make_source_videos(model, seeds=(1000,), n_frames=120)
-    from cycleadapt.pretrain import hmr_pretrain
-
-    result = hmr_pretrain(
+    params, _ = bench.hmr_pretrain(
         model, bench.HMR_CONFIG, hmr_init(bench.HMR_CONFIG, seed=0), videos, steps=250, seed=0
     )
     errs = []
     for alpha in (0.1, 0.35, 0.6):
         video = bench.make_target_video(0, n_frames=120, model=model, alpha=alpha)
         thetas = np.stack([p.theta for p in video.gt_params])
-        errs.append(pose_code_error(result.params, np.asarray(video.features), thetas))
+        errs.append(bench.pose_code_error(params, np.asarray(video.features), thetas))
     assert errs[0] < errs[1] < errs[2]

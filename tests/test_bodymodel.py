@@ -16,7 +16,6 @@ from cycleadapt.bodymodel import (
     body_graph,
     build_toy_body,
     identity_pose,
-    project_batch,
     project_graph,
     project_weak_perspective,
     rot6d_batch,
@@ -361,6 +360,13 @@ def test_projection_scales_linearly_without_translation():
     lhs = project_weak_perspective(cam, 2.5 * points)
     rhs = 2.5 * project_weak_perspective(cam, points)
     assert np.abs(lhs - rhs).max() < 1e-12
+
+
+def project_batch(cameras, points) -> np.ndarray:
+    """Reference weak perspective: (B, 3) cameras against (B, N, 3) points."""
+    k = np.asarray(cameras, dtype=np.float64)
+    p = np.asarray(points, dtype=np.float64)
+    return k[:, :1, None] * p[:, :, :2] + k[:, None, 1:]
 
 
 def test_project_graph_matches_numpy():

@@ -159,6 +159,11 @@ def test_config_casts_loosely_typed_json_values():
         ("synth", "video_frames", "500"),
         ("pretrain", "hmr_lr", "1e-3"),
         ("body", "scale", False),
+        ("adapt", "cycles", 2.5),
+        ("adapt", "gamma", "0.1"),
+        ("hmr", "hidden_dim", 12.5),
+        ("md", "ramp", "no"),
+        ("source", "mixing_seed", 1.5),
     ],
 )
 def test_config_rejects_mistyped_values(section, key, value, tmp_path, capsys):
@@ -330,6 +335,23 @@ def test_numerical_failure_exits_2(ws, tmp_path, monkeypatch, capsys, error):
     code = cli.run(["adapt", "--config", str(ws["cfg_path"]), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "columns are nearly parallel" in capsys.readouterr().err
+
+
+def test_diverged_pretraining_exits_2_without_checkpoints(tmp_path, capsys):
+    """An absurd regressor rate blows the weights up after one step; the
+    second step's loss is NaN, and pre-training stops before any file is
+    written."""
+    config = json.loads(json.dumps(TINY))
+    config["paths"] = {"out_dir": str(tmp_path / "out"), "hmr_ckpt": str(tmp_path / "nets" / "hmr.ckpt"),
+                       "md_ckpt": str(tmp_path / "nets" / "md.ckpt")}
+    config["pretrain"] = {"hmr_steps": 6, "hmr_lr": 1e300, "md_plan": [[5, 1e-3]]}
+    cfg_path = tmp_path / "diverge.json"
+    cfg_path.write_text(json.dumps(config))
+    with np.errstate(all="ignore"):
+        code = cli.run(["pretrain", "--config", str(cfg_path)])
+    assert code == 2
+    assert "regressor loss is nan at optimizer step 1" in capsys.readouterr().err
+    assert not (tmp_path / "nets").exists() and not (tmp_path / "out").exists()
 
 
 def test_non_finite_regressor_loss_exits_2(ws, tmp_path, capsys):

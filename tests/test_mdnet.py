@@ -11,9 +11,9 @@ from cycleadapt.mdnet import (
     md_loss_graph,
     md_param_shapes,
     md_pretrain,
-    md_selfsup_loss,
     sample_mask,
 )
+from cycleadapt.mdnet import _check_mask
 
 TINY = MdConfig(window=5, blocks=1)
 
@@ -171,6 +171,17 @@ def test_sample_mask_determinism():
     a = sample_mask(33, np.random.default_rng(7))
     b = sample_mask(33, np.random.default_rng(7))
     assert np.array_equal(a, b)
+
+
+def md_selfsup_loss(theta_out, theta_in, mask) -> float:
+    """Reference for `md_loss_graph`: (1/T) sum_t m_t * mean_h |out - in|."""
+    out = np.asarray(theta_out, dtype=np.float64)
+    inp = np.asarray(theta_in, dtype=np.float64)
+    if out.shape != inp.shape or out.ndim != 2:
+        raise ValueError(f"md_selfsup_loss: shapes {out.shape} vs {inp.shape}")
+    m = _check_mask(mask, out.shape[0])
+    per_row = np.abs(out - inp).mean(axis=1)
+    return float((m * per_row).sum() / out.shape[0])
 
 
 def test_selfsup_loss_zero_mask():

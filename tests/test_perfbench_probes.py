@@ -1,9 +1,12 @@
-"""The benchmark's layer probes still find every name they patch.
+"""The benchmark's layer probes still find every name they patch, and time
+each optimizer step once, under its own network.
 
 `perfbench/layers.py` times the program by replacing module attributes
 (`adapt.evaluate`, `mdnet.md_forward`, ...) with timing wrappers. A name
 that is deleted or moved out of the module that calls it makes `install`
-fail; this test catches that without running the benchmark itself.
+fail. A step routed through another name still installs, but its time
+lands under the other network's metrics; the tiny traced runs below catch
+that, without running the benchmark itself.
 """
 
 import sys
@@ -21,7 +24,7 @@ def perfbench_modules(monkeypatch):
     import tracer
 
     yield layers, tracer
-    for name in ("layers", "tracer"):
+    for name in ("layers", "tracer", "worker", "workloads"):
         sys.modules.pop(name, None)
 
 
@@ -38,3 +41,25 @@ def test_every_probed_name_exists_and_is_restored(perfbench_modules):
         t.restore()
     for module, attr, original in patched:
         assert getattr(module, attr) is original, f"{module.__name__}.{attr} not restored"
+
+
+@pytest.mark.parametrize(
+    "workload, hmr_steps, md_steps",
+    [("cyclic_offline", 4, 4), ("online_causal", 60, 1), ("pretrain_denoiser", 0, 20)],
+)
+def test_each_step_is_timed_once_under_its_own_net(perfbench_modules, tmp_path, workload, hmr_steps, md_steps):
+    _, tracer = perfbench_modules
+    import worker
+    import workloads
+
+    t = tracer.Tracer()
+    record = worker.one_run(workload, 0, workloads.TINY, None, tmp_path, t)
+    assert record["error"] is None, record["error"]
+    counts = {}
+    for span in t.spans:
+        counts[span.metric] = counts.get(span.metric, 0) + 1
+    for metric in ("diffcore.hmr_forward", "diffcore.hmr_backward", "optim.hmr_adam"):
+        assert counts.get(metric, 0) == hmr_steps, metric
+    for metric in ("diffcore.md_forward", "diffcore.md_backward", "optim.md_adam"):
+        assert counts.get(metric, 0) == md_steps, metric
+    assert hmr_steps + md_steps == record["steps"] == workloads.expected_steps(workload, workloads.TINY)
