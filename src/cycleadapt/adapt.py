@@ -36,13 +36,9 @@ from .mdnet import (
     md_loss_graph,
     sample_mask,
 )
-from .optim import adam_init, adam_step, cosine_lr
+from .optim import InvariantError, adam_init, adam_step, cosine_lr
 
 DENOISERS = ("mdnet", "gaussian")
-
-
-class InvariantError(RuntimeError):
-    """An adaptation-loop precondition or store contract was violated."""
 
 
 @dataclass(frozen=True)
@@ -69,10 +65,7 @@ class AdaptInputs:
 
 def adapt_inputs(video) -> AdaptInputs:
     """Strip a synthetic video down to what adaptation may consume."""
-    return AdaptInputs(
-        features=np.array(video.features),
-        keypoints=np.stack([kp.points for kp in video.keypoints]),
-    )
+    return AdaptInputs(features=np.array(video.features), keypoints=np.array(video.keypoints))
 
 
 class ResultStore:

@@ -37,7 +37,7 @@ from .adapt import (
     hmr_step,
     online_adapt,
 )
-from .bodymodel import BodyModel, body_forward_batch, build_toy_body, scale_body
+from .bodymodel import BodyModel, body_forward_batch, build_toy_body, project_weak_perspective, scale_body
 from .checkpoint import load_hmr, load_md, save_hmr, save_md
 from .hmrnet import HmrConfig, hmr_forward, hmr_init
 from .mdnet import MdConfig, md_init, md_pretrain
@@ -178,9 +178,8 @@ def pool_source_frames(videos) -> tuple[AdaptInputs, np.ndarray, np.ndarray]:
         raise ValueError("pool_source_frames: need at least one video")
     keypoints = []
     for video in videos:
-        cam = video.gt_camera
         clean = np.ones(video.gt_joints.shape)
-        clean[:, :, :2] = cam.s * video.gt_joints[:, :, :2] + np.array([cam.tx, cam.ty])
+        clean[:, :, :2] = project_weak_perspective(video.gt_camera, video.gt_joints)
         keypoints.append(clean)
     inputs = AdaptInputs(np.concatenate([v.features for v in videos]), np.concatenate(keypoints))
     thetas = np.stack([p.theta for v in videos for p in v.gt_params])

@@ -187,11 +187,11 @@ def body_forward_batch(model: BodyModel, thetas, betas) -> tuple[np.ndarray, np.
 
 
 def project_weak_perspective(camera: CameraParams, points) -> np.ndarray:
-    """(s*x + tx, s*y + ty) per point; depth is discarded."""
+    """(s*x + tx, s*y + ty) per point of a (..., 3) array; depth is discarded."""
     p = np.asarray(points, dtype=np.float64)
-    if p.ndim != 2 or p.shape[1] != 3:
-        raise ValueError(f"project_weak_perspective: expected (N, 3), got {p.shape}")
-    return camera.s * p[:, :2] + np.array([camera.tx, camera.ty])
+    if p.ndim < 1 or p.shape[-1] != 3:
+        raise ValueError(f"project_weak_perspective: expected (..., 3), got {p.shape}")
+    return camera.s * p[..., :2] + np.array([camera.tx, camera.ty])
 
 
 def _segment_distances(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -123,13 +123,13 @@ class Flags:
 
 @dataclass(frozen=True)
 class AdaptKnobs:
-    cycles: int = 12
-    batch: int = 32
-    lr_start: float = 5e-5
-    lr_end: float = 1e-6
-    gamma: float = 1e-3
-    md_denoiser: str = "mdnet"
-    gaussian_std: float = 2.0
+    cycles: int = AdaptConfig.cycles
+    batch: int = AdaptConfig.batch
+    lr_start: float = AdaptConfig.lr_start
+    lr_end: float = AdaptConfig.lr_end
+    gamma: float = AdaptConfig.gamma
+    md_denoiser: str = AdaptConfig.md_denoiser
+    gaussian_std: float = AdaptConfig.gaussian_std
 
 
 @dataclass(frozen=True)
@@ -245,10 +245,13 @@ def config_from_dict(data: dict, where: str = "<config>") -> RunConfig:
             sections[field.name] = type(field.default)(**values)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{where}: {exc}") from None
-    seed = data.pop("seed", 0)
+    try:
+        seed = _cast("seed", "int", data.pop("seed", 0))
+    except TypeError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
     if data:
         raise ConfigError(f"{where}: unknown top-level key(s) {sorted(data)}")
-    return RunConfig(seed=int(seed), **sections)
+    return RunConfig(seed=seed, **sections)
 
 
 def config_to_dict(cfg: RunConfig) -> dict:

@@ -39,24 +39,6 @@ class HmrConfig:
                 raise ValueError(f"HmrConfig.{name} must be positive")
 
 
-@dataclass(frozen=True)
-class Keypoints2D:
-    """Per-joint (x, y, confidence) rows for one frame."""
-
-    points: np.ndarray
-
-    def __post_init__(self) -> None:
-        pts = np.asarray(self.points, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != 3:
-            raise ValueError(f"Keypoints2D: expected (J, 3), got {pts.shape}")
-        conf = pts[:, 2]
-        if np.any(conf < 0) or np.any(conf > 1):
-            raise ValueError("Keypoints2D: confidences must lie in [0, 1]")
-        if not np.all(np.isfinite(pts[conf > 0, :2])):
-            raise ValueError("Keypoints2D: coordinates must be finite where confidence > 0")
-        object.__setattr__(self, "points", pts)
-
-
 def hmr_param_shapes(config: HmrConfig) -> list:
     """(name, shape) pairs in declaration (and serialization) order."""
     shapes = []

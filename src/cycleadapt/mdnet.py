@@ -25,8 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bodymodel import THETA_SIZE
-from .diffcore import Graph, backward, forward
-from .optim import adam_init, adam_step
+from . import diffcore
+from .diffcore import Graph, forward
+from .optim import InvariantError, adam_init, adam_step
 
 LN_EPS = 1e-5
 
@@ -153,7 +154,8 @@ def md_pretrain(
     """Denoising pre-training on clean motions.
 
     Each step corrupts one random window with N(0, sigma^2) noise and takes
-    an Adam step on the unmasked full-window L1 against the clean window.
+    an Adam step on the unmasked full-window L1 against the clean window; a
+    loss that is not finite raises `InvariantError`.
     Returns (params, curve) where curve holds (step, eval error) pairs for
     about six checkpoints, starting with the untrained network; the eval
     error is the denoising L1 on a fixed set of windows with fixed noise.
@@ -199,7 +201,12 @@ def md_pretrain(
         g = Graph()
         out = md_forward_graph(g, config, g.const(noisy))
         loss = g.mean_abs(g.sub(out, g.const(clean)))
-        grads = backward(g, params, loss)
+        # `diffcore.backward`, split to check the loss; called through the module
+        # so that perfbench's probes time these calls as the denoiser's
+        values = diffcore.evaluate(g, params)
+        if not np.isfinite(values[loss]):
+            raise InvariantError(f"denoiser loss is {float(values[loss])} at pre-training step {step + 1}")
+        grads = diffcore.backward_from_values(g, values, loss)
         params = adam_step(params, grads, state, lr)
         if (step + 1) % every == 0 or step == steps - 1:
             curve.append((step + 1, eval_error(params)))

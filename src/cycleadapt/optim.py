@@ -1,4 +1,5 @@
-"""Adam and the cosine learning-rate schedule shared by every training loop.
+"""Adam, the cosine learning-rate schedule and the error every training loop
+raises when its loss stops being finite.
 
 Parameter sets are plain dicts of float64 arrays. `adam_step` is functional
 over the parameters (returns a fresh dict) but advances the moment state in
@@ -11,6 +12,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+
+class InvariantError(RuntimeError):
+    """A training-loop precondition or store contract was violated, or a loss
+    was not finite."""
 
 
 @dataclass

@@ -14,14 +14,19 @@ every video of a domain samples the same low-dimensional motion family
 noise). Domains with equal ranges therefore share a motion population even
 when their mixing seeds differ; the denoiser can learn the family from one
 domain and meet it again in the other.
+
+A video file is one `.npz`-layout zip (`write_video`/`read_video`): the format
+version, the domain spec as JSON, the camera, and one array per stream
+(features, theta, beta, keypoints, joints, mesh), each member under a CRC-32
+that is checked on every read.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import zipfile
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -35,14 +40,13 @@ from .bodymodel import (
     project_weak_perspective,
     rotmat_to_rot6d,
 )
-from .hmrnet import Keypoints2D
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 PARAM_SIZE = THETA_SIZE + BETA_SIZE
 
 
 class VideoFormatError(ValueError):
-    """Unreadable, truncated, or wrong-version video file."""
+    """Unreadable, damaged, or wrong-version video file."""
 
 
 @dataclass(frozen=True)
@@ -74,21 +78,25 @@ class SyntheticVideo:
     gt_params: list  # N SmplParams
     gt_joints: np.ndarray  # (N, J, 3)
     gt_mesh: np.ndarray  # (N, V, 3)
-    keypoints: list  # N Keypoints2D
+    keypoints: np.ndarray  # (N, J, 3) as (x, y, confidence)
     gt_camera: CameraParams
 
     def __post_init__(self) -> None:
+        kp = np.asarray(self.keypoints, dtype=np.float64)
+        object.__setattr__(self, "keypoints", kp)
         n = self.features.shape[0]
-        if self.features.ndim != 2:
-            raise ValueError("SyntheticVideo.features must be (N, F)")
-        if not (len(self.gt_params) == n == len(self.keypoints)):
-            raise ValueError("SyntheticVideo: inconsistent frame counts")
-        if self.gt_joints.shape[0] != n or self.gt_mesh.shape[0] != n:
-            raise ValueError("SyntheticVideo: geometry frame count mismatch")
-        for kp in self.keypoints:
-            conf = kp.points[:, 2]
-            if not np.all((conf == 0.0) | (conf == 1.0)):
-                raise ValueError("SyntheticVideo: keypoint confidences must be 0 or 1")
+        if self.features.ndim != 2 or len(self.gt_params) != n:
+            raise ValueError("SyntheticVideo: features must be (N, F), with one SmplParams per frame")
+        for label, arr in (("gt_joints", self.gt_joints), ("gt_mesh", self.gt_mesh)):
+            if arr.ndim != 3 or arr.shape[0] != n or arr.shape[2] != 3:
+                raise ValueError(f"SyntheticVideo.{label} must be ({n}, *, 3), got {arr.shape}")
+        if kp.shape != self.gt_joints.shape:
+            raise ValueError(f"SyntheticVideo.keypoints must be {self.gt_joints.shape} as gt_joints, got {kp.shape}")
+        conf = kp[:, :, 2]
+        if not np.all((conf == 0.0) | (conf == 1.0)):
+            raise ValueError("SyntheticVideo: keypoint confidences must be 0 or 1")
+        if not np.all(np.isfinite(kp[conf > 0][:, :2])):
+            raise ValueError("SyntheticVideo: keypoint coordinates must be finite where confident")
 
     @property
     def frame_count(self) -> int:
@@ -171,15 +179,16 @@ def render_features(
 
 def simulate_keypoints(
     joints3d, camera: CameraParams, spec: DomainSpec, rng: np.random.Generator
-) -> Keypoints2D:
-    """Project with the true camera, jitter, then drop joints at p_drop."""
+) -> np.ndarray:
+    """One frame's (J, 3) keypoints: project with the true camera, jitter, then
+    drop joints at p_drop (confidence 0, coordinates 0)."""
     proj = project_weak_perspective(camera, joints3d)
     noisy = proj + rng.normal(0.0, spec.kp_noise_std, size=proj.shape)
     kept = rng.random(proj.shape[0]) >= spec.p_drop
     points = np.zeros((proj.shape[0], 3))
     points[kept, :2] = noisy[kept]
     points[:, 2] = kept.astype(np.float64)
-    return Keypoints2D(points=points)
+    return points
 
 
 def make_video(
@@ -205,10 +214,10 @@ def make_video(
     if mixing is None:
         mixing = mixing_matrices(spec, feature_dim)
     features = np.empty((n_frames, feature_dim))
-    keypoints = []
+    keypoints = np.empty(joints3d.shape)
     for i in range(n_frames):
         features[i] = render_features(params[i], spec, rng, feature_dim, mixing=mixing)
-        keypoints.append(simulate_keypoints(joints3d[i], camera, spec, rng))
+        keypoints[i] = simulate_keypoints(joints3d[i], camera, spec, rng)
     return SyntheticVideo(
         features=features,
         gt_params=params,
@@ -219,104 +228,54 @@ def make_video(
     )
 
 
-def _geom_path(path) -> Path:
-    return Path(str(path) + ".geom")
-
-
 def write_video(path, video: SyntheticVideo, spec: DomainSpec) -> None:
-    """JSON header plus one JSON line per frame; geometry in a sidecar file."""
-    n = video.frame_count
-    j = video.gt_joints.shape[1]
-    v = video.gt_mesh.shape[1]
-    header = {
-        "version": FORMAT_VERSION,
-        "n": n,
-        "f": video.features.shape[1],
-        "j": j,
-        "v": v,
-        "spec": dataclasses.asdict(spec),
-        "camera": {"s": video.gt_camera.s, "tx": video.gt_camera.tx, "ty": video.gt_camera.ty},
+    """One `.npz`-layout file: a zip of `.npy` members, each under a CRC-32.
+
+    Members are stored uncompressed under the zip format's default 1980 date,
+    so writing the same video twice gives the same bytes.
+    """
+    members = {
+        "version": np.array(FORMAT_VERSION),
+        "spec": np.array(json.dumps(dataclasses.asdict(spec))),
+        "camera": np.array([video.gt_camera.s, video.gt_camera.tx, video.gt_camera.ty]),
+        "features": video.features,
+        "theta": np.stack([p.theta for p in video.gt_params]),
+        "beta": np.stack([p.beta for p in video.gt_params]),
+        "keypoints": video.keypoints,
+        "joints": video.gt_joints,
+        "mesh": video.gt_mesh,
     }
-    lines = [json.dumps(header)]
-    for i in range(n):
-        lines.append(
-            json.dumps(
-                {
-                    "feat": video.features[i].tolist(),
-                    "theta": video.gt_params[i].theta.tolist(),
-                    "beta": video.gt_params[i].beta.tolist(),
-                    "kp": video.keypoints[i].points.tolist(),
-                }
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
-
-    geom_lines = [json.dumps({"version": FORMAT_VERSION, "n": n, "j": j, "v": v})]
-    for i in range(n):
-        geom_lines.append(
-            json.dumps({"joints": video.gt_joints[i].tolist(), "mesh": video.gt_mesh[i].tolist()})
-        )
-    _geom_path(path).write_text("\n".join(geom_lines) + "\n")
-
-
-def _parse_lines(path, text: str, expected: int) -> tuple[dict, list]:
-    lines = [line for line in text.split("\n") if line.strip()]
-    if not lines:
-        raise VideoFormatError(f"{path}: empty file")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as err:
-        raise VideoFormatError(f"{path}: unparseable header: {err}") from err
-    version = header.get("version")
-    if version != FORMAT_VERSION:
-        raise VideoFormatError(f"{path}: unsupported version {version!r}, expected {FORMAT_VERSION}")
-    n = header.get("n")
-    if expected >= 0 and n != expected:
-        raise VideoFormatError(f"{path}: frame count {n} does not match main file {expected}")
-    if len(lines) - 1 != n:
-        raise VideoFormatError(f"{path}: truncated, {len(lines) - 1} of {n} frames present")
-    frames = []
-    for k, line in enumerate(lines[1:]):
-        try:
-            frames.append(json.loads(line))
-        except json.JSONDecodeError as err:
-            raise VideoFormatError(f"{path}: unparseable frame {k}: {err}") from err
-    return header, frames
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, array in members.items():
+            with archive.open(zipfile.ZipInfo(f"{name}.npy"), "w") as fh:
+                np.lib.format.write_array(fh, array, allow_pickle=False)
 
 
 def read_video(path) -> tuple[SyntheticVideo, DomainSpec]:
-    """Inverse of write_video; bit-identical on every stored real."""
-    main = Path(path)
-    if not main.exists():
-        raise VideoFormatError(f"{path}: no such file")
-    header, frames = _parse_lines(path, main.read_text(), -1)
-    geom_file = _geom_path(path)
-    if not geom_file.exists():
-        raise VideoFormatError(f"{geom_file}: geometry sidecar missing")
-    _, geo_frames = _parse_lines(geom_file, geom_file.read_text(), header["n"])
+    """Inverse of write_video, bit for bit; any damage raises `VideoFormatError`.
 
-    spec_fields = dict(header["spec"])
-    spec_fields["freq_range"] = tuple(spec_fields["freq_range"])
-    spec_fields["amp_range"] = tuple(spec_fields["amp_range"])
-    spec = DomainSpec(**spec_fields)
-    camera = CameraParams(**header["camera"])
+    Every member's CRC-32 is checked before any member is parsed, so a
+    flipped bit cannot load as different numbers.
+    """
     try:
-        features = np.array([f["feat"] for f in frames], dtype=np.float64)
-        params = [
-            SmplParams(theta=np.array(f["theta"], dtype=np.float64), beta=np.array(f["beta"], dtype=np.float64))
-            for f in frames
-        ]
-        keypoints = [Keypoints2D(points=np.array(f["kp"], dtype=np.float64)) for f in frames]
-        joints3d = np.array([f["joints"] for f in geo_frames], dtype=np.float64)
-        mesh = np.array([f["mesh"] for f in geo_frames], dtype=np.float64)
-    except (KeyError, ValueError) as err:
-        raise VideoFormatError(f"{path}: malformed frame record: {err}") from err
-    video = SyntheticVideo(
-        features=features,
-        gt_params=params,
-        gt_joints=joints3d,
-        gt_mesh=mesh,
-        keypoints=keypoints,
-        gt_camera=camera,
-    )
+        with np.load(path, allow_pickle=False) as npz:
+            damaged = npz.zip.testzip()
+            if damaged is not None:
+                raise ValueError(f"member {damaged} fails its CRC-32")
+            version = npz["version"].item()
+            if version != FORMAT_VERSION:
+                raise ValueError(f"unsupported version {version!r}, expected {FORMAT_VERSION}")
+            spec = DomainSpec(**json.loads(npz["spec"].item()))
+            camera = CameraParams(*(float(x) for x in npz["camera"]))
+            params = [SmplParams(theta=t, beta=b) for t, b in zip(npz["theta"], npz["beta"], strict=True)]
+            video = SyntheticVideo(
+                features=npz["features"],
+                gt_params=params,
+                gt_joints=npz["joints"],
+                gt_mesh=npz["mesh"],
+                keypoints=npz["keypoints"],
+                gt_camera=camera,
+            )
+    except Exception as err:  # a damaged zip, npy header, member or value fails in many ways
+        raise VideoFormatError(f"{path}: not a readable version-{FORMAT_VERSION} video: {err!r}") from err
     return video, spec

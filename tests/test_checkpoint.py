@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cycleadapt.checkpoint import (
     MAGIC_HMR,
@@ -79,6 +81,42 @@ def test_trailing_bytes_rejected(tmp_path):
     path.write_bytes(path.read_bytes() + b"\x00" * 8)
     with pytest.raises(CheckpointError, match="trailing"):
         load_md(path)
+
+
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory):
+    """One small saved regressor and denoiser, as raw bytes, plus a scratch path."""
+    root = tmp_path_factory.mktemp("ckpt")
+    hmr_config = HmrConfig(feature_dim=4, hidden_dim=3, num_hidden_layers=1)
+    md_config = MdConfig(window=3, blocks=1)
+    save_hmr(root / "net.cahm", hmr_config, hmr_init(hmr_config, 0))
+    save_md(root / "net.camd", md_config, md_init(md_config, 0))
+    raw = {"hmr": (root / "net.cahm").read_bytes(), "md": (root / "net.camd").read_bytes()}
+    return raw, {"hmr": load_hmr, "md": load_md}, root / "damaged.ckpt"
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(["hmr", "md"]), data=st.data())
+def test_every_strict_prefix_is_a_checkpoint_error(saved, kind, data):
+    raw, loaders, path = saved
+    path.write_bytes(raw[kind][: data.draw(st.integers(0, len(raw[kind]) - 1))])
+    with pytest.raises(CheckpointError) as err:
+        loaders[kind](path)
+    assert str(path) in str(err.value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(["hmr", "md"]), bit=st.integers(0, 63))
+def test_a_flipped_magic_or_version_bit_is_a_checkpoint_error(saved, kind, bit):
+    """The first 8 bytes are the magic and the version. A flip in the float
+    payload cannot be seen: the format carries no checksum."""
+    raw, loaders, path = saved
+    damaged = bytearray(raw[kind])
+    damaged[bit // 8] ^= 1 << (bit % 8)
+    path.write_bytes(bytes(damaged))
+    with pytest.raises(CheckpointError, match="magic|version") as err:
+        loaders[kind](path)
+    assert str(path) in str(err.value)
 
 
 def test_save_rejects_wrong_shapes(tmp_path):

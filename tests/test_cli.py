@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from cycleadapt import benchmark, cli
-from cycleadapt.adapt import InvariantError
+from cycleadapt.adapt import AdaptConfig, InvariantError
 from cycleadapt.checkpoint import load_hmr, save_hmr
 from cycleadapt.bodymodel import DegenerateRotationError
 from cycleadapt.metrics import DegenerateGeometryError, MetricReport
@@ -176,6 +176,22 @@ def test_config_rejects_mistyped_values(section, key, value, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("value", [1.5, "3", True])
+def test_config_rejects_mistyped_seed(value, tmp_path, capsys):
+    with pytest.raises(cli.ConfigError, match="seed must be int"):
+        cli.config_from_dict({"seed": value})
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"seed": value}))
+    assert cli.run(["synth", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert f"{path}: seed must be int" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_adapt_knobs_default_to_the_adaptation_config():
+    cfg = cli.default_config()
+    assert cfg.adapt_config() == AdaptConfig()
+
+
 def test_config_rejects_unknown_keys():
     with pytest.raises(cli.ConfigError, match="typo"):
         cli.config_from_dict({"typo": 1})
@@ -285,6 +301,17 @@ def test_eval_matches_the_unadapted_adapt_row(ws, tmp_path):
     assert eval_rows[0] == adapt_rows[0]
 
 
+def test_eval_of_a_damaged_video_exits_1(ws, tmp_path, capsys):
+    vids = tmp_path / "vids"
+    assert cli.run(["synth", "--config", str(ws["cfg_path"]), "--out", str(vids)]) == 0
+    assert sorted(p.name for p in vids.iterdir()) == ["config.json", "source.video", "target.video"]
+    video = vids / "target.video"
+    video.write_bytes(video.read_bytes()[:-1])
+    args = ["eval", "--config", str(ws["cfg_path"]), "--video", str(video), "--out", str(tmp_path / "ev")]
+    assert cli.run(args) == 1
+    assert f"{video}: not a readable" in capsys.readouterr().err
+
+
 def test_eval_without_video_exits_1(ws, capsys):
     assert cli.run(["eval", "--config", str(ws["cfg_path"])]) == 1
     assert "video" in capsys.readouterr().err
@@ -351,6 +378,23 @@ def test_diverged_pretraining_exits_2_without_checkpoints(tmp_path, capsys):
         code = cli.run(["pretrain", "--config", str(cfg_path)])
     assert code == 2
     assert "regressor loss is nan at optimizer step 1" in capsys.readouterr().err
+    assert not (tmp_path / "nets").exists() and not (tmp_path / "out").exists()
+
+
+def test_diverged_denoiser_pretraining_exits_2_without_checkpoints(tmp_path, capsys):
+    """The regressor trains normally; an absurd denoiser rate blows its
+    weights up after one step, and the guard stops the run before any file
+    is written."""
+    config = json.loads(json.dumps(TINY))
+    config["paths"] = {"out_dir": str(tmp_path / "out"), "hmr_ckpt": str(tmp_path / "nets" / "hmr.ckpt"),
+                       "md_ckpt": str(tmp_path / "nets" / "md.ckpt")}
+    config["pretrain"] = {"hmr_steps": 6, "md_plan": [[10, 1e300]]}
+    cfg_path = tmp_path / "diverge.json"
+    cfg_path.write_text(json.dumps(config))
+    with np.errstate(all="ignore"):
+        code = cli.run(["pretrain", "--config", str(cfg_path)])
+    assert code == 2
+    assert "denoiser loss is nan at pre-training step 2" in capsys.readouterr().err
     assert not (tmp_path / "nets").exists() and not (tmp_path / "out").exists()
 
 

@@ -6,7 +6,6 @@ from cycleadapt.diffcore import Graph, backward, evaluate, grad_check
 from cycleadapt.hmrnet import (
     OUTPUT_SIZE,
     HmrConfig,
-    Keypoints2D,
     hmr_forward,
     hmr_forward_graph,
     hmr_init,
@@ -310,13 +309,3 @@ def test_keypoint_weights_normalization():
     with pytest.raises(ValueError, match="confidence"):
         keypoint_weights(np.full((1, 2, 3), 1.5))
 
-
-def test_keypoints2d_validation():
-    good = Keypoints2D(points=np.array([[0.1, 0.2, 1.0], [np.nan, np.nan, 0.0]]))
-    assert good.points.shape == (2, 3)
-    with pytest.raises(ValueError):
-        Keypoints2D(points=np.zeros((3, 2)))
-    with pytest.raises(ValueError):
-        Keypoints2D(points=np.array([[0.0, 0.0, 2.0]]))
-    with pytest.raises(ValueError):
-        Keypoints2D(points=np.array([[np.inf, 0.0, 1.0]]))

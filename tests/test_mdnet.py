@@ -14,6 +14,7 @@ from cycleadapt.mdnet import (
     sample_mask,
 )
 from cycleadapt.mdnet import _check_mask
+from cycleadapt.optim import InvariantError
 
 TINY = MdConfig(window=5, blocks=1)
 
@@ -303,6 +304,16 @@ def test_pretrain_rejects_bad_inputs():
         md_pretrain(config, params, [np.zeros((3, 144))])
     with pytest.raises(ValueError, match="sigma"):
         md_pretrain(config, params, [np.zeros((6, 144))], sigma=-0.1)
+
+
+def test_pretrain_stops_on_a_non_finite_loss():
+    """One NaN in the only window makes the first step's loss NaN; pre-training
+    raises instead of returning NaN weights."""
+    config = MdConfig(window=5, blocks=1)
+    motion = _toy_motions(1, 5, 3, 12)[0].copy()
+    motion[2, 7] = np.nan
+    with pytest.raises(InvariantError, match="denoiser loss is nan at pre-training step 1"):
+        md_pretrain(config, md_init(config, 0), [motion], sigma=0.01, steps=3)
 
 
 def test_gaussian_filter_keeps_constants():

@@ -44,7 +44,7 @@ def test_pretrain_set_keypoints_are_exact_confident_projections():
     # zero-noise spec: the video's own keypoints coincide where confident
     video = videos[0]
     for i in range(10):
-        assert np.allclose(inputs.keypoints[i, :, :2], video.keypoints[i].points[:, :2])
+        assert np.allclose(inputs.keypoints[i, :, :2], video.keypoints[i, :, :2])
 
 
 def test_pretrain_set_rejects_empty():

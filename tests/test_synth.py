@@ -1,11 +1,17 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cycleadapt.bodymodel import CameraParams, build_toy_body, identity_pose, project_weak_perspective
 from cycleadapt.mdnet import gaussian_filter_baseline
 from cycleadapt.metrics import accel_error
 from cycleadapt.synth import (
     DomainSpec,
+    SyntheticVideo,
     VideoFormatError,
     gen_motion,
     make_video,
@@ -124,8 +130,8 @@ def test_simulate_keypoints_perfect_limit():
     camera = CameraParams(s=1.1, tx=0.02, ty=-0.03)
     joints = np.random.default_rng(0).normal(size=(24, 3))
     kp = simulate_keypoints(joints, camera, spec, np.random.default_rng(1))
-    assert np.array_equal(kp.points[:, 2], np.ones(24))
-    assert np.array_equal(kp.points[:, :2], project_weak_perspective(camera, joints))
+    assert np.array_equal(kp[:, 2], np.ones(24))
+    assert np.array_equal(kp[:, :2], project_weak_perspective(camera, joints))
 
 
 def test_simulate_keypoints_drop_everything():
@@ -133,7 +139,7 @@ def test_simulate_keypoints_drop_everything():
     camera = CameraParams(s=1.0, tx=0.0, ty=0.0)
     joints = np.random.default_rng(0).normal(size=(24, 3))
     kp = simulate_keypoints(joints, camera, spec, np.random.default_rng(1))
-    assert np.array_equal(kp.points, np.zeros((24, 3)))
+    assert np.array_equal(kp, np.zeros((24, 3)))
 
 
 def test_simulate_keypoints_drop_fraction():
@@ -141,7 +147,7 @@ def test_simulate_keypoints_drop_fraction():
     camera = CameraParams(s=1.0, tx=0.0, ty=0.0)
     joints = np.zeros((10_000, 3))
     kp = simulate_keypoints(joints, camera, spec, np.random.default_rng(7))
-    dropped = float(np.mean(kp.points[:, 2] == 0.0))
+    dropped = float(np.mean(kp[:, 2] == 0.0))
     assert abs(dropped - 0.3) < 0.01
 
 
@@ -153,75 +159,177 @@ def test_make_video_shapes_and_determinism():
     assert video.features.shape == (12, 16)
     assert video.gt_joints.shape == (12, 24, 3)
     assert video.gt_mesh.shape == (12, 40, 3)
-    assert len(video.gt_params) == 12 and len(video.keypoints) == 12
+    assert len(video.gt_params) == 12 and video.keypoints.shape == (12, 24, 3)
     assert np.array_equal(video.features, again.features)
-    assert np.array_equal(video.keypoints[5].points, again.keypoints[5].points)
+    assert np.array_equal(video.keypoints, again.keypoints)
     assert video.gt_camera == again.gt_camera
 
 
 def test_gt_keypoints_reproject_exactly_in_perfect_limit():
     spec = _spec(kp_noise_std=0.0, p_drop=0.0)
     video = make_video(spec, MODEL, 6, feature_dim=8, seed=2)
-    for i in range(6):
-        proj = project_weak_perspective(video.gt_camera, video.gt_joints[i])
-        assert np.array_equal(video.keypoints[i].points[:, :2], proj)
-        assert np.all(video.keypoints[i].points[:, 2] == 1.0)
+    assert np.array_equal(video.keypoints[:, :, :2], project_weak_perspective(video.gt_camera, video.gt_joints))
+    assert np.all(video.keypoints[:, :, 2] == 1.0)
 
 
-def test_video_round_trip_is_bit_identical(tmp_path):
-    spec = _spec()
-    video = make_video(spec, MODEL, 7, feature_dim=12, seed=4)
-    path = tmp_path / "clip.jsonl"
-    write_video(path, video, spec)
-    loaded, loaded_spec = read_video(path)
+def test_video_keypoints_validation():
+    """Keypoints are one (N, J, 3) array: confidences 0 or 1, coordinates
+    finite where confident and free (even NaN) where not."""
+    video = make_video(_spec(), MODEL, 2, feature_dim=8, seed=4)
+
+    def with_keypoints(kp):
+        return SyntheticVideo(video.features, video.gt_params, video.gt_joints, video.gt_mesh, kp, video.gt_camera)
+
+    kp = video.keypoints.copy()
+    kp[1, 3] = [np.nan, np.nan, 0.0]
+    assert np.isnan(with_keypoints(kp).keypoints[1, 3, 0])
+    with pytest.raises(ValueError, match="keypoints must be"):
+        with_keypoints(video.keypoints[:, :, :2])
+    with pytest.raises(ValueError, match="keypoints must be"):
+        with_keypoints(video.keypoints[:1])
+    kp = video.keypoints.copy()
+    kp[0, 0, 2] = 0.5
+    with pytest.raises(ValueError, match="0 or 1"):
+        with_keypoints(kp)
+    kp = video.keypoints.copy()
+    kp[0, 0] = [np.inf, 0.0, 1.0]
+    with pytest.raises(ValueError, match="finite"):
+        with_keypoints(kp)
+
+
+def _assert_same_video(loaded, loaded_spec, video, spec):
     assert loaded_spec == spec
     assert loaded.gt_camera == video.gt_camera
     assert np.array_equal(loaded.features, video.features)
     assert np.array_equal(loaded.gt_joints, video.gt_joints)
     assert np.array_equal(loaded.gt_mesh, video.gt_mesh)
+    assert np.array_equal(loaded.keypoints, video.keypoints)
+    assert len(loaded.gt_params) == len(video.gt_params)
     for a, b in zip(loaded.gt_params, video.gt_params):
         assert np.array_equal(a.theta, b.theta)
         assert np.array_equal(a.beta, b.beta)
-    for a, b in zip(loaded.keypoints, video.keypoints):
-        assert np.array_equal(a.points, b.points)
+
+
+def _rewrite_members(path, **changes):
+    """Re-save a video file with some members replaced (CRCs stay valid)."""
+    with np.load(path) as npz:
+        members = {name: npz[name] for name in npz.files}
+    members.update(changes)
+    with open(path, "wb") as fh:
+        np.savez(fh, **members)
+
+
+def test_video_round_trip_is_bit_identical(tmp_path):
+    spec = _spec()
+    video = make_video(spec, MODEL, 7, feature_dim=12, seed=4)
+    path = tmp_path / "clip.video"
+    write_video(path, video, spec)
+    _assert_same_video(*read_video(path), video, spec)
+    first = path.read_bytes()
+    write_video(path, video, spec)
+    assert path.read_bytes() == first
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["clip.video"]
 
 
 def test_truncated_video_is_a_parse_error(tmp_path):
     spec = _spec()
     video = make_video(spec, MODEL, 5, feature_dim=8, seed=4)
-    path = tmp_path / "clip.jsonl"
+    path = tmp_path / "clip.video"
     write_video(path, video, spec)
-    lines = path.read_text().strip().split("\n")
-    path.write_text("\n".join(lines[:-2]) + "\n")
-    with pytest.raises(VideoFormatError, match="truncated"):
-        read_video(path)
-    path.write_text("\n".join(lines[:-1]) + "\n{bad json")
-    with pytest.raises(VideoFormatError, match="frame"):
-        read_video(path)
+    raw = path.read_bytes()
+    for cut in (0, 10, len(raw) // 2, len(raw) - 1):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(VideoFormatError, match="clip.video"):
+            read_video(path)
 
 
 def test_wrong_version_is_rejected(tmp_path):
     spec = _spec()
     video = make_video(spec, MODEL, 3, feature_dim=8, seed=4)
-    path = tmp_path / "clip.jsonl"
+    path = tmp_path / "clip.video"
     write_video(path, video, spec)
-    lines = path.read_text().strip().split("\n")
-    header = lines[0].replace('"version": 1', '"version": 2')
-    path.write_text("\n".join([header] + lines[1:]) + "\n")
-    with pytest.raises(VideoFormatError, match="version"):
+    _rewrite_members(path, version=np.array(3))
+    with pytest.raises(VideoFormatError, match="unsupported version 3"):
+        read_video(path)
+    # the JSON-lines layout of format version 1 is not read at all
+    path.write_text(json.dumps({"version": 1, "n": 0, "spec": {}, "camera": {}}) + "\n")
+    with pytest.raises(VideoFormatError, match="clip.video"):
+        read_video(path)
+
+
+def test_malformed_members_name_the_path(tmp_path):
+    spec = _spec()
+    video = make_video(spec, MODEL, 3, feature_dim=8, seed=4)
+    path = tmp_path / "clip.video"
+    bad_spec = json.dumps({**dataclasses.asdict(spec), "colour": "red"})
+    bad_kp = video.keypoints.copy()
+    bad_kp[0, 0, 2] = 0.5
+    for changes in (
+        {"spec": np.array(bad_spec)},
+        {"camera": np.array([np.nan, 0.0, 0.0])},
+        {"camera": np.array([1.0, 0.0])},
+        {"beta": np.zeros((2, 10))},
+        {"keypoints": bad_kp},
+        {"mesh": video.gt_mesh[:, :, :2]},
+    ):
+        write_video(path, video, spec)
+        _rewrite_members(path, **changes)
+        with pytest.raises(VideoFormatError, match="clip.video"):
+            read_video(path)
+
+
+def test_a_shrunken_array_header_is_caught(tmp_path):
+    """A flipped shape digit makes numpy read only part of a member; the
+    CRC-32 check sees the whole member changed and refuses the file."""
+    spec = _spec()
+    video = make_video(spec, MODEL, 2, feature_dim=300, seed=4)
+    path = tmp_path / "clip.video"
+    write_video(path, video, spec)
+    raw = path.read_bytes()
+    assert raw.count(b"(2, 300)") == 1
+    path.write_bytes(raw.replace(b"(2, 300)", b"(2, 100)"))  # '3' -> '1' is one bit
+    with pytest.raises(VideoFormatError, match="CRC"):
         read_video(path)
 
 
 def test_missing_files_are_reported(tmp_path):
-    with pytest.raises(VideoFormatError, match="no such file"):
-        read_video(tmp_path / "absent.jsonl")
+    with pytest.raises(VideoFormatError, match="absent.video.*No such file"):
+        read_video(tmp_path / "absent.video")
+
+
+@pytest.fixture(scope="module")
+def clip(tmp_path_factory):
     spec = _spec()
-    video = make_video(spec, MODEL, 3, feature_dim=8, seed=4)
-    path = tmp_path / "clip.jsonl"
-    write_video(path, video, spec)
-    (tmp_path / "clip.jsonl.geom").unlink()
-    with pytest.raises(VideoFormatError, match="sidecar"):
+    video = make_video(spec, MODEL, 2, feature_dim=8, seed=4)
+    root = tmp_path_factory.mktemp("clip")
+    write_video(root / "clip.video", video, spec)
+    return video, spec, (root / "clip.video").read_bytes(), root / "damaged.video"
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_a_flipped_bit_raises_or_loads_identical(clip, data):
+    video, spec, raw, path = clip
+    bit = data.draw(st.integers(0, 8 * len(raw) - 1))
+    damaged = bytearray(raw)
+    damaged[bit // 8] ^= 1 << (bit % 8)
+    path.write_bytes(bytes(damaged))
+    try:
+        loaded = read_video(path)
+    except VideoFormatError as err:
+        assert str(path) in str(err)
+    else:
+        _assert_same_video(*loaded, video, spec)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_every_strict_prefix_raises(clip, data):
+    _, _, raw, path = clip
+    path.write_bytes(raw[: data.draw(st.integers(0, len(raw) - 1))])
+    with pytest.raises(VideoFormatError) as err:
         read_video(path)
+    assert str(path) in str(err.value)
 
 
 def test_gen_motion_rejects_bad_inputs():
