@@ -57,7 +57,7 @@ from .benchmark import (
     source_domain,
     target_domain,
 )
-from .bodymodel import DegenerateRotationError
+from .bodymodel import DegenerateRotationError, body_forward_batch
 from .checkpoint import load_hmr, load_md, save_hmr, save_md
 from .hmrnet import HmrConfig, hmr_forward
 from .mdnet import MdConfig
@@ -338,9 +338,11 @@ def _synth_target(cfg: RunConfig, model):
     )
 
 
-def _read_checked_video(cfg: RunConfig, path):
-    """A video file, checked against the run's regressor and body."""
+def _read_checked_video(cfg: RunConfig, model, path):
+    """A video file, checked against the run's regressor and body (frame 0 is posed again)."""
     video, _spec = read_video(path)
+    if video.frame_count == 0:
+        raise ConfigError(f"{path}: no frames")
     if video.features.shape[1] != cfg.hmr.feature_dim:
         raise ConfigError(
             f"{path}: feature dim {video.features.shape[1]} does not match "
@@ -348,6 +350,13 @@ def _read_checked_video(cfg: RunConfig, path):
         )
     if video.gt_joints.shape[1] != cfg.body.joints:
         raise ConfigError(f"{path}: {video.gt_joints.shape[1]} joints but the body has {cfg.body.joints}")
+    body = f"the config's body (body.seed {cfg.body.seed}, body.scale {cfg.body.scale}, {cfg.body.vertices} vertices)"
+    if video.gt_mesh.shape[1] != cfg.body.vertices:
+        raise ConfigError(f"{path}: meshes of {video.gt_mesh.shape[1]} vertices, not posed with {body}")
+    verts, joints = body_forward_batch(model, video.gt_params[0].theta[None], video.gt_params[0].beta[None])
+    gap = max(abs(verts[0] - video.gt_mesh[0]).max(), abs(joints[0] - video.gt_joints[0]).max())
+    if not gap <= 1e-9:
+        raise ConfigError(f"{path}: not posed with {body}: frame 0 posed with it is {gap:.3g} m off")
     return video
 
 
@@ -355,7 +364,7 @@ def target_video(cfg: RunConfig, model):
     """The config's video file if given, else synthesized from (config, seed)."""
     if cfg.paths.video is None:
         return _synth_target(cfg, model)
-    return _read_checked_video(cfg, cfg.paths.video)
+    return _read_checked_video(cfg, model, cfg.paths.video)
 
 
 def _load_checked(load, path, config, what: str) -> dict:
@@ -451,7 +460,7 @@ def cmd_eval(cfg: RunConfig, checkpoint, video_path) -> int:
     if video_path is None:
         raise ConfigError("eval needs a video file: pass --video or set paths.video")
     model = _body(cfg)
-    video = _read_checked_video(cfg, video_path)
+    video = _read_checked_video(cfg, model, video_path)
     params = _load_checked(load_hmr, checkpoint, cfg.hmr, "regressor")
     theta, beta, _cam = hmr_forward(params, video.features)
     report = make_evaluator(model, video)(theta, beta)

@@ -493,11 +493,15 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _accum(grads: list, idx: int, contrib: np.ndarray) -> None:
+def _accum(grads: list, idx: int, contrib: np.ndarray, shared: bool = False) -> None:
+    """Add a VJP term to node ``idx``'s gradient, in place after the first term.
+    A first term is kept even when it is the consumer's ``g`` or a view of it (`add`,
+    `sub`, `transpose`, `reshape`, `concat`): nothing reads ``g`` after its VJP.
+    Only a ``shared`` term, one another input already took (`add`'s second), is copied."""
     if grads[idx] is None:
-        grads[idx] = np.array(contrib, dtype=np.float64)
+        grads[idx] = np.array(contrib, dtype=np.float64) if shared else np.asarray(contrib, dtype=np.float64)
     else:
-        grads[idx] = grads[idx] + contrib
+        grads[idx] += contrib
 
 
 def _needs_grad(graph: Graph) -> list:
@@ -541,7 +545,7 @@ def backward_from_values(graph: Graph, values: list, loss_node: int) -> Gradient
             if need[a]:
                 _accum(grads, a, _unbroadcast(g, xs[0].shape))
             if need[b]:
-                _accum(grads, b, _unbroadcast(g, xs[1].shape))
+                _accum(grads, b, _unbroadcast(g, xs[1].shape), shared=True)
         elif kind == "sub":
             if need[a]:
                 _accum(grads, a, _unbroadcast(g, xs[0].shape))

@@ -1,9 +1,9 @@
 """Adam, the cosine learning-rate schedule and the error every training loop
 raises when its loss stops being finite.
 
-Parameter sets are plain dicts of float64 arrays. `adam_step` is functional
-over the parameters (returns a fresh dict) but advances the moment state in
-place, so one `OptState` can persist across many stages.
+Parameter sets are plain dicts of float64 arrays. `adam_step` returns fresh
+parameter arrays and never writes to those passed in; it updates the moment
+arrays of `OptState` in place, so one state persists across many stages.
 """
 
 from __future__ import annotations
@@ -44,19 +44,30 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> dict:
-    """One bias-corrected Adam update; missing gradients count as zero."""
-    state.step += 1
-    t = state.step
-    c1 = 1.0 - beta1**t
-    c2 = 1.0 - beta2**t
-    out = {}
+    """One bias-corrected Adam update; missing gradients count as zero.
+    A gradient of the wrong shape raises before ``state`` changes."""
+    checked = {}
     for name, p in params.items():
         g = np.asarray(grads.get(name, 0.0), dtype=np.float64)
         if g.shape != () and g.shape != p.shape:
             raise ValueError(f"adam_step: gradient for {name} has shape {g.shape}, parameter {p.shape}")
-        m = state.m[name] = beta1 * state.m[name] + (1.0 - beta1) * g
-        v = state.v[name] = beta2 * state.v[name] + (1.0 - beta2) * (g * g)
-        out[name] = p - lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        checked[name] = g, state.m[name], state.v[name]
+    state.step += 1
+    c1, c2 = 1.0 - beta1**state.step, 1.0 - beta2**state.step
+    out = {}
+    for name, (g, m, v) in checked.items():
+        # beta * m + (1 - beta) * g and p - lr * (m / c1) / (sqrt(v / c2) + eps), op for op
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * (g * g)
+        den = np.divide(v, c2, out=np.empty_like(v))
+        np.sqrt(den, out=den)
+        den += eps
+        upd = np.divide(m, c1, out=np.empty_like(m))
+        upd *= lr
+        upd /= den
+        out[name] = np.subtract(params[name], upd, out=upd)
     return out
 
 

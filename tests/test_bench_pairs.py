@@ -1,0 +1,64 @@
+"""The summary that `tools/bench_pairs.py` writes for paired benchmark runs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+
+
+@pytest.fixture(scope="module")
+def bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _pairs(parent, change, name="run_s"):
+    return [
+        {"parent": {name: p}, "change": {name: c}, "correct": {"parent": True, "change": True}}
+        for p, c in zip(parent, change)
+    ]
+
+
+def test_summary_gives_medians_quartiles_and_wins(bench_pairs):
+    pairs = _pairs([5.0, 1.0, 3.0, 2.0, 4.0], [2.5, 0.5, 3.5, 1.0, 2.0])
+    out = bench_pairs.summarize(pairs, {"run_s": "lower"})["run_s"]
+    assert out["pairs"] == 5
+    assert out["failed"] == {"parent": 0, "change": 0}
+    assert out["parent"] == {"median": 3.0, "q1": 2.0, "q3": 4.0, "iqr": 2.0}
+    assert out["change"] == {"median": 2.0, "q1": 1.0, "q3": 2.5, "iqr": 1.5}
+    assert out["change_wins"] == 4  # the third pair got slower
+
+
+def test_summary_interpolates_quartiles_of_an_even_count(bench_pairs):
+    out = bench_pairs.summarize(_pairs([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0]), {"run_s": "lower"})["run_s"]
+    assert out["parent"] == {"median": 2.5, "q1": 1.75, "q3": 3.25, "iqr": 1.5}
+    assert out["change_wins"] == 0  # a tie is not a win
+
+
+def test_summary_counts_wins_in_the_better_direction(bench_pairs):
+    pairs = _pairs([10.0, 10.0, 10.0], [11.0, 9.0, 12.0], name="steps_per_s")
+    out = bench_pairs.summarize(pairs, {"steps_per_s": "higher", "run_s": "lower"})
+    assert out["steps_per_s"]["change_wins"] == 2
+    assert "run_s" not in out  # no pair reports it
+
+
+def test_summary_of_one_pair_has_no_spread(bench_pairs):
+    out = bench_pairs.summarize(_pairs([7.0], [6.0]), {"run_s": "lower"})["run_s"]
+    assert out["parent"] == {"median": 7.0, "q1": 7.0, "q3": 7.0, "iqr": 0.0}
+    assert out["change_wins"] == 1
+
+
+def test_summary_counts_failed_runs_and_leaves_their_pairs_out(bench_pairs):
+    pairs = _pairs([5.0, 1.0, 3.0, 2.0, 4.0], [2.5, 0.5, 3.5, 1.0, 2.0])
+    pairs[1]["correct"]["change"] = False  # the change's fastest run failed its check
+    pairs[4]["correct"] = {"parent": False, "change": False}
+    out = bench_pairs.summarize(pairs, {"run_s": "lower"})["run_s"]
+    assert out["failed"] == {"parent": 1, "change": 2}
+    assert out["pairs"] == 3
+    assert out["parent"]["median"] == 3.0
+    assert out["change"]["median"] == 2.5
+    assert out["change_wins"] == 2

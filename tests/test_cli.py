@@ -2,7 +2,9 @@
 dialect, config round trips, and the documented exit codes.
 """
 
+import dataclasses
 import json
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,7 @@ from cycleadapt import benchmark, cli
 from cycleadapt.adapt import AdaptConfig, InvariantError
 from cycleadapt.checkpoint import load_hmr, save_hmr
 from cycleadapt.bodymodel import DegenerateRotationError
+from cycleadapt.hmrnet import hmr_forward
 from cycleadapt.metrics import DegenerateGeometryError, MetricReport
 from cycleadapt.synth import read_video
 
@@ -310,6 +313,61 @@ def test_eval_of_a_damaged_video_exits_1(ws, tmp_path, capsys):
     args = ["eval", "--config", str(ws["cfg_path"]), "--video", str(video), "--out", str(tmp_path / "ev")]
     assert cli.run(args) == 1
     assert f"{video}: not a readable" in capsys.readouterr().err
+
+
+def test_eval_of_a_video_without_frames_exits_1(ws, tmp_path, capsys):
+    vids = tmp_path / "vids"
+    assert cli.run(["synth", "--config", str(ws["cfg_path"]), "--out", str(vids)]) == 0
+    video = vids / "target.video"
+    with np.load(video, allow_pickle=False) as npz:
+        members = {name: npz[name] for name in npz.files}
+    with zipfile.ZipFile(video, "w") as archive:  # every per-frame member cut to 0 frames
+        for name, array in members.items():
+            with archive.open(zipfile.ZipInfo(f"{name}.npy"), "w") as fh:
+                np.lib.format.write_array(fh, array if array.ndim < 2 else array[:0], allow_pickle=False)
+    assert read_video(video)[0].frame_count == 0
+    args = ["eval", "--config", str(ws["cfg_path"]), "--video", str(video), "--out", str(tmp_path / "ev")]
+    assert cli.run(args) == 1
+    assert f"{video}: no frames" in capsys.readouterr().err
+
+
+def _eval_with_body(ws, tmp_path, **body):
+    """Synthesize with the workspace's body, then eval under a config with ``body``."""
+    vids = tmp_path / "vids"
+    assert cli.run(["synth", "--config", str(ws["cfg_path"]), "--out", str(vids)]) == 0
+    config = json.loads(json.dumps(ws["config"]))
+    config["body"].update(body)
+    cfg_path = tmp_path / "body.json"
+    cfg_path.write_text(json.dumps(config))
+    video = vids / "target.video"
+    code = cli.run(["eval", "--config", str(cfg_path), "--video", str(video), "--out", str(tmp_path / "ev")])
+    return code, video
+
+
+def test_eval_of_a_video_posed_with_another_body_exits_1(ws, tmp_path, capsys):
+    code, video = _eval_with_body(ws, tmp_path, seed=8, scale=0.3)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{video}: not posed with the config's body (body.seed 8, body.scale 0.3, 24 vertices)" in err
+    assert not (tmp_path / "ev" / "metrics.csv").exists()
+
+
+def test_eval_of_a_video_with_another_vertex_count_names_the_video(ws, tmp_path, capsys):
+    code, video = _eval_with_body(ws, tmp_path, vertices=30)
+    assert code == 1
+    assert f"{video}: meshes of 24 vertices, not posed with the config's body" in capsys.readouterr().err
+
+
+def test_eval_with_the_matching_body_scores_the_video(ws, tmp_path):
+    code, video = _eval_with_body(ws, tmp_path)
+    assert code == 0
+    cfg = cli.config_from_dict(ws["config"])
+    model = benchmark.benchmark_body(**dataclasses.asdict(cfg.body))
+    clip, _spec = read_video(video)
+    theta, beta, _cam = hmr_forward(load_hmr(cfg.paths.hmr_ckpt)[1], clip.features)
+    expected = tmp_path / "expected.csv"
+    cli.emit_metrics_csv(expected, [(0, "hmrnet", benchmark.make_evaluator(model, clip)(theta, beta))])
+    assert (tmp_path / "ev" / "metrics.csv").read_bytes() == expected.read_bytes()
 
 
 def test_eval_without_video_exits_1(ws, capsys):

@@ -452,3 +452,71 @@ def test_take_matches_numpy_and_its_vjp_is_the_adjoint(case):
     vjp = backward(g, {"x": x}, loss)["x"]
     assert vjp.shape == x.shape
     assert np.isclose(np.sum(picked * y), np.sum(x * vjp), rtol=1e-12, atol=1e-12)
+
+
+def _weighted_sum(g, node, w):
+    return g.sum(g.mul(node, g.const(w)))
+
+
+def _alias_cases():
+    """Graphs whose backward passes one gradient, or views of it, to several
+    accumulators; each comes with its gradients worked out by hand."""
+    rng = np.random.default_rng(11)
+    x, y, w, v = rng.normal(size=(3, 4)), rng.normal(size=(3, 4)), rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+    cases = {}
+
+    g = Graph()
+    a = g.leaf("x", trainable=True)
+    cases["add(x, x)"] = (g, _weighted_sum(g, g.add(a, a), w), {"x": 2.0 * w})
+
+    g = Graph()
+    a = g.leaf("x", trainable=True)
+    loss = g.add(_weighted_sum(g, g.sub(a, a), w), _weighted_sum(g, a, v))
+    cases["sub(x, x)"] = (g, loss, {"x": v})
+
+    g = Graph()
+    a = g.leaf("x", trainable=True)
+    chain = g.reshape(g.transpose(g.reshape(a, (2, 6))), (4, 3))
+    expected = w.reshape(6, 2).T.reshape(3, 4)
+    cases["reshape-transpose-reshape"] = (g, _weighted_sum(g, chain, w.reshape(4, 3)), {"x": expected})
+
+    g = Graph()
+    a = g.leaf("x", trainable=True)
+    both = np.concatenate([w, v])
+    cases["concat(x, x)"] = (g, _weighted_sum(g, g.concat([a, a], axis=0), both), {"x": w + v})
+
+    g = Graph()
+    a = g.leaf("x", trainable=True)
+    loss = g.add(_weighted_sum(g, g.take(a, [0, 2], 0), w[:2]), _weighted_sum(g, g.take(a, [2, 1], 0), v[:2]))
+    expected = np.zeros((3, 4))
+    expected[[0, 2]] += w[:2]
+    expected[[2, 1]] += v[:2]
+    cases["two takes of x"] = (g, loss, {"x": expected})
+
+    # add hands its one gradient to x and to y, and x takes a second term
+    # later: an uncopied first term would add that term into y's gradient
+    g = Graph()
+    a, b = g.leaf("x", trainable=True), g.leaf("y", trainable=True)
+    scaled = g.mul(a, g.const(v))
+    loss = g.add(_weighted_sum(g, g.add(a, b), w), g.sum(scaled))
+    cases["add(x, y), then x again"] = (g, loss, {"x": w + v, "y": w})
+    return cases, {"x": x, "y": y}
+
+
+@pytest.mark.parametrize("name", list(_alias_cases()[0]))
+def test_gradients_passed_to_several_inputs_are_right_and_unaliased(name):
+    cases, inputs = _alias_cases()
+    g, loss, expected = cases[name]
+    bindings = {k: inputs[k] for k in expected}
+    values = evaluate(g, bindings)
+    grads = backward_from_values(g, values, loss)
+    assert sorted(grads) == sorted(expected)
+    for leaf, want in expected.items():
+        np.testing.assert_allclose(grads[leaf], want, rtol=1e-13, atol=1e-15)
+    assert grad_check(g, bindings, loss) < 1e-6
+    arrays = list(grads.values())
+    for i, first in enumerate(arrays):
+        for second in arrays[i + 1:]:
+            assert not np.shares_memory(first, second)
+        for value in values:
+            assert not np.shares_memory(first, value)

@@ -2,8 +2,29 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cycleadapt.optim import OptState, adam_init, adam_step, cosine_lr
+
+
+def _reference_adam(params, grads, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The functional Adam update, fresh arrays throughout: the bits `adam_step`
+    must reproduce. Returns (params, m, v, step)."""
+    step += 1
+    c1 = 1.0 - beta1**step
+    c2 = 1.0 - beta2**step
+    new_p, new_m, new_v = {}, {}, {}
+    for name, p in params.items():
+        g = np.asarray(grads.get(name, 0.0), dtype=np.float64)
+        new_m[name] = beta1 * m[name] + (1.0 - beta1) * g
+        new_v[name] = beta2 * v[name] + (1.0 - beta2) * (g * g)
+        new_p[name] = p - lr * (new_m[name] / c1) / (np.sqrt(new_v[name] / c2) + eps)
+    return new_p, new_m, new_v, step
+
+
+def _bits(arrays: dict) -> dict:
+    return {name: (np.shape(a), np.asarray(a).tobytes()) for name, a in arrays.items()}
 
 
 def test_cosine_endpoints():
@@ -102,3 +123,68 @@ def test_cosine_matches_formula_at_arbitrary_step():
     step, total = 37, 120
     expected = 1e-6 + 0.5 * (5e-5 - 1e-6) * (1.0 + math.cos(math.pi * step / total))
     assert cosine_lr(step, total) == expected
+
+
+@st.composite
+def _adam_runs(draw):
+    """Parameter shapes (a 0-d one included), a step count, lr, and per step
+    and parameter whether the gradient is an array, a scalar, or missing."""
+    shapes = draw(st.lists(st.lists(st.integers(1, 5), max_size=3).map(tuple), min_size=1, max_size=4))
+    steps = draw(st.integers(1, 30))
+    kinds = draw(st.lists(st.lists(st.sampled_from(["array", "array", "scalar", "missing"]),
+                                   min_size=len(shapes), max_size=len(shapes)), min_size=steps, max_size=steps))
+    lr = draw(st.floats(1e-6, 1.0))
+    return shapes, kinds, lr, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_adam_runs())
+def test_adam_step_matches_the_functional_update_bit_for_bit(run):
+    shapes, kinds, lr, seed = run
+    rng = np.random.default_rng(seed)
+    params = {f"p{i}": rng.normal(size=shape) for i, shape in enumerate(shapes)}
+    state = adam_init(params)
+    ref_p, ref_m, ref_v, ref_step = dict(params), adam_init(params).m, adam_init(params).v, 0
+    for row in kinds:
+        grads = {}
+        for (name, p), kind in zip(params.items(), row):
+            if kind == "array":
+                grads[name] = rng.normal(size=p.shape) * 10.0 ** rng.integers(-6, 3)
+            elif kind == "scalar":
+                grads[name] = float(rng.normal())
+        params = adam_step(params, grads, state, lr)
+        ref_p, ref_m, ref_v, ref_step = _reference_adam(ref_p, grads, ref_m, ref_v, ref_step, lr)
+        assert _bits(params) == _bits(ref_p)
+        assert _bits(state.m) == _bits(ref_m)
+        assert _bits(state.v) == _bits(ref_v)
+        assert state.step == ref_step
+
+
+def test_adam_step_leaves_the_params_passed_in_unchanged():
+    # the acceptance sweep and `ablate` hand one pretrained dict to several runs
+    rng = np.random.default_rng(3)
+    params = {"w": rng.normal(size=(5, 4)), "b": rng.normal(size=4)}
+    arrays = dict(params)
+    before = _bits(params)
+    state = adam_init(params)
+    for _ in range(3):
+        out = adam_step(params, {"w": rng.normal(size=(5, 4)), "b": rng.normal(size=4)}, state, lr=0.1)
+        assert params == arrays and all(params[k] is arrays[k] for k in params)
+        assert _bits(params) == before
+        for name, new in out.items():
+            assert not np.shares_memory(new, params[name])
+            assert not np.shares_memory(new, state.m[name]) and not np.shares_memory(new, state.v[name])
+
+
+def test_adam_step_with_a_rejected_gradient_leaves_the_state_untouched():
+    rng = np.random.default_rng(4)
+    params = {"w": rng.normal(size=(3, 2)), "b": rng.normal(size=2)}
+    state = adam_init(params)
+    for _ in range(2):
+        params = adam_step(params, {"w": rng.normal(size=(3, 2)), "b": rng.normal(size=2)}, state, lr=0.1)
+    step, m, v = state.step, _bits(state.m), _bits(state.v)
+    with pytest.raises(ValueError, match="gradient for b has shape"):
+        adam_step(params, {"w": rng.normal(size=(3, 2)), "b": rng.normal(size=3)}, state, lr=0.1)
+    assert state.step == step
+    assert _bits(state.m) == m
+    assert _bits(state.v) == v
