@@ -38,7 +38,7 @@ from .mdnet import (
 )
 from .optim import InvariantError, adam_init, adam_step, cosine_lr
 
-DENOISERS = ("mdnet", "gaussian")
+DENOISERS = ("mdnet", "frozen_mdnet", "gaussian", "none")
 
 
 @dataclass(frozen=True)
@@ -113,16 +113,22 @@ class ResultStore:
 
 @dataclass(frozen=True)
 class AdaptConfig:
+    """Knobs of one adaptation run.
+
+    ``md_denoiser`` picks where the regressor's 3D targets come from: the
+    cyclically adapted denoiser (``"mdnet"``), the pre-trained denoiser held
+    fixed (``"frozen_mdnet"``, the non-cyclic ablation), a temporal Gaussian
+    filter in its place (``"gaussian"``), or nowhere (``"none"``, 2D-only
+    adaptation: no pull and no denoiser stage).
+    """
+
     cycles: int = 12
     batch: int = 32
     lr_start: float = 5e-5
     lr_end: float = 1e-6
     gamma: float = 0.001
     seed: int = 0
-    frozen_mdnet: bool = False
     frozen_hmrnet: bool = False
-    no_3d_loss: bool = False
-    unweighted_2d: bool = False
     md_denoiser: str = "mdnet"
     gaussian_std: float = 2.0
 
@@ -193,7 +199,7 @@ def hmr_step(
     theta, beta, cam = hmr_forward_graph(g, hmr_config, g.const(inputs.features[idx]))
     loss = hmr_loss_graph(
         g, model, theta, beta, cam, idx.size, inputs.keypoints[idx], pseudo_theta=pseudo_theta,
-        pseudo_beta=pseudo_beta, gamma=config.gamma, rows=rows, unweighted=config.unweighted_2d,
+        pseudo_beta=pseudo_beta, gamma=config.gamma, rows=rows,
     )
     values = evaluate(g, hmr_params)
     _check_loss(values[loss], "regressor", opt)
@@ -219,9 +225,9 @@ def md_step(
 
     Rows of ``window_theta`` past ``idx`` are padding and never written. A
     frozen denoiser skips the update (and needs no mask) but still writes.
-    A loss that is not finite raises `InvariantError`.
+    A loss or a written pose that is not finite raises `InvariantError`.
     """
-    if not config.frozen_mdnet:
+    if config.md_denoiser == "mdnet":
         masked_input = np.where(mask[:, None] > 0, 0.0, window_theta)
         g = Graph()
         out = md_forward_graph(g, md_config, g.const(masked_input))
@@ -233,8 +239,10 @@ def md_step(
         grads = diffcore.backward_from_values(g, values, loss)
         md_params = adam_step(md_params, grads, opt.md, lr)
         opt.clock += 1
-    denoised = md_forward(md_params, window_theta, ramp=md_config.ramp)
-    store.write_md(idx, denoised[: idx.size])
+    denoised = md_forward(md_params, window_theta)[: idx.size]
+    if not np.all(np.isfinite(denoised)):
+        raise InvariantError(f"denoiser wrote non-finite poses at optimizer step {opt.clock}")
+    store.write_md(idx, denoised)
     return md_params
 
 
@@ -259,7 +267,7 @@ def hmr_stage(
     n = inputs.frame_count
     if store.size != n:
         raise InvariantError(f"hmr_stage: store has {store.size} rows for {n} frames")
-    use_pseudo = cycle_index > 1 and not config.no_3d_loss
+    use_pseudo = cycle_index > 1 and config.md_denoiser != "none"
     order = rng.permutation(n)
     params = hmr_params
     for lo in range(0, n, config.batch):
@@ -365,8 +373,7 @@ def cycle_adapt(
         trace["store_init_max_abs"] = float(max(np.abs(store.theta).max(), np.abs(store.beta).max()))
 
     hmr_steps = 0 if config.frozen_hmrnet else -(-n // config.batch)
-    md_trainable = not (config.no_3d_loss or config.frozen_mdnet or config.md_denoiser != "mdnet")
-    md_steps = windows_per_cycle(n, md_config.window) if md_trainable else 0
+    md_steps = windows_per_cycle(n, md_config.window) if config.md_denoiser == "mdnet" else 0
     opt = AdaptOptimizers(
         hmr=adam_init(hmr_params),
         md=adam_init(md_params),
@@ -382,7 +389,7 @@ def cycle_adapt(
         hmr_params = hmr_stage(
             inputs, store, model, hmr_config, hmr_params, opt, config, cycle, hmr_rng, trace
         )
-        if not config.no_3d_loss:
+        if config.md_denoiser != "none":
             md_rng = np.random.default_rng(np.random.SeedSequence([config.seed, cycle, 1]))
             md_params = md_stage(store, md_config, md_params, opt, config, md_rng, trace)
         if evaluator is not None:
@@ -445,13 +452,13 @@ def online_adapt(
         out_beta[i] = beta[0]
         store.write_hmr(np.array([i]), out_theta[i : i + 1], out_beta[i : i + 1])
 
-        if not config.no_3d_loss and (i + 1) % t == 0:
+        if config.md_denoiser != "none" and (i + 1) % t == 0:
             idx_w = np.arange(i - t + 1, i + 1)
             window_theta = store.theta[idx_w].copy()
             if config.md_denoiser == "gaussian":
                 store.write_md(idx_w, gaussian_filter_baseline(window_theta, config.gaussian_std))
             else:
-                mask = None if config.frozen_mdnet else sample_mask(t, rng)
+                mask = sample_mask(t, rng) if config.md_denoiser == "mdnet" else None
                 md_params = md_step(
                     store, idx_w, window_theta, mask, md_config, md_params, opt, config, config.lr_start
                 )

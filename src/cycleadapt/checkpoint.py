@@ -1,7 +1,8 @@
 """Binary parameter files for the two networks.
 
 Layout: 4-byte magic ("CAHM" for the mesh regressor, "CAMD" for the motion
-denoiser), little-endian u32 version, the config fields as u32s, then every
+denoiser), little-endian u32 version, the config fields as u32s (for the
+denoiser: window, the pose width 144, blocks and a zero word), then every
 parameter tensor as raw little-endian float64 in declaration order. Shapes
 are reconstructed from the config, so the payload carries no per-tensor
 metadata.
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .bodymodel import THETA_SIZE
 from .hmrnet import HmrConfig, hmr_param_shapes
 from .mdnet import MdConfig, md_param_shapes
 
@@ -78,12 +80,17 @@ def load_hmr(path) -> tuple[HmrConfig, dict]:
 
 
 def save_md(path, config: MdConfig, params: dict) -> None:
-    header = (config.window, config.pose_dim, config.blocks, int(config.ramp))
+    header = (config.window, THETA_SIZE, config.blocks, 0)
     Path(path).write_bytes(_pack(MAGIC_MD, header, md_param_shapes(config), params))
 
 
 def load_md(path) -> tuple[MdConfig, dict]:
     raw = Path(path).read_bytes()
     fields, body = _unpack(path, raw, MAGIC_MD, 4)
-    config = MdConfig(window=fields[0], pose_dim=fields[1], blocks=fields[2], ramp=bool(fields[3]))
+    if (fields[1], fields[3]) != (THETA_SIZE, 0):
+        raise CheckpointError(
+            f"{path}: denoiser header has pose width {fields[1]} and fourth word {fields[3]}, "
+            f"expected {THETA_SIZE} and 0"
+        )
+    config = MdConfig(window=fields[0], blocks=fields[2])
     return config, _read_tensors(path, body, md_param_shapes(config))

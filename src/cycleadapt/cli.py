@@ -15,9 +15,10 @@ so any run is reproducible from that file and nothing else.
 
 Exit codes: 0 success, 1 unusable config or file (the message names the
 offending path), 2 a violated internal invariant or a numerical failure
-mid-run. The ``online`` flag keeps ``frozen_mdnet`` meaningful: the causal
-pass then still writes denoised windows to the store, but never updates
-the denoiser.
+mid-run. ``adapt.md_denoiser`` picks the 3D targets of every run (see
+`adapt.AdaptConfig`); under the ``online`` flag ``"frozen_mdnet"`` keeps its
+meaning: the causal pass then still writes denoised windows to the store,
+but never updates the denoiser.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from .bodymodel import DegenerateRotationError, body_forward_batch
 from .checkpoint import load_hmr, load_md, save_hmr, save_md
 from .hmrnet import HmrConfig, hmr_forward
 from .mdnet import MdConfig
-from .metrics import DegenerateGeometryError, MetricReport
+from .metrics import DegenerateGeometryError
 from .synth import DomainSpec, read_video, write_video
 
 CSV_HEADER = "cycle,source,mpjpe,pa_mpjpe,mpvpe,accel"
@@ -114,11 +115,8 @@ class Paths:
 
 @dataclass(frozen=True)
 class Flags:
-    frozen_mdnet: bool = False
-    no_3d_loss: bool = False
     random_init: bool = False
     online: bool = False
-    unweighted_2d: bool = False
 
 
 @dataclass(frozen=True)
@@ -135,7 +133,6 @@ class AdaptKnobs:
 @dataclass(frozen=True)
 class Body:
     seed: int = BODY_SEED
-    joints: int = JOINTS
     vertices: int = VERTICES
     scale: float = BODY_SCALE
 
@@ -160,9 +157,9 @@ class Pretrain:
 class RunConfig:
     """Everything one run needs: the seed plus one field per JSON section.
 
-    The five mode flags are folded into the adaptation stage config together
-    with the seed, so a flag is never specified in two places; the denoiser
-    window is the `md` section's alone.
+    The `adapt` section and the seed make the adaptation stage config, so a
+    knob is never specified in two places; the denoiser window is the `md`
+    section's alone.
     """
 
     seed: int = 0
@@ -204,13 +201,7 @@ class RunConfig:
         self.adapt_config()  # surface bad stage knobs at load time, not mid-run
 
     def adapt_config(self) -> AdaptConfig:
-        return AdaptConfig(
-            **dataclasses.asdict(self.adapt),
-            seed=self.seed,
-            frozen_mdnet=self.flags.frozen_mdnet,
-            no_3d_loss=self.flags.no_3d_loss,
-            unweighted_2d=self.flags.unweighted_2d,
-        )
+        return AdaptConfig(**dataclasses.asdict(self.adapt), seed=self.seed)
 
 
 def _take(section: dict, allowed: dict, where: str) -> dict:
@@ -259,10 +250,6 @@ def config_to_dict(cfg: RunConfig) -> dict:
     return dataclasses.asdict(cfg)
 
 
-def default_config() -> RunConfig:
-    return config_from_dict({})
-
-
 def load_config(path) -> RunConfig:
     p = Path(path)
     try:
@@ -306,24 +293,6 @@ def emit_metrics_csv(path, rows) -> None:
         fh.write(format_metrics_rows(rows))
 
 
-def parse_metrics_csv(path) -> list:
-    """Back to (cycle, source, MetricReport) rows, at the file's precision."""
-    with open(path, newline="\n") as fh:
-        lines = fh.read().split("\n")
-    if not lines or lines[0] != CSV_HEADER:
-        raise ConfigError(f"{path}: expected header {CSV_HEADER!r}")
-    rows = []
-    for line in lines[1:]:
-        if not line:
-            continue
-        fields = line.split(",")
-        if len(fields) != 6:
-            raise ConfigError(f"{path}: malformed row {line!r}")
-        cycle, source = int(fields[0]), fields[1]
-        rows.append((cycle, source, MetricReport(*(float(v) for v in fields[2:]))))
-    return rows
-
-
 def _body(cfg: RunConfig):
     return benchmark_body(**dataclasses.asdict(cfg.body))
 
@@ -348,8 +317,8 @@ def _read_checked_video(cfg: RunConfig, model, path):
             f"{path}: feature dim {video.features.shape[1]} does not match "
             f"the regressor's {cfg.hmr.feature_dim}"
         )
-    if video.gt_joints.shape[1] != cfg.body.joints:
-        raise ConfigError(f"{path}: {video.gt_joints.shape[1]} joints but the body has {cfg.body.joints}")
+    if video.gt_joints.shape[1] != JOINTS:
+        raise ConfigError(f"{path}: {video.gt_joints.shape[1]} joints but the body has {JOINTS}")
     body = f"the config's body (body.seed {cfg.body.seed}, body.scale {cfg.body.scale}, {cfg.body.vertices} vertices)"
     if video.gt_mesh.shape[1] != cfg.body.vertices:
         raise ConfigError(f"{path}: meshes of {video.gt_mesh.shape[1]} vertices, not posed with {body}")

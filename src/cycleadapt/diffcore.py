@@ -515,8 +515,8 @@ def _needs_grad(graph: Graph) -> list:
     return need
 
 
-def backward_from_values(graph: Graph, values: list, loss_node: int) -> GradientMap:
-    """Reverse pass over already-evaluated values; see backward().
+def backward_from_values(graph: Graph, values: Values, loss_node: int) -> GradientMap:
+    """Reverse pass over the values of one `evaluate` call; see backward().
 
     VJP terms toward nodes that no trainable leaf reaches (constants, and
     whatever is computed from constants alone) are never formed.
@@ -622,8 +622,7 @@ def backward_from_values(graph: Graph, values: list, loss_node: int) -> Gradient
         elif kind == "sqrt":
             _accum(grads, a, g / (2.0 * values[i]))
         elif kind == "rigid_chain":
-            saved = getattr(values, "residuals", {}).get(i) or _rigid_chain(i, node, *xs, keep=True)[1]
-            grad_rot, grad_shaped = _rigid_chain_vjp(node, g, xs[1], saved, need[a], need[b])
+            grad_rot, grad_shaped = _rigid_chain_vjp(node, g, xs[1], values.residuals[i], need[a], need[b])
             if need[a]:
                 _accum(grads, a, grad_rot)
             if need[b]:

@@ -100,7 +100,7 @@ def hmr_forward_graph(g: Graph, config: HmrConfig, feature_node: int) -> tuple[i
     return theta, beta, camera
 
 
-def keypoint_weights(keypoints, unweighted: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def keypoint_weights(keypoints) -> tuple[np.ndarray, np.ndarray]:
     """Per-frame normalized confidence weights and sanitized (x, y) targets.
 
     Weights sum to 1 per frame (or are all zero when no keypoint has
@@ -113,8 +113,6 @@ def keypoint_weights(keypoints, unweighted: bool = False) -> tuple[np.ndarray, n
     conf = kp[:, :, 2]
     if np.any(conf < 0) or np.any(conf > 1):
         raise ValueError("keypoint_weights: confidences must lie in [0, 1]")
-    if unweighted:
-        conf = (conf > 0).astype(np.float64)
     sums = conf.sum(axis=1, keepdims=True)
     weights = np.divide(conf, sums, out=np.zeros_like(conf), where=sums > 0)
     targets = np.where(conf[:, :, None] > 0, kp[:, :, :2], 0.0)
@@ -133,7 +131,6 @@ def hmr_loss_graph(
     pseudo_beta=None,
     gamma: float = 0.001,
     rows=None,
-    unweighted: bool = False,
 ) -> int:
     """Scalar adaptation loss node: L1 pseudo-parameter term + weighted L1 reprojection.
 
@@ -144,7 +141,7 @@ def hmr_loss_graph(
     """
     if gamma < 0:
         raise ValueError(f"hmr_loss_graph: gamma must be >= 0, got {gamma}")
-    weights, targets = keypoint_weights(keypoints, unweighted=unweighted)
+    weights, targets = keypoint_weights(keypoints)
     n_joints = weights.shape[1]
     if n_joints != model.joint_count:
         raise ValueError(f"hmr_loss_graph: {n_joints} keypoints for a {model.joint_count}-joint body")

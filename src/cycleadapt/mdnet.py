@@ -7,9 +7,8 @@ the pose axis again:
 
     FC(H -> H) -> transpose -> [FC(T -> T) + layer-norm] x M -> transpose -> FC(H -> H)
 
-There are no activations between layers; setting ``ramp`` in the config
-inserts a relu after each block for experiments. Self-supervision zeroes a
-random half of the rows and asks the network to reproduce the original rows
+There are no activations between layers. Self-supervision zeroes a random
+half of the rows and asks the network to reproduce the original rows
 at the masked positions (L1, per-row mean). Pre-training instead corrupts
 every row with Gaussian noise and supervises the full output against the
 clean window.
@@ -21,6 +20,7 @@ The network is written once, as the graph builder `md_forward_graph`;
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -35,15 +35,12 @@ LN_EPS = 1e-5
 @dataclass(frozen=True)
 class MdConfig:
     window: int = 49
-    pose_dim: int = THETA_SIZE
     blocks: int = 4
-    ramp: bool = False
+    pose_dim: ClassVar[int] = THETA_SIZE  # one pose vector per row, not a setting
 
     def __post_init__(self) -> None:
         if self.window < 1:
             raise ValueError(f"MdConfig.window must be >= 1, got {self.window}")
-        if self.pose_dim != THETA_SIZE:
-            raise ValueError(f"MdConfig.pose_dim must be {THETA_SIZE}, got {self.pose_dim}")
         if self.blocks < 1:
             raise ValueError(f"MdConfig.blocks must be >= 1, got {self.blocks}")
 
@@ -94,7 +91,7 @@ def _block_count(params: dict) -> int:
     return sum(1 for name in params if name.startswith("w_t"))
 
 
-def md_forward(params: dict, theta, mask=None, ramp: bool = False) -> np.ndarray:
+def md_forward(params: dict, theta, mask=None) -> np.ndarray:
     """Denoise one window; masked rows (if any) are zeroed before the network."""
     x = np.asarray(theta, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params["w_in"].shape[0]:
@@ -106,7 +103,7 @@ def md_forward(params: dict, theta, mask=None, ramp: bool = False) -> np.ndarray
         m = _check_mask(mask, window)
         x = np.where(m[:, None] > 0, 0.0, x)
     g = Graph()
-    out = md_forward_graph(g, MdConfig(window=window, blocks=_block_count(params), ramp=ramp), g.const(x))
+    out = md_forward_graph(g, MdConfig(window=window, blocks=_block_count(params)), g.const(x))
     return forward(g, params, [out])[0]
 
 
@@ -121,8 +118,6 @@ def md_forward_graph(g: Graph, config: MdConfig, theta_node: int) -> int:
     for i in range(config.blocks):
         z = g.add(g.matmul(z, g.leaf(f"w_t{i}", trainable=True)), g.leaf(f"b_t{i}", trainable=True))
         z = g.layer_norm(z, g.leaf(f"ln_g{i}", trainable=True), g.leaf(f"ln_b{i}", trainable=True), eps=LN_EPS)
-        if config.ramp:
-            z = g.relu(z)
     y = g.transpose(z)
     return g.add(g.matmul(y, g.leaf("w_out", trainable=True)), g.leaf("b_out", trainable=True))
 
@@ -184,7 +179,7 @@ def md_pretrain(
 
     def eval_error(p: dict) -> float:
         errs = [
-            np.abs(md_forward(p, win + noise, ramp=config.ramp) - win).mean()
+            np.abs(md_forward(p, win + noise) - win).mean()
             for win, noise in zip(eval_windows, eval_noise)
         ]
         return float(np.mean(errs))

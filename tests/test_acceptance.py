@@ -36,6 +36,11 @@ def _verdict(ok: bool, label: str, detail: str) -> None:
     assert ok, line
 
 
+def _final_mpjpe(run, source: str = "hmrnet") -> float:
+    """MPJPE at the last logged cycle: the adapted regressor's outputs, or the store's."""
+    return [r for _, s, r in run.rows if s == source][-1].mpjpe
+
+
 @pytest.fixture(scope="session")
 def nets():
     """One full source pre-training, shared by every ordering check."""
@@ -64,24 +69,24 @@ def sweep(nets):
         out["seconds"][seed] = time.perf_counter() - t0
         if trace is not None:
             out["trace"] = trace
-        out["full"][seed] = bench.final_mpjpe(full)
+        out["full"][seed] = _final_mpjpe(full)
         out["rows"][seed] = full.rows
         for key, variant in (("na", "no_adapt"), ("2d", "2d_only"),
                              ("nc", "3d_noncyclic"), ("gauss", "gaussian")):
             run = bench.run_variant(variant, seed, hmr_params, md_params,
                                     model=model, video=video)
-            out[key][seed] = bench.final_mpjpe(run)
+            out[key][seed] = _final_mpjpe(run)
         rand_h, rand_m = bench.random_nets(seed)
         rand = bench.run_variant("full_cyclic", seed, rand_h, rand_m,
                                  model=model, video=video)
-        out["rand"][seed] = bench.final_mpjpe(rand)
+        out["rand"][seed] = _final_mpjpe(rand)
         kept = bench.run_variant("frozen_hmr", seed, hmr_params, md_params,
                                  model=model, video=video)
         tuned = bench.run_variant("frozen_hmr_adapt_md", seed, hmr_params, md_params,
                                   model=model, video=video)
-        out["frozen"][seed] = bench.final_mpjpe(kept)
-        out["before"][seed] = bench.final_store_mpjpe(kept)
-        out["after"][seed] = bench.final_store_mpjpe(tuned)
+        out["frozen"][seed] = _final_mpjpe(kept)
+        out["before"][seed] = _final_mpjpe(kept, "store")
+        out["after"][seed] = _final_mpjpe(tuned, "store")
         out["online"][seed] = bench.run_online(seed, hmr_params, md_params,
                                                model=model, video=video).report.mpjpe
     return out

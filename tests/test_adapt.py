@@ -219,7 +219,8 @@ def test_md_stage_frozen_keeps_params_but_still_denoises():
     store = _filled_store(5)
     params = md_init(MD_CONFIG, seed=0)
     opt = _opt({}, params)
-    out = md_stage(store, MD_CONFIG, params, opt, _config(frozen_mdnet=True), np.random.default_rng(2))
+    config = _config(md_denoiser="frozen_mdnet")
+    out = md_stage(store, MD_CONFIG, params, opt, config, np.random.default_rng(2))
     assert out is params and opt.clock == 0
     assert store.md_written.all()
 
@@ -291,7 +292,7 @@ def test_cycle_adapt_no_3d_loss_skips_denoiser_entirely():
     trace = {}
     run = cycle_adapt(
         inputs, MODEL, HMR_CONFIG, hmr_init(HMR_CONFIG, seed=0),
-        MD_CONFIG, md0, _config(cycles=2, no_3d_loss=True), trace=trace,
+        MD_CONFIG, md0, _config(cycles=2, md_denoiser="none"), trace=trace,
     )
     assert run.md_params is md0
     assert not run.store.md_written.any()
@@ -397,7 +398,7 @@ def test_online_frozen_mdnet_still_denoises_the_store(monkeypatch):
     inputs = _setup(12)
     md0 = md_init(MD_CONFIG, seed=0)
     run = online_adapt(inputs, MODEL, HMR_CONFIG, hmr_init(HMR_CONFIG, seed=0),
-                       MD_CONFIG, md0, _config(frozen_mdnet=True))
+                       MD_CONFIG, md0, _config(md_denoiser="frozen_mdnet"))
     assert run.md_params is md0
     assert run.steps_taken == 12  # one regressor step per frame, no denoiser step
     (store,) = stores
@@ -425,3 +426,25 @@ def test_md_step_rejects_a_non_finite_loss():
     mask = np.array([0.0, 1.0, 0.0, 1.0, 0.0])
     with pytest.raises(InvariantError, match="denoiser loss is (nan|inf) at optimizer step 4"):
         adapt.md_step(store, np.arange(5), store.theta.copy(), mask, MD_CONFIG, params, opt, _config(), 1e-4)
+
+
+def test_md_step_refuses_to_write_non_finite_poses():
+    store = _filled_store(5)
+    theta_before = store.theta.copy()
+    params = md_init(MD_CONFIG, seed=0)
+    params["w_out"][1, 2] = np.nan
+    opt = _opt(hmr_init(HMR_CONFIG, seed=0), params)
+    opt.clock = 3
+    config = _config(md_denoiser="frozen_mdnet")  # no loss, so only the write-back can see it
+    with pytest.raises(InvariantError, match="denoiser wrote non-finite poses at optimizer step 3"):
+        adapt.md_step(store, np.arange(5), store.theta.copy(), None, MD_CONFIG, params, opt, config, 1e-4)
+    assert np.array_equal(store.theta, theta_before) and not store.md_written.any()
+
+
+def test_cycle_adapt_stops_at_a_frozen_denoisers_non_finite_write_back():
+    inputs = _setup(16)
+    md0 = md_init(MD_CONFIG, seed=0)
+    md0["w_out"][0, 0] = np.nan
+    config = _config(cycles=2, md_denoiser="frozen_mdnet")
+    with pytest.raises(InvariantError, match="denoiser wrote non-finite poses at optimizer step 2"):
+        cycle_adapt(inputs, MODEL, HMR_CONFIG, hmr_init(HMR_CONFIG, seed=0), MD_CONFIG, md0, config)

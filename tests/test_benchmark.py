@@ -74,25 +74,42 @@ def test_target_mixing_rejects_out_of_range_alpha():
 
 def test_variant_config_flags():
     assert bench.variant_config("no_adapt", 3).cycles == 0
-    assert bench.variant_config("2d_only", 3).no_3d_loss
-    assert bench.variant_config("3d_noncyclic", 3).frozen_mdnet
+    assert bench.variant_config("2d_only", 3).md_denoiser == "none"
+    assert bench.variant_config("3d_noncyclic", 3).md_denoiser == "frozen_mdnet"
     full = bench.variant_config("full_cyclic", 3)
-    assert not (full.no_3d_loss or full.frozen_mdnet or full.frozen_hmrnet)
+    assert full.md_denoiser == "mdnet" and not full.frozen_hmrnet
     assert full.seed == 3
     assert bench.variant_config("gaussian", 3).md_denoiser == "gaussian"
     frozen = bench.variant_config("frozen_hmr", 3)
-    assert frozen.frozen_hmrnet and frozen.frozen_mdnet
+    assert frozen.frozen_hmrnet and frozen.md_denoiser == "frozen_mdnet"
     adapting = bench.variant_config("frozen_hmr_adapt_md", 3, base=frozen)
-    assert adapting.frozen_hmrnet and not adapting.frozen_mdnet
+    assert adapting.frozen_hmrnet and adapting.md_denoiser == "mdnet"
     with pytest.raises(ValueError, match="unknown variant"):
         bench.variant_config("bogus", 3)
+
+
+NAMED_MODES = {
+    "2d_only": "none",
+    "3d_noncyclic": "frozen_mdnet",
+    "gaussian": "gaussian",
+    "frozen_hmr": "frozen_mdnet",
+    "frozen_hmr_adapt_md": "mdnet",
+}
+
+
+@pytest.mark.parametrize("base_mode", ["mdnet", "frozen_mdnet", "gaussian", "none"])
+def test_variant_config_runs_the_mode_its_label_names_on_any_base(base_mode):
+    base = AdaptConfig(md_denoiser=base_mode)
+    for variant in bench.VARIANTS:
+        want = NAMED_MODES.get(variant, base_mode)  # no_adapt and full_cyclic keep the base's
+        assert bench.variant_config(variant, 3, base=base).md_denoiser == want, variant
 
 
 def test_variant_config_respects_base():
     base = AdaptConfig(cycles=2, batch=8, gamma=0.5, seed=0)
     cfg = bench.variant_config("2d_only", 7, base=base)
     assert cfg.cycles == 2 and cfg.batch == 8 and cfg.gamma == 0.5
-    assert cfg.seed == 7 and cfg.no_3d_loss
+    assert cfg.seed == 7 and cfg.md_denoiser == "none"
 
 
 def test_make_evaluator_hides_ground_truth(tiny_bench):

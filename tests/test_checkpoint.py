@@ -30,15 +30,29 @@ def test_hmr_round_trip(tmp_path):
         assert np.array_equal(loaded[name], params[name])
 
 
-def test_md_round_trip_keeps_ramp_flag(tmp_path):
-    config = MdConfig(window=7, blocks=2, ramp=True)
+def test_md_round_trip(tmp_path):
+    config = MdConfig(window=7, blocks=2)
     params = md_init(config, 3)
     path = tmp_path / "net.camd"
     save_md(path, config, params)
+    assert path.read_bytes()[8:24] == struct.pack("<4I", 7, 144, 2, 0)
     loaded_config, loaded = load_md(path)
     assert loaded_config == config
     for name in params:
         assert np.array_equal(loaded[name], params[name])
+
+
+@pytest.mark.parametrize("word, value", [(1, 143), (3, 1)])  # the pose width, then the zero word
+def test_md_load_refuses_another_pose_width_or_a_nonzero_fourth_word(tmp_path, word, value):
+    config = MdConfig(window=4, blocks=1)
+    path = tmp_path / "net.camd"
+    save_md(path, config, md_init(config, 0))
+    raw = bytearray(path.read_bytes())
+    raw[8 + 4 * word : 12 + 4 * word] = struct.pack("<I", value)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError) as err:
+        load_md(path)
+    assert str(err.value).startswith(f"{path}: denoiser header has pose width")
 
 
 def test_magic_is_checked(tmp_path):

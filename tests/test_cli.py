@@ -4,6 +4,7 @@ dialect, config round trips, and the documented exit codes.
 
 import dataclasses
 import json
+import re
 import zipfile
 from pathlib import Path
 
@@ -50,6 +51,23 @@ def _row(mpjpe=1.0, pa=0.5, mpvpe=2.0, accel=0.25):
     return MetricReport(mpjpe=mpjpe, pa_mpjpe=pa, mpvpe=mpvpe, accel=accel)
 
 
+def _default_config():
+    return cli.config_from_dict({})
+
+
+def _parse_metrics_csv(path) -> list:
+    """Back to (cycle, source, MetricReport) rows, at the file's precision."""
+    with open(path, newline="\n") as fh:
+        lines = fh.read().split("\n")
+    assert lines[0] == cli.CSV_HEADER, f"{path}: header {lines[0]!r}"
+    rows = []
+    for line in filter(None, lines[1:]):
+        fields = line.split(",")
+        assert len(fields) == 6, f"{path}: malformed row {line!r}"
+        rows.append((int(fields[0]), fields[1], MetricReport(*(float(v) for v in fields[2:]))))
+    return rows
+
+
 def test_metrics_csv_empty_rows_is_header_only(tmp_path):
     path = tmp_path / "m.csv"
     cli.emit_metrics_csv(path, [])
@@ -69,7 +87,7 @@ def test_metrics_csv_parse_back_round_trips(tmp_path):
             (1, "store", _row(8.0, 4.0, 10.0, 0.5))]
     path = tmp_path / "m.csv"
     cli.emit_metrics_csv(path, rows)
-    parsed = cli.parse_metrics_csv(path)
+    parsed = _parse_metrics_csv(path)
     assert [(c, s) for c, s, _ in parsed] == [(0, "hmrnet"), (1, "store")]
     # a second emit of the parsed rows reproduces the file exactly
     again = tmp_path / "m2.csv"
@@ -77,33 +95,20 @@ def test_metrics_csv_parse_back_round_trips(tmp_path):
     assert again.read_bytes() == path.read_bytes()
 
 
-def test_parse_metrics_csv_rejects_wrong_header(tmp_path):
-    path = tmp_path / "m.csv"
-    path.write_text("cycle,src,mpjpe\n")
-    with pytest.raises(cli.ConfigError, match="header"):
-        cli.parse_metrics_csv(path)
-
-
 def test_config_round_trips_through_dict():
-    cfg = cli.default_config()
+    cfg = _default_config()
     assert cli.config_from_dict(cli.config_to_dict(cfg)) == cfg
     cfg2 = cli.config_from_dict(json.loads(json.dumps(TINY)))
     assert cli.config_from_dict(cli.config_to_dict(cfg2)) == cfg2
 
 
 def test_default_config_schema_is_pinned():
-    assert cli.config_to_dict(cli.default_config()) == {
+    assert cli.config_to_dict(_default_config()) == {
         "seed": 0,
         "paths": {"out_dir": "run_out", "hmr_ckpt": "hmr.ckpt", "md_ckpt": "md.ckpt", "video": None},
-        "flags": {
-            "frozen_mdnet": False,
-            "no_3d_loss": False,
-            "random_init": False,
-            "online": False,
-            "unweighted_2d": False,
-        },
+        "flags": {"random_init": False, "online": False},
         "hmr": {"feature_dim": 512, "hidden_dim": 256, "num_hidden_layers": 3},
-        "md": {"window": 49, "pose_dim": 144, "blocks": 4, "ramp": False},
+        "md": {"window": 49, "blocks": 4},
         "adapt": {
             "cycles": 12,
             "batch": 32,
@@ -131,7 +136,7 @@ def test_default_config_schema_is_pinned():
             "kp_noise_std": 0.02,
             "p_drop": 0.2,
         },
-        "body": {"seed": 7, "joints": 24, "vertices": 120, "scale": 0.15},
+        "body": {"seed": 7, "vertices": 120, "scale": 0.15},
         "synth": {"video_frames": 500, "gap_alpha": 0.35, "source_count": 6, "source_frames": 400},
         "pretrain": {
             "hmr_steps": 4000,
@@ -143,10 +148,10 @@ def test_default_config_schema_is_pinned():
 
 
 def test_config_casts_loosely_typed_json_values():
-    cfg = cli.config_from_dict({"body": {"scale": 1, "joints": 24.0}, "synth": {"gap_alpha": 0}, "flags": {"online": True}})
+    cfg = cli.config_from_dict({"body": {"scale": 1, "vertices": 24.0}, "synth": {"gap_alpha": 0}, "flags": {"online": True}})
     echo = cli.config_to_dict(cfg)
     assert echo["body"]["scale"] == 1.0 and isinstance(echo["body"]["scale"], float)
-    assert echo["body"]["joints"] == 24 and isinstance(echo["body"]["joints"], int)
+    assert echo["body"]["vertices"] == 24 and isinstance(echo["body"]["vertices"], int)
     assert isinstance(echo["synth"]["gap_alpha"], float)
     assert echo["flags"]["online"] is True
 
@@ -154,10 +159,9 @@ def test_config_casts_loosely_typed_json_values():
 @pytest.mark.parametrize(
     "section, key, value",
     [
-        ("flags", "frozen_mdnet", "false"),
         ("flags", "online", 1),
         ("flags", "random_init", None),
-        ("body", "joints", 24.7),
+        ("body", "vertices", 24.7),
         ("body", "seed", True),
         ("synth", "video_frames", "500"),
         ("pretrain", "hmr_lr", "1e-3"),
@@ -165,7 +169,8 @@ def test_config_casts_loosely_typed_json_values():
         ("adapt", "cycles", 2.5),
         ("adapt", "gamma", "0.1"),
         ("hmr", "hidden_dim", 12.5),
-        ("md", "ramp", "no"),
+        ("md", "blocks", "no"),
+        ("adapt", "md_denoiser", 3),
         ("source", "mixing_seed", 1.5),
     ],
 )
@@ -191,8 +196,43 @@ def test_config_rejects_mistyped_seed(value, tmp_path, capsys):
 
 
 def test_adapt_knobs_default_to_the_adaptation_config():
-    cfg = cli.default_config()
+    cfg = _default_config()
     assert cfg.adapt_config() == AdaptConfig()
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("flags", "frozen_mdnet", True),
+        ("flags", "no_3d_loss", True),
+        ("flags", "unweighted_2d", True),
+        ("md", "ramp", False),
+        ("md", "pose_dim", 144),
+        ("body", "joints", 24),
+    ],
+)
+def test_removed_keys_are_refused(section, key, value, tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({section: {key: value}}))
+    assert cli.run(["synth", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert f"{path} {section}: unknown key(s) ['{key}']" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_md_denoiser_is_set_in_the_adapt_section():
+    for mode in ("mdnet", "frozen_mdnet", "gaussian", "none"):
+        assert cli.config_from_dict({"adapt": {"md_denoiser": mode}}).adapt_config().md_denoiser == mode
+    with pytest.raises(ValueError, match="md_denoiser must be one of"):
+        cli.config_from_dict({"adapt": {"md_denoiser": "median"}})
+
+
+def test_readme_json_examples_load_as_configs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```json\n(.*?)^```", readme, flags=re.S | re.M)
+    assert blocks
+    for block in blocks:
+        cli.config_from_dict(json.loads(block), where="README.md")
 
 
 def test_config_rejects_unknown_keys():
@@ -258,7 +298,7 @@ def test_pretrain_wrote_checkpoints_and_tau(ws):
 def test_adapt_writes_rows_and_cycle_checkpoints(ws, tmp_path):
     out = tmp_path / "run"
     assert cli.run(["adapt", "--config", str(ws["cfg_path"]), "--out", str(out)]) == 0
-    rows = cli.parse_metrics_csv(out / "metrics.csv")
+    rows = _parse_metrics_csv(out / "metrics.csv")
     cycles = TINY["adapt"]["cycles"]
     assert len(rows) == 1 + 2 * cycles  # cycle-0 row, then hmrnet+store per cycle
     assert rows[0][:2] == (0, "hmrnet")
@@ -288,7 +328,7 @@ def test_adapt_seed_changes_the_video_and_the_metrics(ws, tmp_path):
 def test_adapt_online_writes_single_row_and_final_nets(ws, tmp_path):
     out = tmp_path / "onl"
     assert cli.run(["adapt", "--config", str(ws["cfg_path"]), "--online", "--out", str(out)]) == 0
-    rows = cli.parse_metrics_csv(out / "metrics.csv")
+    rows = _parse_metrics_csv(out / "metrics.csv")
     assert [(c, s) for c, s, _ in rows] == [(0, "hmrnet")]
     assert (out / "hmr_final.ckpt").exists() and (out / "md_final.ckpt").exists()
 
@@ -299,8 +339,8 @@ def test_eval_matches_the_unadapted_adapt_row(ws, tmp_path):
     assert cli.run(["synth"] + base + ["--out", str(vids)]) == 0
     assert cli.run(["adapt"] + base + ["--out", str(run)]) == 0
     assert cli.run(["eval"] + base + ["--video", str(vids / "target.video"), "--out", str(ev)]) == 0
-    eval_rows = cli.parse_metrics_csv(ev / "metrics.csv")
-    adapt_rows = cli.parse_metrics_csv(run / "metrics.csv")
+    eval_rows = _parse_metrics_csv(ev / "metrics.csv")
+    adapt_rows = _parse_metrics_csv(run / "metrics.csv")
     assert eval_rows[0] == adapt_rows[0]
 
 
@@ -396,7 +436,7 @@ def test_checkpoint_config_mismatch_exits_1(ws, tmp_path, capsys):
 def test_ablate_suites_emit_one_row_per_configuration(ws, tmp_path, suite, labels):
     out = tmp_path / suite
     assert cli.run(["ablate", "--config", str(ws["cfg_path"]), "--suite", suite, "--out", str(out)]) == 0
-    rows = cli.parse_metrics_csv(out / "ablate.csv")
+    rows = _parse_metrics_csv(out / "ablate.csv")
     assert [s for _, s, _ in rows] == labels
     assert all(rep.mpjpe > 0 for _, _, rep in rows)
 

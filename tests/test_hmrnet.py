@@ -32,11 +32,11 @@ def _loss_value(model, config, params, features, keypoints, **kw):
     return float(evaluate(g, params)[loss])
 
 
-def _l2d_oracle(model, params, features, keypoints, unweighted=False):
+def _l2d_oracle(model, params, features, keypoints):
     theta, beta, cam = hmr_forward(params, features)
     _, joints = body_forward_batch(model, theta, beta)
     proj = project_batch(cam, joints)
-    weights, targets = keypoint_weights(keypoints, unweighted=unweighted)
+    weights, targets = keypoint_weights(keypoints)
     per_joint = np.abs(proj - targets).mean(axis=2)
     return float((weights * per_joint).sum(axis=1).mean())
 
@@ -247,19 +247,6 @@ def test_all_zero_confidence_skips_reprojection_term():
     loss = _loss_value(model, SMALL, params, features, kp, pseudo_theta=pseudo_theta, pseudo_beta=pseudo_beta)
     expected = np.abs(theta - pseudo_theta).mean() + 0.001 * np.abs(beta - pseudo_beta).mean()
     assert abs(loss - expected) < 1e-12
-
-
-def test_unweighted_flag_uses_indicator_weights():
-    model, params, features, kp = _loss_setup(16)
-    kp[:, :, 2] = np.linspace(0.05, 1.0, kp.shape[1])
-    kp[:, 1, 2] = 0.0
-    flat = kp.copy()
-    flat[:, :, 2] = (kp[:, :, 2] > 0).astype(float)
-    unweighted = _loss_value(model, SMALL, params, features, kp, unweighted=True)
-    reference = _loss_value(model, SMALL, params, features, flat)
-    weighted = _loss_value(model, SMALL, params, features, kp)
-    assert unweighted == reference
-    assert abs(unweighted - weighted) > 1e-9
 
 
 def test_loss_nonnegative_over_seeds():

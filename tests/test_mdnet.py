@@ -39,11 +39,11 @@ def _toy_motions(pop_seed, phase_seed, count, length):
 
 def test_config_defaults_and_validation():
     config = MdConfig()
-    assert (config.window, config.pose_dim, config.blocks, config.ramp) == (49, 144, 4, False)
+    assert (config.window, config.pose_dim, config.blocks) == (49, 144, 4)
     with pytest.raises(ValueError):
         MdConfig(window=0)
-    with pytest.raises(ValueError):
-        MdConfig(pose_dim=100)
+    with pytest.raises(TypeError):
+        MdConfig(pose_dim=100)  # the pose width is a constant, not a setting
     with pytest.raises(ValueError):
         MdConfig(blocks=0)
 
@@ -126,14 +126,12 @@ def _reference_forward(params, x, config):
         mu = z.mean(axis=-1, keepdims=True)
         var = np.mean((z - mu) ** 2, axis=-1, keepdims=True)
         z = (z - mu) * (1.0 / np.sqrt(var + 1e-5)) * params[f"ln_g{i}"] + params[f"ln_b{i}"]
-        if config.ramp:
-            z = np.maximum(z, 0.0)
     return z.T @ params["w_out"] + params["b_out"]
 
 
 def test_graph_forward_matches_numpy():
     rng = np.random.default_rng(5)
-    for config in (TINY, MdConfig(window=4, blocks=2, ramp=True)):
+    for config in (TINY, MdConfig(window=4, blocks=2)):
         params = md_init(config, 5)
         for name in params:
             if name.startswith(("b_", "ln_")):
@@ -143,7 +141,7 @@ def test_graph_forward_matches_numpy():
         out = md_forward_graph(g, config, g.const(x))
         reference = _reference_forward(params, x, config)
         assert np.array_equal(evaluate(g, params)[out], reference)
-        assert np.array_equal(md_forward(params, x, ramp=config.ramp), reference)
+        assert np.array_equal(md_forward(params, x), reference)
 
 
 def test_sample_mask_counts():
@@ -238,7 +236,7 @@ def test_loss_gradient_zero_on_unmasked_rows():
 
 def test_network_grad_check_through_input():
     rng = np.random.default_rng(11)
-    for config in (MdConfig(window=3, blocks=2), MdConfig(window=3, blocks=1, ramp=True)):
+    for config in (MdConfig(window=3, blocks=2), MdConfig(window=3, blocks=1)):
         params = md_init(config, 11)
         noisy = rng.normal(size=(3, 144))
         target = rng.normal(size=(3, 144))
