@@ -138,7 +138,7 @@ class AdaptConfig:
         if self.batch < 1:
             raise ValueError(f"AdaptConfig.batch must be >= 1, got {self.batch}")
         if self.lr_start < self.lr_end or self.lr_end < 0:
-            raise ValueError("AdaptConfig: need lr_start >= lr_end >= 0")
+            raise ValueError(f"AdaptConfig.lr_end must be in [0, lr_start {self.lr_start}], got {self.lr_end}")
         if self.gamma < 0:
             raise ValueError(f"AdaptConfig.gamma must be >= 0, got {self.gamma}")
         if self.seed < 0:

@@ -38,7 +38,7 @@ from .adapt import (
     online_adapt,
 )
 from .bodymodel import BodyModel, body_forward_batch, build_toy_body, project_weak_perspective, scale_body
-from .checkpoint import load_hmr, load_md, save_hmr, save_md
+from .checkpoint import VERSION, load_hmr, load_md, save_hmr, save_md
 from .hmrnet import HmrConfig, hmr_forward, hmr_init
 from .mdnet import MdConfig, md_init, md_pretrain
 from .metrics import MetricReport, evaluate_sequence
@@ -68,12 +68,12 @@ HMR_CONFIG = HmrConfig(feature_dim=FEATURE_DIM)
 MD_CONFIG = MdConfig()
 
 # each table row: the AdaptConfig fields it overrides in the base config;
-# "no_adapt" and "full_cyclic" keep the base's denoiser
+# "no_adapt" keeps the base's denoiser
 VARIANTS = {
     "no_adapt": {"cycles": 0},
     "2d_only": {"md_denoiser": "none"},
     "3d_noncyclic": {"md_denoiser": "frozen_mdnet"},
-    "full_cyclic": {},
+    "full_cyclic": {"md_denoiser": "mdnet"},
     "gaussian": {"md_denoiser": "gaussian"},
     # regressor held fixed; the denoiser either stays pretrained or adapts
     "frozen_hmr": {"frozen_hmrnet": True, "md_denoiser": "frozen_mdnet"},
@@ -248,16 +248,17 @@ def pretrain_nets(
 
     The videos default to `make_source_videos(model)`. With cache_dir set,
     the nets are made from the default videos; checkpoints are reused when
-    the recipe recorded beside them (steps, rates, noise, net configs and
-    body) matches this call exactly, and written after a fresh run
-    (pre-training is deterministic, so the cache is just time).
+    the recipe recorded beside them (steps, rates, noise, net configs, body
+    and checkpoint format version) matches this call exactly, and written
+    after a fresh run (pre-training is deterministic, so the cache is just
+    time).
     """
     if cache_dir is not None and videos is not None:
         raise ValueError("pretrain_nets: cache_dir is keyed on the default videos; pass one or the other")
     model = benchmark_body() if model is None else model
     if cache_dir is not None:
-        recipe = dict(hmr_steps=hmr_steps, md_plan=md_plan, hmr_lr=hmr_lr, md_sigma=md_sigma)
-        recipe.update(hmr_config=asdict(hmr_config), md_config=asdict(md_config), body=_body_digest(model))
+        recipe = dict(hmr_steps=hmr_steps, md_plan=md_plan, hmr_lr=hmr_lr, md_sigma=md_sigma, body=_body_digest(model))
+        recipe.update(hmr_config=asdict(hmr_config), md_config=asdict(md_config), checkpoint_version=VERSION)
         recipe = json.loads(json.dumps(recipe))  # the form it takes in the file
         cache = Path(cache_dir)
         hmr_path, md_path, record_path = cache / "hmr_src.ckpt", cache / "md_src.ckpt", cache / "pretrain.json"
@@ -292,16 +293,17 @@ def pretrain_nets(
     return hmr_params, md_params, tau
 
 
-def variant_config(variant: str, seed: int, base: AdaptConfig | None = None) -> AdaptConfig:
-    """Table-row configs differ from the base only in the documented flags."""
-    if variant not in VARIANTS:
+def variant_config(variant: str | None, seed: int, base: AdaptConfig | None = None) -> AdaptConfig:
+    """Table-row configs differ from the base only in the documented flags;
+    variant None is the base as given, with the seed."""
+    if variant is not None and variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {tuple(VARIANTS)}")
     base = AdaptConfig(seed=seed) if base is None else base
-    return replace(base, seed=seed, **VARIANTS[variant])
+    return replace(base, seed=seed, **VARIANTS.get(variant, {}))
 
 
 def run_variant(
-    variant: str,
+    variant: str | None,
     seed: int,
     hmr_params: dict,
     md_params: dict,
@@ -339,7 +341,7 @@ def run_online(
     hmr_config: HmrConfig = HMR_CONFIG,
     md_config: MdConfig = MD_CONFIG,
 ) -> OnlineRun:
-    """The full-cyclic config, run as one causal pass."""
+    """The base config as given, run as one causal pass."""
     model = benchmark_body() if model is None else model
     video = make_target_video(seed, model=model) if video is None else video
     return online_adapt(
@@ -349,6 +351,6 @@ def run_online(
         hmr_params,
         md_config,
         md_params,
-        variant_config("full_cyclic", seed, base),
+        variant_config(None, seed, base),
         evaluator=make_evaluator(model, video),
     )

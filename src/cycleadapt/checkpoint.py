@@ -1,96 +1,94 @@
-"""Binary parameter files for the two networks.
+"""The package's one file format, and the networks' parameter files in it.
 
-Layout: 4-byte magic ("CAHM" for the mesh regressor, "CAMD" for the motion
-denoiser), little-endian u32 version, the config fields as u32s (for the
-denoiser: window, the pose width 144, blocks and a zero word), then every
-parameter tensor as raw little-endian float64 in declaration order. Shapes
-are reconstructed from the config, so the payload carries no per-tensor
-metadata.
+Videos (`synth.write_video`) and checkpoints are both `write_arrays` files:
+numpy's `.npz` layout, uncompressed `.npy` members under the zip format's
+default 1980 date (so the same arrays give the same bytes), each under a
+CRC-32 that `read_arrays` checks for every member before it parses any.
+
+A checkpoint holds the version, the net kind ("hmr" for the mesh regressor,
+"md" for the motion denoiser), the config ints and one float64 member per
+parameter; a load checks the member set and every shape against the config.
 """
 
 from __future__ import annotations
 
-import struct
-from pathlib import Path
+import io
+import operator
+import zipfile
+from dataclasses import asdict, fields
 
 import numpy as np
 
-from .bodymodel import THETA_SIZE
 from .hmrnet import HmrConfig, hmr_param_shapes
 from .mdnet import MdConfig, md_param_shapes
 
-MAGIC_HMR = b"CAHM"
-MAGIC_MD = b"CAMD"
-VERSION = 1
+VERSION = 2
+NETS = {"hmr": (HmrConfig, hmr_param_shapes), "md": (MdConfig, md_param_shapes)}
 
 
 class CheckpointError(ValueError):
     """Unreadable or inconsistent parameter file."""
 
 
-def _pack(magic: bytes, header_fields, shapes, params: dict) -> bytes:
-    chunks = [magic, struct.pack("<I", VERSION)]
-    chunks.append(struct.pack(f"<{len(header_fields)}I", *header_fields))
-    for name, shape in shapes:
-        tensor = np.ascontiguousarray(params[name], dtype="<f8")
+def write_arrays(path, members: dict) -> None:
+    """One `.npz`-layout file holding ``members`` (name -> array) in order."""
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, array in members.items():
+            with archive.open(zipfile.ZipInfo(f"{name}.npy"), "w") as fh:
+                np.lib.format.write_array(fh, array, allow_pickle=False)
+
+
+def read_arrays(path) -> dict:
+    """Every member of a `write_arrays` file; a bad CRC-32 raises `zipfile.BadZipFile`."""
+    with zipfile.ZipFile(path) as archive:
+        raw = {info.filename: archive.read(info) for info in archive.infolist()}
+    return {
+        name.removesuffix(".npy"): np.lib.format.read_array(io.BytesIO(data), allow_pickle=False)
+        for name, data in raw.items()
+    }
+
+
+def _save(path, kind: str, config, params: dict) -> None:
+    members = {"version": np.array(VERSION), "kind": np.array(kind)}
+    members.update((name, np.array(value)) for name, value in asdict(config).items())
+    for name, shape in NETS[kind][1](config):
+        tensor = np.ascontiguousarray(params[name], dtype=np.float64)
         if tensor.shape != shape:
             raise CheckpointError(f"parameter {name}: expected shape {shape}, got {tensor.shape}")
-        chunks.append(tensor.tobytes())
-    return b"".join(chunks)
+        members[name] = tensor
+    write_arrays(path, members)
 
 
-def _unpack(path, raw: bytes, magic: bytes, n_header: int):
-    head = 4 + 4 + 4 * n_header
-    if len(raw) < head:
-        raise CheckpointError(f"{path}: file truncated before header end")
-    if raw[:4] != magic:
-        raise CheckpointError(f"{path}: bad magic {raw[:4]!r}, expected {magic!r}")
-    (version,) = struct.unpack_from("<I", raw, 4)
-    if version != VERSION:
-        raise CheckpointError(f"{path}: unsupported version {version}, expected {VERSION}")
-    fields = struct.unpack_from(f"<{n_header}I", raw, 8)
-    return fields, raw[head:]
-
-
-def _read_tensors(path, body: bytes, shapes) -> dict:
-    params = {}
-    offset = 0
-    for name, shape in shapes:
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        nbytes = 8 * count
-        if offset + nbytes > len(body):
-            raise CheckpointError(f"{path}: file truncated inside parameter {name}")
-        params[name] = np.frombuffer(body, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
-        offset += nbytes
-    if offset != len(body):
-        raise CheckpointError(f"{path}: {len(body) - offset} trailing bytes after parameters")
-    return params
+def _load(path, kind: str):
+    config_type, param_shapes = NETS[kind]
+    try:
+        members = read_arrays(path)
+        found = (members.pop("version").item(), members.pop("kind").item())
+        if found != (VERSION, kind):
+            raise ValueError(f"version {found[0]!r} {found[1]!r} checkpoint, expected version {VERSION} {kind!r}")
+        config = config_type(**{f.name: operator.index(members.pop(f.name).item()) for f in fields(config_type)})
+        shapes = dict(param_shapes(config))
+        if set(members) != set(shapes):
+            raise ValueError(f"parameter members {sorted(members)}, expected {sorted(shapes)}")
+        for name, shape in shapes.items():
+            if members[name].dtype != np.float64 or members[name].shape != shape:
+                raise ValueError(f"parameter {name} is {members[name].dtype} {members[name].shape}, expected {shape}")
+    except Exception as err:  # a damaged zip, npy header, member or value fails in many ways
+        raise CheckpointError(f"{path}: not a readable version-{VERSION} {kind!r} checkpoint: {err!r}") from err
+    return config, {name: members[name] for name in shapes}
 
 
 def save_hmr(path, config: HmrConfig, params: dict) -> None:
-    header = (config.feature_dim, config.hidden_dim, config.num_hidden_layers)
-    Path(path).write_bytes(_pack(MAGIC_HMR, header, hmr_param_shapes(config), params))
+    _save(path, "hmr", config, params)
 
 
 def load_hmr(path) -> tuple[HmrConfig, dict]:
-    raw = Path(path).read_bytes()
-    fields, body = _unpack(path, raw, MAGIC_HMR, 3)
-    config = HmrConfig(feature_dim=fields[0], hidden_dim=fields[1], num_hidden_layers=fields[2])
-    return config, _read_tensors(path, body, hmr_param_shapes(config))
+    return _load(path, "hmr")
 
 
 def save_md(path, config: MdConfig, params: dict) -> None:
-    header = (config.window, THETA_SIZE, config.blocks, 0)
-    Path(path).write_bytes(_pack(MAGIC_MD, header, md_param_shapes(config), params))
+    _save(path, "md", config, params)
 
 
 def load_md(path) -> tuple[MdConfig, dict]:
-    raw = Path(path).read_bytes()
-    fields, body = _unpack(path, raw, MAGIC_MD, 4)
-    if (fields[1], fields[3]) != (THETA_SIZE, 0):
-        raise CheckpointError(
-            f"{path}: denoiser header has pose width {fields[1]} and fourth word {fields[3]}, "
-            f"expected {THETA_SIZE} and 0"
-        )
-    config = MdConfig(window=fields[0], blocks=fields[2])
-    return config, _read_tensors(path, body, md_param_shapes(config))
+    return _load(path, "md")

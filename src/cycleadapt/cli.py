@@ -15,8 +15,10 @@ so any run is reproducible from that file and nothing else.
 
 Exit codes: 0 success, 1 unusable config or file (the message names the
 offending path), 2 a violated internal invariant or a numerical failure
-mid-run. ``adapt.md_denoiser`` picks the 3D targets of every run (see
-`adapt.AdaptConfig`); under the ``online`` flag ``"frozen_mdnet"`` keeps its
+mid-run. A refused setting is a `ConfigError` naming the file and the JSON
+key (``section.key``). ``adapt.md_denoiser`` picks the 3D targets of an
+``adapt`` run (see `adapt.AdaptConfig`; each ``ablate`` row but ``no_adapt``
+sets its own); under the ``online`` flag ``"frozen_mdnet"`` keeps its
 meaning: the causal pass then still writes denoised windows to the store,
 but never updates the denoiser.
 """
@@ -27,6 +29,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -112,6 +115,14 @@ class Paths:
     md_ckpt: str = "md.ckpt"
     video: str | None = None
 
+    def __post_init__(self) -> None:
+        seen: dict = {}
+        for label, p in dataclasses.asdict(self).items():
+            key = os.path.normpath(str(p))
+            if p is not None and key in seen:
+                raise ValueError(f"paths.{label} names {key!r}, as does paths.{seen[key]}: paths must be distinct")
+            seen[key] = label
+
 
 @dataclass(frozen=True)
 class Flags:
@@ -129,6 +140,9 @@ class AdaptKnobs:
     md_denoiser: str = AdaptConfig.md_denoiser
     gaussian_std: float = AdaptConfig.gaussian_std
 
+    def __post_init__(self) -> None:
+        AdaptConfig(**dataclasses.asdict(self))  # refuse a bad knob where it is set
+
 
 @dataclass(frozen=True)
 class Body:
@@ -144,6 +158,13 @@ class Synth:
     source_count: int = len(SOURCE_SEEDS)
     source_frames: int = SOURCE_FRAMES
 
+    def __post_init__(self) -> None:
+        for name in ("video_frames", "source_count", "source_frames"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"synth.{name} must be >= 1, got {getattr(self, name)}")
+        if not 0.0 <= self.gap_alpha <= 1.0:
+            raise ValueError(f"synth.gap_alpha must be in [0, 1], got {self.gap_alpha}")
+
 
 @dataclass(frozen=True)
 class Pretrain:
@@ -151,6 +172,16 @@ class Pretrain:
     hmr_lr: float = HMR_PRETRAIN_LR
     md_sigma: float = MD_PRETRAIN_SIGMA
     md_plan: tuple = MD_PRETRAIN_PLAN
+
+    def __post_init__(self) -> None:
+        if self.hmr_steps < 1:
+            raise ValueError(f"pretrain.hmr_steps must be >= 1, got {self.hmr_steps}")
+        if self.hmr_lr <= 0:
+            raise ValueError(f"pretrain.hmr_lr must be > 0, got {self.hmr_lr}")
+        if self.md_sigma < 0:
+            raise ValueError(f"pretrain.md_sigma must be >= 0, got {self.md_sigma}")
+        if not self.md_plan or any(s < 1 or lr <= 0 for s, lr in self.md_plan):
+            raise ValueError("pretrain.md_plan needs at least one (steps >= 1, lr > 0) stage")
 
 
 @dataclass(frozen=True)
@@ -175,30 +206,8 @@ class RunConfig:
     pretrain: Pretrain = Pretrain()
 
     def __post_init__(self) -> None:
-        named = {"out_dir": self.paths.out_dir, "hmr_ckpt": self.paths.hmr_ckpt, "md_ckpt": self.paths.md_ckpt}
-        if self.paths.video is not None:
-            named["video"] = self.paths.video
-        seen: dict = {}
-        for label, p in named.items():
-            key = os.path.normpath(str(p))
-            if key in seen:
-                raise ConfigError(f"paths must be distinct: {seen[key]} and {label} both name {key!r}")
-            seen[key] = label
-        for section, name in (
-            (self.synth, "video_frames"),
-            (self.synth, "source_count"),
-            (self.synth, "source_frames"),
-            (self.pretrain, "hmr_steps"),
-        ):
-            if getattr(section, name) < 1:
-                raise ConfigError(f"RunConfig.{name} must be >= 1")
-        if not 0.0 <= self.synth.gap_alpha <= 1.0:
-            raise ConfigError(f"RunConfig.gap_alpha must be in [0, 1], got {self.synth.gap_alpha}")
-        if self.pretrain.hmr_lr <= 0 or self.pretrain.md_sigma < 0:
-            raise ConfigError("RunConfig: need hmr_lr > 0 and md_sigma >= 0")
-        if not self.pretrain.md_plan or any(s < 1 or lr <= 0 for s, lr in self.pretrain.md_plan):
-            raise ConfigError("RunConfig.md_plan needs at least one (steps >= 1, lr > 0) stage")
-        self.adapt_config()  # surface bad stage knobs at load time, not mid-run
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def adapt_config(self) -> AdaptConfig:
         return AdaptConfig(**dataclasses.asdict(self.adapt), seed=self.seed)
@@ -235,14 +244,16 @@ def config_from_dict(data: dict, where: str = "<config>") -> RunConfig:
                     values[declared.name] = _cast(name, declared.type, values[declared.name])
             sections[field.name] = type(field.default)(**values)
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{where}: {exc}") from None
-    try:
-        seed = _cast("seed", "int", data.pop("seed", 0))
-    except TypeError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+            # a library class names the key "hmr.hidden_dim" as "HmrConfig.hidden_dim"
+            message = re.sub(r"^[A-Z]\w*\.", f"{field.name}.", str(exc))
+            raise ConfigError(f"{where}: {message}") from None
+    seed = data.pop("seed", 0)
     if data:
         raise ConfigError(f"{where}: unknown top-level key(s) {sorted(data)}")
-    return RunConfig(seed=seed, **sections)
+    try:
+        return RunConfig(seed=_cast("seed", "int", seed), **sections)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
@@ -262,12 +273,7 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"{p}: not valid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{p}: top level must be a JSON object")
-    try:
-        return config_from_dict(data, where=str(p))
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{p}: {exc}") from exc
+    return config_from_dict(data, where=str(p))
 
 
 def write_config_echo(cfg: RunConfig, out_dir) -> None:
@@ -414,9 +420,7 @@ def cmd_adapt(cfg: RunConfig) -> int:
         save_hmr(out / "hmr_final.ckpt", cfg.hmr, run.hmr_params)
         save_md(out / "md_final.ckpt", cfg.md, run.md_params)
     else:
-        run = run_variant(
-            "full_cyclic", cfg.seed, hmr_params, md_params, checkpoint_dir=out, **_run_args(cfg, model, video)
-        )
+        run = run_variant(None, cfg.seed, hmr_params, md_params, checkpoint_dir=out, **_run_args(cfg, model, video))
         rows = run.rows
     emit_metrics_csv(out / "metrics.csv", rows)
     write_config_echo(cfg, out)

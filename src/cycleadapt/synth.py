@@ -15,17 +15,16 @@ noise). Domains with equal ranges therefore share a motion population even
 when their mixing seeds differ; the denoiser can learn the family from one
 domain and meet it again in the other.
 
-A video file is one `.npz`-layout zip (`write_video`/`read_video`): the format
-version, the domain spec as JSON, the camera, and one array per stream
-(features, theta, beta, keypoints, joints, mesh), each member under a CRC-32
-that is checked on every read.
+A video file (`write_video`/`read_video`) is one `checkpoint.write_arrays`
+file, the package's one format: the format version, the domain spec as JSON,
+the camera, and one array per stream (features, theta, beta, keypoints,
+joints, mesh), each member under a CRC-32 that is checked on every read.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +39,7 @@ from .bodymodel import (
     project_weak_perspective,
     rotmat_to_rot6d,
 )
+from .checkpoint import read_arrays, write_arrays
 
 FORMAT_VERSION = 2
 PARAM_SIZE = THETA_SIZE + BETA_SIZE
@@ -61,7 +61,10 @@ class DomainSpec:
 
     def __post_init__(self) -> None:
         for label, rng in (("freq_range", self.freq_range), ("amp_range", self.amp_range)):
-            pair = tuple(float(x) for x in rng)
+            try:
+                pair = tuple(float(x) for x in rng)
+            except (TypeError, ValueError):
+                pair = ()
             if len(pair) != 2 or not (0.0 <= pair[0] <= pair[1]):
                 raise ValueError(f"DomainSpec.{label} must be an ordered pair >= 0, got {rng}")
             object.__setattr__(self, label, pair)
@@ -229,11 +232,7 @@ def make_video(
 
 
 def write_video(path, video: SyntheticVideo, spec: DomainSpec) -> None:
-    """One `.npz`-layout file: a zip of `.npy` members, each under a CRC-32.
-
-    Members are stored uncompressed under the zip format's default 1980 date,
-    so writing the same video twice gives the same bytes.
-    """
+    """One `write_arrays` file; writing the same video twice gives the same bytes."""
     members = {
         "version": np.array(FORMAT_VERSION),
         "spec": np.array(json.dumps(dataclasses.asdict(spec))),
@@ -245,37 +244,27 @@ def write_video(path, video: SyntheticVideo, spec: DomainSpec) -> None:
         "joints": video.gt_joints,
         "mesh": video.gt_mesh,
     }
-    with zipfile.ZipFile(path, "w") as archive:
-        for name, array in members.items():
-            with archive.open(zipfile.ZipInfo(f"{name}.npy"), "w") as fh:
-                np.lib.format.write_array(fh, array, allow_pickle=False)
+    write_arrays(path, members)
 
 
 def read_video(path) -> tuple[SyntheticVideo, DomainSpec]:
-    """Inverse of write_video, bit for bit; any damage raises `VideoFormatError`.
-
-    Every member's CRC-32 is checked before any member is parsed, so a
-    flipped bit cannot load as different numbers.
-    """
+    """Inverse of write_video, bit for bit; any damage raises `VideoFormatError`."""
     try:
-        with np.load(path, allow_pickle=False) as npz:
-            damaged = npz.zip.testzip()
-            if damaged is not None:
-                raise ValueError(f"member {damaged} fails its CRC-32")
-            version = npz["version"].item()
-            if version != FORMAT_VERSION:
-                raise ValueError(f"unsupported version {version!r}, expected {FORMAT_VERSION}")
-            spec = DomainSpec(**json.loads(npz["spec"].item()))
-            camera = CameraParams(*(float(x) for x in npz["camera"]))
-            params = [SmplParams(theta=t, beta=b) for t, b in zip(npz["theta"], npz["beta"], strict=True)]
-            video = SyntheticVideo(
-                features=npz["features"],
-                gt_params=params,
-                gt_joints=npz["joints"],
-                gt_mesh=npz["mesh"],
-                keypoints=npz["keypoints"],
-                gt_camera=camera,
-            )
+        members = read_arrays(path)
+        version = members["version"].item()
+        if version != FORMAT_VERSION:
+            raise ValueError(f"unsupported version {version!r}, expected {FORMAT_VERSION}")
+        spec = DomainSpec(**json.loads(members["spec"].item()))
+        camera = CameraParams(*(float(x) for x in members["camera"]))
+        params = [SmplParams(theta=t, beta=b) for t, b in zip(members["theta"], members["beta"], strict=True)]
+        video = SyntheticVideo(
+            features=members["features"],
+            gt_params=params,
+            gt_joints=members["joints"],
+            gt_mesh=members["mesh"],
+            keypoints=members["keypoints"],
+            gt_camera=camera,
+        )
     except Exception as err:  # a damaged zip, npy header, member or value fails in many ways
         raise VideoFormatError(f"{path}: not a readable version-{FORMAT_VERSION} video: {err!r}") from err
     return video, spec

@@ -4,13 +4,16 @@ Everything here runs on shrunken stand-ins; the full-size orderings live in
 the acceptance suite.
 """
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
 from cycleadapt import benchmark as bench
 from cycleadapt.adapt import AdaptConfig
 from cycleadapt.bodymodel import build_toy_body, scale_body
-from cycleadapt.checkpoint import load_hmr, load_md
+from cycleadapt.checkpoint import VERSION, load_hmr, load_md
 from cycleadapt.hmrnet import hmr_init
 from cycleadapt.mdnet import md_init
 from cycleadapt.metrics import DegenerateGeometryError
@@ -91,6 +94,7 @@ def test_variant_config_flags():
 NAMED_MODES = {
     "2d_only": "none",
     "3d_noncyclic": "frozen_mdnet",
+    "full_cyclic": "mdnet",
     "gaussian": "gaussian",
     "frozen_hmr": "frozen_mdnet",
     "frozen_hmr_adapt_md": "mdnet",
@@ -101,8 +105,9 @@ NAMED_MODES = {
 def test_variant_config_runs_the_mode_its_label_names_on_any_base(base_mode):
     base = AdaptConfig(md_denoiser=base_mode)
     for variant in bench.VARIANTS:
-        want = NAMED_MODES.get(variant, base_mode)  # no_adapt and full_cyclic keep the base's
+        want = NAMED_MODES.get(variant, base_mode)  # no_adapt keeps the base's
         assert bench.variant_config(variant, 3, base=base).md_denoiser == want, variant
+    assert bench.variant_config(None, 3, base=base) == dataclasses.replace(base, seed=3)  # the base as given
 
 
 def test_variant_config_respects_base():
@@ -184,6 +189,24 @@ def test_pretrain_nets_cache_round_trip(tmp_path):
     assert all(np.array_equal(p3[1][k], p4[1][k]) for k in p3[1])
     with pytest.raises(ValueError, match="cache_dir"):
         bench.pretrain_nets(cache_dir=tmp_path, hmr_steps=3, md_plan=plan, videos=[])
+
+
+def test_pretrain_nets_rebuilds_a_cache_of_another_checkpoint_format(tmp_path):
+    """A cache written in another checkpoint format is trained again, not a CheckpointError."""
+    plan = ((4, 1e-3),)
+    fresh = bench.pretrain_nets(cache_dir=tmp_path, hmr_steps=3, md_plan=plan)
+    record = json.loads((tmp_path / "pretrain.json").read_text())
+    assert record["recipe"]["checkpoint_version"] == VERSION
+    record["recipe"]["checkpoint_version"] = 1
+    (tmp_path / "pretrain.json").write_text(json.dumps(record))
+    for name, magic in (("hmr_src.ckpt", b"CAHM"), ("md_src.ckpt", b"CAMD")):
+        (tmp_path / name).write_bytes(magic + b"\x01\x00\x00\x00")  # how a version-1 file starts
+    rebuilt = bench.pretrain_nets(cache_dir=tmp_path, hmr_steps=3, md_plan=plan)
+    assert rebuilt[2] == fresh[2]
+    for before, after in zip(fresh[:2], rebuilt[:2]):
+        assert all(np.array_equal(before[k], after[k]) for k in before)
+    assert json.loads((tmp_path / "pretrain.json").read_text())["recipe"]["checkpoint_version"] == VERSION
+    assert all(np.array_equal(load_md(tmp_path / "md_src.ckpt")[1][k], fresh[1][k]) for k in fresh[1])
 
 
 def test_domain_gap_monotone_in_alpha():

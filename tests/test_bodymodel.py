@@ -159,6 +159,22 @@ def test_rot6d_random_code_is_orthonormal():
     assert abs(np.linalg.det(rot) - 1.0) < 1e-9
 
 
+WELL_POSED_CODES = st.lists(st.floats(-10, 10), min_size=6, max_size=6).map(np.array).filter(
+    lambda c: min(np.linalg.norm(c[:3]), np.linalg.norm(c[3:])) > 1e-3
+    and np.linalg.norm(np.cross(c[:3], c[3:])) > 1e-3 * np.linalg.norm(c[:3]) * np.linalg.norm(c[3:])
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(code=WELL_POSED_CODES, first=st.floats(1e-3, 1e3), second=st.floats(1e-3, 1e3))
+def test_rot6d_gives_a_proper_rotation_that_ignores_column_scale(code, first, second):
+    rot = rot6d_batch(code)
+    assert np.abs(rot.T @ rot - np.eye(3)).max() < 1e-12
+    assert abs(np.linalg.det(rot) - 1.0) < 1e-12
+    rescaled = rot6d_batch(np.concatenate([first * code[:3], second * code[3:]]))
+    assert np.abs(rescaled - rot).max() < 1e-9
+
+
 DEGENERATE_CODES = [[0, 0, 0, 0, 1, 0], [1, 0, 0, 2, 0, 0]]  # a zero column; parallel columns
 
 

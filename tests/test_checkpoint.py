@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 
 import numpy as np
@@ -5,17 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cycleadapt.bodymodel import build_toy_body
 from cycleadapt.checkpoint import (
-    MAGIC_HMR,
-    MAGIC_MD,
     CheckpointError,
     load_hmr,
     load_md,
+    read_arrays,
     save_hmr,
     save_md,
+    write_arrays,
 )
 from cycleadapt.hmrnet import HmrConfig, hmr_init
 from cycleadapt.mdnet import MdConfig, md_init
+from cycleadapt.synth import DomainSpec, VideoFormatError, make_video, read_video, write_video
+
+SMALL_HMR = HmrConfig(feature_dim=4, hidden_dim=3, num_hidden_layers=1)
+SMALL_MD = MdConfig(window=3, blocks=1)
 
 
 def test_hmr_round_trip(tmp_path):
@@ -35,107 +41,136 @@ def test_md_round_trip(tmp_path):
     params = md_init(config, 3)
     path = tmp_path / "net.camd"
     save_md(path, config, params)
-    assert path.read_bytes()[8:24] == struct.pack("<4I", 7, 144, 2, 0)
+    members = read_arrays(path)
+    assert [members[name].item() for name in ("version", "kind", "window", "blocks")] == [2, "md", 7, 2]
     loaded_config, loaded = load_md(path)
     assert loaded_config == config
     for name in params:
         assert np.array_equal(loaded[name], params[name])
-
-
-@pytest.mark.parametrize("word, value", [(1, 143), (3, 1)])  # the pose width, then the zero word
-def test_md_load_refuses_another_pose_width_or_a_nonzero_fourth_word(tmp_path, word, value):
-    config = MdConfig(window=4, blocks=1)
-    path = tmp_path / "net.camd"
-    save_md(path, config, md_init(config, 0))
-    raw = bytearray(path.read_bytes())
-    raw[8 + 4 * word : 12 + 4 * word] = struct.pack("<I", value)
-    path.write_bytes(bytes(raw))
-    with pytest.raises(CheckpointError) as err:
-        load_md(path)
-    assert str(err.value).startswith(f"{path}: denoiser header has pose width")
-
-
-def test_magic_is_checked(tmp_path):
-    config = MdConfig(window=4, blocks=1)
-    path = tmp_path / "net.bin"
-    save_md(path, config, md_init(config, 0))
-    with pytest.raises(CheckpointError, match="magic"):
-        load_hmr(path)
-    assert MAGIC_HMR != MAGIC_MD
+    first = path.read_bytes()
+    save_md(path, config, params)
+    assert path.read_bytes() == first
 
 
 def test_version_is_checked(tmp_path):
-    config = HmrConfig(feature_dim=4, hidden_dim=3, num_hidden_layers=1)
     path = tmp_path / "net.cahm"
-    save_hmr(path, config, hmr_init(config, 0))
-    raw = bytearray(path.read_bytes())
-    raw[4:8] = struct.pack("<I", 9)
-    path.write_bytes(bytes(raw))
-    with pytest.raises(CheckpointError, match="version"):
+    save_hmr(path, SMALL_HMR, hmr_init(SMALL_HMR, 0))
+    write_arrays(path, {**read_arrays(path), "version": np.array(9)})
+    with pytest.raises(CheckpointError, match="net.cahm.*version 9"):
+        load_hmr(path)
+    # version 1, the packed binary: magic, version, config words, raw float64s
+    params = hmr_init(SMALL_HMR, 0)
+    path.write_bytes(struct.pack("<4s4I", b"CAHM", 1, 4, 3, 1) + b"".join(p.tobytes() for p in params.values()))
+    with pytest.raises(CheckpointError, match="net.cahm"):
         load_hmr(path)
 
 
-def test_truncated_file_names_path(tmp_path):
-    config = HmrConfig(feature_dim=4, hidden_dim=3, num_hidden_layers=1)
-    path = tmp_path / "cut.cahm"
-    save_hmr(path, config, hmr_init(config, 0))
-    raw = path.read_bytes()
-    path.write_bytes(raw[: len(raw) - 17])
-    with pytest.raises(CheckpointError, match="cut.cahm"):
-        load_hmr(path)
-    path.write_bytes(raw[:6])
-    with pytest.raises(CheckpointError, match="truncated"):
-        load_hmr(path)
+def test_a_checkpoint_of_the_other_kind_is_refused(tmp_path):
+    save_md(tmp_path / "md.ckpt", SMALL_MD, md_init(SMALL_MD, 0))
+    save_hmr(tmp_path / "hmr.ckpt", SMALL_HMR, hmr_init(SMALL_HMR, 0))
+    with pytest.raises(CheckpointError, match=r"md\.ckpt: .*version 2 'md' checkpoint, expected"):
+        load_hmr(tmp_path / "md.ckpt")
+    with pytest.raises(CheckpointError, match=r"hmr\.ckpt: .*version 2 'hmr' checkpoint, expected"):
+        load_md(tmp_path / "hmr.ckpt")
 
 
-def test_trailing_bytes_rejected(tmp_path):
-    config = MdConfig(window=3, blocks=1)
-    path = tmp_path / "extra.camd"
-    save_md(path, config, md_init(config, 0))
-    path.write_bytes(path.read_bytes() + b"\x00" * 8)
-    with pytest.raises(CheckpointError, match="trailing"):
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"w_in": np.zeros((143, 143))},  # the pose width of a foreign denoiser
+        {"ln_g0": np.ones(4)},
+        {"b_out": np.zeros(144, dtype=np.float32)},
+        {"b_out": None},
+        {"w_extra": np.zeros(3)},
+        {"window": np.array(3.0)},
+    ],
+    ids=["w_in-143", "ln_g0-4", "b_out-float32", "missing-b_out", "extra-member", "float-window"],
+)
+def test_a_wrong_member_is_refused(tmp_path, changes):
+    path = tmp_path / "net.camd"
+    save_md(path, SMALL_MD, md_init(SMALL_MD, 0))
+    members = {**read_arrays(path), **changes}
+    write_arrays(path, {name: value for name, value in members.items() if value is not None})
+    with pytest.raises(CheckpointError, match="net.camd"):
         load_md(path)
 
 
-@pytest.fixture(scope="module")
-def saved(tmp_path_factory):
-    """One small saved regressor and denoiser, as raw bytes, plus a scratch path."""
-    root = tmp_path_factory.mktemp("ckpt")
-    hmr_config = HmrConfig(feature_dim=4, hidden_dim=3, num_hidden_layers=1)
-    md_config = MdConfig(window=3, blocks=1)
-    save_hmr(root / "net.cahm", hmr_config, hmr_init(hmr_config, 0))
-    save_md(root / "net.camd", md_config, md_init(md_config, 0))
-    raw = {"hmr": (root / "net.cahm").read_bytes(), "md": (root / "net.camd").read_bytes()}
-    return raw, {"hmr": load_hmr, "md": load_md}, root / "damaged.ckpt"
-
-
-@settings(max_examples=200, deadline=None)
-@given(kind=st.sampled_from(["hmr", "md"]), data=st.data())
-def test_every_strict_prefix_is_a_checkpoint_error(saved, kind, data):
-    raw, loaders, path = saved
-    path.write_bytes(raw[kind][: data.draw(st.integers(0, len(raw[kind]) - 1))])
-    with pytest.raises(CheckpointError) as err:
-        loaders[kind](path)
-    assert str(path) in str(err.value)
-
-
-@settings(max_examples=200, deadline=None)
-@given(kind=st.sampled_from(["hmr", "md"]), bit=st.integers(0, 63))
-def test_a_flipped_magic_or_version_bit_is_a_checkpoint_error(saved, kind, bit):
-    """The first 8 bytes are the magic and the version. A flip in the float
-    payload cannot be seen: the format carries no checksum."""
-    raw, loaders, path = saved
-    damaged = bytearray(raw[kind])
-    damaged[bit // 8] ^= 1 << (bit % 8)
-    path.write_bytes(bytes(damaged))
-    with pytest.raises(CheckpointError, match="magic|version") as err:
-        loaders[kind](path)
-    assert str(path) in str(err.value)
+def test_truncated_file_names_path(tmp_path):
+    path = tmp_path / "cut.cahm"
+    save_hmr(path, SMALL_HMR, hmr_init(SMALL_HMR, 0))
+    raw = path.read_bytes()
+    for cut in (0, 6, len(raw) // 2, len(raw) - 17):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(CheckpointError, match="cut.cahm"):
+            load_hmr(path)
 
 
 def test_save_rejects_wrong_shapes(tmp_path):
-    config = HmrConfig(feature_dim=4, hidden_dim=3, num_hidden_layers=1)
-    params = hmr_init(config, 0)
+    params = hmr_init(SMALL_HMR, 0)
     params["w0"] = np.zeros((4, 4))
     with pytest.raises(CheckpointError, match="w0"):
-        save_hmr(tmp_path / "bad.cahm", config, params)
+        save_hmr(tmp_path / "bad.cahm", SMALL_HMR, params)
+    params = md_init(SMALL_MD, 0)
+    params["w_t0"] = np.zeros((3, 4))
+    with pytest.raises(CheckpointError, match="w_t0"):
+        save_md(tmp_path / "bad.camd", SMALL_MD, params)
+
+
+def _flat(value):
+    """What a reader returned, as nested lists of bytes and reprs, compared exactly."""
+    if isinstance(value, np.ndarray):
+        return [value.dtype.str, value.shape, value.tobytes()]
+    if dataclasses.is_dataclass(value):
+        value = [type(value).__name__] + [getattr(value, f.name) for f in dataclasses.fields(value)]
+    if isinstance(value, dict):
+        value = list(value.items())
+    if isinstance(value, (list, tuple)):
+        return [_flat(item) for item in value]
+    return repr(value)
+
+
+@pytest.fixture(scope="module")
+def small_files(tmp_path_factory):
+    """kind -> (reader, error type, the file's bytes, what it reads as, a scratch path)."""
+    root = tmp_path_factory.mktemp("small")
+    spec = DomainSpec("source", (0.08, 0.15), (0.2, 0.6), 11, 0.01, 0.02, 0.2)
+    write_video(root / "clip.video", make_video(spec, build_toy_body(42, vertices=40), 2, 8, seed=4), spec)
+    save_hmr(root / "net.cahm", SMALL_HMR, hmr_init(SMALL_HMR, 0))
+    save_md(root / "net.camd", SMALL_MD, md_init(SMALL_MD, 0))
+    files = {}
+    for kind, name, read, error in (
+        ("video", "clip.video", read_video, VideoFormatError),
+        ("hmr", "net.cahm", load_hmr, CheckpointError),
+        ("md", "net.camd", load_md, CheckpointError),
+    ):
+        files[kind] = (read, error, (root / name).read_bytes(), _flat(read(root / name)), root / f"damaged.{kind}")
+    return files
+
+
+@pytest.mark.parametrize("kind", ["video", "hmr", "md"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_a_flipped_bit_raises_or_loads_identical(small_files, kind, data):
+    read, error, raw, contents, path = small_files[kind]
+    bit = data.draw(st.integers(0, 8 * len(raw) - 1))
+    damaged = bytearray(raw)
+    damaged[bit // 8] ^= 1 << (bit % 8)
+    path.write_bytes(bytes(damaged))
+    try:
+        loaded = read(path)
+    except error as err:
+        assert str(path) in str(err)
+    else:
+        same = _flat(loaded) == contents  # a bare bool: a diff of the two would be huge
+        assert same, f"flipping bit {bit} loaded different data"
+
+
+@pytest.mark.parametrize("kind", ["video", "hmr", "md"])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_every_strict_prefix_raises(small_files, kind, data):
+    read, error, raw, _, path = small_files[kind]
+    path.write_bytes(raw[: data.draw(st.integers(0, len(raw) - 1))])
+    with pytest.raises(error) as err:
+        read(path)
+    assert str(path) in str(err.value)

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cycleadapt import benchmark, cli
 from cycleadapt.adapt import AdaptConfig, InvariantError
@@ -223,8 +225,51 @@ def test_removed_keys_are_refused(section, key, value, tmp_path, capsys):
 def test_md_denoiser_is_set_in_the_adapt_section():
     for mode in ("mdnet", "frozen_mdnet", "gaussian", "none"):
         assert cli.config_from_dict({"adapt": {"md_denoiser": mode}}).adapt_config().md_denoiser == mode
-    with pytest.raises(ValueError, match="md_denoiser must be one of"):
+    with pytest.raises(cli.ConfigError, match="adapt.md_denoiser must be one of"):
         cli.config_from_dict({"adapt": {"md_denoiser": "median"}})
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("adapt", "batch", 0),
+        ("adapt", "lr_end", 1.0),
+        ("hmr", "hidden_dim", 0),
+        ("md", "window", 0),
+        ("target", "p_drop", 2.0),
+        ("source", "freq_range", ["slow", "fast"]),
+        ("synth", "gap_alpha", 2.0),
+        ("synth", "video_frames", 0),
+        ("pretrain", "md_sigma", -1.0),
+        ("pretrain", "md_plan", [[0, 1e-3]]),
+        ("paths", "md_ckpt", "hmr.ckpt"),
+    ],
+)
+def test_a_refused_setting_is_a_config_error_naming_its_key(section, key, value, tmp_path, capsys):
+    with pytest.raises(cli.ConfigError, match=rf"^c\.json: {section}\.{key} "):
+        cli.config_from_dict({section: {key: value}}, where="c.json")
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({section: {key: value}}))
+    assert cli.run(["synth", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert f"error: {path}: {section}.{key} " in capsys.readouterr().err
+
+
+JSON_SCALARS = st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_any_setting_loads_or_is_a_config_error_naming_the_file(data):
+    schema = cli.config_to_dict(_default_config())
+    section = data.draw(st.sampled_from(sorted(schema)))
+    value = data.draw(JSON_SCALARS | st.lists(JSON_SCALARS, max_size=3) | st.lists(st.lists(JSON_SCALARS, max_size=3)))
+    if section != "seed":
+        value = {data.draw(st.sampled_from(sorted(schema[section]))): value}
+    config = {section: value}
+    try:
+        cli.config_from_dict(config, where="c.json")
+    except cli.ConfigError as err:
+        assert str(err).startswith("c.json: ")
 
 
 def test_readme_json_examples_load_as_configs():

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cycleadapt.bodymodel import rot6d_batch
 from cycleadapt.metrics import (
     DegenerateGeometryError,
     MetricReport,
@@ -185,6 +188,35 @@ def test_pa_mpjpe_invariant_to_prediction_similarity():
     rot0 = _random_rotation(rng)
     warped = 1.7 * pred @ rot0.T + np.array([-2.0, 0.4, 9.0])
     assert abs(pa_mpjpe(warped, gt) - pa_mpjpe(pred, gt)) < 1e-9
+
+
+SPREAD_POINTS = st.integers(3, 12).flatmap(
+    lambda joints: st.lists(st.floats(-1, 1), min_size=3 * joints, max_size=3 * joints)
+).map(lambda xs: np.reshape(xs, (-1, 3))).filter(
+    lambda p: np.linalg.svd(p - p.mean(axis=0), compute_uv=False)[1] > 0.05  # not on one line
+)
+SHIFTS = st.lists(st.floats(-5, 5), min_size=3, max_size=3).map(np.array)
+CODES = st.lists(st.floats(-1, 1), min_size=6, max_size=6).map(np.array).filter(
+    lambda c: np.linalg.norm(np.cross(c[:3], c[3:])) > 0.1
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(points=SPREAD_POINTS, code=CODES, scale=st.floats(0.1, 10), shift=SHIFTS)
+def test_a_similarity_transformed_copy_aligns_to_zero_pa_mpjpe(points, code, scale, shift):
+    moved = scale * points @ rot6d_batch(code).T + shift
+    assert pa_mpjpe(points[None], moved[None]) < 1e-6
+    assert pa_mpjpe(moved[None], points[None]) < 1e-6
+
+
+@settings(max_examples=200, deadline=None)
+@given(pred=SPREAD_POINTS, data=st.data(), pred_shift=SHIFTS, gt_shift=SHIFTS)
+def test_a_rigid_shift_of_either_input_leaves_pa_mpjpe_unchanged(pred, data, pred_shift, gt_shift):
+    gt = np.reshape(data.draw(st.lists(st.floats(-1, 1), min_size=pred.size, max_size=pred.size)), pred.shape)
+    base = pa_mpjpe(pred[None], gt[None])
+    for moved_pred, moved_gt in ((pred + pred_shift, gt), (pred, gt + gt_shift), (pred + pred_shift, gt + gt_shift)):
+        assert abs(pa_mpjpe(moved_pred[None], moved_gt[None]) - base) < 1e-9
+
 
 
 @pytest.mark.parametrize("seed", range(10))
