@@ -13,7 +13,9 @@ from the same two steps, `hmr_step` and `md_step`; source pre-training is
 Nothing in this module reads 3D ground truth. Adaptation consumes features
 and 2D keypoints only (`AdaptInputs`); quality measurement happens through
 an optional evaluator callback that the caller builds from whatever
-references it holds.
+references it holds. The loop has no other hook: `cycle_adapt` calls the
+stages and the stages call the steps by their names in this module, so a
+wrapper put in their place observes every call.
 """
 
 from __future__ import annotations
@@ -256,7 +258,6 @@ def hmr_stage(
     config: AdaptConfig,
     cycle_index: int,
     rng: np.random.Generator,
-    trace=None,
 ) -> dict:
     """One seeded-shuffled epoch of regressor updates; returns new parameters.
 
@@ -276,15 +277,6 @@ def hmr_stage(
         params, out_theta, out_beta = hmr_step(
             inputs, idx, model, hmr_config, params, opt, config, _lr(opt, config), pseudo_theta, pseudo_beta
         )
-        if trace is not None:
-            if use_pseudo:
-                l_smpl = float(
-                    np.abs(out_theta - pseudo_theta).mean()
-                    + config.gamma * np.abs(out_beta - pseudo_beta).mean()
-                )
-            else:
-                l_smpl = 0.0
-            trace.setdefault("l_smpl", []).append((cycle_index, l_smpl))
         store.write_hmr(idx, out_theta, out_beta)
     return params
 
@@ -296,7 +288,6 @@ def md_stage(
     opt: AdaptOptimizers,
     config: AdaptConfig,
     rng: np.random.Generator,
-    trace=None,
 ) -> dict:
     """Denoiser updates on random store windows, then unmasked write-backs.
 
@@ -306,7 +297,6 @@ def md_stage(
     """
     n = store.size
     t = md_config.window
-    beta_before = store.beta.copy() if trace is not None else None
     params = md_params
 
     if config.md_denoiser == "gaussian":
@@ -324,12 +314,7 @@ def md_stage(
                 idx = np.arange(n)
                 window_theta = np.concatenate([store.theta, np.repeat(store.theta[-1:], t - n, axis=0)])
                 mask = np.concatenate([sample_mask(n, rng), np.zeros(t - n)])
-            if trace is not None:
-                trace.setdefault("mask_counts", []).append(int(mask.sum()))
             params = md_step(store, idx, window_theta, mask, md_config, params, opt, config, _lr(opt, config))
-
-    if trace is not None and not np.array_equal(beta_before, store.beta):
-        trace["md_beta_changed"] = True
     return params
 
 
@@ -358,7 +343,6 @@ def cycle_adapt(
     md_params: dict,
     config: AdaptConfig,
     evaluator=None,
-    trace=None,
     checkpoint_dir=None,
 ) -> AdaptRun:
     """The full offline loop: `cycles` alternations of the two stages.
@@ -369,8 +353,6 @@ def cycle_adapt(
     """
     n = inputs.frame_count
     store = ResultStore(n)
-    if trace is not None:
-        trace["store_init_max_abs"] = float(max(np.abs(store.theta).max(), np.abs(store.beta).max()))
 
     hmr_steps = 0 if config.frozen_hmrnet else -(-n // config.batch)
     md_steps = windows_per_cycle(n, md_config.window) if config.md_denoiser == "mdnet" else 0
@@ -386,12 +368,10 @@ def cycle_adapt(
         _log_rows(rows, 0, evaluator, hmr_params, inputs, None)
     for cycle in range(1, config.cycles + 1):
         hmr_rng = np.random.default_rng(np.random.SeedSequence([config.seed, cycle, 0]))
-        hmr_params = hmr_stage(
-            inputs, store, model, hmr_config, hmr_params, opt, config, cycle, hmr_rng, trace
-        )
+        hmr_params = hmr_stage(inputs, store, model, hmr_config, hmr_params, opt, config, cycle, hmr_rng)
         if config.md_denoiser != "none":
             md_rng = np.random.default_rng(np.random.SeedSequence([config.seed, cycle, 1]))
-            md_params = md_stage(store, md_config, md_params, opt, config, md_rng, trace)
+            md_params = md_stage(store, md_config, md_params, opt, config, md_rng)
         if evaluator is not None:
             _log_rows(rows, cycle, evaluator, hmr_params, inputs, store)
         if checkpoint_dir is not None:

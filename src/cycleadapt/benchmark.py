@@ -310,7 +310,6 @@ def run_variant(
     model: BodyModel | None = None,
     video: SyntheticVideo | None = None,
     base: AdaptConfig | None = None,
-    trace=None,
     checkpoint_dir=None,
     hmr_config: HmrConfig = HMR_CONFIG,
     md_config: MdConfig = MD_CONFIG,
@@ -326,7 +325,6 @@ def run_variant(
         md_params,
         variant_config(variant, seed, base),
         evaluator=make_evaluator(model, video),
-        trace=trace,
         checkpoint_dir=checkpoint_dir,
     )
 

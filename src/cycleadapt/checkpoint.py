@@ -23,7 +23,12 @@ from .hmrnet import HmrConfig, hmr_param_shapes
 from .mdnet import MdConfig, md_param_shapes
 
 VERSION = 2
-NETS = {"hmr": (HmrConfig, hmr_param_shapes), "md": (MdConfig, md_param_shapes)}
+# kind -> (config type, parameter shapes, the parameter count a config implies,
+# checked before the shapes are built so that a huge layer count costs nothing)
+NETS = {
+    "hmr": (HmrConfig, hmr_param_shapes, lambda c: 2 * c.num_hidden_layers + 2),
+    "md": (MdConfig, md_param_shapes, lambda c: 4 * c.blocks + 4),
+}
 
 
 class CheckpointError(ValueError):
@@ -60,13 +65,15 @@ def _save(path, kind: str, config, params: dict) -> None:
 
 
 def _load(path, kind: str):
-    config_type, param_shapes = NETS[kind]
+    config_type, param_shapes, param_count = NETS[kind]
     try:
         members = read_arrays(path)
         found = (members.pop("version").item(), members.pop("kind").item())
         if found != (VERSION, kind):
             raise ValueError(f"version {found[0]!r} {found[1]!r} checkpoint, expected version {VERSION} {kind!r}")
         config = config_type(**{f.name: operator.index(members.pop(f.name).item()) for f in fields(config_type)})
+        if len(members) != param_count(config):
+            raise ValueError(f"{len(members)} parameter members, but the stored {config} implies {param_count(config)}")
         shapes = dict(param_shapes(config))
         if set(members) != set(shapes):
             raise ValueError(f"parameter members {sorted(members)}, expected {sorted(shapes)}")

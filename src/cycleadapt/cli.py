@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import re
 import sys
@@ -95,13 +96,16 @@ _KINDS = ("str", "str | None", "bool", "int", "float")
 
 def _cast(name: str, kind: str, value):
     """A JSON value as the field type ``kind``: a bool takes only a boolean, an int
-    only an integral number, a str only a string; a float also takes an integer."""
+    only an integral number, a str only a string; a float also takes an integer,
+    but not NaN or +-Infinity (which Python's `json` parses)."""
     if kind.startswith("str") and (isinstance(value, str) or value is None and kind == "str | None"):
         return value
     if kind == "bool" and isinstance(value, bool):
         return value
     if kind in ("int", "float") and isinstance(value, (int, float)) and not isinstance(value, bool):
         if kind == "float":
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
             return float(value)
         if isinstance(value, int) or value.is_integer():
             return int(value)
@@ -149,6 +153,14 @@ class Body:
     seed: int = BODY_SEED
     vertices: int = VERTICES
     scale: float = BODY_SCALE
+
+    def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"body.seed must be >= 0, got {self.seed}")
+        if self.vertices < JOINTS:
+            raise ValueError(f"body.vertices must be >= {JOINTS} (one per joint), got {self.vertices}")
+        if not 0 < self.scale < math.inf:
+            raise ValueError(f"body.scale must be a finite number > 0, got {self.scale}")
 
 
 @dataclass(frozen=True)

@@ -126,9 +126,9 @@ class Graph:
         """Matrix product on the last two axes; leading axes broadcast."""
         return self._add("matmul", (a, b))
 
-    def transpose(self, a: int, axes=None) -> int:
-        """Swap the last two axes, or permute by an explicit axes tuple."""
-        return self._add("transpose", (a,), axes=None if axes is None else tuple(axes))
+    def transpose(self, a: int) -> int:
+        """Swap the last two axes."""
+        return self._add("transpose", (a,))
 
     def reshape(self, a: int, shape) -> int:
         return self._add("reshape", (a,), shape=tuple(int(s) for s in shape))
@@ -378,15 +378,9 @@ def _forward(i: int, node: Node, xs: list, bindings: dict, residuals=None) -> np
         _check_broadcast(i, node, a.shape[:-2], b.shape[:-2])
         return a @ b
     if kind == "transpose":
-        axes = node.attrs["axes"]
-        x = xs[0]
-        if axes is None:
-            if x.ndim < 2:
-                raise _err(i, node, "default transpose needs at least 2 axes")
-            return np.swapaxes(x, -1, -2)
-        if sorted(axes) != list(range(x.ndim)):
-            raise _err(i, node, f"axes {axes} is not a permutation of {x.ndim} dims")
-        return np.transpose(x, axes)
+        if xs[0].ndim < 2:
+            raise _err(i, node, "transpose needs at least 2 axes")
+        return np.swapaxes(xs[0], -1, -2)
     if kind == "reshape":
         shape = node.attrs["shape"]
         x = xs[0]
@@ -569,11 +563,7 @@ def backward_from_values(graph: Graph, values: Values, loss_node: int) -> Gradie
             if need[b]:
                 _accum(grads, b, _unbroadcast(np.swapaxes(xs[0], -1, -2) @ g, xs[1].shape))
         elif kind == "transpose":
-            axes = node.attrs["axes"]
-            if axes is None:
-                _accum(grads, a, np.swapaxes(g, -1, -2))
-            else:
-                _accum(grads, a, np.transpose(g, np.argsort(axes)))
+            _accum(grads, a, np.swapaxes(g, -1, -2))
         elif kind == "reshape":
             _accum(grads, a, g.reshape(xs[0].shape))
         elif kind == "concat":

@@ -14,7 +14,9 @@ every row with Gaussian noise and supervises the full output against the
 clean window.
 
 The network is written once, as the graph builder `md_forward_graph`;
-`md_forward` builds that graph and runs it forward only.
+`md_forward` builds that graph and runs it forward only, on the window as
+given. Zeroing the masked rows is the caller's data preparation
+(`adapt.md_step`), not part of the network.
 """
 
 from __future__ import annotations
@@ -91,17 +93,14 @@ def _block_count(params: dict) -> int:
     return sum(1 for name in params if name.startswith("w_t"))
 
 
-def md_forward(params: dict, theta, mask=None) -> np.ndarray:
-    """Denoise one window; masked rows (if any) are zeroed before the network."""
+def md_forward(params: dict, theta) -> np.ndarray:
+    """Denoise one window as given."""
     x = np.asarray(theta, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params["w_in"].shape[0]:
         raise ValueError(f"md_forward: expected (T, {params['w_in'].shape[0]}), got {x.shape}")
     window = params["w_t0"].shape[0]
     if x.shape[0] != window:
         raise ValueError(f"md_forward: window length {x.shape[0]} != configured {window}")
-    if mask is not None:
-        m = _check_mask(mask, window)
-        x = np.where(m[:, None] > 0, 0.0, x)
     g = Graph()
     out = md_forward_graph(g, MdConfig(window=window, blocks=_block_count(params)), g.const(x))
     return forward(g, params, [out])[0]

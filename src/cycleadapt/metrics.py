@@ -1,7 +1,8 @@
 """Pose and mesh error metrics for sequences of 3D bodies.
 
 All positions come in as meters; every metric reports millimeters.
-Joint arrays are (frames, joints, 3) and vertex arrays (frames, vertices, 3).
+Joint arrays are (frames, joints, 3), with joint 0 the root that MPJPE and
+MPVPE align at, and vertex arrays (frames, vertices, 3).
 Everything here is a pure function, safe to call from any thread.
 """
 
@@ -50,13 +51,11 @@ def _as_pair(pred, gt, what: str) -> tuple[np.ndarray, np.ndarray]:
     return p, g
 
 
-def mpjpe(pred_joints, gt_joints, root_index: int = 0) -> float:
-    """Mean per joint position error in mm after per-frame root alignment."""
+def mpjpe(pred_joints, gt_joints) -> float:
+    """Mean per joint position error in mm after per-frame alignment at joint 0, the root."""
     p, g = _as_pair(pred_joints, gt_joints, "mpjpe")
-    if not 0 <= root_index < p.shape[1]:
-        raise ValueError(f"mpjpe: root_index {root_index} out of range for {p.shape[1]} joints")
-    p = p - p[:, root_index : root_index + 1]
-    g = g - g[:, root_index : root_index + 1]
+    p = p - p[:, :1]
+    g = g - g[:, :1]
     return float(np.linalg.norm(p - g, axis=-1).mean() * MM_PER_M)
 
 
@@ -139,13 +138,7 @@ def accel_error(pred_joints, gt_joints) -> float:
     return float(np.linalg.norm(ap - ag, axis=-1).mean() * MM_PER_M)
 
 
-def evaluate_sequence(
-    pred_joints,
-    gt_joints,
-    pred_mesh,
-    gt_mesh,
-    root_index: int = 0,
-) -> MetricReport:
+def evaluate_sequence(pred_joints, gt_joints, pred_mesh, gt_mesh) -> MetricReport:
     """All four metrics for one sequence, packed into a MetricReport.
 
     A prediction with a non-finite joint or vertex raises
@@ -161,8 +154,8 @@ def evaluate_sequence(
             f"evaluate_sequence: predicted joints or vertices are not finite in frame {first}"
         )
     return MetricReport(
-        mpjpe=mpjpe(pj, gj, root_index),
+        mpjpe=mpjpe(pj, gj),
         pa_mpjpe=pa_mpjpe(pj, gj),
-        mpvpe=mpvpe(pv, gt_mesh, pj[:, root_index], gj[:, root_index]),
+        mpvpe=mpvpe(pv, gt_mesh, pj[:, 0], gj[:, 0]),
         accel=accel_error(pj, gj),
     )

@@ -65,8 +65,8 @@ class DomainSpec:
                 pair = tuple(float(x) for x in rng)
             except (TypeError, ValueError):
                 pair = ()
-            if len(pair) != 2 or not (0.0 <= pair[0] <= pair[1]):
-                raise ValueError(f"DomainSpec.{label} must be an ordered pair >= 0, got {rng}")
+            if len(pair) != 2 or not (0.0 <= pair[0] <= pair[1] < np.inf):
+                raise ValueError(f"DomainSpec.{label} must be an ordered finite pair >= 0, got {rng}")
             object.__setattr__(self, label, pair)
         for label in ("feature_noise_std", "kp_noise_std"):
             if getattr(self, label) < 0:

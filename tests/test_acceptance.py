@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from test_adapt import record_loop  # the loop's facts, read off its step functions
 from test_diffcore import _primitive_cases  # one source of truth for the op list
 
 from cycleadapt import benchmark as bench
@@ -59,16 +60,15 @@ def sweep(nets):
             "frozen", "before", "after", "online", "rows", "seconds",
         )
     }
-    out["trace"] = None
     for seed in SEEDS:
         video = bench.make_target_video(seed, model=model)
-        trace = {} if seed == 0 else None
         t0 = time.perf_counter()
-        full = bench.run_variant("full_cyclic", seed, hmr_params, md_params,
-                                 model=model, video=video, trace=trace)
+        with pytest.MonkeyPatch.context() as mp:
+            if seed == 0:
+                out["loop"] = record_loop(mp)
+            full = bench.run_variant("full_cyclic", seed, hmr_params, md_params,
+                                     model=model, video=video)
         out["seconds"][seed] = time.perf_counter() - t0
-        if trace is not None:
-            out["trace"] = trace
         out["full"][seed] = _final_mpjpe(full)
         out["rows"][seed] = full.rows
         for key, variant in (("na", "no_adapt"), ("2d", "2d_only"),
@@ -316,23 +316,24 @@ def test_repeat_runs_are_bit_identical(nets, tmp_path_factory):
 
 
 def test_adaptation_loop_fidelity(sweep):
-    trace = sweep["trace"]
-    zero_store = trace["store_init_max_abs"] == 0.0
-    first_cycle = [v for c, v in trace["l_smpl"] if c == 1]
-    later = [v for c, v in trace["l_smpl"] if c > 1]
-    no_pull = len(first_cycle) > 0 and all(v == 0.0 for v in first_cycle)
-    pull_later = any(v > 0.0 for v in later)
+    loop = sweep["loop"]
+    store_init = max(np.abs(a).max() for a in loop["store_at_start"])
+    zero_store = store_init == 0.0
+    first_cycle = [pull for c, pull in loop["steps"] if c == 1]
+    later = [pull for c, pull in loop["steps"] if c > 1]
+    no_pull = len(first_cycle) > 0 and all(pull is None for pull in first_cycle)
+    pull_later = any(pull is not None and pull > 0.0 for pull in later)
     window = bench.MD_CONFIG.window
     expected_masked = ceil(window / 2)
     windows_per_cycle = ceil(bench.N_FRAMES / window)
-    masks = trace["mask_counts"]
+    masks = [int(m.sum()) for m in loop["masks"]]
     half_masked = (
         len(masks) == 12 * windows_per_cycle and all(m == expected_masked for m in masks)
     )
-    beta_untouched = "md_beta_changed" not in trace
+    beta_untouched = loop["betas_kept"] == [True] * 12
     _verdict(
         zero_store and no_pull and pull_later and half_masked and beta_untouched,
         "loop fidelity: zeroed store, no parameter pull in cycle one, half-window masking, shapes untouched",
-        f"store init {trace['store_init_max_abs']}, cycle-1 pulls all zero {no_pull}, "
+        f"store init {store_init}, cycle-1 pulls all absent {no_pull}, "
         f"{len(masks)} windows each masking {expected_masked}, beta untouched {beta_untouched}",
     )

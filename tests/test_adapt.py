@@ -57,6 +57,53 @@ def _stub_evaluator(theta, beta):
     return (float(np.abs(theta).mean()), float(np.abs(beta).mean()))
 
 
+def record_loop(monkeypatch) -> dict:
+    """Wrap the loop's stage and step functions in `adapt`, which call each
+    other by module name, and log what each call shows:
+
+    - ``steps``: (cycle, pull) per regressor step; pull is None when the
+      step got no pseudo targets, else mean |out - pseudo| over theta plus
+      gamma times the same over beta, for the step's forward outputs;
+    - ``masks``: the mask of each denoiser step;
+    - ``store_at_start``: (theta, beta) of the store the first regressor
+      stage saw;
+    - ``betas_kept``: per denoiser stage, whether store.beta came out equal.
+
+    Steps of a regressor stage called directly log cycle None.
+    """
+    log = {"steps": [], "masks": [], "store_at_start": None, "betas_kept": []}
+    cycle = [None]
+    hmr_stage, md_stage, hmr_step, md_step = adapt.hmr_stage, adapt.md_stage, adapt.hmr_step, adapt.md_step
+
+    def hmr_stage_(inputs, store, model, hmr_config, params, opt, config, cycle_index, rng):
+        if log["store_at_start"] is None:
+            log["store_at_start"] = (store.theta.copy(), store.beta.copy())
+        cycle[0] = cycle_index
+        return hmr_stage(inputs, store, model, hmr_config, params, opt, config, cycle_index, rng)
+
+    def hmr_step_(inputs, idx, model, hmr_config, params, opt, config, lr, pseudo_theta=None, pseudo_beta=None, rows=None):
+        out = hmr_step(inputs, idx, model, hmr_config, params, opt, config, lr, pseudo_theta, pseudo_beta, rows)
+        pull = None
+        if pseudo_theta is not None:
+            pull = float(np.abs(out[1] - pseudo_theta).mean() + config.gamma * np.abs(out[2] - pseudo_beta).mean())
+        log["steps"].append((cycle[0], pull))
+        return out
+
+    def md_stage_(store, *rest):
+        beta_before = store.beta.copy()
+        out = md_stage(store, *rest)
+        log["betas_kept"].append(np.array_equal(store.beta, beta_before))
+        return out
+
+    def md_step_(store, idx, window_theta, mask, *rest):
+        log["masks"].append(None if mask is None else np.array(mask))
+        return md_step(store, idx, window_theta, mask, *rest)
+
+    for name, wrapper in (("hmr_stage", hmr_stage_), ("hmr_step", hmr_step_), ("md_stage", md_stage_), ("md_step", md_step_)):
+        monkeypatch.setattr(adapt, name, wrapper)
+    return log
+
+
 def test_store_initializes_to_zero_and_tracks_writes():
     store = ResultStore(4)
     assert store.theta.shape == (4, 144) and not store.theta.any()
@@ -132,24 +179,24 @@ def test_windows_per_cycle_rounds_up():
     assert windows_per_cycle(500, 49) == 11
 
 
-def test_hmr_stage_step_count_and_full_store_coverage():
+def test_hmr_stage_step_count_and_full_store_coverage(monkeypatch):
     inputs = _setup(64)
     store = ResultStore(64)
     params = hmr_init(HMR_CONFIG, seed=0)
     config = _config(batch=32)
     opt = _opt(params, md_init(MD_CONFIG, seed=0))
-    trace = {}
+    log = record_loop(monkeypatch)
     hmr_stage(
         inputs, store, MODEL, HMR_CONFIG, params, opt, config, 1,
-        np.random.default_rng(0), trace,
+        np.random.default_rng(0),
     )
     assert opt.clock == 2  # 64 frames / batch 32
     assert np.all(np.any(store.theta != 0.0, axis=1))
     assert np.all(np.any(store.beta != 0.0, axis=1))
-    assert trace["l_smpl"] == [(1, 0.0), (1, 0.0)]
+    assert log["steps"] == [(None, None), (None, None)]  # no pseudo targets in cycle 1
 
 
-def test_hmr_stage_second_cycle_pulls_toward_store():
+def test_hmr_stage_second_cycle_pulls_toward_store(monkeypatch):
     inputs = _setup(16)
     store = ResultStore(16)
     params = hmr_init(HMR_CONFIG, seed=0)
@@ -159,12 +206,13 @@ def test_hmr_stage_second_cycle_pulls_toward_store():
         inputs, store, MODEL, HMR_CONFIG, params, opt, config, 1,
         np.random.default_rng(0),
     )
-    trace = {}
+    log = record_loop(monkeypatch)
     hmr_stage(
         inputs, store, MODEL, HMR_CONFIG, params, opt, config, 2,
-        np.random.default_rng(1), trace,
+        np.random.default_rng(1),
     )
-    assert all(v > 0.0 for _, v in trace["l_smpl"])
+    assert len(log["steps"]) == 2
+    assert all(pull is not None and pull > 0.0 for _, pull in log["steps"])
 
 
 def test_hmr_stage_frozen_writes_but_never_steps():
@@ -188,30 +236,31 @@ def _filled_store(n, seed=7):
     return store
 
 
-def test_md_stage_overwrites_thetas_but_never_betas():
+def test_md_stage_overwrites_thetas_but_never_betas(monkeypatch):
     store = _filled_store(5)
     beta_before = store.beta.copy()
     theta_before = store.theta.copy()
     params = md_init(MD_CONFIG, seed=0)
     opt = _opt({}, params)
-    trace = {}
-    md_stage(store, MD_CONFIG, params, opt, _config(), np.random.default_rng(2), trace)
+    log = record_loop(monkeypatch)
+    md_stage(store, MD_CONFIG, params, opt, _config(), np.random.default_rng(2))
     assert np.array_equal(store.beta, beta_before)
-    assert "md_beta_changed" not in trace
     # one window covers all five frames, so every theta row is rewritten
     assert store.md_written.all()
     assert np.all(np.any(store.theta != theta_before, axis=1))
     assert opt.clock == 1
-    assert trace["mask_counts"] == [3]  # ceil(5 / 2)
+    assert [m.sum() for m in log["masks"]] == [3]  # ceil(5 / 2)
 
 
-def test_md_stage_short_video_masks_real_rows_only():
+def test_md_stage_short_video_masks_real_rows_only(monkeypatch):
     store = _filled_store(3)
     params = md_init(MD_CONFIG, seed=0)
     opt = _opt({}, params)
-    trace = {}
-    md_stage(store, MD_CONFIG, params, opt, _config(), np.random.default_rng(2), trace)
-    assert trace["mask_counts"] == [2]  # ceil(3 / 2), padding excluded
+    log = record_loop(monkeypatch)
+    md_stage(store, MD_CONFIG, params, opt, _config(), np.random.default_rng(2))
+    (mask,) = log["masks"]
+    assert mask.shape == (5,) and mask.sum() == 2  # ceil(3 / 2)
+    assert not mask[3:].any()  # padding excluded
     assert store.md_written.all() and store.size == 3
 
 
@@ -286,17 +335,18 @@ def test_cycle_adapt_is_bit_identical_across_repeats():
     assert np.array_equal(a.store.beta, b.store.beta)
 
 
-def test_cycle_adapt_no_3d_loss_skips_denoiser_entirely():
+def test_cycle_adapt_no_3d_loss_skips_denoiser_entirely(monkeypatch):
     inputs = _setup(16)
     md0 = md_init(MD_CONFIG, seed=0)
-    trace = {}
+    log = record_loop(monkeypatch)
     run = cycle_adapt(
         inputs, MODEL, HMR_CONFIG, hmr_init(HMR_CONFIG, seed=0),
-        MD_CONFIG, md0, _config(cycles=2, md_denoiser="none"), trace=trace,
+        MD_CONFIG, md0, _config(cycles=2, md_denoiser="none"),
     )
     assert run.md_params is md0
     assert not run.store.md_written.any()
-    assert all(v == 0.0 for _, v in trace["l_smpl"])
+    assert log["steps"] == [(1, None)] * 2 + [(2, None)] * 2  # never a pull
+    assert log["masks"] == [] and log["betas_kept"] == []
     assert run.steps_taken == 2 * 2  # hmr batches only
 
 
@@ -312,18 +362,21 @@ def test_cycle_adapt_frozen_hmrnet_only_trains_denoiser():
     assert run.steps_taken == 2 * 4  # md windows only
 
 
-def test_cycle_adapt_instrumentation_invariants():
+def test_cycle_adapt_instrumentation_invariants(monkeypatch):
     inputs = _setup(16)
-    trace = {}
+    log = record_loop(monkeypatch)
     cycle_adapt(
         inputs, MODEL, HMR_CONFIG, hmr_init(HMR_CONFIG, seed=0),
-        MD_CONFIG, md_init(MD_CONFIG, seed=0), _config(cycles=3), trace=trace,
+        MD_CONFIG, md_init(MD_CONFIG, seed=0), _config(cycles=3),
     )
-    assert trace["store_init_max_abs"] == 0.0
-    assert all(v == 0.0 for c, v in trace["l_smpl"] if c == 1)
-    assert any(v > 0.0 for c, v in trace["l_smpl"] if c >= 2)
-    assert trace["mask_counts"] == [3] * (3 * 4)  # ceil(5/2) per window
-    assert "md_beta_changed" not in trace
+    theta0, beta0 = log["store_at_start"]
+    assert not theta0.any() and not beta0.any()
+    assert [c for c, _ in log["steps"]] == [1, 1, 2, 2, 3, 3]
+    assert all(pull is None for c, pull in log["steps"] if c == 1)
+    assert all(pull is not None for c, pull in log["steps"] if c >= 2)
+    assert any(pull > 0.0 for c, pull in log["steps"] if c >= 2)
+    assert [m.sum() for m in log["masks"]] == [3] * (3 * 4)  # ceil(5/2) per window
+    assert log["betas_kept"] == [True] * 3
 
 
 def test_cycle_adapt_writes_loadable_per_cycle_checkpoints(tmp_path):

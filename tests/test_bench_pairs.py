@@ -62,3 +62,14 @@ def test_summary_counts_failed_runs_and_leaves_their_pairs_out(bench_pairs):
     assert out["parent"]["median"] == 3.0
     assert out["change"]["median"] == 2.5
     assert out["change_wins"] == 2
+
+
+def test_src_lines_counts_the_package_modules_only(bench_pairs, tmp_path):
+    pkg = tmp_path / "src" / "cycleadapt"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text("one\ntwo\n")
+    (pkg / "b.py").write_text("three\n\nfive")  # as `wc -l`: a last line without a newline is not counted
+    (pkg / "notes.txt").write_text("not code\n")
+    (tmp_path / "src" / "other.py").write_text("outside the package\n")
+    assert bench_pairs.src_lines(tmp_path) == 4
+

@@ -1,5 +1,6 @@
 import dataclasses
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,6 +94,28 @@ def test_a_wrong_member_is_refused(tmp_path, changes):
     write_arrays(path, {name: value for name, value in members.items() if value is not None})
     with pytest.raises(CheckpointError, match="net.camd"):
         load_md(path)
+
+
+@pytest.mark.parametrize(
+    "save, load, config, params, member",
+    [
+        (save_hmr, load_hmr, SMALL_HMR, hmr_init(SMALL_HMR, 0), "num_hidden_layers"),
+        (save_md, load_md, SMALL_MD, md_init(SMALL_MD, 0), "blocks"),
+    ],
+    ids=["hmr-layers", "md-blocks"],
+)
+def test_a_huge_stored_layer_count_is_refused_before_its_shapes_are_built(tmp_path, save, load, config, params, member):
+    path = tmp_path / "net.ckpt"
+    save(path, config, params)
+    write_arrays(path, {**read_arrays(path), member: np.array(10**5)})
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match=r"net\.ckpt: .* parameter members, but the stored .* implies"):
+            load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"peak {peak} B"
 
 
 def test_truncated_file_names_path(tmp_path):

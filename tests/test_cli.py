@@ -4,6 +4,7 @@ dialect, config round trips, and the documented exit codes.
 
 import dataclasses
 import json
+import math
 import re
 import zipfile
 from pathlib import Path
@@ -243,6 +244,17 @@ def test_md_denoiser_is_set_in_the_adapt_section():
         ("pretrain", "md_sigma", -1.0),
         ("pretrain", "md_plan", [[0, 1e-3]]),
         ("paths", "md_ckpt", "hmr.ckpt"),
+        ("adapt", "gamma", float("nan")),
+        ("adapt", "lr_start", float("nan")),
+        ("pretrain", "hmr_lr", float("inf")),
+        ("target", "kp_noise_std", float("nan")),
+        ("pretrain", "md_plan", [[10, float("nan")]]),
+        ("source", "amp_range", [0.1, float("inf")]),
+        ("body", "vertices", 3),
+        ("body", "scale", 0.0),
+        ("body", "scale", -1.0),
+        ("body", "scale", float("nan")),
+        ("body", "seed", -1),
     ],
 )
 def test_a_refused_setting_is_a_config_error_naming_its_key(section, key, value, tmp_path, capsys):
@@ -254,7 +266,19 @@ def test_a_refused_setting_is_a_config_error_naming_its_key(section, key, value,
     assert f"error: {path}: {section}.{key} " in capsys.readouterr().err
 
 
-JSON_SCALARS = st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=3)
+NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])  # json.loads parses all three
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=True, allow_infinity=True)
+    | NON_FINITE | st.text(max_size=3)
+)
+
+
+def _leaves(value):
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return [leaf for item in value for leaf in _leaves(item)]
+    return [value]
 
 
 @settings(max_examples=300, deadline=None)
@@ -267,9 +291,12 @@ def test_any_setting_loads_or_is_a_config_error_naming_the_file(data):
         value = {data.draw(st.sampled_from(sorted(schema[section]))): value}
     config = {section: value}
     try:
-        cli.config_from_dict(config, where="c.json")
+        loaded = cli.config_from_dict(config, where="c.json")
     except cli.ConfigError as err:
         assert str(err).startswith("c.json: ")
+    else:
+        floats = [v for v in _leaves(cli.config_to_dict(loaded)) if isinstance(v, float)]
+        assert all(math.isfinite(v) for v in floats), config
 
 
 def test_readme_json_examples_load_as_configs():

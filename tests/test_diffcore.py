@@ -181,7 +181,7 @@ def _primitive_cases(rng):
 
     g = Graph()
     a = g.leaf("a", trainable=True)
-    loss = _scalarize(g, g.transpose(a, axes=(1, 0, 2)))
+    loss = _scalarize(g, g.transpose(a))
     cases.append((g, {"a": new("a", (2, 3, 4))}, loss))
 
     g = Graph()

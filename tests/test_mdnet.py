@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from cycleadapt import adapt
+from cycleadapt.adapt import AdaptConfig, AdaptOptimizers, ResultStore
 from cycleadapt.diffcore import Graph, backward, evaluate, grad_check
 from cycleadapt.mdnet import (
     MdConfig,
@@ -14,7 +16,7 @@ from cycleadapt.mdnet import (
     sample_mask,
 )
 from cycleadapt.mdnet import _check_mask
-from cycleadapt.optim import InvariantError
+from cycleadapt.optim import InvariantError, adam_init
 
 TINY = MdConfig(window=5, blocks=1)
 
@@ -78,22 +80,30 @@ def test_forward_preserves_shape():
     assert md_forward(md_init(one, 0), rng.normal(size=(1, 144))).shape == (1, 144)
 
 
-def test_zero_mask_equals_absent_mask():
-    rng = np.random.default_rng(1)
-    params = md_init(TINY, 1)
-    x = rng.normal(size=(5, 144))
-    assert np.array_equal(md_forward(params, x, np.zeros(5)), md_forward(params, x))
+def test_masked_rows_cannot_leak(monkeypatch):
+    """The denoiser's training step feeds the network zeros at masked rows."""
+    seen = []
+    build = adapt.md_forward_graph
 
+    def md_forward_graph(g, config, theta_node):
+        seen.append(g.nodes[theta_node].attrs["value"])
+        return build(g, config, theta_node)
 
-def test_masked_rows_cannot_leak():
+    monkeypatch.setattr(adapt, "md_forward_graph", md_forward_graph)
     rng = np.random.default_rng(2)
     params = md_init(TINY, 2)
     x = rng.normal(size=(5, 144))
     mask = np.array([1.0, 0.0, 1.0, 0.0, 0.0])
     garbled = x.copy()
     garbled[0] = 1e9
-    garbled[2] = np.nan
-    assert np.array_equal(md_forward(params, x, mask), md_forward(params, garbled, mask))
+    garbled[2] = -3.0
+    for window in (x, garbled):
+        opt = AdaptOptimizers(hmr=None, md=adam_init(params), clock=0, total_steps=1)
+        adapt.md_step(ResultStore(5), np.arange(5), window, mask, TINY, params, opt, AdaptConfig(), 1e-4)
+    assert len(seen) == 2  # one training graph per step; the write-back builds its own
+    for net_input in seen:
+        assert not net_input[mask == 1.0].any()
+        assert np.array_equal(net_input[mask == 0.0], x[mask == 0.0])
 
 
 def test_forward_is_time_permutation_sensitive():
@@ -112,10 +122,6 @@ def test_forward_rejects_bad_shapes():
         md_forward(params, np.zeros((6, 144)))
     with pytest.raises(ValueError):
         md_forward(params, np.zeros(144))
-    with pytest.raises(ValueError):
-        md_forward(params, np.zeros((5, 144)), mask=np.zeros(4))
-    with pytest.raises(ValueError):
-        md_forward(params, np.zeros((5, 144)), mask=np.full(5, 0.5))
 
 
 def _reference_forward(params, x, config):
@@ -218,6 +224,15 @@ def test_loss_graph_matches_numpy():
     g2 = Graph()
     zero = md_loss_graph(g2, g2.const(out_vals), target, np.zeros(7))
     assert float(evaluate(g2, {})[zero]) == 0.0
+
+
+def test_loss_graph_rejects_a_bad_mask():
+    g = Graph()
+    out = g.const(np.zeros((5, 144)))
+    with pytest.raises(ValueError, match="does not match window 5"):
+        md_loss_graph(g, out, np.zeros((5, 144)), np.zeros(4))
+    with pytest.raises(ValueError, match="0 or 1"):
+        md_loss_graph(g, out, np.zeros((5, 144)), np.full(5, 0.5))
 
 
 def test_loss_gradient_zero_on_unmasked_rows():

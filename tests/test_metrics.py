@@ -89,12 +89,6 @@ def test_mpjpe_hand_case():
     assert abs(mpjpe(pred, gt) - 7.0 / 3.0) < 1e-9
 
 
-def test_mpjpe_rejects_bad_root_index():
-    joints = np.zeros((2, 4, 3))
-    with pytest.raises(ValueError):
-        mpjpe(joints, joints, root_index=4)
-
-
 def test_shape_mismatch_is_rejected():
     with pytest.raises(ValueError):
         mpjpe(np.zeros((2, 3, 3)), np.zeros((2, 4, 3)))

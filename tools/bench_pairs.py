@@ -11,10 +11,10 @@ checkout builds and caches its own nets the first time, outside the measured
 runs.
 
 Writes ``BENCH_<tag>.json`` at the repo root: the commits, both ``src/``
-hashes, the machine, the BLAS thread count, every pair's end-to-end metrics,
-and per workload and metric both medians and quartiles, the number of pairs
-the working tree won and the runs that failed the benchmark's correctness
-check. Running again with the same tag adds pairs to the file, as long as
+hashes and line counts, the machine, the BLAS thread count, every pair's
+end-to-end metrics, and per workload and metric both medians and quartiles,
+the number of pairs the working tree won and the runs that failed the
+benchmark's correctness check. Running again with the same tag adds pairs to the file, as long as
 both ``src/`` hashes still match. Uses only the standard library, git and
 the benchmark itself.
 """
@@ -69,6 +69,11 @@ def quartiles(values: list) -> tuple[float, float]:
         return values[0], values[0]
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, q3
+
+
+def src_lines(checkout: Path) -> int:
+    """Newlines in the package's modules, ``src/cycleadapt/*.py``: the total of ``wc -l``."""
+    return sum(p.read_bytes().count(b"\n") for p in (checkout / "src" / "cycleadapt").glob("*.py"))
 
 
 def _git(*args: str) -> str:
@@ -133,6 +138,7 @@ def main(argv=None) -> int:
             if bench.get(key, src) != src:
                 raise RuntimeError(f"{out_path.name} holds runs of another {side} src/ ({bench[key][:12]})")
             bench[key] = src
+        bench.update(parent_src_lines=src_lines(parent), change_src_lines=src_lines(ROOT))
         env = pair["change"]["env"]
         runs.append({
             "seed": seed,
