@@ -181,8 +181,8 @@ def pool_source_frames(videos) -> tuple[AdaptInputs, np.ndarray, np.ndarray]:
         clean[:, :, :2] = project_weak_perspective(video.gt_camera, video.gt_joints)
         keypoints.append(clean)
     inputs = AdaptInputs(np.concatenate([v.features for v in videos]), np.concatenate(keypoints))
-    thetas = np.stack([p.theta for v in videos for p in v.gt_params])
-    betas = np.stack([p.beta for v in videos for p in v.gt_params])
+    thetas = np.concatenate([v.gt_params.theta for v in videos])
+    betas = np.concatenate([v.gt_params.beta for v in videos])
     return inputs, thetas, betas
 
 
@@ -272,7 +272,7 @@ def pretrain_nets(
         model, hmr_config, hmr_init(hmr_config, seed=0), videos, steps=hmr_steps, lr=hmr_lr, seed=0
     )
     tau = curve[-1][1]
-    motions = [np.stack([p.theta for p in v.gt_params]) for v in videos]
+    motions = [v.gt_params.theta for v in videos]
     md_params = md_init(md_config, seed=0)
     for stage, (steps, lr) in enumerate(md_plan):
         md_params, _ = md_pretrain(
@@ -307,15 +307,13 @@ def run_variant(
     seed: int,
     hmr_params: dict,
     md_params: dict,
-    model: BodyModel | None = None,
-    video: SyntheticVideo | None = None,
+    model: BodyModel,
+    video: SyntheticVideo,
     base: AdaptConfig | None = None,
     checkpoint_dir=None,
     hmr_config: HmrConfig = HMR_CONFIG,
     md_config: MdConfig = MD_CONFIG,
 ) -> AdaptRun:
-    model = benchmark_body() if model is None else model
-    video = make_target_video(seed, model=model) if video is None else video
     return cycle_adapt(
         adapt_inputs(video),
         model,
@@ -333,15 +331,13 @@ def run_online(
     seed: int,
     hmr_params: dict,
     md_params: dict,
-    model: BodyModel | None = None,
-    video: SyntheticVideo | None = None,
+    model: BodyModel,
+    video: SyntheticVideo,
     base: AdaptConfig | None = None,
     hmr_config: HmrConfig = HMR_CONFIG,
     md_config: MdConfig = MD_CONFIG,
 ) -> OnlineRun:
     """The base config as given, run as one causal pass."""
-    model = benchmark_body() if model is None else model
-    video = make_target_video(seed, model=model) if video is None else video
     return online_adapt(
         adapt_inputs(video),
         model,

@@ -48,32 +48,6 @@ def _frozen_array(value, shape, what: str) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SmplParams:
-    """One body configuration: 144 pose reals (24 x 6D codes) and 10 shape reals."""
-
-    theta: np.ndarray
-    beta: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "theta", _frozen_array(self.theta, (THETA_SIZE,), "theta"))
-        object.__setattr__(self, "beta", _frozen_array(self.beta, (BETA_SIZE,), "beta"))
-
-
-@dataclass(frozen=True)
-class CameraParams:
-    """Weak-perspective camera: scale plus normalized-image translation."""
-
-    s: float
-    tx: float
-    ty: float
-
-    def __post_init__(self) -> None:
-        for name in ("s", "tx", "ty"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"CameraParams.{name} must be finite")
-
-
-@dataclass(frozen=True)
 class BodyModel:
     """Immutable template body.
 
@@ -186,12 +160,14 @@ def body_forward_batch(model: BodyModel, thetas, betas) -> tuple[np.ndarray, np.
     return tuple(forward(g, {}, body_graph(g, model, g.const(th), g.const(be), nb)))
 
 
-def project_weak_perspective(camera: CameraParams, points) -> np.ndarray:
-    """(s*x + tx, s*y + ty) per point of a (..., 3) array; depth is discarded."""
+def project_weak_perspective(camera, points) -> np.ndarray:
+    """(s*x + tx, s*y + ty) per point of a (..., 3) array for the camera
+    (s, tx, ty); depth is discarded."""
+    cam = np.asarray(camera, dtype=np.float64)
     p = np.asarray(points, dtype=np.float64)
-    if p.ndim < 1 or p.shape[-1] != 3:
-        raise ValueError(f"project_weak_perspective: expected (..., 3), got {p.shape}")
-    return camera.s * p[..., :2] + np.array([camera.tx, camera.ty])
+    if cam.shape != (3,) or p.ndim < 1 or p.shape[-1] != 3:
+        raise ValueError(f"project_weak_perspective: needs a (3,) camera, (..., 3) points, got {cam.shape}, {p.shape}")
+    return cam[0] * p[..., :2] + cam[1:]
 
 
 def _segment_distances(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -340,7 +340,7 @@ def _read_checked_video(cfg: RunConfig, model, path):
     body = f"the config's body (body.seed {cfg.body.seed}, body.scale {cfg.body.scale}, {cfg.body.vertices} vertices)"
     if video.gt_mesh.shape[1] != cfg.body.vertices:
         raise ConfigError(f"{path}: meshes of {video.gt_mesh.shape[1]} vertices, not posed with {body}")
-    verts, joints = body_forward_batch(model, video.gt_params[0].theta[None], video.gt_params[0].beta[None])
+    verts, joints = body_forward_batch(model, video.gt_params.theta[:1], video.gt_params.beta[:1])
     gap = max(abs(verts[0] - video.gt_mesh[0]).max(), abs(joints[0] - video.gt_joints[0]).max())
     if not gap <= 1e-9:
         raise ConfigError(f"{path}: not posed with {body}: frame 0 posed with it is {gap:.3g} m off")

@@ -15,10 +15,13 @@ noise). Domains with equal ranges therefore share a motion population even
 when their mixing seeds differ; the denoiser can learn the family from one
 domain and meet it again in the other.
 
-A video file (`write_video`/`read_video`) is one `checkpoint.write_arrays`
-file, the package's one format: the format version, the domain spec as JSON,
-the camera, and one array per stream (features, theta, beta, keypoints,
-joints, mesh), each member under a CRC-32 that is checked on every read.
+A video's ground truth is arrays: `gt_params` is one (N,) `GT_PARAMS` record
+array (``gt_params.theta`` is (N, 144), ``gt_params[i].theta`` one frame's)
+and `gt_camera` the weak-perspective (s, tx, ty). A video file
+(`write_video`/`read_video`) is one `checkpoint.write_arrays` file, the
+package's one format: the format version, the domain spec as JSON, the
+camera, and one array per stream (features, theta, beta, keypoints, joints,
+mesh), each member under a CRC-32 that is checked on every read.
 """
 
 from __future__ import annotations
@@ -33,8 +36,6 @@ from .bodymodel import (
     BETA_SIZE,
     THETA_SIZE,
     BodyModel,
-    CameraParams,
-    SmplParams,
     body_forward_batch,
     project_weak_perspective,
     rotmat_to_rot6d,
@@ -43,6 +44,7 @@ from .checkpoint import read_arrays, write_arrays
 
 FORMAT_VERSION = 2
 PARAM_SIZE = THETA_SIZE + BETA_SIZE
+GT_PARAMS = np.dtype([("theta", np.float64, (THETA_SIZE,)), ("beta", np.float64, (BETA_SIZE,))])
 
 
 class VideoFormatError(ValueError):
@@ -77,22 +79,37 @@ class DomainSpec:
 
 @dataclass(frozen=True)
 class SyntheticVideo:
+    """Every array but the keypoints' coordinates at confidence-0 slots is
+    finite; ``gt_params`` and ``gt_camera`` are read-only copies."""
+
     features: np.ndarray  # (N, F)
-    gt_params: list  # N SmplParams
+    gt_params: np.recarray  # (N,) GT_PARAMS records
     gt_joints: np.ndarray  # (N, J, 3)
     gt_mesh: np.ndarray  # (N, V, 3)
     keypoints: np.ndarray  # (N, J, 3) as (x, y, confidence)
-    gt_camera: CameraParams
+    gt_camera: np.ndarray  # (3,) as (s, tx, ty)
 
     def __post_init__(self) -> None:
         kp = np.asarray(self.keypoints, dtype=np.float64)
-        object.__setattr__(self, "keypoints", kp)
+        params = np.array(self.gt_params).view(np.recarray)
+        camera = np.array(self.gt_camera, dtype=np.float64)
         n = self.features.shape[0]
-        if self.features.ndim != 2 or len(self.gt_params) != n:
-            raise ValueError("SyntheticVideo: features must be (N, F), with one SmplParams per frame")
+        if self.features.ndim != 2 or params.dtype != GT_PARAMS or params.shape != (n,):
+            raise ValueError(f"SyntheticVideo: features must be (N, F), with ({n},) GT_PARAMS records as gt_params")
+        if camera.shape != (3,):
+            raise ValueError(f"SyntheticVideo.gt_camera must be (s, tx, ty), got shape {camera.shape}")
         for label, arr in (("gt_joints", self.gt_joints), ("gt_mesh", self.gt_mesh)):
             if arr.ndim != 3 or arr.shape[0] != n or arr.shape[2] != 3:
                 raise ValueError(f"SyntheticVideo.{label} must be ({n}, *, 3), got {arr.shape}")
+        finite = {"features": self.features, "gt_params.theta": params.theta, "gt_params.beta": params.beta,
+                  "gt_joints": self.gt_joints, "gt_mesh": self.gt_mesh, "gt_camera": camera}
+        for label, arr in finite.items():
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"SyntheticVideo.{label} must be finite")
+        params.flags.writeable = camera.flags.writeable = False
+        object.__setattr__(self, "keypoints", kp)
+        object.__setattr__(self, "gt_params", params)
+        object.__setattr__(self, "gt_camera", camera)
         if kp.shape != self.gt_joints.shape:
             raise ValueError(f"SyntheticVideo.keypoints must be {self.gt_joints.shape} as gt_joints, got {kp.shape}")
         conf = kp[:, :, 2]
@@ -133,7 +150,7 @@ def _axis_angle_rotations(axis: np.ndarray, angles: np.ndarray) -> np.ndarray:
 
 
 def gen_motion(spec: DomainSpec, model: BodyModel, n_frames: int, seed: int):
-    """Smooth seeded motion: returns (params list, joints (N,J,3), mesh (N,V,3)).
+    """Smooth seeded motion: returns ((N,) `GT_PARAMS` records, joints (N,J,3), mesh (N,V,3)).
 
     Joint angles follow amp * sin(2*pi*freq*t + phase) around fixed axes;
     beta is drawn once per video from N(0, 0.5) clipped to [-2, 2].
@@ -154,9 +171,9 @@ def gen_motion(spec: DomainSpec, model: BodyModel, n_frames: int, seed: int):
     for j in range(joints):
         angles = amp_scale * amps[j] * np.sin(2.0 * np.pi * freqs[j] * t + phases[j] + global_phase)
         thetas[:, 6 * j : 6 * j + 6] = rotmat_to_rot6d(_axis_angle_rotations(axes[j], angles))
-    mesh, joints3d = body_forward_batch(model, thetas, np.tile(beta, (n_frames, 1)))
-    params = [SmplParams(theta=thetas[i], beta=beta) for i in range(n_frames)]
-    return params, joints3d, mesh
+    betas = np.tile(beta, (n_frames, 1))
+    mesh, joints3d = body_forward_batch(model, thetas, betas)
+    return np.rec.fromarrays([thetas, betas], dtype=GT_PARAMS), joints3d, mesh
 
 
 def mixing_matrices(spec: DomainSpec, feature_dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -168,23 +185,24 @@ def mixing_matrices(spec: DomainSpec, feature_dim: int) -> tuple[np.ndarray, np.
 
 
 def render_features(
-    params: SmplParams,
+    params: np.record,
     spec: DomainSpec,
     rng: np.random.Generator,
     feature_dim: int,
     mixing=None,
 ) -> np.ndarray:
-    """One frame's feature vector; ``mixing`` overrides the domain's (A, b)."""
+    """One frame's feature vector from its `GT_PARAMS` record; ``mixing``
+    overrides the domain's (A, b)."""
     a, b = mixing_matrices(spec, feature_dim) if mixing is None else mixing
     x = np.concatenate([params.theta, params.beta])
     return a @ x + b + rng.normal(0.0, spec.feature_noise_std, size=feature_dim)
 
 
 def simulate_keypoints(
-    joints3d, camera: CameraParams, spec: DomainSpec, rng: np.random.Generator
+    joints3d, camera, spec: DomainSpec, rng: np.random.Generator
 ) -> np.ndarray:
-    """One frame's (J, 3) keypoints: project with the true camera, jitter, then
-    drop joints at p_drop (confidence 0, coordinates 0)."""
+    """One frame's (J, 3) keypoints: project with the true camera (s, tx, ty),
+    jitter, then drop joints at p_drop (confidence 0, coordinates 0)."""
     proj = project_weak_perspective(camera, joints3d)
     noisy = proj + rng.normal(0.0, spec.kp_noise_std, size=proj.shape)
     kept = rng.random(proj.shape[0]) >= spec.p_drop
@@ -209,11 +227,7 @@ def make_video(
     """
     params, joints3d, mesh = gen_motion(spec, model, n_frames, seed)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
-    camera = CameraParams(
-        s=float(rng.uniform(0.95, 1.05)),
-        tx=float(rng.uniform(-0.05, 0.05)),
-        ty=float(rng.uniform(-0.05, 0.05)),
-    )
+    camera = np.array([rng.uniform(0.95, 1.05), rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05)])
     if mixing is None:
         mixing = mixing_matrices(spec, feature_dim)
     features = np.empty((n_frames, feature_dim))
@@ -236,10 +250,10 @@ def write_video(path, video: SyntheticVideo, spec: DomainSpec) -> None:
     members = {
         "version": np.array(FORMAT_VERSION),
         "spec": np.array(json.dumps(dataclasses.asdict(spec))),
-        "camera": np.array([video.gt_camera.s, video.gt_camera.tx, video.gt_camera.ty]),
+        "camera": video.gt_camera,
         "features": video.features,
-        "theta": np.stack([p.theta for p in video.gt_params]),
-        "beta": np.stack([p.beta for p in video.gt_params]),
+        "theta": video.gt_params.theta,
+        "beta": video.gt_params.beta,
         "keypoints": video.keypoints,
         "joints": video.gt_joints,
         "mesh": video.gt_mesh,
@@ -255,15 +269,13 @@ def read_video(path) -> tuple[SyntheticVideo, DomainSpec]:
         if version != FORMAT_VERSION:
             raise ValueError(f"unsupported version {version!r}, expected {FORMAT_VERSION}")
         spec = DomainSpec(**json.loads(members["spec"].item()))
-        camera = CameraParams(*(float(x) for x in members["camera"]))
-        params = [SmplParams(theta=t, beta=b) for t, b in zip(members["theta"], members["beta"], strict=True)]
         video = SyntheticVideo(
             features=members["features"],
-            gt_params=params,
+            gt_params=np.rec.fromarrays([members["theta"], members["beta"]], dtype=GT_PARAMS),
             gt_joints=members["joints"],
             gt_mesh=members["mesh"],
             keypoints=members["keypoints"],
-            gt_camera=camera,
+            gt_camera=members["camera"],
         )
     except Exception as err:  # a damaged zip, npy header, member or value fails in many ways
         raise VideoFormatError(f"{path}: not a readable version-{FORMAT_VERSION} video: {err!r}") from err

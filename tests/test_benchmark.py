@@ -120,8 +120,7 @@ def test_variant_config_respects_base():
 def test_make_evaluator_hides_ground_truth(tiny_bench):
     model, video = tiny_bench
     evaluator = bench.make_evaluator(model, video)
-    thetas = np.stack([p.theta for p in video.gt_params])
-    betas = np.stack([p.beta for p in video.gt_params])
+    thetas, betas = video.gt_params.theta, video.gt_params.beta
     report = evaluator(thetas, betas)
     assert report.mpjpe < 1e-6  # exact parameters reproduce the ground truth
     rng = np.random.default_rng(1)
@@ -133,8 +132,7 @@ def test_evaluator_reports_a_non_finite_pose_code_as_degenerate(tiny_bench):
     """A NaN code passes the rotation check (NaN <= eps is False); the
     evaluator must name its frame, not fail inside the Procrustes SVD."""
     model, video = tiny_bench
-    thetas = np.stack([p.theta for p in video.gt_params])
-    betas = np.stack([p.beta for p in video.gt_params])
+    thetas, betas = video.gt_params.theta.copy(), video.gt_params.beta
     thetas[5, 7] = np.nan
     with pytest.raises(DegenerateGeometryError, match="frame 5$"):
         bench.make_evaluator(model, video)(thetas, betas)
@@ -219,6 +217,5 @@ def test_domain_gap_monotone_in_alpha():
     errs = []
     for alpha in (0.1, 0.35, 0.6):
         video = bench.make_target_video(0, n_frames=120, model=model, alpha=alpha)
-        thetas = np.stack([p.theta for p in video.gt_params])
-        errs.append(bench.pose_code_error(params, np.asarray(video.features), thetas))
+        errs.append(bench.pose_code_error(params, np.asarray(video.features), video.gt_params.theta))
     assert errs[0] < errs[1] < errs[2]

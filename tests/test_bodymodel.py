@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 from cycleadapt.bodymodel import (
     BETA_SIZE,
     BodyModel,
-    CameraParams,
     DegenerateRotationError,
-    SmplParams,
     body_forward_batch,
     body_graph,
     build_toy_body,
@@ -363,16 +361,18 @@ def test_body_graph_gradients_match_finite_differences():
 
 
 def test_project_weak_perspective_hand_cases():
-    identity_cam = CameraParams(s=1.0, tx=0.0, ty=0.0)
+    identity_cam = np.array([1.0, 0.0, 0.0])
     assert np.array_equal(project_weak_perspective(identity_cam, [[1.0, 2.0, 5.0]]), [[1.0, 2.0]])
-    cam = CameraParams(s=2.0, tx=3.0, ty=4.0)
+    cam = np.array([2.0, 3.0, 4.0])  # (s, tx, ty)
     assert np.array_equal(project_weak_perspective(cam, [[1.0, 2.0, 5.0]]), [[5.0, 8.0]])
+    with pytest.raises(ValueError, match=r"\(3,\) camera"):
+        project_weak_perspective([2.0, 3.0], [[1.0, 2.0, 5.0]])
 
 
 def test_projection_scales_linearly_without_translation():
     rng = np.random.default_rng(10)
     points = rng.normal(size=(100, 3))
-    cam = CameraParams(s=1.7, tx=0.0, ty=0.0)
+    cam = np.array([1.7, 0.0, 0.0])
     lhs = project_weak_perspective(cam, 2.5 * points)
     rhs = 2.5 * project_weak_perspective(cam, points)
     assert np.abs(lhs - rhs).max() < 1e-12
@@ -448,12 +448,3 @@ def test_body_model_rejects_unnormalized_weights():
             shape_dirs=np.zeros((3, 3, 10)),
             joint_regressor=regressor,
         )
-
-
-def test_params_validation():
-    with pytest.raises(ValueError):
-        SmplParams(theta=np.zeros(143), beta=np.zeros(10))
-    with pytest.raises(ValueError):
-        SmplParams(theta=np.full(144, np.nan), beta=np.zeros(10))
-    with pytest.raises(ValueError):
-        CameraParams(s=np.inf, tx=0.0, ty=0.0)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from cycleadapt import benchmark, cli
 from cycleadapt.adapt import AdaptConfig, InvariantError
-from cycleadapt.checkpoint import load_hmr, save_hmr
+from cycleadapt.checkpoint import load_hmr, read_arrays, save_hmr, write_arrays
 from cycleadapt.bodymodel import DegenerateRotationError
 from cycleadapt.hmrnet import hmr_forward
 from cycleadapt.metrics import DegenerateGeometryError, MetricReport
@@ -441,6 +441,25 @@ def test_eval_of_a_video_without_frames_exits_1(ws, tmp_path, capsys):
     args = ["eval", "--config", str(ws["cfg_path"]), "--video", str(video), "--out", str(tmp_path / "ev")]
     assert cli.run(args) == 1
     assert f"{video}: no frames" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("member", ["features", "joints"])
+def test_adapt_on_a_video_with_a_nan_exits_1_naming_the_file(ws, tmp_path, capsys, member):
+    vids = tmp_path / "vids"
+    assert cli.run(["synth", "--config", str(ws["cfg_path"]), "--out", str(vids)]) == 0
+    video = vids / "target.video"
+    members = read_arrays(video)
+    members[member] = members[member].copy()
+    members[member].flat[0] = np.nan
+    write_arrays(video, members)  # CRCs stay valid
+    config = json.loads(json.dumps(ws["config"]))
+    config["paths"]["video"] = str(video)
+    cfg_path = tmp_path / "nan.json"
+    cfg_path.write_text(json.dumps(config))
+    assert cli.run(["adapt", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert f"{video}: not a readable" in err and "must be finite" in err
+    assert not (tmp_path / "o" / "metrics.csv").exists()
 
 
 def _eval_with_body(ws, tmp_path, **body):

@@ -4,11 +4,12 @@ import json
 import numpy as np
 import pytest
 
-from cycleadapt.bodymodel import CameraParams, build_toy_body, identity_pose, project_weak_perspective
+from cycleadapt.bodymodel import build_toy_body, identity_pose, project_weak_perspective
 from cycleadapt.checkpoint import read_arrays, write_arrays
 from cycleadapt.mdnet import gaussian_filter_baseline
 from cycleadapt.metrics import accel_error
 from cycleadapt.synth import (
+    GT_PARAMS,
     DomainSpec,
     SyntheticVideo,
     VideoFormatError,
@@ -54,9 +55,9 @@ def test_gen_motion_is_deterministic():
     b_params, b_joints, b_mesh = gen_motion(_spec(), MODEL, 20, seed=3)
     assert np.array_equal(a_joints, b_joints)
     assert np.array_equal(a_mesh, b_mesh)
-    for a, b in zip(a_params, b_params):
-        assert np.array_equal(a.theta, b.theta)
-        assert np.array_equal(a.beta, b.beta)
+    assert a_params.dtype == GT_PARAMS and a_params.shape == (20,)
+    assert np.array_equal(a_params.theta, b_params.theta)
+    assert np.array_equal(a_params.beta, b_params.beta)
     _, c_joints, _ = gen_motion(_spec(), MODEL, 20, seed=4)
     assert not np.array_equal(a_joints, c_joints)
 
@@ -126,7 +127,7 @@ def test_mixing_seeds_separate_domains():
 
 def test_simulate_keypoints_perfect_limit():
     spec = _spec(kp_noise_std=0.0, p_drop=0.0)
-    camera = CameraParams(s=1.1, tx=0.02, ty=-0.03)
+    camera = np.array([1.1, 0.02, -0.03])  # (s, tx, ty)
     joints = np.random.default_rng(0).normal(size=(24, 3))
     kp = simulate_keypoints(joints, camera, spec, np.random.default_rng(1))
     assert np.array_equal(kp[:, 2], np.ones(24))
@@ -135,7 +136,7 @@ def test_simulate_keypoints_perfect_limit():
 
 def test_simulate_keypoints_drop_everything():
     spec = _spec(p_drop=1.0)
-    camera = CameraParams(s=1.0, tx=0.0, ty=0.0)
+    camera = np.array([1.0, 0.0, 0.0])
     joints = np.random.default_rng(0).normal(size=(24, 3))
     kp = simulate_keypoints(joints, camera, spec, np.random.default_rng(1))
     assert np.array_equal(kp, np.zeros((24, 3)))
@@ -143,7 +144,7 @@ def test_simulate_keypoints_drop_everything():
 
 def test_simulate_keypoints_drop_fraction():
     spec = _spec(p_drop=0.3)
-    camera = CameraParams(s=1.0, tx=0.0, ty=0.0)
+    camera = np.array([1.0, 0.0, 0.0])
     joints = np.zeros((10_000, 3))
     kp = simulate_keypoints(joints, camera, spec, np.random.default_rng(7))
     dropped = float(np.mean(kp[:, 2] == 0.0))
@@ -158,10 +159,28 @@ def test_make_video_shapes_and_determinism():
     assert video.features.shape == (12, 16)
     assert video.gt_joints.shape == (12, 24, 3)
     assert video.gt_mesh.shape == (12, 40, 3)
-    assert len(video.gt_params) == 12 and video.keypoints.shape == (12, 24, 3)
+    assert video.gt_params.shape == (12,) and video.keypoints.shape == (12, 24, 3)
+    assert video.gt_camera.shape == (3,)
     assert np.array_equal(video.features, again.features)
     assert np.array_equal(video.keypoints, again.keypoints)
-    assert video.gt_camera == again.gt_camera
+    assert np.array_equal(video.gt_camera, again.gt_camera)
+
+
+def test_ground_truth_rows_equal_its_arrays_and_are_read_only():
+    params, _, _ = gen_motion(_spec(), MODEL, 5, seed=1)
+    camera = np.array([1.0, 0.01, -0.02])
+    video = make_video(_spec(), MODEL, 5, feature_dim=8, seed=1)
+    # per-row access, as the benchmark's set-up reads it, gives the arrays
+    assert np.array_equal(np.stack([p.theta for p in video.gt_params]), video.gt_params.theta)
+    assert np.array_equal(np.stack([p.beta for p in video.gt_params]), video.gt_params.beta)
+    assert video.gt_params.theta.shape == (5, 144) and video.gt_params.beta.shape == (5, 10)
+    for target in (video.gt_params.theta, video.gt_params[0].theta, video.gt_params.beta, video.gt_camera):
+        with pytest.raises(ValueError, match="read-only"):
+            target[0] = 0.0
+    # the video holds copies: the caller's arrays stay writable and apart
+    copy = SyntheticVideo(video.features, params, video.gt_joints, video.gt_mesh, video.keypoints, camera)
+    params.theta[0, 0] = camera[0] = 7.0
+    assert copy.gt_params.theta[0, 0] != 7.0 and copy.gt_camera[0] == 1.0
 
 
 def test_gt_keypoints_reproject_exactly_in_perfect_limit():
@@ -198,15 +217,14 @@ def test_video_keypoints_validation():
 
 def _assert_same_video(loaded, loaded_spec, video, spec):
     assert loaded_spec == spec
-    assert loaded.gt_camera == video.gt_camera
+    assert np.array_equal(loaded.gt_camera, video.gt_camera)
     assert np.array_equal(loaded.features, video.features)
     assert np.array_equal(loaded.gt_joints, video.gt_joints)
     assert np.array_equal(loaded.gt_mesh, video.gt_mesh)
     assert np.array_equal(loaded.keypoints, video.keypoints)
-    assert len(loaded.gt_params) == len(video.gt_params)
-    for a, b in zip(loaded.gt_params, video.gt_params):
-        assert np.array_equal(a.theta, b.theta)
-        assert np.array_equal(a.beta, b.beta)
+    assert loaded.gt_params.dtype == GT_PARAMS
+    assert np.array_equal(loaded.gt_params.theta, video.gt_params.theta)
+    assert np.array_equal(loaded.gt_params.beta, video.gt_params.beta)
 
 
 def _rewrite_members(path, **changes):
@@ -252,6 +270,12 @@ def test_wrong_version_is_rejected(tmp_path):
         read_video(path)
 
 
+def _with_nan(array, index):
+    out = np.array(array)
+    out[index] = np.nan
+    return out
+
+
 def test_malformed_members_name_the_path(tmp_path):
     spec = _spec()
     video = make_video(spec, MODEL, 3, feature_dim=8, seed=4)
@@ -266,10 +290,49 @@ def test_malformed_members_name_the_path(tmp_path):
         {"beta": np.zeros((2, 10))},
         {"keypoints": bad_kp},
         {"mesh": video.gt_mesh[:, :, :2]},
+        {"features": _with_nan(video.features, (0, 0))},
+        {"joints": _with_nan(video.gt_joints, (0, 0, 0))},
+        {"mesh": _with_nan(video.gt_mesh, (2, 5, 1))},
+        {"theta": _with_nan(video.gt_params.theta, (1, 7))},
     ):
         write_video(path, video, spec)
         _rewrite_members(path, **changes)
         with pytest.raises(VideoFormatError, match="clip.video"):
+            read_video(path)
+
+
+def test_params_validation(tmp_path):
+    """Ground truth is (N,) `GT_PARAMS` records with finite theta and beta and
+    a finite (s, tx, ty) camera, in memory and in a file."""
+    spec = _spec()
+    video = make_video(spec, MODEL, 3, feature_dim=8, seed=4)
+    theta, beta = video.gt_params.theta, video.gt_params.beta
+    nan_theta, nan_beta = _with_nan(theta, (1, 5)), _with_nan(beta, (2, 0))
+
+    def with_ground_truth(params, camera=video.gt_camera):
+        return SyntheticVideo(video.features, params, video.gt_joints, video.gt_mesh, video.keypoints, camera)
+
+    for params, match in (
+        (np.rec.fromarrays([theta[:, :143], beta], dtype=[("theta", "f8", 143), ("beta", "f8", 10)]), "GT_PARAMS"),
+        (np.rec.fromarrays([theta[:2], beta[:2]], dtype=GT_PARAMS), "GT_PARAMS"),
+        (np.zeros((3, 154)), "GT_PARAMS"),
+        (np.rec.fromarrays([nan_theta, beta], dtype=GT_PARAMS), "theta must be finite"),
+        (np.rec.fromarrays([theta, nan_beta], dtype=GT_PARAMS), "beta must be finite"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            with_ground_truth(params)
+    for camera, match in (([np.inf, 0.0, 0.0], "camera must be finite"), ([1.0, 0.0], "camera must be")):
+        with pytest.raises(ValueError, match=match):
+            with_ground_truth(video.gt_params, camera)
+    path = tmp_path / "clip.video"
+    for changes, match in (
+        ({"theta": np.zeros((3, 143))}, ""),
+        ({"beta": nan_beta}, "beta must be finite"),
+        ({"camera": np.array([1.0, -np.inf, 0.0])}, "camera must be finite"),
+    ):
+        write_video(path, video, spec)
+        _rewrite_members(path, **changes)
+        with pytest.raises(VideoFormatError, match=f"clip.video.*{match}"):
             read_video(path)
 
 
