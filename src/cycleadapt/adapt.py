@@ -5,15 +5,16 @@ seeded-shuffled order, loss = 2D reprojection plus an L1 pull toward stored
 pseudo-ground-truth, the latter disabled in the first cycle), then a handful
 of denoiser updates on random windows of the stored poses (masked
 self-supervision), whose unmasked outputs overwrite the stored thetas. A
-single cosine learning-rate schedule spans every optimizer step of the whole
-run, with separate Adam moments per network. The causal online pass is built
-from the same two steps, `hmr_step` and `md_step`; source pre-training is
-`hmr_step` with ground truth as the targets (`benchmark.hmr_pretrain`).
+single cosine learning-rate schedule spans every update of the whole run;
+each step takes its own net's Adam state, and the schedule's position is
+the two states' update count. The causal online pass is built from the same
+two steps, `hmr_step` and `md_step`; source pre-training is `hmr_step` with
+ground truth as the targets (`benchmark.hmr_pretrain`).
 
 Nothing in this module reads 3D ground truth. Adaptation consumes features
 and 2D keypoints only (`AdaptInputs`); quality measurement happens through
-an optional evaluator callback that the caller builds from whatever
-references it holds. The loop has no other hook: `cycle_adapt` calls the
+the evaluator callback that the caller builds from whatever references it
+holds. The loop has no other hook: `cycle_adapt` calls the
 stages and the stages call the steps by their names in this module, so a
 wrapper put in their place observes every call.
 """
@@ -38,7 +39,7 @@ from .mdnet import (
     md_loss_graph,
     sample_mask,
 )
-from .optim import InvariantError, adam_init, adam_step, cosine_lr
+from .optim import InvariantError, OptState, adam_init, adam_step, check_loss, cosine_lr
 
 DENOISERS = ("mdnet", "frozen_mdnet", "gaussian", "none")
 
@@ -153,16 +154,16 @@ class AdaptConfig:
 
 @dataclass
 class AdaptOptimizers:
-    """Shared step clock plus one Adam state per network.
+    """One Adam state per network and the length of the offline loop's cosine
+    schedule, whose position is the two nets' update count."""
 
-    total_steps spans the offline loop's cosine schedule; the online pass
-    keeps a constant rate and leaves it at 0.
-    """
+    hmr: OptState
+    md: OptState
+    total_steps: int
 
-    hmr: object
-    md: object
-    clock: int
-    total_steps: int = 0
+    @property
+    def steps_taken(self) -> int:
+        return self.hmr.step + self.md.step
 
 
 def windows_per_cycle(n_frames: int, window: int) -> int:
@@ -170,12 +171,7 @@ def windows_per_cycle(n_frames: int, window: int) -> int:
 
 
 def _lr(opt: AdaptOptimizers, config: AdaptConfig) -> float:
-    return cosine_lr(min(opt.clock, opt.total_steps), opt.total_steps, config.lr_start, config.lr_end)
-
-
-def _check_loss(value: np.ndarray, stage: str, opt: AdaptOptimizers) -> None:
-    if not np.isfinite(value):
-        raise InvariantError(f"{stage} loss is {float(value)} at optimizer step {opt.clock}")
+    return cosine_lr(min(opt.steps_taken, opt.total_steps), opt.total_steps, config.lr_start, config.lr_end)
 
 
 def hmr_step(
@@ -184,7 +180,7 @@ def hmr_step(
     model: BodyModel,
     hmr_config: HmrConfig,
     hmr_params: dict,
-    opt: AdaptOptimizers,
+    state: OptState,
     config: AdaptConfig,
     lr: float,
     pseudo_theta=None,
@@ -195,7 +191,7 @@ def hmr_step(
 
     Returns the new parameters and the batch's theta and beta from the
     forward pass before the update; a frozen regressor only runs forward.
-    A loss that is not finite raises `InvariantError`.
+    A loss that is not finite raises `InvariantError` (`check_loss`).
     """
     g = Graph()
     theta, beta, cam = hmr_forward_graph(g, hmr_config, g.const(inputs.features[idx]))
@@ -204,11 +200,10 @@ def hmr_step(
         pseudo_beta=pseudo_beta, gamma=config.gamma, rows=rows,
     )
     values = evaluate(g, hmr_params)
-    _check_loss(values[loss], "regressor", opt)
+    check_loss(values[loss], "regressor", state)
     if not config.frozen_hmrnet:
         grads = backward_from_values(g, values, loss)
-        hmr_params = adam_step(hmr_params, grads, opt.hmr, lr)
-        opt.clock += 1
+        hmr_params = adam_step(hmr_params, grads, state, lr)
     return hmr_params, values[theta], values[beta]
 
 
@@ -219,7 +214,7 @@ def md_step(
     mask,
     md_config: MdConfig,
     md_params: dict,
-    opt: AdaptOptimizers,
+    state: OptState,
     config: AdaptConfig,
     lr: float,
 ) -> dict:
@@ -237,13 +232,12 @@ def md_step(
         # through `diffcore`: this module's `evaluate` and `backward_from_values`
         # are the regressor step's, and perfbench's probes time them apart by name
         values = diffcore.evaluate(g, md_params)
-        _check_loss(values[loss], "denoiser", opt)
+        check_loss(values[loss], "denoiser", state)
         grads = diffcore.backward_from_values(g, values, loss)
-        md_params = adam_step(md_params, grads, opt.md, lr)
-        opt.clock += 1
+        md_params = adam_step(md_params, grads, state, lr)
     denoised = md_forward(md_params, window_theta)[: idx.size]
     if not np.all(np.isfinite(denoised)):
-        raise InvariantError(f"denoiser wrote non-finite poses at optimizer step {opt.clock}")
+        raise InvariantError(f"denoiser wrote non-finite poses (Adam updates completed: {state.step})")
     store.write_md(idx, denoised)
     return md_params
 
@@ -275,7 +269,7 @@ def hmr_stage(
         idx = order[lo : lo + config.batch]
         pseudo_theta, pseudo_beta = store.fetch(idx) if use_pseudo else (None, None)
         params, out_theta, out_beta = hmr_step(
-            inputs, idx, model, hmr_config, params, opt, config, _lr(opt, config), pseudo_theta, pseudo_beta
+            inputs, idx, model, hmr_config, params, opt.hmr, config, _lr(opt, config), pseudo_theta, pseudo_beta
         )
         store.write_hmr(idx, out_theta, out_beta)
     return params
@@ -314,7 +308,7 @@ def md_stage(
                 idx = np.arange(n)
                 window_theta = np.concatenate([store.theta, np.repeat(store.theta[-1:], t - n, axis=0)])
                 mask = np.concatenate([sample_mask(n, rng), np.zeros(t - n)])
-            params = md_step(store, idx, window_theta, mask, md_config, params, opt, config, _lr(opt, config))
+            params = md_step(store, idx, window_theta, mask, md_config, params, opt.md, config, _lr(opt, config))
     return params
 
 
@@ -342,7 +336,7 @@ def cycle_adapt(
     md_config: MdConfig,
     md_params: dict,
     config: AdaptConfig,
-    evaluator=None,
+    evaluator,
     checkpoint_dir=None,
 ) -> AdaptRun:
     """The full offline loop: `cycles` alternations of the two stages.
@@ -359,25 +353,22 @@ def cycle_adapt(
     opt = AdaptOptimizers(
         hmr=adam_init(hmr_params),
         md=adam_init(md_params),
-        clock=0,
         total_steps=max(1, config.cycles * (hmr_steps + md_steps)),
     )
 
     rows: list = []
-    if evaluator is not None:
-        _log_rows(rows, 0, evaluator, hmr_params, inputs, None)
+    _log_rows(rows, 0, evaluator, hmr_params, inputs, None)
     for cycle in range(1, config.cycles + 1):
         hmr_rng = np.random.default_rng(np.random.SeedSequence([config.seed, cycle, 0]))
         hmr_params = hmr_stage(inputs, store, model, hmr_config, hmr_params, opt, config, cycle, hmr_rng)
         if config.md_denoiser != "none":
             md_rng = np.random.default_rng(np.random.SeedSequence([config.seed, cycle, 1]))
             md_params = md_stage(store, md_config, md_params, opt, config, md_rng)
-        if evaluator is not None:
-            _log_rows(rows, cycle, evaluator, hmr_params, inputs, store)
+        _log_rows(rows, cycle, evaluator, hmr_params, inputs, store)
         if checkpoint_dir is not None:
             save_hmr(Path(checkpoint_dir) / f"hmr_cycle{cycle:02d}.ckpt", hmr_config, hmr_params)
             save_md(Path(checkpoint_dir) / f"md_cycle{cycle:02d}.ckpt", md_config, md_params)
-    return AdaptRun(hmr_params, md_params, store, rows, steps_taken=opt.clock)
+    return AdaptRun(hmr_params, md_params, store, rows, steps_taken=opt.steps_taken)
 
 
 @dataclass
@@ -398,7 +389,7 @@ def online_adapt(
     md_config: MdConfig,
     md_params: dict,
     config: AdaptConfig,
-    evaluator=None,
+    evaluator,
 ) -> OnlineRun:
     """Single causal pass: per-frame regressor updates, denoiser every T frames.
 
@@ -414,7 +405,7 @@ def online_adapt(
     t = md_config.window
     store = ResultStore(n)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0, 2]))
-    opt = AdaptOptimizers(hmr=adam_init(hmr_params), md=adam_init(md_params), clock=0)
+    hmr_state, md_state = adam_init(hmr_params), adam_init(md_params)
     out_theta = np.zeros((n, THETA_SIZE))
     out_beta = np.zeros((n, BETA_SIZE))
 
@@ -425,7 +416,7 @@ def online_adapt(
         else:
             idx = np.array([i])
         hmr_params, theta, beta = hmr_step(
-            inputs, idx, model, hmr_config, hmr_params, opt, config, config.lr_start,
+            inputs, idx, model, hmr_config, hmr_params, hmr_state, config, config.lr_start,
             *store.fetch(idx), rows=store.md_written[idx],
         )
         out_theta[i] = theta[0]
@@ -440,8 +431,8 @@ def online_adapt(
             else:
                 mask = sample_mask(t, rng) if config.md_denoiser == "mdnet" else None
                 md_params = md_step(
-                    store, idx_w, window_theta, mask, md_config, md_params, opt, config, config.lr_start
+                    store, idx_w, window_theta, mask, md_config, md_params, md_state, config, config.lr_start
                 )
 
-    report = evaluator(out_theta, out_beta) if evaluator is not None else None
-    return OnlineRun(hmr_params, md_params, out_theta, out_beta, report, steps_taken=opt.clock)
+    report = evaluator(out_theta, out_beta)
+    return OnlineRun(hmr_params, md_params, out_theta, out_beta, report, steps_taken=hmr_state.step + md_state.step)

@@ -29,7 +29,6 @@ import numpy as np
 from .adapt import (
     AdaptConfig,
     AdaptInputs,
-    AdaptOptimizers,
     AdaptRun,
     OnlineRun,
     adapt_inputs,
@@ -216,13 +215,13 @@ def hmr_pretrain(
     n = inputs.frame_count
     rng = np.random.default_rng(seed)
     eval_idx = rng.choice(n, size=min(256, n), replace=False)
-    opt = AdaptOptimizers(hmr=adam_init(params), md=None, clock=0)
+    state = adam_init(params)
     step_config = AdaptConfig(gamma=1.0)
     every = max(1, -(-steps // 5))
     curve = [(0, pose_code_error(params, inputs.features[eval_idx], thetas[eval_idx]))]
     for step in range(1, steps + 1):
         idx = rng.choice(n, size=min(batch, n), replace=False)
-        params, _, _ = hmr_step(inputs, idx, model, config, params, opt, step_config, lr, thetas[idx], betas[idx])
+        params, _, _ = hmr_step(inputs, idx, model, config, params, state, step_config, lr, thetas[idx], betas[idx])
         if step % every == 0 or step == steps:
             curve.append((step, pose_code_error(params, inputs.features[eval_idx], thetas[eval_idx])))
     return params, curve
@@ -293,23 +292,21 @@ def pretrain_nets(
     return hmr_params, md_params, tau
 
 
-def variant_config(variant: str | None, seed: int, base: AdaptConfig | None = None) -> AdaptConfig:
+def variant_config(variant: str | None, base: AdaptConfig) -> AdaptConfig:
     """Table-row configs differ from the base only in the documented flags;
-    variant None is the base as given, with the seed."""
+    variant None is the base as given."""
     if variant is not None and variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {tuple(VARIANTS)}")
-    base = AdaptConfig(seed=seed) if base is None else base
-    return replace(base, seed=seed, **VARIANTS.get(variant, {}))
+    return replace(base, **VARIANTS.get(variant, {}))
 
 
 def run_variant(
     variant: str | None,
-    seed: int,
     hmr_params: dict,
     md_params: dict,
     model: BodyModel,
     video: SyntheticVideo,
-    base: AdaptConfig | None = None,
+    base: AdaptConfig,
     checkpoint_dir=None,
     hmr_config: HmrConfig = HMR_CONFIG,
     md_config: MdConfig = MD_CONFIG,
@@ -321,19 +318,18 @@ def run_variant(
         hmr_params,
         md_config,
         md_params,
-        variant_config(variant, seed, base),
+        variant_config(variant, base),
         evaluator=make_evaluator(model, video),
         checkpoint_dir=checkpoint_dir,
     )
 
 
 def run_online(
-    seed: int,
     hmr_params: dict,
     md_params: dict,
     model: BodyModel,
     video: SyntheticVideo,
-    base: AdaptConfig | None = None,
+    base: AdaptConfig,
     hmr_config: HmrConfig = HMR_CONFIG,
     md_config: MdConfig = MD_CONFIG,
 ) -> OnlineRun:
@@ -345,6 +341,6 @@ def run_online(
         hmr_params,
         md_config,
         md_params,
-        variant_config(None, seed, base),
+        base,
         evaluator=make_evaluator(model, video),
     )

@@ -56,7 +56,6 @@ class BodyModel:
     """
 
     template_vertices: np.ndarray
-    template_joints: np.ndarray
     parents: tuple
     skin_weights: np.ndarray
     shape_dirs: np.ndarray
@@ -79,7 +78,6 @@ class BodyModel:
         nverts = verts.shape[0]
         for name, shape in (
             ("template_vertices", (nverts, 3)),
-            ("template_joints", (joints, 3)),
             ("skin_weights", (nverts, joints)),
             ("shape_dirs", (nverts, 3, BETA_SIZE)),
             ("joint_regressor", (joints, nverts)),
@@ -195,8 +193,8 @@ def build_toy_body(seed: int, joints: int = 24, vertices: int = 120) -> BodyMode
     the bones. Skin weights fall off with distance to each bone, and the
     joint regressor is a distance softmax over vertices, sharpened until it
     reproduces the skeleton to better than 5 cm (the on-joint vertices
-    guarantee this converges). The stored template_joints are exactly
-    joint_regressor @ template_vertices, so the identity pose round-trips.
+    guarantee this converges). The identity pose with zero shape puts the
+    joints at joint_regressor @ template_vertices.
     """
     if joints < 2:
         raise ValueError(f"build_toy_body: need at least 2 joints, got {joints}")
@@ -248,7 +246,6 @@ def build_toy_body(seed: int, joints: int = 24, vertices: int = 120) -> BodyMode
 
     return BodyModel(
         template_vertices=verts,
-        template_joints=regressor @ verts,
         parents=tuple(parents),
         skin_weights=skin_weights,
         shape_dirs=np.clip(rng.normal(scale=0.01, size=(vertices, 3, BETA_SIZE)), -0.03, 0.03),
@@ -259,15 +256,14 @@ def build_toy_body(seed: int, joints: int = 24, vertices: int = 120) -> BodyMode
 def scale_body(model: BodyModel, factor: float) -> BodyModel:
     """Uniformly resize a body; all posed geometry scales by exactly ``factor``.
 
-    Skinning is linear in the rest geometry, so scaling template vertices,
-    template joints, and shape displacements is equivalent to scaling every
-    output; weights, parents, and the regressor are unchanged.
+    Skinning is linear in the rest geometry, so scaling template vertices
+    and shape displacements is equivalent to scaling every output; weights,
+    parents, and the regressor are unchanged.
     """
     if factor <= 0.0:
         raise ValueError(f"scale_body: factor must be positive, got {factor}")
     return BodyModel(
         template_vertices=model.template_vertices * factor,
-        template_joints=model.template_joints * factor,
         parents=model.parents,
         skin_weights=model.skin_weights,
         shape_dirs=model.shape_dirs * factor,

@@ -136,6 +136,9 @@ class Flags:
 
 @dataclass(frozen=True)
 class AdaptKnobs:
+    """The JSON ``adapt`` section: `AdaptConfig` without ``seed`` (top-level)
+    and ``frozen_hmrnet`` (set only by benchmark variants)."""
+
     cycles: int = AdaptConfig.cycles
     batch: int = AdaptConfig.batch
     lr_start: float = AdaptConfig.lr_start
@@ -427,12 +430,12 @@ def cmd_adapt(cfg: RunConfig) -> int:
     out = Path(cfg.paths.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if cfg.flags.online:
-        run = run_online(cfg.seed, hmr_params, md_params, **_run_args(cfg, model, video))
+        run = run_online(hmr_params, md_params, **_run_args(cfg, model, video))
         rows = [(0, "hmrnet", run.report)]
         save_hmr(out / "hmr_final.ckpt", cfg.hmr, run.hmr_params)
         save_md(out / "md_final.ckpt", cfg.md, run.md_params)
     else:
-        run = run_variant(None, cfg.seed, hmr_params, md_params, checkpoint_dir=out, **_run_args(cfg, model, video))
+        run = run_variant(None, hmr_params, md_params, checkpoint_dir=out, **_run_args(cfg, model, video))
         rows = run.rows
     emit_metrics_csv(out / "metrics.csv", rows)
     write_config_echo(cfg, out)
@@ -460,6 +463,8 @@ def cmd_eval(cfg: RunConfig, checkpoint, video_path) -> int:
 def cmd_ablate(cfg: RunConfig, suite: str) -> int:
     if suite not in SUITES:
         raise ConfigError(f"unknown suite {suite!r}, expected one of {sorted(SUITES)}")
+    if cfg.flags.online:
+        raise ConfigError("ablate runs offline cycles only; flags.online must be false")
     model = _body(cfg)
     video = target_video(cfg, model)
     runs: dict = {}
@@ -469,7 +474,7 @@ def cmd_ablate(cfg: RunConfig, suite: str) -> int:
         key = (variant, flags.random_init)
         if key not in runs:
             nets = load_nets(replace(cfg, flags=flags))
-            runs[key] = run_variant(variant, cfg.seed, *nets, **_run_args(cfg, model, video))
+            runs[key] = run_variant(variant, *nets, **_run_args(cfg, model, video))
         cycle, rep = _last_row(runs[key], source)
         rows.append((cycle, label, rep))
     out = Path(cfg.paths.out_dir)

@@ -29,7 +29,7 @@ import numpy as np
 from .bodymodel import THETA_SIZE
 from . import diffcore
 from .diffcore import Graph, forward
-from .optim import InvariantError, adam_init, adam_step
+from .optim import adam_init, adam_step, check_loss
 
 LN_EPS = 1e-5
 
@@ -149,7 +149,7 @@ def md_pretrain(
 
     Each step corrupts one random window with N(0, sigma^2) noise and takes
     an Adam step on the unmasked full-window L1 against the clean window; a
-    loss that is not finite raises `InvariantError`.
+    loss that is not finite raises `InvariantError` (`check_loss`).
     Returns (params, curve) where curve holds (step, eval error) pairs for
     about six checkpoints, starting with the untrained network; the eval
     error is the denoising L1 on a fixed set of windows with fixed noise.
@@ -198,8 +198,7 @@ def md_pretrain(
         # `diffcore.backward`, split to check the loss; called through the module
         # so that perfbench's probes time these calls as the denoiser's
         values = diffcore.evaluate(g, params)
-        if not np.isfinite(values[loss]):
-            raise InvariantError(f"denoiser loss is {float(values[loss])} at pre-training step {step + 1}")
+        check_loss(values[loss], "denoiser", state)
         grads = diffcore.backward_from_values(g, values, loss)
         params = adam_step(params, grads, state, lr)
         if (step + 1) % every == 0 or step == steps - 1:

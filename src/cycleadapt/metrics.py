@@ -62,23 +62,17 @@ def mpjpe(pred_joints, gt_joints) -> float:
 def procrustes_align(pred, gt) -> tuple:
     """Best similarity transform taking ``pred`` onto ``gt``, per frame.
 
-    Takes one (J, 3) frame or a stack (F, J, 3). Returns (scale, rotation,
-    translation) minimizing ``sum_j ||s R p_j + t - g_j||^2`` in closed form:
-    SVD of the cross covariance, with the weakest direction flipped when
-    needed so that det(rotation) = +1 (a proper rotation, never a
-    reflection). A stack gives (F,), (F, 3, 3) and (F, 3) arrays, all frames
-    solved by one batched SVD; a single frame gives (float, (3, 3), (3,)).
+    Takes two (F, J, 3) stacks. Returns (scale, rotation, translation) as
+    (F,), (F, 3, 3) and (F, 3) arrays minimizing
+    ``sum_j ||s R p_j + t - g_j||^2`` in closed form, all frames solved by
+    one batched SVD of the cross covariance, with the weakest direction
+    flipped when needed so that det(rotation) = +1 (a proper rotation, never
+    a reflection).
     """
     p = np.asarray(pred, dtype=np.float64)
     g = np.asarray(gt, dtype=np.float64)
-    if p.shape != g.shape or p.ndim not in (2, 3) or p.shape[-1] != 3 or p.shape[-2] < 3:
-        raise ValueError(
-            f"procrustes_align: need two matching (J >= 3, 3) or (F, J >= 3, 3) arrays, "
-            f"got {p.shape} and {g.shape}"
-        )
-    if p.ndim == 2:
-        scale, rot, trans = procrustes_align(p[None], g[None])
-        return float(scale[0]), rot[0], trans[0]
+    if p.shape != g.shape or p.ndim != 3 or p.shape[-1] != 3 or p.shape[-2] < 3:
+        raise ValueError(f"procrustes_align: need two matching (F, J >= 3, 3) arrays, got {p.shape} and {g.shape}")
     n = p.shape[1]
     mu_p = p.mean(axis=1)
     mu_g = g.mean(axis=1)

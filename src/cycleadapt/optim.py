@@ -1,5 +1,5 @@
-"""Adam, the cosine learning-rate schedule and the error every training loop
-raises when its loss stops being finite.
+"""Adam, the cosine learning-rate schedule and the loss guard every training
+loop runs before it updates a net.
 
 Parameter sets are plain dicts of float64 arrays. `adam_step` returns fresh
 parameter arrays and never writes to those passed in; it updates the moment
@@ -33,6 +33,13 @@ def adam_init(params: dict) -> OptState:
         m={name: np.zeros_like(value) for name, value in params.items()},
         v={name: np.zeros_like(value) for name, value in params.items()},
     )
+
+
+def check_loss(value, net: str, state: OptState) -> None:
+    """Raise `InvariantError` unless the loss is finite, naming the net and
+    how many Adam updates ``state`` had completed."""
+    if not np.isfinite(value):
+        raise InvariantError(f"{net} loss is {float(value)} (Adam updates completed: {state.step})")
 
 
 def adam_step(

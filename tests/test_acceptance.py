@@ -21,6 +21,7 @@ from test_diffcore import _primitive_cases  # one source of truth for the op lis
 
 from cycleadapt import benchmark as bench
 from cycleadapt import cli
+from cycleadapt.adapt import AdaptConfig
 from cycleadapt.bodymodel import build_toy_body, identity_pose, rot6d_batch
 from cycleadapt.checkpoint import save_hmr, save_md
 from cycleadapt.diffcore import Graph, grad_check
@@ -62,33 +63,28 @@ def sweep(nets):
     }
     for seed in SEEDS:
         video = bench.make_target_video(seed, model=model)
+        base = AdaptConfig(seed=seed)
         t0 = time.perf_counter()
         with pytest.MonkeyPatch.context() as mp:
             if seed == 0:
                 out["loop"] = record_loop(mp)
-            full = bench.run_variant("full_cyclic", seed, hmr_params, md_params,
-                                     model=model, video=video)
+            full = bench.run_variant("full_cyclic", hmr_params, md_params, model, video, base)
         out["seconds"][seed] = time.perf_counter() - t0
         out["full"][seed] = _final_mpjpe(full)
         out["rows"][seed] = full.rows
         for key, variant in (("na", "no_adapt"), ("2d", "2d_only"),
                              ("nc", "3d_noncyclic"), ("gauss", "gaussian")):
-            run = bench.run_variant(variant, seed, hmr_params, md_params,
-                                    model=model, video=video)
+            run = bench.run_variant(variant, hmr_params, md_params, model, video, base)
             out[key][seed] = _final_mpjpe(run)
         rand_h, rand_m = bench.random_nets(seed)
-        rand = bench.run_variant("full_cyclic", seed, rand_h, rand_m,
-                                 model=model, video=video)
+        rand = bench.run_variant("full_cyclic", rand_h, rand_m, model, video, base)
         out["rand"][seed] = _final_mpjpe(rand)
-        kept = bench.run_variant("frozen_hmr", seed, hmr_params, md_params,
-                                 model=model, video=video)
-        tuned = bench.run_variant("frozen_hmr_adapt_md", seed, hmr_params, md_params,
-                                  model=model, video=video)
+        kept = bench.run_variant("frozen_hmr", hmr_params, md_params, model, video, base)
+        tuned = bench.run_variant("frozen_hmr_adapt_md", hmr_params, md_params, model, video, base)
         out["frozen"][seed] = _final_mpjpe(kept)
         out["before"][seed] = _final_mpjpe(kept, "store")
         out["after"][seed] = _final_mpjpe(tuned, "store")
-        out["online"][seed] = bench.run_online(seed, hmr_params, md_params,
-                                               model=model, video=video).report.mpjpe
+        out["online"][seed] = bench.run_online(hmr_params, md_params, model, video, base).report.mpjpe
     return out
 
 
@@ -168,7 +164,7 @@ def test_metric_oracles_hold():
     for _ in range(100):
         pred = rng.normal(size=(4, 3))
         gt = rng.normal(size=(4, 3))
-        s, rot, t = procrustes_align(pred, gt)
+        (s,), (rot,), (t,) = procrustes_align(pred[None], gt[None])
         best = float(((s * pred @ rot.T + t - gt) ** 2).sum())
         scales = rng.uniform(0.2, 3.0, size=10_000)
         rots = rot6d_batch(rng.normal(size=(10_000, 6)))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cycleadapt import adapt
+from cycleadapt import adapt, diffcore, mdnet
 from cycleadapt.adapt import (
     AdaptConfig,
     AdaptInputs,
@@ -50,7 +50,7 @@ def _config(**overrides):
 
 
 def _opt(hmr_params, md_params, total=100):
-    return AdaptOptimizers(hmr=adam_init(hmr_params), md=adam_init(md_params), clock=0, total_steps=total)
+    return AdaptOptimizers(hmr=adam_init(hmr_params), md=adam_init(md_params), total_steps=total)
 
 
 def _stub_evaluator(theta, beta):
@@ -81,8 +81,8 @@ def record_loop(monkeypatch) -> dict:
         cycle[0] = cycle_index
         return hmr_stage(inputs, store, model, hmr_config, params, opt, config, cycle_index, rng)
 
-    def hmr_step_(inputs, idx, model, hmr_config, params, opt, config, lr, pseudo_theta=None, pseudo_beta=None, rows=None):
-        out = hmr_step(inputs, idx, model, hmr_config, params, opt, config, lr, pseudo_theta, pseudo_beta, rows)
+    def hmr_step_(inputs, idx, model, hmr_config, params, state, config, lr, pseudo_theta=None, pseudo_beta=None, rows=None):
+        out = hmr_step(inputs, idx, model, hmr_config, params, state, config, lr, pseudo_theta, pseudo_beta, rows)
         pull = None
         if pseudo_theta is not None:
             pull = float(np.abs(out[1] - pseudo_theta).mean() + config.gamma * np.abs(out[2] - pseudo_beta).mean())
@@ -190,7 +190,7 @@ def test_hmr_stage_step_count_and_full_store_coverage(monkeypatch):
         inputs, store, MODEL, HMR_CONFIG, params, opt, config, 1,
         np.random.default_rng(0),
     )
-    assert opt.clock == 2  # 64 frames / batch 32
+    assert opt.hmr.step == 2 and opt.md.step == 0  # 64 frames / batch 32
     assert np.all(np.any(store.theta != 0.0, axis=1))
     assert np.all(np.any(store.beta != 0.0, axis=1))
     assert log["steps"] == [(None, None), (None, None)]  # no pseudo targets in cycle 1
@@ -225,7 +225,7 @@ def test_hmr_stage_frozen_writes_but_never_steps():
         inputs, store, MODEL, HMR_CONFIG, params, opt, config, 1,
         np.random.default_rng(0),
     )
-    assert out is params and opt.clock == 0
+    assert out is params and opt.hmr.step == 0
     assert np.all(np.any(store.theta != 0.0, axis=1))
 
 
@@ -248,7 +248,7 @@ def test_md_stage_overwrites_thetas_but_never_betas(monkeypatch):
     # one window covers all five frames, so every theta row is rewritten
     assert store.md_written.all()
     assert np.all(np.any(store.theta != theta_before, axis=1))
-    assert opt.clock == 1
+    assert opt.md.step == 1 and opt.hmr.step == 0
     assert [m.sum() for m in log["masks"]] == [3]  # ceil(5 / 2)
 
 
@@ -270,7 +270,7 @@ def test_md_stage_frozen_keeps_params_but_still_denoises():
     opt = _opt({}, params)
     config = _config(md_denoiser="frozen_mdnet")
     out = md_stage(store, MD_CONFIG, params, opt, config, np.random.default_rng(2))
-    assert out is params and opt.clock == 0
+    assert out is params and opt.md.step == 0
     assert store.md_written.all()
 
 
@@ -281,7 +281,7 @@ def test_md_stage_gaussian_filters_whole_sequence():
     opt = _opt({}, params)
     config = _config(md_denoiser="gaussian", gaussian_std=2.0)
     out = md_stage(store, MD_CONFIG, params, opt, config, np.random.default_rng(2))
-    assert out is params and opt.clock == 0
+    assert out is params and opt.md.step == 0
     assert np.array_equal(store.theta, gaussian_filter_baseline(theta_before, 2.0))
     assert store.md_written.all()
 
@@ -341,7 +341,7 @@ def test_cycle_adapt_no_3d_loss_skips_denoiser_entirely(monkeypatch):
     log = record_loop(monkeypatch)
     run = cycle_adapt(
         inputs, MODEL, HMR_CONFIG, hmr_init(HMR_CONFIG, seed=0),
-        MD_CONFIG, md0, _config(cycles=2, md_denoiser="none"),
+        MD_CONFIG, md0, _config(cycles=2, md_denoiser="none"), _stub_evaluator,
     )
     assert run.md_params is md0
     assert not run.store.md_written.any()
@@ -355,7 +355,7 @@ def test_cycle_adapt_frozen_hmrnet_only_trains_denoiser():
     hmr0 = hmr_init(HMR_CONFIG, seed=0)
     run = cycle_adapt(
         inputs, MODEL, HMR_CONFIG, hmr0, MD_CONFIG, md_init(MD_CONFIG, seed=0),
-        _config(cycles=2, frozen_hmrnet=True),
+        _config(cycles=2, frozen_hmrnet=True), _stub_evaluator,
     )
     for key in hmr0:
         assert np.array_equal(run.hmr_params[key], hmr0[key])
@@ -367,7 +367,7 @@ def test_cycle_adapt_instrumentation_invariants(monkeypatch):
     log = record_loop(monkeypatch)
     cycle_adapt(
         inputs, MODEL, HMR_CONFIG, hmr_init(HMR_CONFIG, seed=0),
-        MD_CONFIG, md_init(MD_CONFIG, seed=0), _config(cycles=3),
+        MD_CONFIG, md_init(MD_CONFIG, seed=0), _config(cycles=3), _stub_evaluator,
     )
     theta0, beta0 = log["store_at_start"]
     assert not theta0.any() and not beta0.any()
@@ -383,7 +383,7 @@ def test_cycle_adapt_writes_loadable_per_cycle_checkpoints(tmp_path):
     inputs = _setup(8)
     run = cycle_adapt(
         inputs, MODEL, HMR_CONFIG, hmr_init(HMR_CONFIG, seed=0),
-        MD_CONFIG, md_init(MD_CONFIG, seed=0), _config(cycles=2),
+        MD_CONFIG, md_init(MD_CONFIG, seed=0), _config(cycles=2), _stub_evaluator,
         checkpoint_dir=tmp_path,
     )
     for cycle in (1, 2):
@@ -402,7 +402,7 @@ def test_cycle_adapt_writes_loadable_per_cycle_checkpoints(tmp_path):
 def test_online_truncation_leaves_earlier_outputs_bit_identical():
     inputs = _setup(23)
     short = AdaptInputs(features=inputs.features[:13], keypoints=inputs.keypoints[:13])
-    kwargs = dict(config=_config(cycles=1))
+    kwargs = dict(config=_config(cycles=1), evaluator=_stub_evaluator)
     full = online_adapt(inputs, MODEL, HMR_CONFIG, hmr_init(HMR_CONFIG, seed=0),
                         MD_CONFIG, md_init(MD_CONFIG, seed=0), **kwargs)
     part = online_adapt(short, MODEL, HMR_CONFIG, hmr_init(HMR_CONFIG, seed=0),
@@ -415,7 +415,7 @@ def test_online_short_video_never_touches_denoiser():
     inputs = _setup(4)
     md0 = md_init(MD_CONFIG, seed=0)
     run = online_adapt(inputs, MODEL, HMR_CONFIG, hmr_init(HMR_CONFIG, seed=0),
-                       MD_CONFIG, md0, _config())
+                       MD_CONFIG, md0, _config(), _stub_evaluator)
     assert run.md_params is md0
     assert run.steps_taken == 4  # one regressor step per frame, nothing else
 
@@ -451,7 +451,7 @@ def test_online_frozen_mdnet_still_denoises_the_store(monkeypatch):
     inputs = _setup(12)
     md0 = md_init(MD_CONFIG, seed=0)
     run = online_adapt(inputs, MODEL, HMR_CONFIG, hmr_init(HMR_CONFIG, seed=0),
-                       MD_CONFIG, md0, _config(md_denoiser="frozen_mdnet"))
+                       MD_CONFIG, md0, _config(md_denoiser="frozen_mdnet"), _stub_evaluator)
     assert run.md_params is md0
     assert run.steps_taken == 12  # one regressor step per frame, no denoiser step
     (store,) = stores
@@ -463,22 +463,22 @@ def test_hmr_step_rejects_a_non_finite_loss():
     inputs = _setup(8)
     params = hmr_init(HMR_CONFIG, seed=0)
     params["w0"][2, 3] = np.nan
-    opt = _opt(params, md_init(MD_CONFIG, seed=0))
-    opt.clock = 7
-    with pytest.raises(InvariantError, match="regressor loss is nan at optimizer step 7"):
-        adapt.hmr_step(inputs, np.arange(8), MODEL, HMR_CONFIG, params, opt, _config(), 1e-4)
-    assert opt.clock == 7
+    state = adam_init(params)
+    state.step = 7
+    with pytest.raises(InvariantError, match=r"regressor loss is nan \(Adam updates completed: 7\)"):
+        adapt.hmr_step(inputs, np.arange(8), MODEL, HMR_CONFIG, params, state, _config(), 1e-4)
+    assert state.step == 7
 
 
 def test_md_step_rejects_a_non_finite_loss():
     store = _filled_store(5)
     params = md_init(MD_CONFIG, seed=0)
     params["w_in"][0, 0] = np.inf
-    opt = _opt(hmr_init(HMR_CONFIG, seed=0), params)
-    opt.clock = 4
+    state = adam_init(params)
+    state.step = 4
     mask = np.array([0.0, 1.0, 0.0, 1.0, 0.0])
-    with pytest.raises(InvariantError, match="denoiser loss is (nan|inf) at optimizer step 4"):
-        adapt.md_step(store, np.arange(5), store.theta.copy(), mask, MD_CONFIG, params, opt, _config(), 1e-4)
+    with pytest.raises(InvariantError, match=r"denoiser loss is (nan|inf) \(Adam updates completed: 4\)"):
+        adapt.md_step(store, np.arange(5), store.theta.copy(), mask, MD_CONFIG, params, state, _config(), 1e-4)
 
 
 def test_md_step_refuses_to_write_non_finite_poses():
@@ -486,11 +486,11 @@ def test_md_step_refuses_to_write_non_finite_poses():
     theta_before = store.theta.copy()
     params = md_init(MD_CONFIG, seed=0)
     params["w_out"][1, 2] = np.nan
-    opt = _opt(hmr_init(HMR_CONFIG, seed=0), params)
-    opt.clock = 3
+    state = adam_init(params)
+    state.step = 3
     config = _config(md_denoiser="frozen_mdnet")  # no loss, so only the write-back can see it
-    with pytest.raises(InvariantError, match="denoiser wrote non-finite poses at optimizer step 3"):
-        adapt.md_step(store, np.arange(5), store.theta.copy(), None, MD_CONFIG, params, opt, config, 1e-4)
+    with pytest.raises(InvariantError, match=r"denoiser wrote non-finite poses \(Adam updates completed: 3\)"):
+        adapt.md_step(store, np.arange(5), store.theta.copy(), None, MD_CONFIG, params, state, config, 1e-4)
     assert np.array_equal(store.theta, theta_before) and not store.md_written.any()
 
 
@@ -499,5 +499,72 @@ def test_cycle_adapt_stops_at_a_frozen_denoisers_non_finite_write_back():
     md0 = md_init(MD_CONFIG, seed=0)
     md0["w_out"][0, 0] = np.nan
     config = _config(cycles=2, md_denoiser="frozen_mdnet")
-    with pytest.raises(InvariantError, match="denoiser wrote non-finite poses at optimizer step 2"):
-        cycle_adapt(inputs, MODEL, HMR_CONFIG, hmr_init(HMR_CONFIG, seed=0), MD_CONFIG, md0, config)
+    # after the regressor's two updates; the frozen denoiser has taken none
+    with pytest.raises(InvariantError, match=r"denoiser wrote non-finite poses \(Adam updates completed: 0\)"):
+        cycle_adapt(inputs, MODEL, HMR_CONFIG, hmr_init(HMR_CONFIG, seed=0), MD_CONFIG, md0, config, _stub_evaluator)
+
+
+def _nan_params_from_second_call(evaluate):
+    """A graph evaluation that binds NaN parameters from its second call on,
+    so a training loop's loss turns NaN at its second update."""
+    calls = [0]
+
+    def wrapped(g, params):
+        calls[0] += 1
+        return evaluate(g, params if calls[0] == 1 else {k: np.full_like(v, np.nan) for k, v in params.items()})
+
+    return wrapped
+
+
+def test_every_training_loop_reports_a_divergence_alike(monkeypatch):
+    """The regressor step, the denoiser step and denoiser pre-training name
+    the net and the updates it had completed, in one wording."""
+    inputs = _setup(16)
+    messages = []
+
+    def diverge(module, run):
+        with monkeypatch.context() as patch:
+            patch.setattr(module, "evaluate", _nan_params_from_second_call(module.evaluate))
+            with pytest.raises(InvariantError) as info:
+                run()
+        messages.append(str(info.value))
+
+    # the regressor step evaluates through `adapt.evaluate`, both denoiser loops through `diffcore`
+    diverge(adapt, lambda: cycle_adapt(
+        inputs, MODEL, HMR_CONFIG, hmr_init(HMR_CONFIG, seed=0), MD_CONFIG, md_init(MD_CONFIG, seed=0),
+        _config(md_denoiser="none"), _stub_evaluator,
+    ))
+    diverge(diffcore, lambda: cycle_adapt(
+        inputs, MODEL, HMR_CONFIG, hmr_init(HMR_CONFIG, seed=0), MD_CONFIG, md_init(MD_CONFIG, seed=0),
+        _config(frozen_hmrnet=True), _stub_evaluator,
+    ))
+    motion = np.random.default_rng(0).normal(scale=0.3, size=(12, 144))
+    diverge(diffcore, lambda: mdnet.md_pretrain(MD_CONFIG, md_init(MD_CONFIG, seed=0), [motion], steps=3))
+    assert messages == [
+        "regressor loss is nan (Adam updates completed: 1)",
+        "denoiser loss is nan (Adam updates completed: 1)",
+        "denoiser loss is nan (Adam updates completed: 1)",
+    ]
+
+
+def test_steps_taken_is_the_two_nets_adam_update_count(monkeypatch):
+    states = {}
+
+    def recording_adam_init(params):
+        states["md" if "w_in" in params else "hmr"] = state = adam_init(params)
+        return state
+
+    monkeypatch.setattr(adapt, "adam_init", recording_adam_init)
+    inputs = _setup(11)
+    offline = cycle_adapt(
+        inputs, MODEL, HMR_CONFIG, hmr_init(HMR_CONFIG, seed=0), MD_CONFIG, md_init(MD_CONFIG, seed=0),
+        _config(cycles=2), _stub_evaluator,
+    )
+    assert (states["hmr"].step, states["md"].step) == (2 * 2, 2 * 3)  # per cycle: 2 batches of 8, 3 windows of 5
+    assert offline.steps_taken == states["hmr"].step + states["md"].step
+    online = online_adapt(
+        inputs, MODEL, HMR_CONFIG, hmr_init(HMR_CONFIG, seed=0), MD_CONFIG, md_init(MD_CONFIG, seed=0),
+        _config(), _stub_evaluator,
+    )
+    assert (states["hmr"].step, states["md"].step) == (11, 2)  # one update per frame; two full windows
+    assert online.steps_taken == states["hmr"].step + states["md"].step

@@ -4,7 +4,6 @@ Everything here runs on shrunken stand-ins; the full-size orderings live in
 the acceptance suite.
 """
 
-import dataclasses
 import json
 
 import numpy as np
@@ -24,7 +23,8 @@ def test_benchmark_body_dimensions_and_scale():
     assert model.joint_count == bench.JOINTS
     assert model.template_vertices.shape == (bench.VERTICES, 3)
     unscaled = build_toy_body(bench.BODY_SEED, joints=bench.JOINTS, vertices=bench.VERTICES)
-    assert np.allclose(model.template_joints, unscaled.template_joints * bench.BODY_SCALE)
+    rest_joints = model.joint_regressor @ model.template_vertices
+    assert np.allclose(rest_joints, unscaled.joint_regressor @ unscaled.template_vertices * bench.BODY_SCALE)
 
 
 def test_scale_body_scales_posed_geometry_exactly():
@@ -76,19 +76,20 @@ def test_target_mixing_rejects_out_of_range_alpha():
 
 
 def test_variant_config_flags():
-    assert bench.variant_config("no_adapt", 3).cycles == 0
-    assert bench.variant_config("2d_only", 3).md_denoiser == "none"
-    assert bench.variant_config("3d_noncyclic", 3).md_denoiser == "frozen_mdnet"
-    full = bench.variant_config("full_cyclic", 3)
+    base = AdaptConfig(seed=3)
+    assert bench.variant_config("no_adapt", base).cycles == 0
+    assert bench.variant_config("2d_only", base).md_denoiser == "none"
+    assert bench.variant_config("3d_noncyclic", base).md_denoiser == "frozen_mdnet"
+    full = bench.variant_config("full_cyclic", base)
     assert full.md_denoiser == "mdnet" and not full.frozen_hmrnet
     assert full.seed == 3
-    assert bench.variant_config("gaussian", 3).md_denoiser == "gaussian"
-    frozen = bench.variant_config("frozen_hmr", 3)
+    assert bench.variant_config("gaussian", base).md_denoiser == "gaussian"
+    frozen = bench.variant_config("frozen_hmr", base)
     assert frozen.frozen_hmrnet and frozen.md_denoiser == "frozen_mdnet"
-    adapting = bench.variant_config("frozen_hmr_adapt_md", 3, base=frozen)
+    adapting = bench.variant_config("frozen_hmr_adapt_md", frozen)
     assert adapting.frozen_hmrnet and adapting.md_denoiser == "mdnet"
     with pytest.raises(ValueError, match="unknown variant"):
-        bench.variant_config("bogus", 3)
+        bench.variant_config("bogus", base)
 
 
 NAMED_MODES = {
@@ -103,16 +104,16 @@ NAMED_MODES = {
 
 @pytest.mark.parametrize("base_mode", ["mdnet", "frozen_mdnet", "gaussian", "none"])
 def test_variant_config_runs_the_mode_its_label_names_on_any_base(base_mode):
-    base = AdaptConfig(md_denoiser=base_mode)
+    base = AdaptConfig(md_denoiser=base_mode, seed=3)
     for variant in bench.VARIANTS:
         want = NAMED_MODES.get(variant, base_mode)  # no_adapt keeps the base's
-        assert bench.variant_config(variant, 3, base=base).md_denoiser == want, variant
-    assert bench.variant_config(None, 3, base=base) == dataclasses.replace(base, seed=3)  # the base as given
+        assert bench.variant_config(variant, base).md_denoiser == want, variant
+    assert bench.variant_config(None, base) == base  # the base as given
 
 
 def test_variant_config_respects_base():
-    base = AdaptConfig(cycles=2, batch=8, gamma=0.5, seed=0)
-    cfg = bench.variant_config("2d_only", 7, base=base)
+    base = AdaptConfig(cycles=2, batch=8, gamma=0.5, seed=7)
+    cfg = bench.variant_config("2d_only", base)
     assert cfg.cycles == 2 and cfg.batch == 8 and cfg.gamma == 0.5
     assert cfg.seed == 7 and cfg.md_denoiser == "none"
 

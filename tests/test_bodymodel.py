@@ -31,7 +31,6 @@ def _two_joint_chain():
     weights = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
     return BodyModel(
         template_vertices=verts,
-        template_joints=regressor @ verts,
         parents=(-1, 0),
         skin_weights=weights,
         shape_dirs=np.zeros((3, 3, 10)),
@@ -203,7 +202,7 @@ def test_identity_pose_reproduces_template():
     model = build_toy_body(42, joints=24, vertices=120)
     verts, joints = body_forward_batch(model, identity_pose(24)[None], np.zeros((1, 10)))
     assert np.abs(verts[0] - model.template_vertices).max() < 1e-12
-    assert np.abs(joints[0] - model.template_joints).max() < 1e-12
+    assert np.abs(joints[0] - model.joint_regressor @ model.template_vertices).max() < 1e-12
 
 
 def test_two_joint_chain_child_rotation():
@@ -401,7 +400,7 @@ def test_build_toy_body_is_deterministic():
     a = build_toy_body(42, joints=24, vertices=120)
     b = build_toy_body(42, joints=24, vertices=120)
     assert a.parents == b.parents
-    for name in ("template_vertices", "template_joints", "skin_weights", "shape_dirs", "joint_regressor"):
+    for name in ("template_vertices", "skin_weights", "shape_dirs", "joint_regressor"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
@@ -410,7 +409,7 @@ def test_build_toy_body_invariants():
     assert np.abs(model.skin_weights.sum(axis=1) - 1.0).max() <= 1e-9
     assert np.abs(model.joint_regressor.sum(axis=1) - 1.0).max() <= 1e-9
     regressed = model.joint_regressor @ model.template_vertices
-    assert np.linalg.norm(regressed - model.template_joints, axis=1).max() < 0.05
+    assert np.linalg.norm(regressed - model.template_vertices[:24], axis=1).max() < 0.05  # on-joint vertices
     assert np.abs(model.shape_dirs).max() <= 0.03
 
 
@@ -428,7 +427,6 @@ def test_body_model_rejects_broken_tree():
     with pytest.raises(ValueError):
         BodyModel(
             template_vertices=verts,
-            template_joints=np.zeros((2, 3)),
             parents=(-1, 2),
             skin_weights=weights,
             shape_dirs=np.zeros((3, 3, 10)),
@@ -442,7 +440,6 @@ def test_body_model_rejects_unnormalized_weights():
     with pytest.raises(ValueError):
         BodyModel(
             template_vertices=verts,
-            template_joints=np.zeros((2, 3)),
             parents=(-1, 0),
             skin_weights=np.full((3, 2), 0.7),
             shape_dirs=np.zeros((3, 3, 10)),

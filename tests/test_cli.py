@@ -532,6 +532,19 @@ def test_ablate_suites_emit_one_row_per_configuration(ws, tmp_path, suite, label
     assert all(rep.mpjpe > 0 for _, _, rep in rows)
 
 
+def test_ablate_refuses_the_online_flag(ws, tmp_path, capsys):
+    """The suites are offline cycles; an online flag would be echoed into
+    config.json as a run that never happened."""
+    config = json.loads(json.dumps(ws["config"]))
+    config["flags"] = {"online": True}
+    cfg_path = tmp_path / "online.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    assert cli.run(["ablate", "--config", str(cfg_path), "--suite", "table2", "--out", str(out)]) == 1
+    assert "flags.online" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_invariant_failure_exits_2(ws, tmp_path, monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise InvariantError("store written out of order")
@@ -566,7 +579,7 @@ def test_diverged_pretraining_exits_2_without_checkpoints(tmp_path, capsys):
     with np.errstate(all="ignore"):
         code = cli.run(["pretrain", "--config", str(cfg_path)])
     assert code == 2
-    assert "regressor loss is nan at optimizer step 1" in capsys.readouterr().err
+    assert "regressor loss is nan (Adam updates completed: 1)" in capsys.readouterr().err
     assert not (tmp_path / "nets").exists() and not (tmp_path / "out").exists()
 
 
@@ -583,7 +596,7 @@ def test_diverged_denoiser_pretraining_exits_2_without_checkpoints(tmp_path, cap
     with np.errstate(all="ignore"):
         code = cli.run(["pretrain", "--config", str(cfg_path)])
     assert code == 2
-    assert "denoiser loss is nan at pre-training step 2" in capsys.readouterr().err
+    assert "denoiser loss is nan (Adam updates completed: 1)" in capsys.readouterr().err
     assert not (tmp_path / "nets").exists() and not (tmp_path / "out").exists()
 
 
@@ -599,4 +612,4 @@ def test_non_finite_regressor_loss_exits_2(ws, tmp_path, capsys):
     cfg_path.write_text(json.dumps(config))
     code = cli.run(["adapt", "--online", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
     assert code == 2
-    assert "regressor loss is nan at optimizer step 0" in capsys.readouterr().err
+    assert "regressor loss is nan (Adam updates completed: 0)" in capsys.readouterr().err

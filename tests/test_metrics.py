@@ -92,12 +92,14 @@ def test_mpjpe_hand_case():
 def test_shape_mismatch_is_rejected():
     with pytest.raises(ValueError):
         mpjpe(np.zeros((2, 3, 3)), np.zeros((2, 4, 3)))
+    with pytest.raises(ValueError, match="procrustes_align"):
+        procrustes_align(np.eye(3), np.eye(3))  # one frame, not a stack
 
 
 def test_procrustes_identity():
     rng = np.random.default_rng(2)
     cloud = rng.normal(size=(10, 3))
-    s, rot, t = procrustes_align(cloud, cloud)
+    (s,), (rot,), (t,) = procrustes_align(cloud[None], cloud[None])
     assert abs(s - 1.0) < 1e-9
     assert np.abs(rot - np.eye(3)).max() < 1e-9
     assert np.abs(t).max() < 1e-9
@@ -109,7 +111,7 @@ def test_procrustes_recovers_known_similarity():
     rot0 = _random_rotation(rng)
     t0 = np.array([0.3, -1.2, 0.7])
     gt = 2.0 * pred @ rot0.T + t0
-    s, rot, t = procrustes_align(pred, gt)
+    (s,), (rot,), (t,) = procrustes_align(pred[None], gt[None])
     assert abs(s - 2.0) < 1e-9
     assert np.abs(rot - rot0).max() < 1e-9
     assert np.abs(t - t0).max() < 1e-9
@@ -119,7 +121,7 @@ def test_procrustes_rejects_coincident_points():
     pred = np.ones((5, 3))
     gt = np.arange(15, dtype=float).reshape(5, 3)
     with pytest.raises(DegenerateGeometryError):
-        procrustes_align(pred, gt)
+        procrustes_align(pred[None], gt[None])
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -129,7 +131,7 @@ def test_procrustes_beats_random_search(seed):
     rng = np.random.default_rng(seed)
     pred = rng.normal(size=(4, 3))
     gt = rng.normal(size=(4, 3))
-    s, rot, t = procrustes_align(pred, gt)
+    (s,), (rot,), (t,) = procrustes_align(pred[None], gt[None])
     closed = _similarity_sse(s, rot, t, pred, gt)
     best = np.inf
     for _ in range(10):
@@ -160,7 +162,7 @@ def test_procrustes_matches_quaternion_solver(seed):
     rng = np.random.default_rng(seed)
     pred = rng.normal(size=(8, 3))
     gt = rng.normal(size=(8, 3))
-    s_a, rot_a, t_a = procrustes_align(pred, gt)
+    (s_a,), (rot_a,), (t_a,) = procrustes_align(pred[None], gt[None])
     s_b, rot_b, t_b = _horn_similarity(pred, gt)
     assert abs(s_a - s_b) < 1e-9
     assert np.abs(rot_a - rot_b).max() < 1e-9
@@ -230,8 +232,7 @@ def test_procrustes_stack_matches_per_frame_solves():
     assert scales.shape == (9,) and rots.shape == (9, 3, 3) and trans.shape == (9, 3)
     errors = []
     for i in range(9):
-        s, rot, t = procrustes_align(pred[i], gt[i])
-        assert isinstance(s, float)
+        (s,), (rot,), (t,) = procrustes_align(pred[i : i + 1], gt[i : i + 1])
         assert s == scales[i] and np.array_equal(rot, rots[i]) and np.array_equal(t, trans[i])
         assert np.linalg.det(rot) > 0
         s_ref, rot_ref, t_ref = _horn_similarity(pred[i], gt[i])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycleadapt.optim import OptState, adam_init, adam_step, cosine_lr
+from cycleadapt.optim import InvariantError, OptState, adam_init, adam_step, check_loss, cosine_lr
 
 
 def _reference_adam(params, grads, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -188,3 +188,13 @@ def test_adam_step_with_a_rejected_gradient_leaves_the_state_untouched():
     assert state.step == step
     assert _bits(state.m) == m
     assert _bits(state.v) == v
+
+
+def test_check_loss_names_the_net_and_its_completed_updates():
+    state = adam_init({"w": np.zeros(2)})
+    check_loss(np.float64(0.5), "regressor", state)  # finite: nothing happens
+    state.step = 5
+    for value in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InvariantError) as info:
+            check_loss(np.float64(value), "denoiser", state)
+        assert str(info.value) == f"denoiser loss is {value} (Adam updates completed: 5)"
