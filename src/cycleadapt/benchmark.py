@@ -41,7 +41,7 @@ from .checkpoint import VERSION, load_hmr, load_md, save_hmr, save_md
 from .hmrnet import HmrConfig, hmr_forward, hmr_init
 from .mdnet import MdConfig, md_init, md_pretrain
 from .metrics import MetricReport, evaluate_sequence
-from .optim import adam_init
+from .optim import InvariantError, adam_init
 from .synth import DomainSpec, SyntheticVideo, make_video, mixing_matrices
 
 N_FRAMES = 500
@@ -274,15 +274,11 @@ def pretrain_nets(
     motions = [v.gt_params.theta for v in videos]
     md_params = md_init(md_config, seed=0)
     for stage, (steps, lr) in enumerate(md_plan):
-        md_params, _ = md_pretrain(
-            md_config,
-            md_params,
-            motions,
-            sigma=md_sigma,
-            steps=steps,
-            lr=lr,
-            seed=stage,
-        )
+        # each stage starts a fresh Adam state, so a divergence names its stage
+        try:
+            md_params, _ = md_pretrain(md_config, md_params, motions, sigma=md_sigma, steps=steps, lr=lr, seed=stage)
+        except InvariantError as err:
+            raise InvariantError(f"md_plan stage {stage + 1} of {len(md_plan)}: {err}") from err
     if cache_dir is not None:
         cache.mkdir(parents=True, exist_ok=True)
         save_hmr(hmr_path, hmr_config, hmr_params)

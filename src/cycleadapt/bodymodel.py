@@ -12,12 +12,14 @@ All positions are meters. Posing is written once, as the graph builder
 `body_graph`, which appends it to a `diffcore.Graph` so gradients can flow
 to pose, shape, and anything upstream of them; `body_forward_batch` builds
 that graph on constant inputs and runs it forward only, for data generation
-and evaluation. The 6D decoder, shape blending, the posed-joint regression
-and projection are single-op nodes; forward kinematics and skinning are one
-`diffcore` ``rigid_chain`` node with a hand-written VJP. That op takes its
-rotations contiguous, keeps its VJP's intermediates only when `evaluate`
-runs it (never under `forward`), and sums in the order of the joint-by-joint
-graph it replaced, so poses and gradients kept their bits.
+and evaluation. The 6D decoder is one `diffcore` ``rot6d`` node, and forward
+kinematics and skinning are one ``rigid_chain`` node, each with a
+hand-written VJP; shape blending, the posed-joint regression and projection
+are single-op nodes. The two fused ops keep their VJP's intermediates only
+when `evaluate` runs them (never under `forward`), and compute in the order
+of the single-op graphs they replaced, so poses and gradients kept their
+bits. A degenerate pose code is refused by the ``rot6d`` node itself
+(`diffcore.DegenerateRotationError`), in posing and in training alike.
 """
 
 from __future__ import annotations
@@ -32,9 +34,6 @@ IDENTITY_ROT6D = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
 
 THETA_SIZE = 144
 BETA_SIZE = 10
-
-class DegenerateRotationError(ValueError):
-    """6D code whose two columns are too short or too parallel to orthonormalize."""
 
 
 def _frozen_array(value, shape, what: str) -> np.ndarray:
@@ -104,32 +103,6 @@ def identity_pose(joints: int) -> np.ndarray:
     return np.tile(IDENTITY_ROT6D, joints)
 
 
-def rot6d_batch(codes) -> np.ndarray:
-    """Map (..., 6) continuous rotation codes to (..., 3, 3) rotation matrices.
-
-    Column one is the normalized first triple, column two the Gram-Schmidt
-    remainder of the second, column three their cross product, so the result
-    is orthonormal with determinant +1 and invariant to rescaling the input.
-    """
-    c = np.asarray(codes, dtype=np.float64)
-    if c.shape[-1] != 6:
-        raise ValueError(f"rot6d: last axis must have size 6, got {c.shape}")
-    a1 = c[..., :3]
-    a2 = c[..., 3:]
-    n1 = np.linalg.norm(a1, axis=-1, keepdims=True)
-    n2 = np.linalg.norm(a2, axis=-1, keepdims=True)
-    if np.any(n1 <= 1e-8) or np.any(n2 <= 1e-8):
-        raise DegenerateRotationError("rot6d: column norm at or below 1e-8")
-    b1 = a1 / n1
-    resid = a2 - (b1 * a2).sum(axis=-1, keepdims=True) * b1
-    nr = np.linalg.norm(resid, axis=-1, keepdims=True)
-    if np.any(nr <= 1e-8):
-        raise DegenerateRotationError("rot6d: columns are nearly parallel")
-    b2 = resid / nr
-    b3 = np.cross(b1, b2)
-    return np.stack([b1, b2, b3], axis=-1)
-
-
 def rotmat_to_rot6d(rots) -> np.ndarray:
     """Inverse embedding: keep the first two columns, flattened to (..., 6)."""
     r = np.asarray(rots, dtype=np.float64)
@@ -142,7 +115,8 @@ def body_forward_batch(model: BodyModel, thetas, betas) -> tuple[np.ndarray, np.
     """Pose a batch: (B, 6J) pose codes and (B, 10) shapes to vertices and joints.
 
     Returns (vertices (B, V, 3), joints (B, J, 3)); joints are regressed from
-    the skinned mesh, not taken from the kinematic transforms.
+    the skinned mesh, not taken from the kinematic transforms. A degenerate
+    pose code raises `DegenerateRotationError` from the graph's rot6d node.
     """
     th = np.asarray(thetas, dtype=np.float64)
     be = np.asarray(betas, dtype=np.float64)
@@ -151,11 +125,8 @@ def body_forward_batch(model: BodyModel, thetas, betas) -> tuple[np.ndarray, np.
         raise ValueError(f"body_forward_batch: pose must be (B, {6 * joints}), got {th.shape}")
     if be.shape != (th.shape[0], BETA_SIZE):
         raise ValueError(f"body_forward_batch: shape must be ({th.shape[0]}, {BETA_SIZE}), got {be.shape}")
-    nb = th.shape[0]
-    # the graph divides by the code norms unchecked; this raises on a degenerate code
-    rot6d_batch(th.reshape(nb, joints, 6))
     g = Graph()
-    return tuple(forward(g, {}, body_graph(g, model, g.const(th), g.const(be), nb)))
+    return tuple(forward(g, {}, body_graph(g, model, g.const(th), g.const(be), th.shape[0])))
 
 
 def project_weak_perspective(camera, points) -> np.ndarray:
@@ -280,8 +251,7 @@ def body_graph(g: Graph, model: BodyModel, theta_node: int, beta_node: int, batc
     """
     joints = model.joint_count
     nverts = model.vertex_count
-    theta3 = g.reshape(theta_node, (batch, joints, 6))
-    rot = _rot6d_graph(g, theta3, batch, joints)
+    rot = g.rot6d(g.reshape(theta_node, (batch, joints, 6)))
 
     sd = g.const(model.shape_dirs.reshape(nverts * 3, BETA_SIZE).T)
     shaped = g.add(
@@ -291,27 +261,6 @@ def body_graph(g: Graph, model: BodyModel, theta_node: int, beta_node: int, batc
     verts = g.rigid_chain(rot, shaped, model.parents, model.skin_weights, model.joint_regressor)
     out_joints = g.matmul(g.const(model.joint_regressor), verts)
     return verts, out_joints
-
-
-def _rot6d_graph(g: Graph, theta3: int, batch: int, joints: int) -> int:
-    """(batch, J, 6) codes to (batch, J, 3, 3) rotations, same math as rot6d_batch."""
-    a1 = g.take(theta3, slice(0, 3), -1)
-    a2 = g.take(theta3, slice(3, 6), -1)
-
-    def normalize(v: int) -> int:
-        return g.div(v, g.sqrt(g.sum(g.mul(v, v), axis=-1, keepdims=True)))
-
-    b1 = normalize(a1)
-    along = g.sum(g.mul(b1, a2), axis=-1, keepdims=True)
-    b2 = normalize(g.sub(a2, g.mul(along, b1)))
-    # cross product from the two cyclic rolls of the last axis
-    roll1, roll2 = [1, 2, 0], [2, 0, 1]
-    b3 = g.sub(
-        g.mul(g.take(b1, roll1, -1), g.take(b2, roll2, -1)),
-        g.mul(g.take(b1, roll2, -1), g.take(b2, roll1, -1)),
-    )
-    stacked = g.concat([b1, b2, b3], axis=-1)
-    return g.transpose(g.reshape(stacked, (batch, joints, 3, 3)))
 
 
 def project_graph(g: Graph, camera_node: int, points_node: int, batch: int) -> int:

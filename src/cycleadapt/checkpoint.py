@@ -12,8 +12,9 @@ parameter; a load checks the member set and every shape against the config.
 
 from __future__ import annotations
 
-import io
+import math
 import operator
+import re
 import zipfile
 from dataclasses import asdict, fields
 
@@ -47,10 +48,36 @@ def read_arrays(path) -> dict:
     """Every member of a `write_arrays` file; a bad CRC-32 raises `zipfile.BadZipFile`."""
     with zipfile.ZipFile(path) as archive:
         raw = {info.filename: archive.read(info) for info in archive.infolist()}
-    return {
-        name.removesuffix(".npy"): np.lib.format.read_array(io.BytesIO(data), allow_pickle=False)
-        for name, data in raw.items()
-    }
+    return {name.removesuffix(".npy"): _npy_array(data) for name, data in raw.items()}
+
+
+# the one header form `np.lib.format.write_array` writes, padded with spaces to a newline
+_NPY_HEADER = re.compile(
+    r"\{'descr': '([^']+)', 'fortran_order': (False|True), 'shape': (\(\)|\(\d+,\)|\(\d+(?:, \d+)+\)), \} *\n"
+)
+
+
+def _npy_array(data: bytes) -> np.ndarray:
+    """A version 1 or 2 `.npy` member's array: its one copy out of ``data``.
+    Any other header form, an object dtype or a data size off by a byte is refused."""
+    if data[:6] != b"\x93NUMPY" or data[6:8] not in (b"\x01\x00", b"\x02\x00"):
+        raise ValueError("not a version 1 or 2 .npy member")
+    start = 10 if data[6] == 1 else 12
+    end = start + int.from_bytes(data[8:start], "little")
+    match = _NPY_HEADER.fullmatch(data[start:end].decode("latin1"))
+    if match is None:
+        raise ValueError(f"unexpected .npy header {data[start:end][:100]!r}")
+    shape = tuple(int(n) for n in re.findall(r"\d+", match[3]))
+    dtype = np.dtype(match[1])
+    if dtype.hasobject:
+        raise ValueError(f"object dtype {match[1]!r} refused")
+    count = math.prod(shape)
+    if len(data) - end != count * dtype.itemsize:
+        raise ValueError(f"{len(data) - end} data bytes for {count} items of {match[1]!r}")
+    flat = np.frombuffer(data, dtype=dtype, count=count, offset=end)
+    if match[2] == "True":
+        return flat.reshape(shape[::-1]).T.copy(order="F")
+    return flat.reshape(shape).copy()
 
 
 def _save(path, kind: str, config, params: dict) -> None:

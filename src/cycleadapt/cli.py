@@ -62,8 +62,9 @@ from .benchmark import (
     source_domain,
     target_domain,
 )
-from .bodymodel import DegenerateRotationError, body_forward_batch
+from .bodymodel import body_forward_batch
 from .checkpoint import load_hmr, load_md, save_hmr, save_md
+from .diffcore import DegenerateRotationError
 from .hmrnet import HmrConfig, hmr_forward
 from .mdnet import MdConfig
 from .metrics import DegenerateGeometryError

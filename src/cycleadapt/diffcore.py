@@ -10,16 +10,22 @@ compares those gradients against central finite differences, skipping
 parameters whose perturbation crosses an L1 or relu kink.  The backward
 pass forms no gradient toward a node that no trainable leaf reaches.
 
-Besides the single ops there is one fused op, ``rigid_chain``: forward
-kinematics down a joint tree plus linear blend skinning, as in SMPL, from
-local rotations and a rest mesh to posed vertices.  Its contract:
-- it copies the rotations to a contiguous array first, so a transposed
-  view and a contiguous array of the same values give the same bits;
-- only ``evaluate`` keeps the intermediates its VJP reads, on the values
-  it returns (``Values.residuals``); ``forward`` keeps none of them;
-- its forward and its VJP run the products and sums of the joint-by-joint
-  graph of single ops it replaced, in that graph's order, so values and
-  gradients are bit-identical to it, not merely close.
+Besides the single ops there are two fused ops.  ``rot6d`` decodes
+continuous 6D rotation codes to rotation matrices by Gram-Schmidt and
+raises `DegenerateRotationError`, naming itself and the first bad (row,
+joint), on a column or remainder norm at or below 1e-8.  ``rigid_chain``
+runs forward kinematics down a joint tree plus linear blend skinning, as
+in SMPL, from local rotations and a rest mesh to posed vertices; it copies
+the rotations to a contiguous array first, so a transposed view and a
+contiguous array of the same values give the same bits.  Their shared
+contract:
+- only ``evaluate`` keeps the intermediates a fused op's VJP reads, on the
+  values it returns (``Values.residuals``); ``forward`` keeps none of them;
+- the forward and the hand-written VJP run the ufuncs, products and sums
+  of the graph of single ops the op replaced, in that graph's order (its
+  reverse sweep's order of accumulation, for the VJP), so values and
+  gradients are bit-identical to it, signs of zeros included, not merely
+  close.
 
 The tape is rebuilt per training step; nothing here caches graphs.
 """
@@ -45,6 +51,7 @@ __all__ = [
     "ShapeMismatchError",
     "UnboundLeafError",
     "NonScalarLossError",
+    "DegenerateRotationError",
 ]
 
 # Dense float64 row-major arrays are the only value type.
@@ -73,6 +80,10 @@ class UnboundLeafError(DiffcoreError):
 
 class NonScalarLossError(DiffcoreError):
     pass
+
+
+class DegenerateRotationError(DiffcoreError, ValueError):
+    """6D code whose two columns are too short or too parallel to orthonormalize."""
 
 
 @dataclass
@@ -171,6 +182,15 @@ class Graph:
     def sqrt(self, a: int) -> int:
         return self._add("sqrt", (a,))
 
+    def rot6d(self, codes: int) -> int:
+        """(B, J, 6) continuous rotation codes to (B, J, 3, 3) rotations, as one node.
+
+        Column one is the normalized first triple, column two the Gram-Schmidt
+        remainder of the second, column three their cross product. A column
+        norm or remainder norm at or below 1e-8 raises `DegenerateRotationError`.
+        """
+        return self._add("rot6d", (codes,))
+
     def rigid_chain(self, rot: int, shaped: int, parents, skin_weights, joint_regressor) -> int:
         """Forward kinematics plus linear blend skinning, as one node.
 
@@ -229,6 +249,91 @@ def _take_key(i: int, node: Node, shape: tuple) -> tuple:
     if not isinstance(index, slice) and index.size and index.max() >= shape[axis]:
         raise _err(i, node, f"index {index.max()} out of range for axis {axis} of size {shape[axis]}")
     return (slice(None),) * axis + (index,)
+
+
+# the cyclic rolls of a 3-vector whose products make the cross product
+_ROLL1, _ROLL2 = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
+def _check_norms(i: int, node: Node, norms: np.ndarray, what: str) -> None:
+    bad = norms[..., 0] <= 1e-8
+    if np.any(bad):
+        row, joint = np.argwhere(bad)[0]
+        raise DegenerateRotationError(f"node {i} ({node.kind}): {what} at or below 1e-8 at (row {row}, joint {joint})")
+
+
+def _rot6d(i: int, node: Node, codes: np.ndarray, keep: bool) -> tuple:
+    """A rot6d node's rotations, and with ``keep`` what its VJP reads.
+
+    The ufuncs are those of the graph of single ops it replaced (slices,
+    products, keepdims sums, square roots, quotients, then the cross product
+    from the two cyclic rolls), in that graph's order, so the rotations carry
+    its bits. The remainder check also covers a short second column, since
+    the remainder is never longer than that column. The columns are written
+    into the one output array, so forward-only posing holds no more than the
+    single-op graph did.
+    """
+    if codes.ndim != 3 or codes.shape[2] != 6:
+        raise _err(i, node, f"codes must be (B, J, 6), got {codes.shape}")
+    a1, a2 = codes[..., 0:3], codes[..., 3:6]
+    n1 = np.sqrt(np.sum(a1 * a1, axis=-1, keepdims=True))
+    _check_norms(i, node, n1, "first column norm")
+    b1 = a1 / n1
+    along = np.sum(b1 * a2, axis=-1, keepdims=True)
+    resid = a2 - along * b1
+    nr = np.sqrt(np.sum(resid * resid, axis=-1, keepdims=True))
+    _check_norms(i, node, nr, "Gram-Schmidt remainder norm")
+    b2 = resid / nr
+    saved = [a1, a2, n1, b1, along, resid, nr, b2] if keep else None
+    del n1, along, resid, nr  # unless saved, freed before the cross product
+    rot = np.empty(codes.shape[:2] + (3, 3))
+    rot[..., 0], rot[..., 1] = b1, b2
+    np.subtract(b1[..., _ROLL1] * b2[..., _ROLL2], b1[..., _ROLL2] * b2[..., _ROLL1], out=rot[..., 2])
+    return rot, saved
+
+
+def _rot6d_vjp(g: np.ndarray, saved: list) -> np.ndarray:
+    """Gradient of a rot6d node toward its codes.
+
+    This replays the reverse sweep of the graph of single ops term by term,
+    so the gradient carries its bits: each accumulator takes its terms in
+    the reverse of the order the graph built the nodes that made them, a
+    product's input read twice takes its term twice, and the two slices'
+    zero-filled scatters add their zeros, which turns a -0.0 into +0.0.
+    """
+    a1, a2, n1, b1, along, resid, nr, b2 = saved
+    batch, joints = a1.shape[:2]
+    # the columns' gradients, split from one copy that takes their later terms in place
+    g_cols = np.swapaxes(g, -1, -2).reshape(batch, joints, 9)
+    g_b1, g_b2, g_b3 = g_cols[..., 0:3], g_cols[..., 3:6], g_cols[..., 6:9]
+    # b3 = b1[roll1] * b2[roll2] - b1[roll2] * b2[roll1]; a roll's scatter is the other roll
+    g_neg = -g_b3
+    g_b2 += (g_neg * b1[..., _ROLL2])[..., _ROLL2]
+    g_b1 += (g_neg * b2[..., _ROLL1])[..., _ROLL1]
+    g_b2 += (g_b3 * b1[..., _ROLL1])[..., _ROLL1]
+    g_b1 += (g_b3 * b2[..., _ROLL2])[..., _ROLL2]
+    # b2 = resid / nr, nr = sqrt(sum(resid * resid))
+    g_resid = g_b2 / nr
+    g_nr = _unbroadcast(-g_b2 * resid / (nr * nr), nr.shape)
+    g_sq = g_nr / (2.0 * nr)
+    g_resid += g_sq * resid
+    g_resid += g_sq * resid
+    # resid = a2 - along * b1, along = sum(b1 * a2)
+    g_a2 = g_resid
+    g_prod = -g_resid
+    g_along = _unbroadcast(g_prod * b1, along.shape)
+    g_b1 += g_prod * along
+    g_b1 += g_along * a2
+    g_a2 += g_along * b1
+    # b1 = a1 / n1, n1 = sqrt(sum(a1 * a1))
+    g_a1 = g_b1 / n1
+    g_n1 = _unbroadcast(-g_b1 * a1 / (n1 * n1), n1.shape)
+    g_sq = g_n1 / (2.0 * n1)
+    g_a1 += g_sq * a1
+    g_a1 += g_sq * a1
+    out = np.concatenate([g_a1, g_a2], axis=-1)
+    out += 0.0
+    return out
 
 
 def _rigid_chain(i: int, node: Node, rot: np.ndarray, shaped: np.ndarray, keep: bool) -> tuple:
@@ -348,7 +453,7 @@ def _rigid_chain_vjp(
 
 
 def _forward(i: int, node: Node, xs: list, bindings: dict, residuals=None) -> np.ndarray:
-    """Node ``i``'s value; a rigid_chain node also files its VJP's inputs in ``residuals``."""
+    """Node ``i``'s value; a fused node also files its VJP's inputs in ``residuals``."""
     kind = node.kind
     if kind == "leaf":
         name = node.attrs["name"]
@@ -417,19 +522,22 @@ def _forward(i: int, node: Node, xs: list, bindings: dict, residuals=None) -> np
         return xs[0][_take_key(i, node, xs[0].shape)]
     if kind == "sqrt":
         return np.sqrt(xs[0])
-    if kind == "rigid_chain":
-        verts, saved = _rigid_chain(i, node, xs[0], xs[1], keep=residuals is not None)
+    if kind in ("rot6d", "rigid_chain"):
+        if kind == "rot6d":
+            out, saved = _rot6d(i, node, xs[0], keep=residuals is not None)
+        else:
+            out, saved = _rigid_chain(i, node, xs[0], xs[1], keep=residuals is not None)
         if residuals is not None:
             residuals[i] = saved
-        return verts
+        return out
     raise DiffcoreError(f"node {i}: unknown kind {kind!r}")
 
 
 class Values(list):
     """Every node's value, indexed by node id, from one `evaluate` call.
 
-    ``residuals`` maps each rigid_chain node id to the intermediates its
-    VJP reads. They live here, with the values of the call that made them,
+    ``residuals`` maps each fused node's id to the intermediates its VJP
+    reads. They live here, with the values of the call that made them,
     and not on the graph, which `grad_check` evaluates many times.
     """
 
@@ -611,6 +719,8 @@ def backward_from_values(graph: Graph, values: Values, loss_node: int) -> Gradie
             _accum(grads, a, full)
         elif kind == "sqrt":
             _accum(grads, a, g / (2.0 * values[i]))
+        elif kind == "rot6d":
+            _accum(grads, a, _rot6d_vjp(g, values.residuals[i]))
         elif kind == "rigid_chain":
             grad_rot, grad_shaped = _rigid_chain_vjp(node, g, xs[1], values.residuals[i], need[a], need[b])
             if need[a]:

@@ -15,6 +15,14 @@ noise). Domains with equal ranges therefore share a motion population even
 when their mixing seeds differ; the denoiser can learn the family from one
 domain and meet it again in the other.
 
+A video is a pure function of its spec, body, sizes and seed, and keeps its
+bits because its draws keep their order. After the motion (its own
+generator) and the camera, one generator gives, frame by frame, the
+feature noise, then the keypoint jitter, then the keypoint drop uniforms;
+`render_frames` makes only those draws per frame and computes everything
+else over the whole video at once, with a gemv per frame for the feature
+map so that each frame's features have the bits of ``A @ x``.
+
 A video's ground truth is arrays: `gt_params` is one (N,) `GT_PARAMS` record
 array (``gt_params.theta`` is (N, 144), ``gt_params[i].theta`` one frame's)
 and `gt_camera` the weak-perspective (s, tx, ty). A video file
@@ -184,32 +192,35 @@ def mixing_matrices(spec: DomainSpec, feature_dim: int) -> tuple[np.ndarray, np.
     return a, b
 
 
-def render_features(
-    params: np.record,
-    spec: DomainSpec,
-    rng: np.random.Generator,
-    feature_dim: int,
-    mixing=None,
-) -> np.ndarray:
-    """One frame's feature vector from its `GT_PARAMS` record; ``mixing``
-    overrides the domain's (A, b)."""
-    a, b = mixing_matrices(spec, feature_dim) if mixing is None else mixing
-    x = np.concatenate([params.theta, params.beta])
-    return a @ x + b + rng.normal(0.0, spec.feature_noise_std, size=feature_dim)
+def render_frames(params, joints3d, camera, spec: DomainSpec, rng: np.random.Generator, mixing) -> tuple:
+    """Every frame's features (N, F) and keypoints (N, J, 3).
 
-
-def simulate_keypoints(
-    joints3d, camera, spec: DomainSpec, rng: np.random.Generator
-) -> np.ndarray:
-    """One frame's (J, 3) keypoints: project with the true camera (s, tx, ty),
-    jitter, then drop joints at p_drop (confidence 0, coordinates 0)."""
-    proj = project_weak_perspective(camera, joints3d)
-    noisy = proj + rng.normal(0.0, spec.kp_noise_std, size=proj.shape)
-    kept = rng.random(proj.shape[0]) >= spec.p_drop
-    points = np.zeros((proj.shape[0], 3))
-    points[kept, :2] = noisy[kept]
-    points[:, 2] = kept.astype(np.float64)
-    return points
+    The features are A @ concat(theta, beta) + b plus N(0, feature_noise_std)
+    noise, for ``mixing`` = (A, b). The keypoints project ``joints3d`` with
+    the camera (s, tx, ty), add N(0, kp_noise_std) jitter, then drop each
+    joint at p_drop (confidence 0, coordinates 0). The only per-frame work
+    is the draws from ``rng``: frame by frame, the feature noise, then the
+    jitter, then the drop uniforms.
+    """
+    a, b = mixing
+    n, joints = joints3d.shape[:2]
+    keypoints = np.empty((n, joints, 3))
+    uniforms = np.empty((n, joints))
+    features = np.empty((n, a.shape[0]))
+    # a record is theta then beta, packed: the records' bytes are concat(theta, beta) rows
+    x = np.ascontiguousarray(params, dtype=GT_PARAMS).view(np.float64).reshape(n, PARAM_SIZE)
+    np.matmul(a, x[:, :, None], out=features[:, :, None])  # a gemv per frame, as a @ x is
+    features += b
+    for i in range(n):
+        features[i] += rng.normal(0.0, spec.feature_noise_std, size=a.shape[0])
+        keypoints[i, :, :2] = rng.normal(0.0, spec.kp_noise_std, size=(joints, 2))
+        uniforms[i] = rng.random(joints)
+    coords = keypoints[:, :, :2]
+    coords += project_weak_perspective(camera, joints3d)
+    kept = uniforms >= spec.p_drop
+    coords[~kept] = 0.0
+    keypoints[:, :, 2] = kept
+    return features, keypoints
 
 
 def make_video(
@@ -228,13 +239,11 @@ def make_video(
     params, joints3d, mesh = gen_motion(spec, model, n_frames, seed)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     camera = np.array([rng.uniform(0.95, 1.05), rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05)])
-    if mixing is None:
-        mixing = mixing_matrices(spec, feature_dim)
-    features = np.empty((n_frames, feature_dim))
-    keypoints = np.empty(joints3d.shape)
-    for i in range(n_frames):
-        features[i] = render_features(params[i], spec, rng, feature_dim, mixing=mixing)
-        keypoints[i] = simulate_keypoints(joints3d[i], camera, spec, rng)
+    a, b = mixing_matrices(spec, feature_dim) if mixing is None else mixing
+    if np.shape(a) != (feature_dim, PARAM_SIZE) or np.shape(b) != (feature_dim,):
+        raise ValueError(f"make_video: mixing must be ({feature_dim}, {PARAM_SIZE}) and ({feature_dim},), "
+                         f"got {np.shape(a)} and {np.shape(b)}")
+    features, keypoints = render_frames(params, joints3d, camera, spec, rng, (a, b))
     return SyntheticVideo(
         features=features,
         gt_params=params,

@@ -16,13 +16,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import rot6d_batch
 from test_adapt import record_loop  # the loop's facts, read off its step functions
+from test_bodymodel import decode_rot6d
 from test_diffcore import _primitive_cases  # one source of truth for the op list
 
 from cycleadapt import benchmark as bench
 from cycleadapt import cli
 from cycleadapt.adapt import AdaptConfig
-from cycleadapt.bodymodel import build_toy_body, identity_pose, rot6d_batch
+from cycleadapt.bodymodel import build_toy_body, identity_pose
 from cycleadapt.checkpoint import save_hmr, save_md
 from cycleadapt.diffcore import Graph, grad_check
 from cycleadapt.hmrnet import HmrConfig, hmr_forward_graph, hmr_init, hmr_loss_graph
@@ -137,8 +139,7 @@ def test_rotation_codes_give_orthonormal_proper_matrices():
     rng = np.random.default_rng(42)
     worst_ortho = 0.0
     worst_det = 0.0
-    for code in rng.normal(size=(10_000, 6)):
-        rot = rot6d_batch(code)
+    for rot in decode_rot6d(rng.normal(size=(10_000, 6))):
         worst_ortho = max(worst_ortho, float(np.abs(rot.T @ rot - np.eye(3)).max()))
         worst_det = max(worst_det, abs(float(np.linalg.det(rot)) - 1.0))
     _verdict(

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from oracles import DEGENERATE_CODES
+
 from cycleadapt import adapt, diffcore, mdnet
 from cycleadapt.adapt import (
     AdaptConfig,
@@ -19,6 +21,7 @@ from cycleadapt.adapt import (
 )
 from cycleadapt.bodymodel import build_toy_body
 from cycleadapt.checkpoint import load_hmr, load_md
+from cycleadapt.diffcore import DegenerateRotationError
 from cycleadapt.hmrnet import HmrConfig, hmr_init
 from cycleadapt.mdnet import MdConfig, gaussian_filter_baseline, md_init
 from cycleadapt.optim import adam_init
@@ -468,6 +471,20 @@ def test_hmr_step_rejects_a_non_finite_loss():
     with pytest.raises(InvariantError, match=r"regressor loss is nan \(Adam updates completed: 7\)"):
         adapt.hmr_step(inputs, np.arange(8), MODEL, HMR_CONFIG, params, state, _config(), 1e-4)
     assert state.step == 7
+
+
+@pytest.mark.parametrize("code", DEGENERATE_CODES)
+def test_hmr_step_refuses_a_degenerate_pose_code(code):
+    """A regressor whose output code for joint 5 is degenerate on every frame
+    is stopped by the decoder node before the update, not by a NaN loss."""
+    inputs = _setup(8)
+    params = hmr_init(HMR_CONFIG, seed=0)
+    params["w_out"][:, 30:36] = 0.0
+    params["b_out"][30:36] = code
+    state = adam_init(params)
+    with pytest.raises(DegenerateRotationError, match=r"\(rot6d\).*at \(row 0, joint 5\)"):
+        adapt.hmr_step(inputs, np.arange(8), MODEL, HMR_CONFIG, params, state, _config(), 1e-4)
+    assert state.step == 0
 
 
 def test_md_step_rejects_a_non_finite_loss():

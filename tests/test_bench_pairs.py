@@ -73,3 +73,20 @@ def test_src_lines_counts_the_package_modules_only(bench_pairs, tmp_path):
     (tmp_path / "src" / "other.py").write_text("outside the package\n")
     assert bench_pairs.src_lines(tmp_path) == 4
 
+
+
+def test_summary_gives_the_relative_change_and_the_gap_in_parent_iqrs(bench_pairs):
+    pairs = _pairs([5.0, 1.0, 3.0, 2.0, 4.0], [2.5, 0.5, 3.5, 1.0, 2.0])
+    out = bench_pairs.summarize(pairs, {"run_s": "lower"})["run_s"]
+    assert out["change_rel"] == 2.0 / 3.0 - 1.0  # medians 3.0 -> 2.0
+    assert out["gap_over_parent_iqr"] == 0.5  # |2.0 - 3.0| over the parent's IQR of 2.0
+    slower = bench_pairs.summarize(_pairs([1.0, 2.0, 3.0], [2.0, 4.0, 6.0]), {"run_s": "lower"})["run_s"]
+    assert slower["change_rel"] == 1.0
+    assert slower["gap_over_parent_iqr"] == 2.0  # the gap is a size, whichever way it points
+
+
+def test_summary_gap_is_null_without_parent_spread(bench_pairs):
+    out = bench_pairs.summarize(_pairs([7.0, 7.0, 7.0], [6.0, 6.5, 6.0]), {"run_s": "lower"})["run_s"]
+    assert out["parent"]["iqr"] == 0.0
+    assert out["gap_over_parent_iqr"] is None
+    assert out["change_rel"] == 6.0 / 7.0 - 1.0

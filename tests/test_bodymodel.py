@@ -6,22 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import DEGENERATE_CODES, rot6d_batch, rot6d_graph
+
 from cycleadapt.bodymodel import (
     BETA_SIZE,
     BodyModel,
-    DegenerateRotationError,
     body_forward_batch,
     body_graph,
     build_toy_body,
     identity_pose,
     project_graph,
     project_weak_perspective,
-    rot6d_batch,
     rotmat_to_rot6d,
     scale_body,
 )
-from cycleadapt.bodymodel import _rot6d_graph
-from cycleadapt.diffcore import Graph, backward_from_values, evaluate, grad_check
+from cycleadapt.diffcore import DegenerateRotationError, Graph, backward_from_values, evaluate, forward, grad_check
 
 
 def _two_joint_chain():
@@ -69,14 +68,14 @@ def _numpy_body_forward(model, thetas, betas):
 
 
 def _node_by_node_body_graph(g, model, theta_node, beta_node, batch):
-    """Reference: body_graph as it was before the rigid_chain op, with forward
-    kinematics and skinning spelled out one single-op node at a time (a pick,
-    a transpose, a 3x3 matmul per joint). The op must reproduce its values
-    and its gradients bit for bit."""
+    """Reference: body_graph as it was before the rot6d and rigid_chain ops,
+    with the 6D decoder, forward kinematics and skinning spelled out one
+    single-op node at a time (a pick, a transpose, a 3x3 matmul per joint).
+    The two ops must reproduce its values and its gradients bit for bit."""
     joints = model.joint_count
     nverts = model.vertex_count
     theta3 = g.reshape(theta_node, (batch, joints, 6))
-    rot = _rot6d_graph(g, theta3, batch, joints)
+    rot = rot6d_graph(g, theta3, batch, joints)
 
     sd = g.const(model.shape_dirs.reshape(nverts * 3, BETA_SIZE).T)
     shaped = g.add(
@@ -141,17 +140,25 @@ def _assert_matches_node_by_node(model, thetas, betas):
         assert np.array_equal(a, b), f"{name} differ by up to {np.abs(a - b).max()}"
 
 
+def decode_rot6d(codes) -> np.ndarray:
+    """(..., 6) codes to (..., 3, 3) rotations through one `Graph.rot6d` node."""
+    c = np.asarray(codes, dtype=np.float64)
+    g = Graph()
+    node = g.rot6d(g.const(c.reshape(-1, 1, 6)))
+    return forward(g, {}, [node])[0].reshape(*c.shape[:-1], 3, 3)
+
+
 def test_rot6d_identity_code():
-    assert np.array_equal(rot6d_batch([1, 0, 0, 0, 1, 0]), np.eye(3))
+    assert np.array_equal(decode_rot6d([1, 0, 0, 0, 1, 0]), np.eye(3))
 
 
 def test_rot6d_is_scale_invariant():
-    assert np.array_equal(rot6d_batch([2, 0, 0, 0, 3, 0]), np.eye(3))
+    assert np.array_equal(decode_rot6d([2, 0, 0, 0, 3, 0]), np.eye(3))
 
 
 def test_rot6d_random_code_is_orthonormal():
     rng = np.random.default_rng(0)
-    rot = rot6d_batch(rng.normal(size=6))
+    rot = decode_rot6d(rng.normal(size=6))
     assert np.abs(rot.T @ rot - np.eye(3)).max() < 1e-9
     assert abs(np.linalg.det(rot) - 1.0) < 1e-9
 
@@ -165,20 +172,74 @@ WELL_POSED_CODES = st.lists(st.floats(-10, 10), min_size=6, max_size=6).map(np.a
 @settings(max_examples=300, deadline=None)
 @given(code=WELL_POSED_CODES, first=st.floats(1e-3, 1e3), second=st.floats(1e-3, 1e3))
 def test_rot6d_gives_a_proper_rotation_that_ignores_column_scale(code, first, second):
-    rot = rot6d_batch(code)
+    rot = decode_rot6d(code)
     assert np.abs(rot.T @ rot - np.eye(3)).max() < 1e-12
     assert abs(np.linalg.det(rot) - 1.0) < 1e-12
-    rescaled = rot6d_batch(np.concatenate([first * code[:3], second * code[3:]]))
+    rescaled = decode_rot6d(np.concatenate([first * code[:3], second * code[3:]]))
     assert np.abs(rescaled - rot).max() < 1e-9
 
 
-DEGENERATE_CODES = [[0, 0, 0, 0, 1, 0], [1, 0, 0, 2, 0, 0]]  # a zero column; parallel columns
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 4), st.data())
+def test_rot6d_node_matches_the_numpy_decoder(batch, joints, data):
+    codes = np.array([data.draw(WELL_POSED_CODES) for _ in range(batch * joints)]).reshape(batch, joints, 6)
+    g = Graph()
+    node = g.rot6d(g.const(codes))
+    rot = forward(g, {}, [node])[0]
+    assert rot.shape == (batch, joints, 3, 3)
+    assert np.abs(rot - rot6d_batch(codes)).max() < 1e-12
+
+
+def _rot6d_values_and_vjp(decoder, codes, weights):
+    """The rotations and the codes' gradient of sum(weights * rotations)."""
+    g = Graph()
+    leaf = g.leaf("codes", trainable=True)
+    rot = decoder(g, leaf)
+    loss = g.sum(g.mul(rot, g.const(weights)))
+    values = evaluate(g, {"codes": codes})
+    return values[rot], backward_from_values(g, values, loss)["codes"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 5))
+def test_rot6d_node_matches_the_single_op_decoder_bit_for_bit(seed, batch, joints):
+    """Values and gradients to the byte, signs of zeros included: some codes
+    and some incoming gradients hold exact zeros."""
+    rng = np.random.default_rng(seed)
+    codes = rng.normal(size=(batch, joints, 6)) * rng.uniform(0.01, 100.0)
+    zero = rng.random(codes.shape) < 0.2
+    codes[zero] = np.copysign(0.0, rng.normal(size=zero.sum()))
+    codes[..., 0] += 1.0  # a first column away from zero
+    codes[..., 4] += 2.0  # a second column off its span
+    weights = rng.normal(size=(batch, joints, 3, 3))
+    zero = rng.random(weights.shape) < 0.3
+    zero[rng.random((batch, joints)) < 0.3] = True  # joints whose whole gradient is signed zeros
+    weights[zero] = np.copysign(0.0, rng.normal(size=zero.sum()))
+    got = _rot6d_values_and_vjp(lambda g, leaf: g.rot6d(leaf), codes, weights)
+    want = _rot6d_values_and_vjp(lambda g, leaf: rot6d_graph(g, leaf, batch, joints), codes, weights)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_rot6d_rejects_degenerate_codes():
-    for code in DEGENERATE_CODES:
-        with pytest.raises(DegenerateRotationError):
-            rot6d_batch(code)
+    """Through `evaluate` and `forward`, naming the node and the first bad (row, joint)."""
+    for code, what in zip(DEGENERATE_CODES, ["first column norm", "Gram-Schmidt remainder norm"]):
+        codes = np.tile([1.0, 0.0, 0.0, 0.0, 1.0, 0.0], (3, 4, 1))
+        codes[2, 1] = codes[2, 3] = code
+        g = Graph()
+        node = g.rot6d(g.leaf("codes"))
+        expected = rf"node {node} \(rot6d\): {what} at or below 1e-8 at \(row 2, joint 1\)"
+        with pytest.raises(DegenerateRotationError, match=expected):
+            evaluate(g, {"codes": codes})
+        with pytest.raises(DegenerateRotationError, match=expected):
+            forward(g, {"codes": codes}, [node])
+
+
+def test_rot6d_rejects_a_short_second_column():
+    g = Graph()
+    node = g.rot6d(g.const([[[1.0, 2.0, 0.0, 1e-9, 0.0, 0.0]]]))
+    with pytest.raises(DegenerateRotationError, match="remainder norm"):
+        forward(g, {}, [node])
 
 
 @pytest.mark.parametrize("code", DEGENERATE_CODES)
@@ -186,15 +247,15 @@ def test_body_forward_batch_rejects_a_degenerate_row(code):
     model = build_toy_body(2, joints=4, vertices=10)
     thetas = np.tile(identity_pose(4), (3, 1))
     thetas[1, 12:18] = code
-    with pytest.raises(DegenerateRotationError):
+    with pytest.raises(DegenerateRotationError, match=r"\(rot6d\).*\(row 1, joint 2\)"):
         body_forward_batch(model, thetas, np.zeros((3, 10)))
 
 
 def test_rot6d_round_trip_through_matrix():
     rng = np.random.default_rng(1)
     codes = rng.normal(size=(5, 7, 6))
-    rots = rot6d_batch(codes)
-    again = rot6d_batch(rotmat_to_rot6d(rots))
+    rots = decode_rot6d(codes)
+    again = decode_rot6d(rotmat_to_rot6d(rots))
     assert np.abs(rots - again).max() < 1e-12
 
 

@@ -1,6 +1,8 @@
 import dataclasses
+import io
 import struct
 import tracemalloc
+import zipfile
 
 import numpy as np
 import pytest
@@ -116,6 +118,64 @@ def test_a_huge_stored_layer_count_is_refused_before_its_shapes_are_built(tmp_pa
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20, f"peak {peak} B"
+
+
+def _write_raw_members(path, members: dict) -> None:
+    """A zip of raw `.npy` bytes under valid CRCs, as `write_arrays` lays it out."""
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, raw in members.items():
+            archive.writestr(zipfile.ZipInfo(f"{name}.npy"), raw)
+
+
+def _npy_bytes(array, **kwargs) -> bytes:
+    buffer = io.BytesIO()
+    np.lib.format.write_array(buffer, array, **kwargs)
+    return buffer.getvalue()
+
+
+def test_read_arrays_gives_writable_arrays_of_every_layout(tmp_path):
+    rng = np.random.default_rng(0)
+    members = {
+        "scalar": np.array(3),
+        "text": np.array("{\"a\": 1}"),
+        "rows": rng.normal(size=(4, 5)),
+        "columns": np.asfortranarray(rng.normal(size=(3, 7))),
+        "view": rng.normal(size=(6, 4))[::2, 1:],
+        "empty": np.zeros((0, 3)),
+        "flags": np.array([True, False]),
+    }
+    write_arrays(tmp_path / "a.npz", members)
+    got = read_arrays(tmp_path / "a.npz")
+    assert list(got) == list(members)
+    for name, want in members.items():
+        assert got[name].dtype == want.dtype and got[name].shape == want.shape
+        assert np.array_equal(got[name], want)
+        assert got[name].flags.writeable
+    assert got["columns"].flags.f_contiguous
+    wide = np.zeros((1,) * 40 + (2,))  # a header too long for version 1
+    _write_raw_members(tmp_path / "v2.npz", {"wide": _npy_bytes(wide, version=(2, 0))})
+    assert np.array_equal(read_arrays(tmp_path / "v2.npz")["wide"], wide)
+
+
+@pytest.mark.parametrize("damage,match", [
+    (lambda raw: raw + b"\0" * 8, "data bytes"),
+    (lambda raw: raw[:-8], "data bytes"),
+    (lambda raw: raw.replace(b"'fortran_order': False", b"'fortran_order': 0    "), "header"),
+    (lambda raw: raw.replace(b"(2, 3)", b"[2, 3]"), "header"),
+    (lambda raw: raw.replace(b"NUMPY", b"NUMPZ"), ".npy member"),
+])
+def test_read_arrays_refuses_a_malformed_member(tmp_path, damage, match):
+    path = tmp_path / "bad.npz"
+    _write_raw_members(path, {"x": damage(_npy_bytes(np.ones((2, 3))))})
+    with pytest.raises(ValueError, match=match):
+        read_arrays(path)
+
+
+def test_read_arrays_refuses_an_object_member(tmp_path):
+    path = tmp_path / "pickled.npz"
+    _write_raw_members(path, {"x": _npy_bytes(np.array([{"a": 1}], dtype=object), allow_pickle=True)})
+    with pytest.raises(ValueError, match="object dtype"):
+        read_arrays(path)
 
 
 def test_truncated_file_names_path(tmp_path):

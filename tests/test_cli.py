@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from cycleadapt import benchmark, cli
 from cycleadapt.adapt import AdaptConfig, InvariantError
 from cycleadapt.checkpoint import load_hmr, read_arrays, save_hmr, write_arrays
-from cycleadapt.bodymodel import DegenerateRotationError
+from cycleadapt.diffcore import DegenerateRotationError
 from cycleadapt.hmrnet import hmr_forward
 from cycleadapt.metrics import DegenerateGeometryError, MetricReport
 from cycleadapt.synth import read_video
@@ -583,21 +583,59 @@ def test_diverged_pretraining_exits_2_without_checkpoints(tmp_path, capsys):
     assert not (tmp_path / "nets").exists() and not (tmp_path / "out").exists()
 
 
+def _diverged_denoiser_pretraining(tmp_path, plan) -> tuple:
+    """`pretrain` on the tiny config with an absurd denoiser rate in ``plan``."""
+    config = json.loads(json.dumps(TINY))
+    config["paths"] = {"out_dir": str(tmp_path / "out"), "hmr_ckpt": str(tmp_path / "nets" / "hmr.ckpt"),
+                       "md_ckpt": str(tmp_path / "nets" / "md.ckpt")}
+    config["pretrain"] = {"hmr_steps": 6, "md_plan": plan}
+    cfg_path = tmp_path / "diverge.json"
+    cfg_path.write_text(json.dumps(config))
+    with np.errstate(all="ignore"):
+        return cli.run(["pretrain", "--config", str(cfg_path)])
+
+
 def test_diverged_denoiser_pretraining_exits_2_without_checkpoints(tmp_path, capsys):
     """The regressor trains normally; an absurd denoiser rate blows its
     weights up after one step, and the guard stops the run before any file
     is written."""
-    config = json.loads(json.dumps(TINY))
-    config["paths"] = {"out_dir": str(tmp_path / "out"), "hmr_ckpt": str(tmp_path / "nets" / "hmr.ckpt"),
-                       "md_ckpt": str(tmp_path / "nets" / "md.ckpt")}
-    config["pretrain"] = {"hmr_steps": 6, "md_plan": [[10, 1e300]]}
-    cfg_path = tmp_path / "diverge.json"
-    cfg_path.write_text(json.dumps(config))
-    with np.errstate(all="ignore"):
-        code = cli.run(["pretrain", "--config", str(cfg_path)])
-    assert code == 2
-    assert "denoiser loss is nan (Adam updates completed: 1)" in capsys.readouterr().err
+    assert _diverged_denoiser_pretraining(tmp_path, [[10, 1e300]]) == 2
+    err = capsys.readouterr().err
+    assert "denoiser loss is nan (Adam updates completed: 1)" in err
+    assert "md_plan stage 1 of 1: denoiser loss" in err
     assert not (tmp_path / "nets").exists() and not (tmp_path / "out").exists()
+
+
+def test_diverged_second_md_plan_stage_is_named(tmp_path, capsys):
+    """Each md_plan stage starts its own Adam state, so after 5 good updates
+    the count restarts; the message names the stage whose updates it counts."""
+    assert _diverged_denoiser_pretraining(tmp_path, [[5, 0.001], [10, 1e300]]) == 2
+    err = capsys.readouterr().err
+    assert "md_plan stage 2 of 2: denoiser loss is nan (Adam updates completed: 1)" in err
+    assert not (tmp_path / "nets").exists() and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "adapt"])
+def test_a_degenerate_pose_code_exits_2(ws, tmp_path, capsys, command):
+    """A regressor whose joint-3 code is degenerate on every frame is stopped
+    by the 6D decoder node: posing for `eval`, the first regressor step for
+    `adapt`."""
+    config_hmr, params = load_hmr(ws["config"]["paths"]["hmr_ckpt"])
+    params["w_out"][:, 18:24] = 0.0
+    params["b_out"][18:24] = [1.0, 0.0, 0.0, 2.0, 0.0, 0.0]
+    config = json.loads(json.dumps(ws["config"]))
+    config["paths"]["hmr_ckpt"] = str(tmp_path / "degenerate_hmr.ckpt")
+    save_hmr(config["paths"]["hmr_ckpt"], config_hmr, params)
+    cfg_path = tmp_path / "degenerate.json"
+    cfg_path.write_text(json.dumps(config))
+    args = [command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]
+    if command == "eval":
+        assert cli.run(["synth", "--config", str(cfg_path), "--out", str(tmp_path / "vids")]) == 0
+        args += ["--video", str(tmp_path / "vids" / "target.video")]
+    assert cli.run(args) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure: node" in err and "(rot6d): Gram-Schmidt remainder norm at or below 1e-8" in err
+    assert "joint 3)" in err
 
 
 def test_non_finite_regressor_loss_exits_2(ws, tmp_path, capsys):

@@ -240,6 +240,12 @@ def _primitive_cases(rng):
     loss = _scalarize(g, g.div(a, g.sqrt(b)))
     cases.append((g, {"a": new("a", (2, 3)), "b": np.abs(new("b", (2, 3))) + 0.3}, loss))
 
+    # rot6d: codes whose columns are well away from degenerate
+    g = Graph()
+    a = g.leaf("a", trainable=True)
+    loss = _scalarize(g, g.rot6d(a))
+    cases.append((g, {"a": new("a", (2, 3, 6)) + np.array([2.0, 0.0, 0.0, 0.0, 2.0, 0.0])}, loss))
+
     # rigid_chain: a 5-joint tree, weights and regressor rows that sum to one
     parents = (-1, 0, 1, 0, 3)
     weights = rng.random((7, 5)) + 0.1

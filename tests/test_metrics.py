@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycleadapt.bodymodel import rot6d_batch
+from oracles import rot6d_batch
+
 from cycleadapt.metrics import (
     DegenerateGeometryError,
     MetricReport,

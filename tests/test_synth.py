@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from cycleadapt.benchmark import source_domain, target_domain, target_mixing
 from cycleadapt.bodymodel import build_toy_body, identity_pose, project_weak_perspective
 from cycleadapt.checkpoint import read_arrays, write_arrays
 from cycleadapt.mdnet import gaussian_filter_baseline
@@ -17,8 +18,7 @@ from cycleadapt.synth import (
     make_video,
     mixing_matrices,
     read_video,
-    render_features,
-    simulate_keypoints,
+    render_frames,
     write_video,
 )
 
@@ -94,21 +94,33 @@ def test_motion_pattern_shared_when_ranges_match():
     assert not np.array_equal(aj, cj)
 
 
+def _render_features(params, spec, rng, feature_dim):
+    """One frame's features through `render_frames`, from a (1,) `GT_PARAMS` array."""
+    camera = np.array([1.0, 0.0, 0.0])
+    return render_frames(params, np.zeros((1, 1, 3)), camera, spec, rng, mixing_matrices(spec, feature_dim))[0][0]
+
+
+def _simulate_keypoints(joints3d, camera, spec, rng):
+    """One frame's (J, 3) keypoints through `render_frames`."""
+    params = gen_motion(spec, MODEL, 1, seed=0)[0]
+    return render_frames(params, joints3d[None], camera, spec, rng, mixing_matrices(spec, 4))[1][0]
+
+
 def test_render_features_deterministic_without_noise():
     spec = _spec(feature_noise_std=0.0)
-    params = gen_motion(spec, MODEL, 1, seed=0)[0][0]
-    a = render_features(params, spec, np.random.default_rng(0), feature_dim=32)
-    b = render_features(params, spec, np.random.default_rng(99), feature_dim=32)
+    params = gen_motion(spec, MODEL, 1, seed=0)[0]
+    a = _render_features(params, spec, np.random.default_rng(0), feature_dim=32)
+    b = _render_features(params, spec, np.random.default_rng(99), feature_dim=32)
     assert np.array_equal(a, b)
     assert a.shape == (32,)
 
 
 def test_render_features_noise_uses_rng():
     spec = _spec(feature_noise_std=0.5)
-    params = gen_motion(spec, MODEL, 1, seed=0)[0][0]
-    a = render_features(params, spec, np.random.default_rng(0), feature_dim=32)
-    b = render_features(params, spec, np.random.default_rng(0), feature_dim=32)
-    c = render_features(params, spec, np.random.default_rng(1), feature_dim=32)
+    params = gen_motion(spec, MODEL, 1, seed=0)[0]
+    a = _render_features(params, spec, np.random.default_rng(0), feature_dim=32)
+    b = _render_features(params, spec, np.random.default_rng(0), feature_dim=32)
+    c = _render_features(params, spec, np.random.default_rng(1), feature_dim=32)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -116,9 +128,9 @@ def test_render_features_noise_uses_rng():
 def test_mixing_seeds_separate_domains():
     spec_a = _spec(mixing_seed=1, feature_noise_std=0.0)
     spec_b = _spec(mixing_seed=2, feature_noise_std=0.0, name="target")
-    params = gen_motion(spec_a, MODEL, 1, seed=0)[0][0]
-    fa = render_features(params, spec_a, np.random.default_rng(0), feature_dim=24)
-    fb = render_features(params, spec_b, np.random.default_rng(0), feature_dim=24)
+    params = gen_motion(spec_a, MODEL, 1, seed=0)[0]
+    fa = _render_features(params, spec_a, np.random.default_rng(0), feature_dim=24)
+    fb = _render_features(params, spec_b, np.random.default_rng(0), feature_dim=24)
     assert np.linalg.norm(fa - fb) > 0.0
     a1, b1 = mixing_matrices(spec_a, 24)
     a2, b2 = mixing_matrices(spec_a, 24)
@@ -129,7 +141,7 @@ def test_simulate_keypoints_perfect_limit():
     spec = _spec(kp_noise_std=0.0, p_drop=0.0)
     camera = np.array([1.1, 0.02, -0.03])  # (s, tx, ty)
     joints = np.random.default_rng(0).normal(size=(24, 3))
-    kp = simulate_keypoints(joints, camera, spec, np.random.default_rng(1))
+    kp = _simulate_keypoints(joints, camera, spec, np.random.default_rng(1))
     assert np.array_equal(kp[:, 2], np.ones(24))
     assert np.array_equal(kp[:, :2], project_weak_perspective(camera, joints))
 
@@ -138,7 +150,7 @@ def test_simulate_keypoints_drop_everything():
     spec = _spec(p_drop=1.0)
     camera = np.array([1.0, 0.0, 0.0])
     joints = np.random.default_rng(0).normal(size=(24, 3))
-    kp = simulate_keypoints(joints, camera, spec, np.random.default_rng(1))
+    kp = _simulate_keypoints(joints, camera, spec, np.random.default_rng(1))
     assert np.array_equal(kp, np.zeros((24, 3)))
 
 
@@ -146,9 +158,58 @@ def test_simulate_keypoints_drop_fraction():
     spec = _spec(p_drop=0.3)
     camera = np.array([1.0, 0.0, 0.0])
     joints = np.zeros((10_000, 3))
-    kp = simulate_keypoints(joints, camera, spec, np.random.default_rng(7))
+    kp = _simulate_keypoints(joints, camera, spec, np.random.default_rng(7))
     dropped = float(np.mean(kp[:, 2] == 0.0))
     assert abs(dropped - 0.3) < 0.01
+
+
+def _per_frame_video(spec, model, n_frames, feature_dim, seed, mixing=None):
+    """Reference: make_video as it was written frame by frame, one gemv, one
+    record and a projection per frame, drawing in the same order."""
+    params, joints3d, mesh = gen_motion(spec, model, n_frames, seed)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
+    camera = np.array([rng.uniform(0.95, 1.05), rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05)])
+    a, b = mixing_matrices(spec, feature_dim) if mixing is None else mixing
+    features = np.empty((n_frames, feature_dim))
+    keypoints = np.empty(joints3d.shape)
+    for i in range(n_frames):
+        x = np.concatenate([params[i].theta, params[i].beta])
+        features[i] = a @ x + b + rng.normal(0.0, spec.feature_noise_std, size=feature_dim)
+        proj = project_weak_perspective(camera, joints3d[i])
+        noisy = proj + rng.normal(0.0, spec.kp_noise_std, size=proj.shape)
+        kept = rng.random(proj.shape[0]) >= spec.p_drop
+        points = np.zeros((proj.shape[0], 3))
+        points[kept, :2] = noisy[kept]
+        points[:, 2] = kept.astype(np.float64)
+        keypoints[i] = points
+    return SyntheticVideo(features, params, joints3d, mesh, keypoints, camera)
+
+
+BATCHED_SYNTHESIS_CASES = {
+    "source domain": dict(spec=source_domain()),
+    "target domain": dict(spec=target_domain()),
+    "a mixing override": dict(spec=target_domain(), mixing=target_mixing(64, 0.6, source_domain(), target_domain())),
+    "p_drop 0": dict(spec=_spec(p_drop=0.0)),
+    "p_drop 1": dict(spec=_spec(p_drop=1.0)),
+    "kp_noise_std 0": dict(spec=_spec(kp_noise_std=0.0)),
+    "1 frame": dict(spec=_spec(), n_frames=1),
+}
+
+
+@pytest.mark.parametrize("case", list(BATCHED_SYNTHESIS_CASES))
+def test_make_video_gives_the_per_frame_loops_bytes(case):
+    kwargs = dict(n_frames=40, feature_dim=64, seed=3) | BATCHED_SYNTHESIS_CASES[case]
+    spec, mixing = kwargs.pop("spec"), kwargs.pop("mixing", None)
+    got = make_video(spec, MODEL, mixing=mixing, **kwargs)
+    want = _per_frame_video(spec, MODEL, mixing=mixing, **kwargs)
+    for name in ("features", "gt_joints", "gt_mesh", "keypoints", "gt_camera"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert got.gt_params.tobytes() == want.gt_params.tobytes()
+
+
+def test_make_video_refuses_a_mixing_of_another_width():
+    with pytest.raises(ValueError, match="mixing"):
+        make_video(_spec(), MODEL, 3, feature_dim=16, seed=0, mixing=mixing_matrices(_spec(), 8))
 
 
 def test_make_video_shapes_and_determinism():

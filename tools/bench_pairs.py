@@ -13,8 +13,9 @@ runs.
 Writes ``BENCH_<tag>.json`` at the repo root: the commits, both ``src/``
 hashes and line counts, the machine, the BLAS thread count, every pair's
 end-to-end metrics, and per workload and metric both medians and quartiles,
-the number of pairs the working tree won and the runs that failed the
-benchmark's correctness check. Running again with the same tag adds pairs to the file, as long as
+the number of pairs the working tree won, the relative change of the medians,
+their gap in units of the parent's interquartile range and the runs that
+failed the benchmark's correctness check. Running again with the same tag adds pairs to the file, as long as
 both ``src/`` hashes still match. Uses only the standard library, git and
 the benchmark itself.
 """
@@ -46,6 +47,9 @@ def summarize(pairs: list, metrics: dict) -> dict:
     ``failed`` for that side and left out of the medians and wins. A pair is a
     win when the change is strictly better. Quartiles interpolate linearly
     between order statistics (``statistics.quantiles(..., method="inclusive")``).
+    ``change_rel`` is the change median over the parent median, minus one;
+    ``gap_over_parent_iqr`` is the absolute gap between the medians over the
+    parent's interquartile range. Each is None where its divisor is 0.
     """
     failed = {side: sum(not p["correct"][side] for p in pairs) for side in ("parent", "change")}
     kept = [p for p in pairs if all(p["correct"].values())]
@@ -60,6 +64,10 @@ def summarize(pairs: list, metrics: dict) -> dict:
             entry[side] = {"median": statistics.median(values), "q1": q1, "q3": q3, "iqr": q3 - q1}
         wins = sum(c < p if better == "lower" else c > p for p, c in rows)
         entry["change_wins"] = wins
+        parent, change = entry["parent"], entry["change"]
+        entry["change_rel"] = change["median"] / parent["median"] - 1.0 if parent["median"] else None
+        gap = abs(change["median"] - parent["median"])
+        entry["gap_over_parent_iqr"] = gap / parent["iqr"] if parent["iqr"] else None
         out[name] = entry
     return out
 
