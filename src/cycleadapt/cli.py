@@ -67,7 +67,7 @@ from .checkpoint import load_hmr, load_md, save_hmr, save_md
 from .diffcore import DegenerateRotationError
 from .hmrnet import HmrConfig, hmr_forward
 from .mdnet import MdConfig
-from .metrics import DegenerateGeometryError
+from .metrics import ACCEL_MIN_FRAMES, DegenerateGeometryError
 from .synth import DomainSpec, read_video, write_video
 
 CSV_HEADER = "cycle,source,mpjpe,pa_mpjpe,mpvpe,accel"
@@ -175,9 +175,11 @@ class Synth:
     source_frames: int = SOURCE_FRAMES
 
     def __post_init__(self) -> None:
-        for name in ("video_frames", "source_count", "source_frames"):
+        for name in ("source_count", "source_frames"):
             if getattr(self, name) < 1:
                 raise ValueError(f"synth.{name} must be >= 1, got {getattr(self, name)}")
+        if self.video_frames < ACCEL_MIN_FRAMES:
+            raise ValueError(f"synth.video_frames must be >= {ACCEL_MIN_FRAMES} (accel_error), got {self.video_frames}")
         if not 0.0 <= self.gap_alpha <= 1.0:
             raise ValueError(f"synth.gap_alpha must be in [0, 1], got {self.gap_alpha}")
 
@@ -224,6 +226,11 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.synth.source_frames < self.md.window:
+            raise ValueError(
+                f"synth.source_frames ({self.synth.source_frames}) must be >= md.window ({self.md.window}):"
+                " the denoiser pre-trains on windows of source frames"
+            )
 
     def adapt_config(self) -> AdaptConfig:
         return AdaptConfig(**dataclasses.asdict(self.adapt), seed=self.seed)
@@ -332,8 +339,8 @@ def _synth_target(cfg: RunConfig, model):
 def _read_checked_video(cfg: RunConfig, model, path):
     """A video file, checked against the run's regressor and body (frame 0 is posed again)."""
     video, _spec = read_video(path)
-    if video.frame_count == 0:
-        raise ConfigError(f"{path}: no frames")
+    if video.frame_count < ACCEL_MIN_FRAMES:
+        raise ConfigError(f"{path}: {video.frame_count or 'no'} frames; accel_error needs at least {ACCEL_MIN_FRAMES}")
     if video.features.shape[1] != cfg.hmr.feature_dim:
         raise ConfigError(
             f"{path}: feature dim {video.features.shape[1]} does not match "

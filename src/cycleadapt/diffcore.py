@@ -10,6 +10,11 @@ compares those gradients against central finite differences, skipping
 parameters whose perturbation crosses an L1 or relu kink.  The backward
 pass forms no gradient toward a node that no trainable leaf reaches.
 
+The single ops are the ones the package's graphs build: ``add``, ``sub``,
+``mul``, ``scalar_mul``, ``matmul``, ``transpose``, ``reshape``, ``relu``,
+``layer_norm``, ``mean_abs`` and ``take``, plus ``concat``, which only a
+test's live reference graph builds (see its docstring).
+
 Besides the single ops there are two fused ops.  ``rot6d`` decodes
 continuous 6D rotation codes to rotation matrices by Gram-Schmidt and
 raises `DegenerateRotationError`, naming itself and the first bad (row,
@@ -127,9 +132,6 @@ class Graph:
         """Elementwise product with numpy broadcasting."""
         return self._add("mul", (a, b))
 
-    def div(self, a: int, b: int) -> int:
-        return self._add("div", (a, b))
-
     def scalar_mul(self, a: int, c: float) -> int:
         return self._add("scalar_mul", (a,), c=float(c))
 
@@ -145,6 +147,9 @@ class Graph:
         return self._add("reshape", (a,), shape=tuple(int(s) for s in shape))
 
     def concat(self, ids, axis: int) -> int:
+        """Join along ``axis``. Only the tests' joint-by-joint reference of
+        ``rigid_chain`` builds it; a recorded digest cannot stand in for that
+        live reference, since the bits of ``rigid_chain``'s BLAS matmuls depend on the CPU."""
         if len(ids) < 1:
             raise DiffcoreError("concat needs at least one input")
         return self._add("concat", tuple(ids), axis=int(axis))
@@ -160,14 +165,6 @@ class Graph:
         """L1 reduction to a scalar: mean of absolute values."""
         return self._add("mean_abs", (a,))
 
-    def sum(self, a: int, axis=None, keepdims: bool = False) -> int:
-        return self._add(
-            "sum",
-            (a,),
-            axis=None if axis is None else axis,
-            keepdims=bool(keepdims),
-        )
-
     def take(self, a: int, index, axis: int) -> int:
         """Entries ``index`` along ``axis``: a slice, or a 1-D array of distinct ints >= 0."""
         if not isinstance(index, slice):
@@ -178,9 +175,6 @@ class Graph:
             if np.any(index < 0) or np.unique(index).size != index.size:
                 raise ShapeMismatchError(f"take index must hold distinct non-negative ints, got {index}")
         return self._add("take", (a,), index=index, axis=int(axis))
-
-    def sqrt(self, a: int) -> int:
-        return self._add("sqrt", (a,))
 
     def rot6d(self, codes: int) -> int:
         """(B, J, 6) continuous rotation codes to (B, J, 3, 3) rotations, as one node.
@@ -462,16 +456,14 @@ def _forward(i: int, node: Node, xs: list, bindings: dict, residuals=None) -> np
         return np.asarray(bindings[name], dtype=np.float64)
     if kind == "const":
         return node.attrs["value"]
-    if kind in ("add", "sub", "mul", "div"):
+    if kind in ("add", "sub", "mul"):
         a, b = xs
         _check_broadcast(i, node, a.shape, b.shape)
         if kind == "add":
             return a + b
         if kind == "sub":
             return a - b
-        if kind == "mul":
-            return a * b
-        return a / b
+        return a * b
     if kind == "scalar_mul":
         return node.attrs["c"] * xs[0]
     if kind == "matmul":
@@ -516,12 +508,8 @@ def _forward(i: int, node: Node, xs: list, bindings: dict, residuals=None) -> np
         return (x - mu) * inv * gain + bias
     if kind == "mean_abs":
         return np.asarray(np.mean(np.abs(xs[0])))
-    if kind == "sum":
-        return np.asarray(np.sum(xs[0], axis=node.attrs["axis"], keepdims=node.attrs["keepdims"]))
     if kind == "take":
         return xs[0][_take_key(i, node, xs[0].shape)]
-    if kind == "sqrt":
-        return np.sqrt(xs[0])
     if kind in ("rot6d", "rigid_chain"):
         if kind == "rot6d":
             out, saved = _rot6d(i, node, xs[0], keep=residuals is not None)
@@ -658,11 +646,6 @@ def backward_from_values(graph: Graph, values: Values, loss_node: int) -> Gradie
                 _accum(grads, a, _unbroadcast(g * xs[1], xs[0].shape))
             if need[b]:
                 _accum(grads, b, _unbroadcast(g * xs[0], xs[1].shape))
-        elif kind == "div":
-            if need[a]:
-                _accum(grads, a, _unbroadcast(g / xs[1], xs[0].shape))
-            if need[b]:
-                _accum(grads, b, _unbroadcast(-g * xs[0] / (xs[1] * xs[1]), xs[1].shape))
         elif kind == "scalar_mul":
             _accum(grads, a, node.attrs["c"] * g)
         elif kind == "matmul":
@@ -705,20 +688,10 @@ def backward_from_values(graph: Graph, values: Values, loss_node: int) -> Gradie
             x = xs[0]
             # L1 subgradient at 0 is taken as 0.
             _accum(grads, a, float(g) * np.sign(x) / x.size)
-        elif kind == "sum":
-            x = xs[0]
-            axis = node.attrs["axis"]
-            if axis is None:
-                _accum(grads, a, np.broadcast_to(g, x.shape).copy())
-            else:
-                gg = g if node.attrs["keepdims"] else np.expand_dims(g, axis)
-                _accum(grads, a, np.broadcast_to(gg, x.shape).copy())
         elif kind == "take":
             full = np.zeros_like(xs[0])
             full[_take_key(i, node, full.shape)] = g
             _accum(grads, a, full)
-        elif kind == "sqrt":
-            _accum(grads, a, g / (2.0 * values[i]))
         elif kind == "rot6d":
             _accum(grads, a, _rot6d_vjp(g, values.residuals[i]))
         elif kind == "rigid_chain":

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 MM_PER_M = 1000.0
+ACCEL_MIN_FRAMES = 3  # one second finite difference
 
 
 class DegenerateGeometryError(ValueError):
@@ -125,8 +126,8 @@ def accel_error(pred_joints, gt_joints) -> float:
     component affine in t drops out.
     """
     p, g = _as_pair(pred_joints, gt_joints, "accel_error")
-    if p.shape[0] < 3:
-        raise ValueError(f"accel_error: need at least 3 frames, got {p.shape[0]}")
+    if p.shape[0] < ACCEL_MIN_FRAMES:
+        raise ValueError(f"accel_error: need at least {ACCEL_MIN_FRAMES} frames, got {p.shape[0]}")
     ap = p[2:] - 2.0 * p[1:-1] + p[:-2]
     ag = g[2:] - 2.0 * g[1:-1] + g[:-2]
     return float(np.linalg.norm(ap - ag, axis=-1).mean() * MM_PER_M)

@@ -13,6 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Adam's moment decays and denominator floor, the defaults of Kingma & Ba
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 class InvariantError(RuntimeError):
     """A training-loop precondition or store contract was violated, or a loss
@@ -42,15 +45,7 @@ def check_loss(value, net: str, state: OptState) -> None:
         raise InvariantError(f"{net} loss is {float(value)} (Adam updates completed: {state.step})")
 
 
-def adam_step(
-    params: dict,
-    grads: dict,
-    state: OptState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> dict:
+def adam_step(params: dict, grads: dict, state: OptState, lr: float) -> dict:
     """One bias-corrected Adam update; missing gradients count as zero.
     A gradient of the wrong shape raises before ``state`` changes."""
     checked = {}
@@ -60,17 +55,17 @@ def adam_step(
             raise ValueError(f"adam_step: gradient for {name} has shape {g.shape}, parameter {p.shape}")
         checked[name] = g, state.m[name], state.v[name]
     state.step += 1
-    c1, c2 = 1.0 - beta1**state.step, 1.0 - beta2**state.step
+    c1, c2 = 1.0 - BETA1**state.step, 1.0 - BETA2**state.step
     out = {}
     for name, (g, m, v) in checked.items():
         # beta * m + (1 - beta) * g and p - lr * (m / c1) / (sqrt(v / c2) + eps), op for op
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
         den = np.divide(v, c2, out=np.empty_like(v))
         np.sqrt(den, out=den)
-        den += eps
+        den += EPS
         upd = np.divide(m, c1, out=np.empty_like(m))
         upd *= lr
         upd /= den

@@ -1,4 +1,5 @@
-"""Reference implementations that the tests hold the package's fused code to."""
+"""Reference implementations that the tests hold the package's fused code to,
+and the sum-free weighted-sum loss that their gradient checks share."""
 
 import numpy as np
 
@@ -22,24 +23,12 @@ def rot6d_batch(codes) -> np.ndarray:
     return np.stack([b1, b2, np.cross(b1, b2)], axis=-1)
 
 
-def rot6d_graph(g, theta3: int, batch: int, joints: int) -> int:
-    """(batch, J, 6) codes to (batch, J, 3, 3) rotations in 24 single-op nodes:
-    the decoder that `Graph.rot6d` replaced and must reproduce bit for bit,
-    values and gradients alike."""
-    a1 = g.take(theta3, slice(0, 3), -1)
-    a2 = g.take(theta3, slice(3, 6), -1)
+def weighted_sum(g, node: int, w) -> int:
+    """A scalar loss node, sum(node * w), built without a reduction op.
 
-    def normalize(v: int) -> int:
-        return g.div(v, g.sqrt(g.sum(g.mul(v, v), axis=-1, keepdims=True)))
-
-    b1 = normalize(a1)
-    along = g.sum(g.mul(b1, a2), axis=-1, keepdims=True)
-    b2 = normalize(g.sub(a2, g.mul(along, b1)))
-    # cross product from the two cyclic rolls of the last axis
-    roll1, roll2 = [1, 2, 0], [2, 0, 1]
-    b3 = g.sub(
-        g.mul(g.take(b1, roll1, -1), g.take(b2, roll2, -1)),
-        g.mul(g.take(b1, roll2, -1), g.take(b2, roll1, -1)),
-    )
-    stacked = g.concat([b1, b2, b3], axis=-1)
-    return g.transpose(g.reshape(stacked, (batch, joints, 3, 3)))
+    Its backward hands ``node`` the bits of ``w`` as the incoming gradient,
+    signs of zeros included: the product with ones in the matmul's VJP is
+    exact, and so is the reshape."""
+    w = np.asarray(w, dtype=np.float64)
+    flat = g.reshape(g.mul(node, g.const(w)), (1, w.size))
+    return g.reshape(g.matmul(flat, g.const(np.ones((w.size, 1)))), ())

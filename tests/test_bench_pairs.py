@@ -71,8 +71,19 @@ def test_src_lines_counts_the_package_modules_only(bench_pairs, tmp_path):
     (pkg / "b.py").write_text("three\n\nfive")  # as `wc -l`: a last line without a newline is not counted
     (pkg / "notes.txt").write_text("not code\n")
     (tmp_path / "src" / "other.py").write_text("outside the package\n")
-    assert bench_pairs.src_lines(tmp_path) == 4
+    assert bench_pairs.py_lines(tmp_path, "src/cycleadapt") == 4
 
+
+def test_tests_lines_counts_the_test_modules_only(bench_pairs, tmp_path):
+    tests = tmp_path / "tests"
+    (tests / "data").mkdir(parents=True)
+    (tests / "test_a.py").write_text("one\ntwo\nthree\n")
+    (tests / "oracles.py").write_text("four\n")
+    (tests / "record.json").write_text("[\n1\n]\n")  # data, not test code
+    (tests / "data" / "test_b.py").write_text("nested\n")
+    (tmp_path / "src" / "cycleadapt").mkdir(parents=True)
+    (tmp_path / "src" / "cycleadapt" / "a.py").write_text("package\n")
+    assert bench_pairs.py_lines(tmp_path, "tests") == 4
 
 
 def test_summary_gives_the_relative_change_and_the_gap_in_parent_iqrs(bench_pairs):

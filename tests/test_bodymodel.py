@@ -1,12 +1,15 @@
 import dataclasses
+import hashlib
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import DEGENERATE_CODES, rot6d_batch, rot6d_graph
+from oracles import DEGENERATE_CODES, rot6d_batch, weighted_sum
 
 from cycleadapt.bodymodel import (
     BETA_SIZE,
@@ -68,14 +71,14 @@ def _numpy_body_forward(model, thetas, betas):
 
 
 def _node_by_node_body_graph(g, model, theta_node, beta_node, batch):
-    """Reference: body_graph as it was before the rot6d and rigid_chain ops,
-    with the 6D decoder, forward kinematics and skinning spelled out one
-    single-op node at a time (a pick, a transpose, a 3x3 matmul per joint).
-    The two ops must reproduce its values and its gradients bit for bit."""
+    """Reference: body_graph as it was before the rigid_chain op, with forward
+    kinematics and skinning spelled out one single-op node at a time (a pick,
+    a transpose, a 3x3 matmul per joint). The rigid_chain op must reproduce
+    its values and its gradients bit for bit. It decodes with the rot6d node,
+    whose bits `test_rot6d_node_matches_the_single_op_decoder_bit_for_bit` pins."""
     joints = model.joint_count
     nverts = model.vertex_count
-    theta3 = g.reshape(theta_node, (batch, joints, 6))
-    rot = rot6d_graph(g, theta3, batch, joints)
+    rot = g.rot6d(g.reshape(theta_node, (batch, joints, 6)))
 
     sd = g.const(model.shape_dirs.reshape(nverts * 3, BETA_SIZE).T)
     shaped = g.add(
@@ -190,22 +193,15 @@ def test_rot6d_node_matches_the_numpy_decoder(batch, joints, data):
     assert np.abs(rot - rot6d_batch(codes)).max() < 1e-12
 
 
-def _rot6d_values_and_vjp(decoder, codes, weights):
-    """The rotations and the codes' gradient of sum(weights * rotations)."""
-    g = Graph()
-    leaf = g.leaf("codes", trainable=True)
-    rot = decoder(g, leaf)
-    loss = g.sum(g.mul(rot, g.const(weights)))
-    values = evaluate(g, {"codes": codes})
-    return values[rot], backward_from_values(g, values, loss)["codes"]
+RECORD = Path(__file__).with_name("rot6d_single_op_digests.json")
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 5))
-def test_rot6d_node_matches_the_single_op_decoder_bit_for_bit(seed, batch, joints):
-    """Values and gradients to the byte, signs of zeros included: some codes
-    and some incoming gradients hold exact zeros."""
+def _rot6d_case(seed):
+    """Codes of batch 1-6, joints 1-5 and scale 0.01-100 with signed-zero
+    entries, and incoming gradients with signed zeros, whole joints of them
+    included."""
     rng = np.random.default_rng(seed)
+    batch, joints = int(rng.integers(1, 7)), int(rng.integers(1, 6))
     codes = rng.normal(size=(batch, joints, 6)) * rng.uniform(0.01, 100.0)
     zero = rng.random(codes.shape) < 0.2
     codes[zero] = np.copysign(0.0, rng.normal(size=zero.sum()))
@@ -215,10 +211,26 @@ def test_rot6d_node_matches_the_single_op_decoder_bit_for_bit(seed, batch, joint
     zero = rng.random(weights.shape) < 0.3
     zero[rng.random((batch, joints)) < 0.3] = True  # joints whose whole gradient is signed zeros
     weights[zero] = np.copysign(0.0, rng.normal(size=zero.sum()))
-    got = _rot6d_values_and_vjp(lambda g, leaf: g.rot6d(leaf), codes, weights)
-    want = _rot6d_values_and_vjp(lambda g, leaf: rot6d_graph(g, leaf, batch, joints), codes, weights)
-    for a, b in zip(got, want):
-        assert a.tobytes() == b.tobytes()
+    return codes, weights
+
+
+def test_rot6d_node_matches_the_single_op_decoder_bit_for_bit():
+    """Values and gradients to the byte, signs of zeros included, against the
+    digests of the 24-node single-op decoder the node replaced (the record
+    names its commit). Only elementwise ops and length-3 sums run here, no
+    BLAS, so the bytes do not depend on the machine."""
+    record = json.loads(RECORD.read_text())
+    assert len(record["cases"]) >= 64
+    for seed, want in enumerate(record["cases"]):
+        codes, weights = _rot6d_case(seed)
+        g = Graph()
+        leaf = g.leaf("codes", trainable=True)
+        rot = g.rot6d(leaf)
+        loss = weighted_sum(g, rot, weights)
+        values = evaluate(g, {"codes": codes})
+        grad = backward_from_values(g, values, loss)["codes"]
+        got = hashlib.sha256(values[rot].tobytes() + grad.tobytes()).hexdigest()
+        assert got == want, f"case {seed} (codes {codes.shape}) differs from the record"
 
 
 def test_rot6d_rejects_degenerate_codes():

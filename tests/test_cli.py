@@ -255,6 +255,8 @@ def test_md_denoiser_is_set_in_the_adapt_section():
         ("body", "scale", -1.0),
         ("body", "scale", float("nan")),
         ("body", "seed", -1),
+        ("synth", "video_frames", 2),
+        ("synth", "source_frames", 5),
     ],
 )
 def test_a_refused_setting_is_a_config_error_naming_its_key(section, key, value, tmp_path, capsys):
@@ -427,20 +429,38 @@ def test_eval_of_a_damaged_video_exits_1(ws, tmp_path, capsys):
     assert f"{video}: not a readable" in capsys.readouterr().err
 
 
-def test_eval_of_a_video_without_frames_exits_1(ws, tmp_path, capsys):
+def _cut_target_video(ws, tmp_path, frames: int):
+    """A synthesized target video with every per-frame member cut to ``frames``."""
     vids = tmp_path / "vids"
     assert cli.run(["synth", "--config", str(ws["cfg_path"]), "--out", str(vids)]) == 0
     video = vids / "target.video"
     with np.load(video, allow_pickle=False) as npz:
         members = {name: npz[name] for name in npz.files}
-    with zipfile.ZipFile(video, "w") as archive:  # every per-frame member cut to 0 frames
+    with zipfile.ZipFile(video, "w") as archive:
         for name, array in members.items():
             with archive.open(zipfile.ZipInfo(f"{name}.npy"), "w") as fh:
-                np.lib.format.write_array(fh, array if array.ndim < 2 else array[:0], allow_pickle=False)
-    assert read_video(video)[0].frame_count == 0
+                np.lib.format.write_array(fh, array if array.ndim < 2 else array[:frames], allow_pickle=False)
+    assert read_video(video)[0].frame_count == frames
+    return video
+
+
+def test_eval_of_a_video_without_frames_exits_1(ws, tmp_path, capsys):
+    video = _cut_target_video(ws, tmp_path, 0)
     args = ["eval", "--config", str(ws["cfg_path"]), "--video", str(video), "--out", str(tmp_path / "ev")]
     assert cli.run(args) == 1
     assert f"{video}: no frames" in capsys.readouterr().err
+
+
+def test_adapt_on_a_two_frame_video_exits_1_naming_the_file(ws, tmp_path, capsys):
+    """accel_error needs three frames; the video is refused before any adaptation."""
+    video = _cut_target_video(ws, tmp_path, 2)
+    config = json.loads(json.dumps(ws["config"]))
+    config["paths"]["video"] = str(video)
+    cfg_path = tmp_path / "short.json"
+    cfg_path.write_text(json.dumps(config))
+    assert cli.run(["adapt", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    assert f"error: {video}: 2 frames; accel_error needs at least 3" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "metrics.csv").exists()
 
 
 @pytest.mark.parametrize("member", ["features", "joints"])

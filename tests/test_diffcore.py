@@ -1,11 +1,14 @@
 """Unit tests for the reverse-mode autodiff core."""
 
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import weighted_sum
 
 from cycleadapt.diffcore import (
     DiffcoreError,
@@ -146,7 +149,7 @@ def test_gradient_accumulates_over_fanout():
     g = Graph()
     x = g.leaf("x", trainable=True)
     y = g.add(x, x)
-    loss = g.sum(y)
+    loss = weighted_sum(g, y, np.ones(2))
     grads = backward(g, {"x": np.array([2.0, 3.0])}, loss)
     np.testing.assert_allclose(grads["x"], [2.0, 2.0])
 
@@ -158,15 +161,13 @@ def _primitive_cases(rng):
     def new(name, shape, scale=1.0):
         return rng.normal(size=shape) * scale
 
-    # add / sub / mul / div with broadcasting
-    for kind in ("add", "sub", "mul", "div"):
+    # add / sub / mul with broadcasting
+    for kind in ("add", "sub", "mul"):
         g = Graph()
         a = g.leaf("a", trainable=True)
         b = g.leaf("b", trainable=True)
-        op = getattr(g, kind)(a, b)
-        loss = _scalarize(g, op)
-        bb = new("b", (4,)) + (3.0 if kind == "div" else 0.0)
-        cases.append((g, {"a": new("a", (2, 4)), "b": bb}, loss))
+        loss = _scalarize(g, getattr(g, kind)(a, b))
+        cases.append((g, {"a": new("a", (2, 4)), "b": new("b", (4,))}, loss))
 
     g = Graph()
     a = g.leaf("a", trainable=True)
@@ -214,12 +215,6 @@ def _primitive_cases(rng):
     loss = g.mean_abs(a)
     cases.append((g, {"a": new("a", (4, 3))}, loss))
 
-    for axis, keep in ((None, False), (0, False), (-1, True)):
-        g = Graph()
-        a = g.leaf("a", trainable=True)
-        loss = _scalarize(g, g.sum(a, axis=axis, keepdims=keep))
-        cases.append((g, {"a": new("a", (3, 4))}, loss))
-
     # take: a row mask's rows, a slice of the last axis, a permutation
     mask = rng.random(5) < 0.5
     mask[0] = True  # never empty
@@ -228,17 +223,6 @@ def _primitive_cases(rng):
         a = g.leaf("a", trainable=True)
         loss = _scalarize(g, g.take(a, index, axis))
         cases.append((g, {"a": new("a", (5, 3))}, loss))
-
-    g = Graph()
-    a = g.leaf("a", trainable=True)
-    loss = _scalarize(g, g.sqrt(a))
-    cases.append((g, {"a": np.abs(new("a", (3, 3))) + 0.5}, loss))
-
-    g = Graph()
-    a = g.leaf("a", trainable=True)
-    b = g.leaf("b", trainable=True)
-    loss = _scalarize(g, g.div(a, g.sqrt(b)))
-    cases.append((g, {"a": new("a", (2, 3)), "b": np.abs(new("b", (2, 3))) + 0.3}, loss))
 
     # rot6d: codes whose columns are well away from degenerate
     g = Graph()
@@ -397,7 +381,7 @@ def test_mask_select_gradient_scatters_rows():
     g = Graph()
     a = g.leaf("a", trainable=True)
     mask = np.array([True, False, True])
-    loss = g.sum(g.take(a, np.flatnonzero(mask), 0))
+    loss = weighted_sum(g, g.take(a, np.flatnonzero(mask), 0), np.ones((2, 2)))
     grads = backward(g, {"a": np.ones((3, 2))}, loss)
     np.testing.assert_array_equal(grads["a"], [[1.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
 
@@ -450,14 +434,10 @@ def test_take_matches_numpy_and_its_vjp_is_the_adjoint(case):
     np.testing.assert_array_equal(picked, np.take(x, positions, axis=axis))
     # <take(x), y> == <x, vjp(y)>, with the VJP read off a linear loss sum(take(x) * y)
     y = rng.normal(size=picked.shape)
-    loss = g.sum(g.mul(out, g.const(y)))
+    loss = weighted_sum(g, out, y)
     vjp = backward(g, {"x": x}, loss)["x"]
     assert vjp.shape == x.shape
     assert np.isclose(np.sum(picked * y), np.sum(x * vjp), rtol=1e-12, atol=1e-12)
-
-
-def _weighted_sum(g, node, w):
-    return g.sum(g.mul(node, g.const(w)))
 
 
 def _alias_cases():
@@ -469,27 +449,27 @@ def _alias_cases():
 
     g = Graph()
     a = g.leaf("x", trainable=True)
-    cases["add(x, x)"] = (g, _weighted_sum(g, g.add(a, a), w), {"x": 2.0 * w})
+    cases["add(x, x)"] = (g, weighted_sum(g, g.add(a, a), w), {"x": 2.0 * w})
 
     g = Graph()
     a = g.leaf("x", trainable=True)
-    loss = g.add(_weighted_sum(g, g.sub(a, a), w), _weighted_sum(g, a, v))
+    loss = g.add(weighted_sum(g, g.sub(a, a), w), weighted_sum(g, a, v))
     cases["sub(x, x)"] = (g, loss, {"x": v})
 
     g = Graph()
     a = g.leaf("x", trainable=True)
     chain = g.reshape(g.transpose(g.reshape(a, (2, 6))), (4, 3))
     expected = w.reshape(6, 2).T.reshape(3, 4)
-    cases["reshape-transpose-reshape"] = (g, _weighted_sum(g, chain, w.reshape(4, 3)), {"x": expected})
+    cases["reshape-transpose-reshape"] = (g, weighted_sum(g, chain, w.reshape(4, 3)), {"x": expected})
 
     g = Graph()
     a = g.leaf("x", trainable=True)
     both = np.concatenate([w, v])
-    cases["concat(x, x)"] = (g, _weighted_sum(g, g.concat([a, a], axis=0), both), {"x": w + v})
+    cases["concat(x, x)"] = (g, weighted_sum(g, g.concat([a, a], axis=0), both), {"x": w + v})
 
     g = Graph()
     a = g.leaf("x", trainable=True)
-    loss = g.add(_weighted_sum(g, g.take(a, [0, 2], 0), w[:2]), _weighted_sum(g, g.take(a, [2, 1], 0), v[:2]))
+    loss = g.add(weighted_sum(g, g.take(a, [0, 2], 0), w[:2]), weighted_sum(g, g.take(a, [2, 1], 0), v[:2]))
     expected = np.zeros((3, 4))
     expected[[0, 2]] += w[:2]
     expected[[2, 1]] += v[:2]
@@ -499,8 +479,8 @@ def _alias_cases():
     # later: an uncopied first term would add that term into y's gradient
     g = Graph()
     a, b = g.leaf("x", trainable=True), g.leaf("y", trainable=True)
-    scaled = g.mul(a, g.const(v))
-    loss = g.add(_weighted_sum(g, g.add(a, b), w), g.sum(scaled))
+    scaled = weighted_sum(g, a, v)  # built first, so the backward pass reaches it after the add
+    loss = g.add(weighted_sum(g, g.add(a, b), w), scaled)
     cases["add(x, y), then x again"] = (g, loss, {"x": w + v, "y": w})
     return cases, {"x": x, "y": y}
 
@@ -522,3 +502,59 @@ def test_gradients_passed_to_several_inputs_are_right_and_unaliased(name):
             assert not np.shares_memory(first, second)
         for value in values:
             assert not np.shares_memory(first, value)
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "cycleadapt"
+# builders no src/ module calls, each kept for a live test reference
+TEST_ONLY_BUILDERS = {
+    # tests/test_bodymodel.py::_node_by_node_body_graph stacks per-joint rows
+    # with it to pin rigid_chain bit for bit; a recorded digest cannot stand
+    # in, since rigid_chain's matmuls run through BLAS kernels whose bits
+    # depend on the CPU
+    "concat",
+}
+
+
+def _graph_builders() -> set:
+    """Public Graph methods that add a node."""
+    tree = ast.parse((SRC / "diffcore.py").read_text())
+    (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Graph"]
+    return {
+        f.name
+        for f in cls.body
+        if isinstance(f, ast.FunctionDef)
+        and not f.name.startswith("_")
+        and any(isinstance(c, ast.Attribute) and c.attr == "_add" for c in ast.walk(f))
+    }
+
+
+def _builders_called_in_src() -> set:
+    """Methods called on a name that a src/ function binds to Graph() or annotates as Graph."""
+    called = set()
+    for path in SRC.glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            graphs = {
+                a.arg
+                for a in fn.args.args + fn.args.kwonlyargs
+                if isinstance(a.annotation, ast.Name) and a.annotation.id == "Graph"
+            }
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+                    if isinstance(node.value.func, ast.Name) and node.value.func.id == "Graph":
+                        graphs.update(t.id for t in node.targets if isinstance(t, ast.Name))
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                    if isinstance(node.func.value, ast.Name) and node.func.value.id in graphs:
+                        called.add(node.func.attr)
+    return called
+
+
+def test_every_graph_builder_is_called_from_src():
+    """No op stays in Graph only for tests, apart from the listed references."""
+    builders = _graph_builders()
+    assert {"leaf", "matmul", "rot6d", "rigid_chain"} <= builders
+    assert TEST_ONLY_BUILDERS <= builders
+    unused = builders - _builders_called_in_src()
+    assert unused == TEST_ONLY_BUILDERS, f"Graph builders no src/ module calls: {sorted(unused - TEST_ONLY_BUILDERS)}"

@@ -11,12 +11,13 @@ checkout builds and caches its own nets the first time, outside the measured
 runs.
 
 Writes ``BENCH_<tag>.json`` at the repo root: the commits, both ``src/``
-hashes and line counts, the machine, the BLAS thread count, every pair's
-end-to-end metrics, and per workload and metric both medians and quartiles,
-the number of pairs the working tree won, the relative change of the medians,
-their gap in units of the parent's interquartile range and the runs that
-failed the benchmark's correctness check. Running again with the same tag adds pairs to the file, as long as
-both ``src/`` hashes still match. Uses only the standard library, git and
+hashes, both sides' ``src/cycleadapt`` and ``tests`` line counts, the
+machine, the BLAS thread count, every pair's end-to-end metrics, and per
+workload and metric both medians and quartiles, the number of pairs the
+working tree won, the relative change of the medians, their gap in units of
+the parent's interquartile range and the runs that failed the benchmark's
+correctness check. Running again with the same tag adds pairs to the file, as
+long as both ``src/`` hashes still match. Uses only the standard library, git and
 the benchmark itself.
 """
 
@@ -79,9 +80,9 @@ def quartiles(values: list) -> tuple[float, float]:
     return q1, q3
 
 
-def src_lines(checkout: Path) -> int:
-    """Newlines in the package's modules, ``src/cycleadapt/*.py``: the total of ``wc -l``."""
-    return sum(p.read_bytes().count(b"\n") for p in (checkout / "src" / "cycleadapt").glob("*.py"))
+def py_lines(checkout: Path, folder: str) -> int:
+    """Newlines in ``<folder>/*.py`` of a checkout: the total of ``wc -l``."""
+    return sum(p.read_bytes().count(b"\n") for p in (checkout / folder).glob("*.py"))
 
 
 def _git(*args: str) -> str:
@@ -146,7 +147,9 @@ def main(argv=None) -> int:
             if bench.get(key, src) != src:
                 raise RuntimeError(f"{out_path.name} holds runs of another {side} src/ ({bench[key][:12]})")
             bench[key] = src
-        bench.update(parent_src_lines=src_lines(parent), change_src_lines=src_lines(ROOT))
+        for side, checkout in (("parent", parent), ("change", ROOT)):
+            bench[f"{side}_src_lines"] = py_lines(checkout, "src/cycleadapt")
+            bench[f"{side}_tests_lines"] = py_lines(checkout, "tests")
         env = pair["change"]["env"]
         runs.append({
             "seed": seed,
