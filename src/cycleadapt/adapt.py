@@ -93,7 +93,7 @@ class ResultStore:
 
     def fetch(self, indices) -> tuple[np.ndarray, np.ndarray]:
         idx = np.asarray(indices, dtype=int)
-        return self.theta[idx].copy(), self.beta[idx].copy()
+        return self.theta[idx], self.beta[idx]
 
     def write_hmr(self, indices, theta, beta) -> None:
         idx = np.asarray(indices, dtype=int)
@@ -201,10 +201,13 @@ def hmr_step(
     )
     values = evaluate(g, hmr_params)
     check_loss(values[loss], "regressor", state)
+    out_theta, out_beta = values[theta], values[beta]
     if not config.frozen_hmrnet:
         grads = backward_from_values(g, values, loss)
+        # the forward values and the tape are dead once the gradients exist
+        del values, g
         hmr_params = adam_step(hmr_params, grads, state, lr)
-    return hmr_params, values[theta], values[beta]
+    return hmr_params, out_theta, out_beta
 
 
 def md_step(
@@ -300,7 +303,7 @@ def md_stage(
             if n >= t:
                 start = int(rng.integers(0, n - t + 1))
                 idx = np.arange(start, start + t)
-                window_theta = store.theta[idx].copy()
+                window_theta = store.theta[idx]
                 mask = sample_mask(t, rng)
             else:
                 # edge-replicate to a full window; padded rows never enter
@@ -425,7 +428,7 @@ def online_adapt(
 
         if config.md_denoiser != "none" and (i + 1) % t == 0:
             idx_w = np.arange(i - t + 1, i + 1)
-            window_theta = store.theta[idx_w].copy()
+            window_theta = store.theta[idx_w]
             if config.md_denoiser == "gaussian":
                 store.write_md(idx_w, gaussian_filter_baseline(window_theta, config.gaussian_std))
             else:

@@ -19,9 +19,7 @@ headroom on the test video.
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import asdict, fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +35,7 @@ from .adapt import (
     online_adapt,
 )
 from .bodymodel import BodyModel, body_forward_batch, build_toy_body, project_weak_perspective, scale_body
-from .checkpoint import VERSION, load_hmr, load_md, save_hmr, save_md
+from .checkpoint import save_hmr, save_md
 from .hmrnet import HmrConfig, hmr_forward, hmr_init
 from .mdnet import MdConfig, md_init, md_pretrain
 from .metrics import MetricReport, evaluate_sequence
@@ -227,11 +225,6 @@ def hmr_pretrain(
     return params, curve
 
 
-def _body_digest(model: BodyModel) -> str:
-    arrays = (np.asarray(getattr(model, field.name)) for field in fields(model))
-    return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
-
-
 def pretrain_nets(
     model: BodyModel | None = None,
     cache_dir=None,
@@ -246,26 +239,10 @@ def pretrain_nets(
     """Both networks trained on source videos, plus the recorded tau.
 
     The videos default to `make_source_videos(model)`. With cache_dir set,
-    the nets are made from the default videos; checkpoints are reused when
-    the recipe recorded beside them (steps, rates, noise, net configs, body
-    and checkpoint format version) matches this call exactly, and written
-    after a fresh run (pre-training is deterministic, so the cache is just
-    time).
+    the two nets are also written there, as ``hmr_src.ckpt`` and
+    ``md_src.ckpt``; nothing is read back from it.
     """
-    if cache_dir is not None and videos is not None:
-        raise ValueError("pretrain_nets: cache_dir is keyed on the default videos; pass one or the other")
     model = benchmark_body() if model is None else model
-    if cache_dir is not None:
-        recipe = dict(hmr_steps=hmr_steps, md_plan=md_plan, hmr_lr=hmr_lr, md_sigma=md_sigma, body=_body_digest(model))
-        recipe.update(hmr_config=asdict(hmr_config), md_config=asdict(md_config), checkpoint_version=VERSION)
-        recipe = json.loads(json.dumps(recipe))  # the form it takes in the file
-        cache = Path(cache_dir)
-        hmr_path, md_path, record_path = cache / "hmr_src.ckpt", cache / "md_src.ckpt", cache / "pretrain.json"
-        if hmr_path.exists() and md_path.exists() and record_path.exists():
-            with open(record_path) as fh:
-                record = json.load(fh)
-            if record.get("recipe") == recipe:
-                return load_hmr(hmr_path)[1], load_md(md_path)[1], float(record["tau"])
     videos = make_source_videos(model) if videos is None else videos
     hmr_params, curve = hmr_pretrain(
         model, hmr_config, hmr_init(hmr_config, seed=0), videos, steps=hmr_steps, lr=hmr_lr, seed=0
@@ -280,11 +257,10 @@ def pretrain_nets(
         except InvariantError as err:
             raise InvariantError(f"md_plan stage {stage + 1} of {len(md_plan)}: {err}") from err
     if cache_dir is not None:
+        cache = Path(cache_dir)
         cache.mkdir(parents=True, exist_ok=True)
-        save_hmr(hmr_path, hmr_config, hmr_params)
-        save_md(md_path, md_config, md_params)
-        with open(record_path, "w") as fh:
-            json.dump({"tau": tau, "recipe": recipe}, fh)
+        save_hmr(cache / "hmr_src.ckpt", hmr_config, hmr_params)
+        save_md(cache / "md_src.ckpt", md_config, md_params)
     return hmr_params, md_params, tau
 
 

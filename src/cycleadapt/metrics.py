@@ -3,7 +3,11 @@
 All positions come in as meters; every metric reports millimeters.
 Joint arrays are (frames, joints, 3), with joint 0 the root that MPJPE and
 MPVPE align at, and vertex arrays (frames, vertices, 3).
-Everything here is a pure function, safe to call from any thread.
+Everything here is a pure function, safe to call from any thread: no
+metric writes to its inputs.  Each squares and sums its differences in a
+temporary it owns, the same ufuncs in the same order as
+``np.linalg.norm(p - g, axis=-1)`` on fresh arrays, so the bits are those of
+that form, at two (frames, points, 3) temporaries instead of four.
 """
 
 from __future__ import annotations
@@ -52,12 +56,22 @@ def _as_pair(pred, gt, what: str) -> tuple[np.ndarray, np.ndarray]:
     return p, g
 
 
+def _norms(d: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis of ``d``, a temporary this squares in place.
+
+    The same sum of squares and square root as ``np.linalg.norm(d, axis=-1)``,
+    so the same bits, without its (frames, points, 3) square.
+    """
+    d *= d
+    return np.sqrt(np.add.reduce(d, axis=-1))
+
+
 def mpjpe(pred_joints, gt_joints) -> float:
     """Mean per joint position error in mm after per-frame alignment at joint 0, the root."""
     p, g = _as_pair(pred_joints, gt_joints, "mpjpe")
-    p = p - p[:, :1]
-    g = g - g[:, :1]
-    return float(np.linalg.norm(p - g, axis=-1).mean() * MM_PER_M)
+    d = p - p[:, :1]
+    d -= g - g[:, :1]
+    return float(_norms(d).mean() * MM_PER_M)
 
 
 def procrustes_align(pred, gt) -> tuple:
@@ -99,8 +113,10 @@ def pa_mpjpe(pred_joints, gt_joints) -> float:
     """Mean joint error in mm after an optimal per-frame similarity fit."""
     p, g = _as_pair(pred_joints, gt_joints, "pa_mpjpe")
     scale, rot, trans = procrustes_align(p, g)
-    aligned = scale[:, None, None] * p @ np.swapaxes(rot, 1, 2) + trans[:, None, :]
-    return float(np.linalg.norm(aligned - g, axis=-1).mean(axis=1).mean() * MM_PER_M)
+    d = scale[:, None, None] * p @ np.swapaxes(rot, 1, 2)
+    d += trans[:, None, :]
+    d -= g
+    return float(_norms(d).mean(axis=1).mean() * MM_PER_M)
 
 
 def mpvpe(pred_mesh, gt_mesh, pred_root, gt_root) -> float:
@@ -114,9 +130,17 @@ def mpvpe(pred_mesh, gt_mesh, pred_root, gt_root) -> float:
     gr = np.asarray(gt_root, dtype=np.float64)
     if pr.shape != (p.shape[0], 3) or gr.shape != (g.shape[0], 3):
         raise ValueError(f"mpvpe: roots must be (frames, 3), got {pr.shape} and {gr.shape}")
-    p = p - pr[:, None, :]
-    g = g - gr[:, None, :]
-    return float(np.linalg.norm(p - g, axis=-1).mean() * MM_PER_M)
+    d = p - pr[:, None, :]
+    d -= g - gr[:, None, :]
+    return float(_norms(d).mean() * MM_PER_M)
+
+
+def _second_difference(x: np.ndarray) -> np.ndarray:
+    """``(x[2:] - 2.0 * x[1:-1]) + x[:-2]`` in one new array."""
+    d = 2.0 * x[1:-1]
+    np.subtract(x[2:], d, out=d)
+    d += x[:-2]
+    return d
 
 
 def accel_error(pred_joints, gt_joints) -> float:
@@ -128,9 +152,9 @@ def accel_error(pred_joints, gt_joints) -> float:
     p, g = _as_pair(pred_joints, gt_joints, "accel_error")
     if p.shape[0] < ACCEL_MIN_FRAMES:
         raise ValueError(f"accel_error: need at least {ACCEL_MIN_FRAMES} frames, got {p.shape[0]}")
-    ap = p[2:] - 2.0 * p[1:-1] + p[:-2]
-    ag = g[2:] - 2.0 * g[1:-1] + g[:-2]
-    return float(np.linalg.norm(ap - ag, axis=-1).mean() * MM_PER_M)
+    d = _second_difference(p)
+    d -= _second_difference(g)
+    return float(_norms(d).mean() * MM_PER_M)
 
 
 def evaluate_sequence(pred_joints, gt_joints, pred_mesh, gt_mesh) -> MetricReport:

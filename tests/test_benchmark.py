@@ -1,10 +1,8 @@
-"""Benchmark plumbing: domains, gap dial, evaluator, variant configs, caching.
+"""Benchmark plumbing: domains, gap dial, evaluator, variant configs, the nets' checkpoints.
 
 Everything here runs on shrunken stand-ins; the full-size orderings live in
 the acceptance suite.
 """
-
-import json
 
 import numpy as np
 import pytest
@@ -12,7 +10,7 @@ import pytest
 from cycleadapt import benchmark as bench
 from cycleadapt.adapt import AdaptConfig
 from cycleadapt.bodymodel import build_toy_body, scale_body
-from cycleadapt.checkpoint import VERSION, load_hmr, load_md
+from cycleadapt.checkpoint import load_hmr, load_md
 from cycleadapt.hmrnet import hmr_init
 from cycleadapt.mdnet import md_init
 from cycleadapt.metrics import DegenerateGeometryError
@@ -165,47 +163,28 @@ def test_random_nets_shapes():
     assert all(np.array_equal(hmr_p[k], hmr_p2[k]) for k in hmr_p)
 
 
-def test_pretrain_nets_cache_round_trip(tmp_path):
-    # tiny step counts: the cache logic, not the training quality, is under test
+def test_pretrain_nets_writes_both_nets_to_cache_dir(tmp_path):
+    """cache_dir is where the two checkpoints go; nothing is read back, so a
+    second call trains again and writes the same nets."""
+    # tiny step counts: the write, not the training quality, is under test
     plan = ((4, 1e-3),)
-    p1 = bench.pretrain_nets(cache_dir=tmp_path, hmr_steps=3, md_plan=plan)
-    assert (tmp_path / "hmr_src.ckpt").exists()
-    assert (tmp_path / "md_src.ckpt").exists()
-    assert (tmp_path / "pretrain.json").exists()
-    p2 = bench.pretrain_nets(cache_dir=tmp_path, hmr_steps=3, md_plan=plan)
-    assert p1[2] == p2[2]
-    assert all(np.array_equal(p1[0][k], p2[0][k]) for k in p1[0])
-    assert all(np.array_equal(p1[1][k], p2[1][k]) for k in p1[1])
-    cfg, params = load_hmr(tmp_path / "hmr_src.ckpt")
-    assert cfg == bench.HMR_CONFIG
-    cfg_md, params_md = load_md(tmp_path / "md_src.ckpt")
-    assert cfg_md == bench.MD_CONFIG
-    # another recipe in the same directory trains afresh and replaces the cache
-    p3 = bench.pretrain_nets(cache_dir=tmp_path, hmr_steps=3, md_plan=((5, 1e-3),))
-    assert all(np.array_equal(p1[0][k], p3[0][k]) for k in p1[0])  # same regressor recipe
-    assert any(not np.array_equal(p1[1][k], p3[1][k]) for k in p1[1])
-    p4 = bench.pretrain_nets(cache_dir=tmp_path, hmr_steps=3, md_plan=((5, 1e-3),))
-    assert all(np.array_equal(p3[1][k], p4[1][k]) for k in p3[1])
-    with pytest.raises(ValueError, match="cache_dir"):
-        bench.pretrain_nets(cache_dir=tmp_path, hmr_steps=3, md_plan=plan, videos=[])
-
-
-def test_pretrain_nets_rebuilds_a_cache_of_another_checkpoint_format(tmp_path):
-    """A cache written in another checkpoint format is trained again, not a CheckpointError."""
-    plan = ((4, 1e-3),)
-    fresh = bench.pretrain_nets(cache_dir=tmp_path, hmr_steps=3, md_plan=plan)
-    record = json.loads((tmp_path / "pretrain.json").read_text())
-    assert record["recipe"]["checkpoint_version"] == VERSION
-    record["recipe"]["checkpoint_version"] = 1
-    (tmp_path / "pretrain.json").write_text(json.dumps(record))
-    for name, magic in (("hmr_src.ckpt", b"CAHM"), ("md_src.ckpt", b"CAMD")):
-        (tmp_path / name).write_bytes(magic + b"\x01\x00\x00\x00")  # how a version-1 file starts
-    rebuilt = bench.pretrain_nets(cache_dir=tmp_path, hmr_steps=3, md_plan=plan)
-    assert rebuilt[2] == fresh[2]
-    for before, after in zip(fresh[:2], rebuilt[:2]):
-        assert all(np.array_equal(before[k], after[k]) for k in before)
-    assert json.loads((tmp_path / "pretrain.json").read_text())["recipe"]["checkpoint_version"] == VERSION
-    assert all(np.array_equal(load_md(tmp_path / "md_src.ckpt")[1][k], fresh[1][k]) for k in fresh[1])
+    nets_dir = tmp_path / "nets"
+    hmr_params, md_params, tau = bench.pretrain_nets(cache_dir=nets_dir, hmr_steps=3, md_plan=plan)
+    assert sorted(f.name for f in nets_dir.iterdir()) == ["hmr_src.ckpt", "md_src.ckpt"]
+    for (config, params), want_config, want in (
+        (load_hmr(nets_dir / "hmr_src.ckpt"), bench.HMR_CONFIG, hmr_params),
+        (load_md(nets_dir / "md_src.ckpt"), bench.MD_CONFIG, md_params),
+    ):
+        assert config == want_config
+        assert params.keys() == want.keys() and all(np.array_equal(params[k], want[k]) for k in want)
+    names = ("hmr_src.ckpt", "md_src.ckpt")
+    written = [(nets_dir / name).read_bytes() for name in names]
+    for name in names:
+        (nets_dir / name).write_bytes(b"not a checkpoint")
+    again = bench.pretrain_nets(cache_dir=nets_dir, hmr_steps=3, md_plan=plan)
+    assert again[2] == tau
+    assert all(np.array_equal(again[1][k], md_params[k]) for k in md_params)
+    assert [(nets_dir / name).read_bytes() for name in names] == written
 
 
 def test_domain_gap_monotone_in_alpha():

@@ -230,6 +230,8 @@ def test_md_denoiser_is_set_in_the_adapt_section():
         cli.config_from_dict({"adapt": {"md_denoiser": "median"}})
 
 
+# a list-valued case needs an explicit id: pytest numbers it by position,
+# so inserting a case before it would rename it
 @pytest.mark.parametrize(
     "section, key, value",
     [
@@ -238,18 +240,18 @@ def test_md_denoiser_is_set_in_the_adapt_section():
         ("hmr", "hidden_dim", 0),
         ("md", "window", 0),
         ("target", "p_drop", 2.0),
-        ("source", "freq_range", ["slow", "fast"]),
+        pytest.param("source", "freq_range", ["slow", "fast"], id="source-freq_range-value5"),
         ("synth", "gap_alpha", 2.0),
         ("synth", "video_frames", 0),
         ("pretrain", "md_sigma", -1.0),
-        ("pretrain", "md_plan", [[0, 1e-3]]),
+        pytest.param("pretrain", "md_plan", [[0, 1e-3]], id="pretrain-md_plan-value9"),
         ("paths", "md_ckpt", "hmr.ckpt"),
         ("adapt", "gamma", float("nan")),
         ("adapt", "lr_start", float("nan")),
         ("pretrain", "hmr_lr", float("inf")),
         ("target", "kp_noise_std", float("nan")),
-        ("pretrain", "md_plan", [[10, float("nan")]]),
-        ("source", "amp_range", [0.1, float("inf")]),
+        pytest.param("pretrain", "md_plan", [[10, float("nan")]], id="pretrain-md_plan-value15"),
+        pytest.param("source", "amp_range", [0.1, float("inf")], id="source-amp_range-value16"),
         ("body", "vertices", 3),
         ("body", "scale", 0.0),
         ("body", "scale", -1.0),

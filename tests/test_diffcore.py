@@ -106,6 +106,17 @@ def test_three_layer_perceptron_matches_central_differences():
     assert grad_check(g, names, loss, step=1e-6) < 1e-4
 
 
+def test_grad_check_takes_a_one_by_one_loss():
+    """backward takes any size-1 loss, so grad_check reads one of shape (1, 1) too."""
+    g = Graph()
+    x = g.leaf("x", trainable=True)
+    loss = g.matmul(g.reshape(x, (1, 3)), g.const([[0.5], [-2.0], [3.0]]))
+    bindings = {"x": np.array([1.0, 2.0, -1.0])}
+    assert evaluate(g, bindings)[loss].shape == (1, 1)
+    assert np.array_equal(backward(g, bindings, loss)["x"], [0.5, -2.0, 3.0])
+    assert grad_check(g, bindings, loss) < 1e-8
+
+
 def test_mean_abs_all_zero_residuals_skips_kinks():
     # Every residual sits exactly on the L1 kink, so every finite
     # difference straddles it and every parameter entry is skipped.

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -343,3 +345,67 @@ def test_evaluate_sequence_names_first_non_finite_frame(points):
     pred[points][2, 0, 0] = np.inf
     with pytest.raises(DegenerateGeometryError, match="not finite in frame 2$"):
         evaluate_sequence(pred["joints"], gt_j, pred["vertices"], gt_v)
+
+
+def _norm_form_metrics(pj, gj, pv, gv) -> tuple:
+    """Each metric written with ``np.linalg.norm`` on fresh arrays, the plain
+    form that the package's in-place temporaries must match bit for bit."""
+    p, g = pj - pj[:, :1], gj - gj[:, :1]
+    mpjpe_mm = float(np.linalg.norm(p - g, axis=-1).mean() * 1000.0)
+    scale, rot, trans = procrustes_align(pj, gj)
+    aligned = scale[:, None, None] * pj @ np.swapaxes(rot, 1, 2) + trans[:, None, :]
+    pa_mm = float(np.linalg.norm(aligned - gj, axis=-1).mean(axis=1).mean() * 1000.0)
+    p, g = pv - pj[:, None, 0], gv - gj[:, None, 0]
+    mpvpe_mm = float(np.linalg.norm(p - g, axis=-1).mean() * 1000.0)
+    ap = pj[2:] - 2.0 * pj[1:-1] + pj[:-2]
+    ag = gj[2:] - 2.0 * gj[1:-1] + gj[:-2]
+    accel = float(np.linalg.norm(ap - ag, axis=-1).mean() * 1000.0)
+    return mpjpe_mm, pa_mm, mpvpe_mm, accel
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    frames=st.integers(3, 64),
+    joints=st.integers(3, 40),
+    vertices=st.integers(3, 40),
+    log_scale=st.floats(-3, 3),
+    same=st.integers(0, 63),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_each_metric_gives_the_bits_of_its_norm_form(frames, joints, vertices, log_scale, same, seed):
+    rng = np.random.default_rng(seed)
+    scale = 10.0**log_scale
+    gj = scale * rng.normal(size=(frames, joints, 3))
+    pj = gj + 0.1 * scale * rng.normal(size=gj.shape)
+    gv = scale * rng.normal(size=(frames, vertices, 3))
+    pv = gv + 0.1 * scale * rng.normal(size=gv.shape)
+    same %= frames
+    pj[same], pv[same] = gj[same], gv[same]
+    inputs = (pj, gj, pv, gv)
+    before = [a.tobytes() for a in inputs]
+    got = (
+        mpjpe(pj, gj),
+        pa_mpjpe(pj, gj),
+        mpvpe(pv, gv, pj[:, 0], gj[:, 0]),
+        accel_error(pj, gj),
+    )
+    assert got == _norm_form_metrics(pj, gj, pv, gv)
+    assert [a.tobytes() for a in inputs] == before
+
+
+def test_scoring_500_frames_keeps_no_whole_video_temporaries():
+    """Each metric squares and sums in a temporary it owns, so scoring 500
+    frames of 120 vertices peaks under 4.0 MB; the norm form took about 6.7 MB."""
+    rng = np.random.default_rng(14)
+    gt_j = rng.normal(size=(500, 24, 3))
+    gt_v = rng.normal(size=(500, 120, 3))
+    pred_j = gt_j + rng.normal(scale=0.05, size=gt_j.shape)
+    pred_v = gt_v + rng.normal(scale=0.05, size=gt_v.shape)
+    evaluate_sequence(pred_j[:4], gt_j[:4], pred_v[:4], gt_v[:4])
+    tracemalloc.start()
+    try:
+        evaluate_sequence(pred_j, gt_j, pred_v, gt_v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.0e6
