@@ -11,6 +11,13 @@ the two states' update count. The causal online pass is built from the same
 two steps, `hmr_step` and `md_step`; source pre-training is `hmr_step` with
 ground truth as the targets (`benchmark.hmr_pretrain`).
 
+Each training loop (`cycle_adapt`, `online_adapt`, and `hmr_pretrain` and
+`mdnet.md_pretrain` outside this module) owns a shallow copy of each
+parameter dict it is given and returns that copy. The steps and stages
+update the loop's dict through `adam_step`, which replaces its arrays one at
+a time and never writes into one, so the caller's dicts and arrays stay as
+they were: one pretrained pair serves any number of runs.
+
 Nothing in this module reads 3D ground truth. Adaptation consumes features
 and 2D keypoints only (`AdaptInputs`); quality measurement happens through
 the evaluator callback that the caller builds from whatever references it
@@ -186,12 +193,14 @@ def hmr_step(
     pseudo_theta=None,
     pseudo_beta=None,
     rows=None,
-) -> tuple[dict, np.ndarray, np.ndarray]:
-    """One regressor update on the frames ``idx``, loss as in `hmr_loss_graph`.
+) -> tuple[np.ndarray, np.ndarray]:
+    """One regressor update of ``hmr_params`` on the frames ``idx``, loss as
+    in `hmr_loss_graph`.
 
-    Returns the new parameters and the batch's theta and beta from the
-    forward pass before the update; a frozen regressor only runs forward.
-    A loss that is not finite raises `InvariantError` (`check_loss`).
+    Returns the batch's theta and beta from the forward pass before the
+    update; a frozen regressor only runs forward and leaves ``hmr_params``
+    as it is. A loss that is not finite raises `InvariantError`
+    (`check_loss`).
     """
     g = Graph()
     theta, beta, cam = hmr_forward_graph(g, hmr_config, g.const(inputs.features[idx]))
@@ -206,8 +215,8 @@ def hmr_step(
         grads = backward_from_values(g, values, loss)
         # the forward values and the tape are dead once the gradients exist
         del values, g
-        hmr_params = adam_step(hmr_params, grads, state, lr)
-    return hmr_params, out_theta, out_beta
+        adam_step(hmr_params, grads, state, lr)
+    return out_theta, out_beta
 
 
 def md_step(
@@ -220,8 +229,9 @@ def md_step(
     state: OptState,
     config: AdaptConfig,
     lr: float,
-) -> dict:
-    """One denoiser update on a masked window, then the unmasked write-back.
+) -> None:
+    """One denoiser update of ``md_params`` on a masked window, then the
+    unmasked write-back.
 
     Rows of ``window_theta`` past ``idx`` are padding and never written. A
     frozen denoiser skips the update (and needs no mask) but still writes.
@@ -237,12 +247,11 @@ def md_step(
         values = diffcore.evaluate(g, md_params)
         check_loss(values[loss], "denoiser", state)
         grads = diffcore.backward_from_values(g, values, loss)
-        md_params = adam_step(md_params, grads, state, lr)
+        adam_step(md_params, grads, state, lr)
     denoised = md_forward(md_params, window_theta)[: idx.size]
     if not np.all(np.isfinite(denoised)):
         raise InvariantError(f"denoiser wrote non-finite poses (Adam updates completed: {state.step})")
     store.write_md(idx, denoised)
-    return md_params
 
 
 def hmr_stage(
@@ -255,8 +264,8 @@ def hmr_stage(
     config: AdaptConfig,
     cycle_index: int,
     rng: np.random.Generator,
-) -> dict:
-    """One seeded-shuffled epoch of regressor updates; returns new parameters.
+) -> None:
+    """One seeded-shuffled epoch of regressor updates of ``hmr_params``.
 
     Pseudo targets come from the store as written by the previous cycle;
     they are ignored entirely in cycle 1. Every batch's forward outputs are
@@ -267,15 +276,13 @@ def hmr_stage(
         raise InvariantError(f"hmr_stage: store has {store.size} rows for {n} frames")
     use_pseudo = cycle_index > 1 and config.md_denoiser != "none"
     order = rng.permutation(n)
-    params = hmr_params
     for lo in range(0, n, config.batch):
         idx = order[lo : lo + config.batch]
         pseudo_theta, pseudo_beta = store.fetch(idx) if use_pseudo else (None, None)
-        params, out_theta, out_beta = hmr_step(
-            inputs, idx, model, hmr_config, params, opt.hmr, config, _lr(opt, config), pseudo_theta, pseudo_beta
+        out_theta, out_beta = hmr_step(
+            inputs, idx, model, hmr_config, hmr_params, opt.hmr, config, _lr(opt, config), pseudo_theta, pseudo_beta
         )
         store.write_hmr(idx, out_theta, out_beta)
-    return params
 
 
 def md_stage(
@@ -285,8 +292,9 @@ def md_stage(
     opt: AdaptOptimizers,
     config: AdaptConfig,
     rng: np.random.Generator,
-) -> dict:
-    """Denoiser updates on random store windows, then unmasked write-backs.
+) -> None:
+    """Denoiser updates of ``md_params`` on random store windows, then
+    unmasked write-backs.
 
     Touches thetas only. With the gaussian denoiser the whole sequence is
     filtered once instead; with a frozen denoiser the write-backs still
@@ -294,7 +302,6 @@ def md_stage(
     """
     n = store.size
     t = md_config.window
-    params = md_params
 
     if config.md_denoiser == "gaussian":
         store.write_md(np.arange(n), gaussian_filter_baseline(store.theta, config.gaussian_std))
@@ -311,8 +318,7 @@ def md_stage(
                 idx = np.arange(n)
                 window_theta = np.concatenate([store.theta, np.repeat(store.theta[-1:], t - n, axis=0)])
                 mask = np.concatenate([sample_mask(n, rng), np.zeros(t - n)])
-            params = md_step(store, idx, window_theta, mask, md_config, params, opt.md, config, _lr(opt, config))
-    return params
+            md_step(store, idx, window_theta, mask, md_config, md_params, opt.md, config, _lr(opt, config))
 
 
 @dataclass
@@ -347,9 +353,11 @@ def cycle_adapt(
     The cycle-0 row evaluates the unadapted regressor (the zeroed store is
     not evaluable: zero pose codes are degenerate). Each later cycle logs
     one row for the regressor's outputs and one for the store contents.
+    The run trains and returns its own copies of the two parameter dicts.
     """
     n = inputs.frame_count
     store = ResultStore(n)
+    hmr_params, md_params = dict(hmr_params), dict(md_params)
 
     hmr_steps = 0 if config.frozen_hmrnet else -(-n // config.batch)
     md_steps = windows_per_cycle(n, md_config.window) if config.md_denoiser == "mdnet" else 0
@@ -363,10 +371,10 @@ def cycle_adapt(
     _log_rows(rows, 0, evaluator, hmr_params, inputs, None)
     for cycle in range(1, config.cycles + 1):
         hmr_rng = np.random.default_rng(np.random.SeedSequence([config.seed, cycle, 0]))
-        hmr_params = hmr_stage(inputs, store, model, hmr_config, hmr_params, opt, config, cycle, hmr_rng)
+        hmr_stage(inputs, store, model, hmr_config, hmr_params, opt, config, cycle, hmr_rng)
         if config.md_denoiser != "none":
             md_rng = np.random.default_rng(np.random.SeedSequence([config.seed, cycle, 1]))
-            md_params = md_stage(store, md_config, md_params, opt, config, md_rng)
+            md_stage(store, md_config, md_params, opt, config, md_rng)
         _log_rows(rows, cycle, evaluator, hmr_params, inputs, store)
         if checkpoint_dir is not None:
             save_hmr(Path(checkpoint_dir) / f"hmr_cycle{cycle:02d}.ckpt", hmr_config, hmr_params)
@@ -402,11 +410,13 @@ def online_adapt(
     forward pass at arrival time, and the learning rate stays at lr_start
     (a schedule over the total frame count would leak the video's length
     into early steps), so truncating the video never changes earlier
-    outputs.
+    outputs. The pass trains and returns its own copies of the two
+    parameter dicts.
     """
     n = inputs.frame_count
     t = md_config.window
     store = ResultStore(n)
+    hmr_params, md_params = dict(hmr_params), dict(md_params)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0, 2]))
     hmr_state, md_state = adam_init(hmr_params), adam_init(md_params)
     out_theta = np.zeros((n, THETA_SIZE))
@@ -418,7 +428,7 @@ def online_adapt(
             idx = np.concatenate([[i], past]).astype(int)
         else:
             idx = np.array([i])
-        hmr_params, theta, beta = hmr_step(
+        theta, beta = hmr_step(
             inputs, idx, model, hmr_config, hmr_params, hmr_state, config, config.lr_start,
             *store.fetch(idx), rows=store.md_written[idx],
         )
@@ -433,9 +443,7 @@ def online_adapt(
                 store.write_md(idx_w, gaussian_filter_baseline(window_theta, config.gaussian_std))
             else:
                 mask = sample_mask(t, rng) if config.md_denoiser == "mdnet" else None
-                md_params = md_step(
-                    store, idx_w, window_theta, mask, md_config, md_params, md_state, config, config.lr_start
-                )
+                md_step(store, idx_w, window_theta, mask, md_config, md_params, md_state, config, config.lr_start)
 
     report = evaluator(out_theta, out_beta)
     return OnlineRun(hmr_params, md_params, out_theta, out_beta, report, steps_taken=hmr_state.step + md_state.step)

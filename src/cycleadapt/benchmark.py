@@ -148,7 +148,8 @@ def make_source_videos(
 ) -> list:
     model = benchmark_body() if model is None else model
     source = source_domain() if source is None else source
-    return [make_video(source, model, n_frames, feature_dim, s) for s in seeds]
+    mixing = mixing_matrices(source, feature_dim)
+    return [make_video(source, model, n_frames, feature_dim, s, mixing=mixing) for s in seeds]
 
 
 def make_evaluator(model: BodyModel, video: SyntheticVideo):
@@ -204,8 +205,9 @@ def hmr_pretrain(
     Each seeded batch is one `hmr_step` with the true theta and beta as its
     3D targets at full weight (gamma 1) and clean keypoints as its 2D ones;
     a loss that is not finite raises `InvariantError`. Returns (params,
-    curve), the curve holding (step, source pose-code error) pairs on a
-    fixed set of up to 256 frames from step 0 on; the last error is tau.
+    curve): params is the loop's own trained copy of the dict given, and
+    the curve holds (step, source pose-code error) pairs on a fixed set of
+    up to 256 frames from step 0 on; the last error is tau.
     """
     if steps < 1 or batch < 1:
         raise ValueError(f"hmr_pretrain: steps and batch must be >= 1, got {steps}, {batch}")
@@ -213,13 +215,14 @@ def hmr_pretrain(
     n = inputs.frame_count
     rng = np.random.default_rng(seed)
     eval_idx = rng.choice(n, size=min(256, n), replace=False)
+    params = dict(params)
     state = adam_init(params)
     step_config = AdaptConfig(gamma=1.0)
     every = max(1, -(-steps // 5))
     curve = [(0, pose_code_error(params, inputs.features[eval_idx], thetas[eval_idx]))]
     for step in range(1, steps + 1):
         idx = rng.choice(n, size=min(batch, n), replace=False)
-        params, _, _ = hmr_step(inputs, idx, model, config, params, state, step_config, lr, thetas[idx], betas[idx])
+        hmr_step(inputs, idx, model, config, params, state, step_config, lr, thetas[idx], betas[idx])
         if step % every == 0 or step == steps:
             curve.append((step, pose_code_error(params, inputs.features[eval_idx], thetas[eval_idx])))
     return params, curve

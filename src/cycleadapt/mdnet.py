@@ -150,9 +150,10 @@ def md_pretrain(
     Each step corrupts one random window with N(0, sigma^2) noise and takes
     an Adam step on the unmasked full-window L1 against the clean window; a
     loss that is not finite raises `InvariantError` (`check_loss`).
-    Returns (params, curve) where curve holds (step, eval error) pairs for
-    about six checkpoints, starting with the untrained network; the eval
-    error is the denoising L1 on a fixed set of windows with fixed noise.
+    Returns (params, curve): params is the loop's own trained copy of the
+    dict given, and curve holds (step, eval error) pairs for about six
+    checkpoints, starting with the untrained network; the eval error is the
+    denoising L1 on a fixed set of windows with fixed noise.
     """
     if sigma < 0:
         raise ValueError(f"md_pretrain: sigma must be >= 0, got {sigma}")
@@ -200,7 +201,7 @@ def md_pretrain(
         values = diffcore.evaluate(g, params)
         check_loss(values[loss], "denoiser", state)
         grads = diffcore.backward_from_values(g, values, loss)
-        params = adam_step(params, grads, state, lr)
+        adam_step(params, grads, state, lr)
         if (step + 1) % every == 0 or step == steps - 1:
             curve.append((step + 1, eval_error(params)))
     return params, curve

@@ -1,9 +1,14 @@
 """Adam, the cosine learning-rate schedule and the loss guard every training
 loop runs before it updates a net.
 
-Parameter sets are plain dicts of float64 arrays. `adam_step` returns fresh
-parameter arrays and never writes to those passed in; it updates the moment
-arrays of `OptState` in place, so one state persists across many stages.
+Parameter sets are plain dicts of float64 arrays. `adam_step` updates the
+dict it is given: it computes each parameter's new value as a fresh array
+and puts it under that parameter's name, one at a time, so the old and the
+new parameter set never exist side by side. It never writes into a
+parameter array, so an array handed out earlier keeps its values; a loop
+that must leave its caller's dict untouched steps a shallow copy of it. The
+moment arrays of `OptState` are updated in place, so one state persists
+across many stages.
 """
 
 from __future__ import annotations
@@ -24,7 +29,8 @@ class InvariantError(RuntimeError):
 
 @dataclass
 class OptState:
-    """Per-parameter first/second Adam moments plus the step counter."""
+    """Per-parameter first/second Adam moments plus the step counter; `adam_step`
+    writes the moments in place and counts its completed updates in ``step``."""
 
     m: dict
     v: dict
@@ -45,9 +51,11 @@ def check_loss(value, net: str, state: OptState) -> None:
         raise InvariantError(f"{net} loss is {float(value)} (Adam updates completed: {state.step})")
 
 
-def adam_step(params: dict, grads: dict, state: OptState, lr: float) -> dict:
-    """One bias-corrected Adam update; missing gradients count as zero.
-    A gradient of the wrong shape raises before ``state`` changes."""
+def adam_step(params: dict, grads: dict, state: OptState, lr: float) -> None:
+    """One bias-corrected Adam update of ``params``; missing gradients count as
+    zero. Each entry is replaced by a fresh array, and no array passed in is
+    written. A gradient of the wrong shape raises before ``params`` or
+    ``state`` changes."""
     checked = {}
     for name, p in params.items():
         g = np.asarray(grads.get(name, 0.0), dtype=np.float64)
@@ -56,7 +64,6 @@ def adam_step(params: dict, grads: dict, state: OptState, lr: float) -> dict:
         checked[name] = g, state.m[name], state.v[name]
     state.step += 1
     c1, c2 = 1.0 - BETA1**state.step, 1.0 - BETA2**state.step
-    out = {}
     for name, (g, m, v) in checked.items():
         # beta * m + (1 - beta) * g and p - lr * (m / c1) / (sqrt(v / c2) + eps), op for op
         m *= BETA1
@@ -69,8 +76,7 @@ def adam_step(params: dict, grads: dict, state: OptState, lr: float) -> dict:
         upd = np.divide(m, c1, out=np.empty_like(m))
         upd *= lr
         upd /= den
-        out[name] = np.subtract(params[name], upd, out=upd)
-    return out
+        params[name] = np.subtract(params[name], upd, out=upd)
 
 
 def cosine_lr(step: int, total_steps: int, lr_start: float = 5e-5, lr_end: float = 1e-6) -> float:

@@ -1,6 +1,7 @@
 """The summary that `tools/bench_pairs.py` writes for paired benchmark runs."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -101,3 +102,26 @@ def test_summary_gap_is_null_without_parent_spread(bench_pairs):
     assert out["parent"]["iqr"] == 0.0
     assert out["gap_over_parent_iqr"] is None
     assert out["change_rel"] == 6.0 / 7.0 - 1.0
+
+
+def test_run_counted_sees_the_page_faults_of_a_child(bench_pairs, tmp_path):
+    touch, touched = bench_pairs.run_counted([sys.executable, "-c", "x = b'x' * (50 << 20)"], tmp_path)
+    idle, quiet = bench_pairs.run_counted([sys.executable, "-c", "pass"], tmp_path)
+    assert touch.returncode == idle.returncode == 0
+    assert touched["minflt"] > 10_000  # 50 MB is 12 800 pages of 4 KiB, each faulted in once
+    assert quiet["minflt"] < touched["minflt"] - 10_000
+    assert touched["stime_s"] >= 0.0 and quiet["stime_s"] >= 0.0
+
+
+def test_churn_medians_leave_out_the_runs_that_built_nets(bench_pairs):
+    def churn(minflt, stime_s, built_nets=False):
+        return {"minflt": minflt, "stime_s": stime_s, "built_nets": built_nets}
+
+    pairs = _pairs([1.0, 1.0, 1.0], [1.0, 1.0, 1.0])
+    pairs[0]["churn"] = {"parent": churn(900_000, 9.0, True), "change": churn(30, 0.3)}
+    pairs[1]["churn"] = {"parent": churn(10, 0.1), "change": churn(20, 0.2)}
+    pairs[2]["churn"] = {"parent": churn(40, 0.4), "change": churn(60, 0.6)}
+    pairs.append(_pairs([1.0], [1.0])[0])  # a pair recorded before churn was
+    out = bench_pairs.summarize_churn(pairs)
+    assert out["parent"] == {"runs": 2, "minflt": 25, "stime_s": 0.25}
+    assert out["change"] == {"runs": 3, "minflt": 30, "stime_s": 0.3}

@@ -4,6 +4,8 @@ Everything here runs on shrunken stand-ins; the full-size orderings live in
 the acceptance suite.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from cycleadapt.checkpoint import load_hmr, load_md
 from cycleadapt.hmrnet import hmr_init
 from cycleadapt.mdnet import md_init
 from cycleadapt.metrics import DegenerateGeometryError
+from cycleadapt.synth import make_video
 
 
 def test_benchmark_body_dimensions_and_scale():
@@ -114,6 +117,19 @@ def test_variant_config_respects_base():
     cfg = bench.variant_config("2d_only", base)
     assert cfg.cycles == 2 and cfg.batch == 8 and cfg.gamma == 0.5
     assert cfg.seed == 7 and cfg.md_denoiser == "none"
+
+
+def test_source_videos_are_the_bytes_of_one_make_video_call_each():
+    # the shared feature map is drawn once, in place of once per video
+    model = build_toy_body(2, joints=24, vertices=24)
+    seeds, frames, dim = (1000, 1001, 1002), 30, 16
+    videos = bench.make_source_videos(model, seeds=seeds, n_frames=frames, feature_dim=dim)
+    assert len(videos) == len(seeds)
+    for seed, video in zip(seeds, videos):
+        alone = make_video(bench.source_domain(), model, frames, dim, seed)
+        for field in dataclasses.fields(alone):
+            a, b = getattr(video, field.name), getattr(alone, field.name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), (seed, field.name)
 
 
 def test_make_evaluator_hides_ground_truth(tiny_bench):

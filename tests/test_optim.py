@@ -56,28 +56,31 @@ def test_adam_first_step_magnitude():
     # bias correction makes the first update equal lr * g / (|g| + eps')
     params = {"w": np.array([1.0, -2.0])}
     grads = {"w": np.array([0.5, -3.0])}
+    w0 = params["w"].copy()
     state = adam_init(params)
-    out = adam_step(params, grads, state, lr=0.1)
-    expected = params["w"] - 0.1 * np.sign(grads["w"]) * (
+    adam_step(params, grads, state, lr=0.1)
+    expected = w0 - 0.1 * np.sign(grads["w"]) * (
         np.abs(grads["w"]) * (1.0 - 0.9) / (1.0 - 0.9)
     ) / (np.sqrt(np.abs(grads["w"]) ** 2 * (1.0 - 0.999) / (1.0 - 0.999)) + 1e-8)
-    assert np.abs(out["w"] - expected).max() < 1e-12
+    assert np.abs(params["w"] - expected).max() < 1e-12
     assert state.step == 1
 
 
 def test_adam_zero_gradient_keeps_parameter():
     params = {"w": np.full((3, 2), 4.0)}
+    w0 = params["w"].copy()
     state = adam_init(params)
-    out = adam_step(params, {"w": np.zeros((3, 2))}, state, lr=0.5)
-    assert np.array_equal(out["w"], params["w"])
+    adam_step(params, {"w": np.zeros((3, 2))}, state, lr=0.5)
+    assert np.array_equal(params["w"], w0)
 
 
 def test_adam_missing_gradient_counts_as_zero():
     params = {"w": np.ones(4), "b": np.ones(2)}
+    before = {name: p.copy() for name, p in params.items()}
     state = adam_init(params)
-    out = adam_step(params, {"w": np.ones(4)}, state, lr=0.1)
-    assert np.array_equal(out["b"], params["b"])
-    assert np.all(out["w"] < params["w"])
+    adam_step(params, {"w": np.ones(4)}, state, lr=0.1)
+    assert np.array_equal(params["b"], before["b"])
+    assert np.all(params["w"] < before["w"])
 
 
 def test_adam_is_deterministic():
@@ -89,7 +92,7 @@ def test_adam_is_deterministic():
         state = adam_init(p)
         for t in range(5):
             g = {"w": np.sin(p["w"] + t)}
-            p = adam_step(p, g, state, lr=0.01)
+            adam_step(p, g, state, lr=0.01)
         runs.append(p["w"])
     assert np.array_equal(runs[0], runs[1])
 
@@ -105,7 +108,7 @@ def test_adam_descends_a_quadratic():
     params = {"x": np.array([5.0])}
     state = adam_init(params)
     for _ in range(400):
-        params = adam_step(params, {"x": 2.0 * params["x"]}, state, lr=0.05)
+        adam_step(params, {"x": 2.0 * params["x"]}, state, lr=0.05)
     assert abs(params["x"][0]) < 0.05
 
 
@@ -152,7 +155,7 @@ def test_adam_step_matches_the_functional_update_bit_for_bit(run):
                 grads[name] = rng.normal(size=p.shape) * 10.0 ** rng.integers(-6, 3)
             elif kind == "scalar":
                 grads[name] = float(rng.normal())
-        params = adam_step(params, grads, state, lr)
+        adam_step(params, grads, state, lr)
         ref_p, ref_m, ref_v, ref_step = _reference_adam(ref_p, grads, ref_m, ref_v, ref_step, lr)
         assert _bits(params) == _bits(ref_p)
         assert _bits(state.m) == _bits(ref_m)
@@ -160,20 +163,27 @@ def test_adam_step_matches_the_functional_update_bit_for_bit(run):
         assert state.step == ref_step
 
 
-def test_adam_step_leaves_the_params_passed_in_unchanged():
-    # the acceptance sweep and `ablate` hand one pretrained dict to several runs
+def test_adam_step_never_writes_into_an_array_it_was_given():
+    # the acceptance sweep and `ablate` hand one pretrained pair to several
+    # runs, and each training loop steps a shallow copy of it
     rng = np.random.default_rng(3)
     params = {"w": rng.normal(size=(5, 4)), "b": rng.normal(size=4)}
-    arrays = dict(params)
-    before = _bits(params)
     state = adam_init(params)
+    given = []  # each step's parameter arrays, with their bytes
     for _ in range(3):
-        out = adam_step(params, {"w": rng.normal(size=(5, 4)), "b": rng.normal(size=4)}, state, lr=0.1)
-        assert params == arrays and all(params[k] is arrays[k] for k in params)
-        assert _bits(params) == before
-        for name, new in out.items():
-            assert not np.shares_memory(new, params[name])
+        old = dict(params)
+        given.append((old, _bits(old)))
+        grads = {"w": rng.normal(size=(5, 4)), "b": rng.normal(size=4)}
+        grad_bits = _bits(grads)
+        assert adam_step(params, grads, state, lr=0.1) is None
+        assert list(params) == list(old)
+        assert _bits(grads) == grad_bits
+        for name, new in params.items():
+            assert not np.shares_memory(new, old[name])
             assert not np.shares_memory(new, state.m[name]) and not np.shares_memory(new, state.v[name])
+            assert not np.shares_memory(new, grads[name])
+        for arrays, bits in given:
+            assert _bits(arrays) == bits
 
 
 def test_adam_step_with_a_rejected_gradient_leaves_the_state_untouched():
@@ -181,10 +191,13 @@ def test_adam_step_with_a_rejected_gradient_leaves_the_state_untouched():
     params = {"w": rng.normal(size=(3, 2)), "b": rng.normal(size=2)}
     state = adam_init(params)
     for _ in range(2):
-        params = adam_step(params, {"w": rng.normal(size=(3, 2)), "b": rng.normal(size=2)}, state, lr=0.1)
+        adam_step(params, {"w": rng.normal(size=(3, 2)), "b": rng.normal(size=2)}, state, lr=0.1)
     step, m, v = state.step, _bits(state.m), _bits(state.v)
+    arrays, p = dict(params), _bits(params)
     with pytest.raises(ValueError, match="gradient for b has shape"):
         adam_step(params, {"w": rng.normal(size=(3, 2)), "b": rng.normal(size=3)}, state, lr=0.1)
+    assert list(params) == list(arrays) and all(params[k] is arrays[k] for k in arrays)
+    assert _bits(params) == p
     assert state.step == step
     assert _bits(state.m) == m
     assert _bits(state.v) == v

@@ -16,7 +16,10 @@ machine, the BLAS thread count, every pair's end-to-end metrics, and per
 workload and metric both medians and quartiles, the number of pairs the
 working tree won, the relative change of the medians, their gap in units of
 the parent's interquartile range and the runs that failed the benchmark's
-correctness check. Running again with the same tag adds pairs to the file, as
+correctness check. Each run also records its heap churn: the minor page
+faults and the system CPU time of ``run.py`` and the workers it waits for,
+and whether it built the nets; the summary gives their medians per side,
+over the runs that built none, without a gate. Running again with the same tag adds pairs to the file, as
 long as both ``src/`` hashes still match. Uses only the standard library, git and
 the benchmark itself.
 """
@@ -28,6 +31,7 @@ import io
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -100,11 +104,32 @@ def export_parent(commit: str) -> Path:
     return dest
 
 
+def run_counted(cmd: list, cwd: Path) -> tuple[subprocess.CompletedProcess, dict]:
+    """Run ``cmd`` to its end; also returns the minor page faults and system
+    CPU seconds that it and the descendants it waited for took."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = subprocess.run(cmd, cwd=cwd, capture_output=True, text=True)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return proc, {"minflt": after.ru_minflt - before.ru_minflt, "stime_s": after.ru_stime - before.ru_stime}
+
+
+def summarize_churn(pairs: list) -> dict:
+    """Per side, the median minor faults and system CPU seconds of a run,
+    over the runs that did not build the nets; not gated."""
+    out = {}
+    for side in ("parent", "change"):
+        runs = [p["churn"][side] for p in pairs if "churn" in p and not p["churn"][side]["built_nets"]]
+        if runs:
+            out[side] = {"runs": len(runs)}
+            out[side].update((key, statistics.median(r[key] for r in runs)) for key in ("minflt", "stime_s"))
+    return out
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One `perfbench/run.py --trace 0` call: its metrics, checks and environment."""
+    """One `perfbench/run.py --trace 0` call: its metrics, checks, heap churn and environment."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
     cmd += ["--seconds", repr(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    proc, churn = run_counted(cmd, checkout)
     if proc.returncode == 2 or not proc.stdout.strip():
         raise RuntimeError(f"{checkout}: {' '.join(cmd[1:])} could not run:\n{proc.stderr[-2000:]}")
     line = json.loads(proc.stdout.strip().splitlines()[-1])
@@ -113,6 +138,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         "metrics": {name: m["value"] for name, m in line["metrics"].items()},
         "correct": line["correct"],
         "digest_matches": "matches the recorded digest" in proc.stdout,
+        "churn": {**churn, "built_nets": "building pretrained nets" in proc.stderr},
         "env": record["env"],
     }
 
@@ -157,10 +183,12 @@ def main(argv=None) -> int:
             **{side: pair[side]["metrics"] for side in ("parent", "change")},
             "correct": {side: pair[side]["correct"] for side in ("parent", "change")},
             "digest_matches": {side: pair[side]["digest_matches"] for side in ("parent", "change")},
+            "churn": {side: pair[side]["churn"] for side in ("parent", "change")},
         })
+        faults = {side: runs[-1]["churn"][side]["minflt"] for side in ("parent", "change")}
         print(f"{args.workload} seed {seed}: " + ", ".join(
             f"{name} {runs[-1]['parent'][name]:.4g} -> {runs[-1]['change'][name]:.4g}" for name in better
-        ), file=sys.stderr)
+        ) + f", minflt {faults['parent']} -> {faults['change']}", file=sys.stderr)
         bench.update(
             tag=args.tag,
             commit=head if not dirty else f"{head} plus uncommitted changes",
@@ -174,6 +202,7 @@ def main(argv=None) -> int:
         )
         for name, entry in bench["workloads"].items():
             entry["summary"] = summarize(entry["pairs"], better)
+            entry["churn"] = summarize_churn(entry["pairs"])
         out_path.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
     return 0
 
