@@ -1,4 +1,4 @@
-"""The standard desk-scale benchmark: domains, pre-training, run drivers.
+"""The standard desk-scale benchmark: domains, pre-training, the experiment table and its runs.
 
 One source domain (clean keypoints, ground truth available) pre-trains both
 networks; one target domain (noisy, dropped keypoints, shifted feature map)
@@ -64,17 +64,25 @@ MD_PRETRAIN_PLAN = ((6000, 1e-3), (6000, 3e-4))
 HMR_CONFIG = HmrConfig(feature_dim=FEATURE_DIM)
 MD_CONFIG = MdConfig()
 
-# each table row: the AdaptConfig fields it overrides in the base config;
-# "no_adapt" keeps the base's denoiser
-VARIANTS = {
-    "no_adapt": {"cycles": 0},
-    "2d_only": {"md_denoiser": "none"},
-    "3d_noncyclic": {"md_denoiser": "frozen_mdnet"},
-    "full_cyclic": {"md_denoiser": "mdnet"},
-    "gaussian": {"md_denoiser": "gaussian"},
-    # regressor held fixed; the denoiser either stays pretrained or adapts
-    "frozen_hmr": {"frozen_hmrnet": True, "md_denoiser": "frozen_mdnet"},
-    "frozen_hmr_adapt_md": {"frozen_hmrnet": True, "md_denoiser": "mdnet"},
+# the paper's experiments: suite -> rows of (label, the AdaptConfig fields the
+# row overrides in the caller's base, random_init or None for the caller's
+# nets, the row source it reports); `run_suite` runs them
+_FULL = {"md_denoiser": "mdnet"}
+_FROZEN = {"frozen_hmrnet": True, "md_denoiser": "frozen_mdnet"}  # regressor and denoiser held fixed
+SUITES = {
+    "table1": (
+        ("frozen_hmrnet", _FROZEN, None, "hmrnet"),
+        ("store_before", _FROZEN, None, "store"),
+        ("store_after", {"frozen_hmrnet": True, "md_denoiser": "mdnet"}, None, "store"),
+    ),
+    "table2": (
+        ("no_adapt", {"cycles": 0}, None, "hmrnet"),  # keeps the base's denoiser
+        ("2d_only", {"md_denoiser": "none"}, None, "hmrnet"),
+        ("3d_noncyclic", {"md_denoiser": "frozen_mdnet"}, None, "hmrnet"),
+        ("full_cyclic", _FULL, None, "hmrnet"),
+    ),
+    "table4": (("full_cyclic", _FULL, None, "hmrnet"), ("gaussian", {"md_denoiser": "gaussian"}, None, "hmrnet")),
+    "suppE": (("pretrained", _FULL, False, "hmrnet"), ("random_init", _FULL, True, "hmrnet")),
 }
 
 
@@ -267,21 +275,12 @@ def pretrain_nets(
     return hmr_params, md_params, tau
 
 
-def variant_config(variant: str | None, base: AdaptConfig) -> AdaptConfig:
-    """Table-row configs differ from the base only in the documented flags;
-    variant None is the base as given."""
-    if variant is not None and variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}, expected one of {tuple(VARIANTS)}")
-    return replace(base, **VARIANTS.get(variant, {}))
-
-
-def run_variant(
-    variant: str | None,
+def run_offline(
+    config: AdaptConfig,
     hmr_params: dict,
     md_params: dict,
     model: BodyModel,
     video: SyntheticVideo,
-    base: AdaptConfig,
     checkpoint_dir=None,
     hmr_config: HmrConfig = HMR_CONFIG,
     md_config: MdConfig = MD_CONFIG,
@@ -293,10 +292,34 @@ def run_variant(
         hmr_params,
         md_config,
         md_params,
-        variant_config(variant, base),
+        config,
         evaluator=make_evaluator(model, video),
         checkpoint_dir=checkpoint_dir,
     )
+
+
+def last_row(run: AdaptRun, source: str) -> tuple:
+    """(cycle, report) of the last row a run logged for source."""
+    rows = [(cycle, rep) for cycle, s, rep in run.rows if s == source]
+    if not rows:
+        raise InvariantError(f"adaptation produced no {source!r} rows")
+    return rows[-1]
+
+
+def run_suite(rows, nets, random_init: bool, model, video, base: AdaptConfig, runs=None, **configs) -> list:
+    """One (cycle, label, report) per table row. A row runs ``replace(base,
+    **overrides)`` on ``nets(r)``, r its random_init or, where None, the
+    caller's; each (config, r) runs once, kept in ``runs`` by that key, so a
+    key already there is not run again. ``configs`` go to `run_offline`."""
+    runs = {} if runs is None else runs
+    out = []
+    for label, overrides, row_init, source in rows:
+        key = (replace(base, **overrides), random_init if row_init is None else row_init)
+        if key not in runs:
+            runs[key] = run_offline(key[0], *nets(key[1]), model, video, **configs)
+        cycle, rep = last_row(runs[key], source)
+        out.append((cycle, label, rep))
+    return out
 
 
 def run_online(

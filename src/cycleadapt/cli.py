@@ -17,10 +17,10 @@ Exit codes: 0 success, 1 unusable config or file (the message names the
 offending path), 2 a violated internal invariant or a numerical failure
 mid-run. A refused setting is a `ConfigError` naming the file and the JSON
 key (``section.key``). ``adapt.md_denoiser`` picks the 3D targets of an
-``adapt`` run (see `adapt.AdaptConfig`; each ``ablate`` row but ``no_adapt``
-sets its own); under the ``online`` flag ``"frozen_mdnet"`` keeps its
-meaning: the causal pass then still writes denoised windows to the store,
-but never updates the denoiser.
+``adapt`` run (see `adapt.AdaptConfig`; each row of `benchmark.SUITES` but
+``no_adapt`` sets its own); under the ``online`` flag ``"frozen_mdnet"``
+keeps its meaning: the causal pass then still writes denoised windows to the
+store, but never updates the denoiser.
 """
 
 from __future__ import annotations
@@ -50,15 +50,18 @@ from .benchmark import (
     N_FRAMES,
     SOURCE_FRAMES,
     SOURCE_SEEDS,
+    SUITES,
     VERTICES,
     benchmark_body,
+    last_row,
     make_evaluator,
     make_source_videos,
     make_target_video,
     pretrain_nets,
     random_nets,
+    run_offline,
     run_online,
-    run_variant,
+    run_suite,
     source_domain,
     target_domain,
 )
@@ -71,20 +74,6 @@ from .metrics import ACCEL_MIN_FRAMES, DegenerateGeometryError
 from .synth import DomainSpec, read_video, write_video
 
 CSV_HEADER = "cycle,source,mpjpe,pa_mpjpe,mpvpe,accel"
-
-# suite -> rows of (label, benchmark variant, random_init override or None
-# for the config's own flag, row source); rows sharing a run reuse it
-SUITES = {
-    "table1": (
-        ("frozen_hmrnet", "frozen_hmr", None, "hmrnet"),
-        ("store_before", "frozen_hmr", None, "store"),
-        ("store_after", "frozen_hmr_adapt_md", None, "store"),
-    ),
-    "table2": tuple((v, v, None, "hmrnet") for v in ("no_adapt", "2d_only", "3d_noncyclic", "full_cyclic")),
-    "table4": tuple((v, v, None, "hmrnet") for v in ("full_cyclic", "gaussian")),
-    "suppE": (("pretrained", "full_cyclic", False, "hmrnet"), ("random_init", "full_cyclic", True, "hmrnet")),
-}
-
 
 class ConfigError(ValueError):
     """The config file (or a file it references) cannot be used as given."""
@@ -138,7 +127,7 @@ class Flags:
 @dataclass(frozen=True)
 class AdaptKnobs:
     """The JSON ``adapt`` section: `AdaptConfig` without ``seed`` (top-level)
-    and ``frozen_hmrnet`` (set only by benchmark variants)."""
+    and ``frozen_hmrnet`` (set only by the rows of `benchmark.SUITES`)."""
 
     cycles: int = AdaptConfig.cycles
     batch: int = AdaptConfig.batch
@@ -386,13 +375,6 @@ def _run_args(cfg: RunConfig, model, video) -> dict:
     return dict(model=model, video=video, base=cfg.adapt_config(), hmr_config=cfg.hmr, md_config=cfg.md)
 
 
-def _last_row(run, source: str):
-    rows = [(cycle, rep) for cycle, s, rep in run.rows if s == source]
-    if not rows:
-        raise InvariantError(f"adaptation produced no {source!r} rows")
-    return rows[-1]
-
-
 def cmd_synth(cfg: RunConfig) -> int:
     model = _body(cfg)
     out = Path(cfg.paths.out_dir)
@@ -443,11 +425,11 @@ def cmd_adapt(cfg: RunConfig) -> int:
         save_hmr(out / "hmr_final.ckpt", cfg.hmr, run.hmr_params)
         save_md(out / "md_final.ckpt", cfg.md, run.md_params)
     else:
-        run = run_variant(None, hmr_params, md_params, checkpoint_dir=out, **_run_args(cfg, model, video))
+        run = run_offline(cfg.adapt_config(), hmr_params, md_params, model, video, out, cfg.hmr, cfg.md)
         rows = run.rows
     emit_metrics_csv(out / "metrics.csv", rows)
     write_config_echo(cfg, out)
-    cycle, rep = _last_row(run, "hmrnet") if not cfg.flags.online else (0, run.report)
+    cycle, rep = last_row(run, "hmrnet") if not cfg.flags.online else (0, run.report)
     print(f"wrote {out / 'metrics.csv'} ({len(rows)} rows); final mpjpe {rep.mpjpe:.6g} at cycle {cycle}")
     return 0
 
@@ -475,16 +457,12 @@ def cmd_ablate(cfg: RunConfig, suite: str) -> int:
         raise ConfigError("ablate runs offline cycles only; flags.online must be false")
     model = _body(cfg)
     video = target_video(cfg, model)
-    runs: dict = {}
-    rows = []
-    for label, variant, random_init, source in SUITES[suite]:
-        flags = cfg.flags if random_init is None else replace(cfg.flags, random_init=random_init)
-        key = (variant, flags.random_init)
-        if key not in runs:
-            nets = load_nets(replace(cfg, flags=flags))
-            runs[key] = run_variant(variant, *nets, **_run_args(cfg, model, video))
-        cycle, rep = _last_row(runs[key], source)
-        rows.append((cycle, label, rep))
+    rows = run_suite(
+        SUITES[suite],
+        lambda random_init: load_nets(replace(cfg, flags=replace(cfg.flags, random_init=random_init))),
+        cfg.flags.random_init,
+        **_run_args(cfg, model, video),
+    )
     out = Path(cfg.paths.out_dir)
     emit_metrics_csv(out / "ablate.csv", rows)
     write_config_echo(cfg, out)

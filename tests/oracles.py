@@ -23,6 +23,13 @@ def rot6d_batch(codes) -> np.ndarray:
     return np.stack([b1, b2, np.cross(b1, b2)], axis=-1)
 
 
+def project_batch(cameras, points) -> np.ndarray:
+    """Reference weak perspective: (B, 3) cameras against (B, N, 3) points."""
+    k = np.asarray(cameras, dtype=np.float64)
+    p = np.asarray(points, dtype=np.float64)
+    return k[:, :1, None] * p[:, :, :2] + k[:, None, 1:]
+
+
 def weighted_sum(g, node: int, w) -> int:
     """A scalar loss node, sum(node * w), built without a reduction op.
 

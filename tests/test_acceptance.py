@@ -1,10 +1,21 @@
 """Acceptance gate: every property and ordering the package promises.
 
 One test per promise, each printing a single PASS/FAIL line (run with
-``pytest -s`` to watch them appear).  The ordering checks run the standard
-benchmark (500 frames, 24 joints, 120 vertices, 512-dim features) across
-seeds 0..4 with one shared pre-training, so the whole file takes a few
-minutes of one CPU core.
+``pytest -s`` to watch them appear).  The ordering checks run every row of
+`bench.SUITES` and one online pass on the standard benchmark (500 frames,
+24 joints, 120 vertices, 512-dim features), seeds 0..4, from one shared
+pre-training: about 200-220 s of one CPU core. On final MPJPE they check:
+no adaptation > 2D-only > non-cyclic > full cyclic, in medians (Table 2);
+on >= 4 of 5 seeds, that with the regressor frozen the adapted store beats
+the pretrained store and the raw outputs (Table 1), that full cyclic beats
+the Gaussian filter (Table 4) and itself from random nets (Supp. E), and
+that online lies between full cyclic and no adaptation; and on every seed,
+that cycle 12 is below cycle 1 and the store at or below the regressor on
+more than 5 of cycles 3-12. All hold at the defaults, `lr_start` 5e-5 and
+12 cycles, and hinge on them, as comparisons of test-time adaptation
+methods do (TTAB, Zhao et al., ICML 2023): at `lr_start` 1e-3, 2D-only is
+best on every seed tried (0-3), and seeds 1-3 reverse the order 2D-only >
+non-cyclic > full cyclic.
 """
 
 import json
@@ -40,11 +51,6 @@ def _verdict(ok: bool, label: str, detail: str) -> None:
     assert ok, line
 
 
-def _final_mpjpe(run, source: str = "hmrnet") -> float:
-    """MPJPE at the last logged cycle: the adapted regressor's outputs, or the store's."""
-    return [r for _, s, r in run.rows if s == source][-1].mpjpe
-
-
 @pytest.fixture(scope="session")
 def nets():
     """One full source pre-training, shared by every ordering check."""
@@ -53,16 +59,13 @@ def nets():
 
 @pytest.fixture(scope="session")
 def sweep(nets):
-    """All benchmark runs the ordering checks need, keyed by seed."""
+    """Every row of every `bench.SUITES` suite by label, plus the online pass,
+    the full cyclic run's rows and wall time, and seed 0's loop record; each
+    keyed by seed."""
     hmr_params, md_params, _tau = nets
     model = bench.benchmark_body()
-    out = {
-        key: {}
-        for key in (
-            "na", "2d", "nc", "full", "gauss", "rand",
-            "frozen", "before", "after", "online", "rows", "seconds",
-        )
-    }
+    rows = [row for suite in bench.SUITES.values() for row in suite]
+    out = {key: {} for key in [label for label, *_ in rows] + ["online", "rows", "seconds"]}
     for seed in SEEDS:
         video = bench.make_target_video(seed, model=model)
         base = AdaptConfig(seed=seed)
@@ -70,22 +73,14 @@ def sweep(nets):
         with pytest.MonkeyPatch.context() as mp:
             if seed == 0:
                 out["loop"] = record_loop(mp)
-            full = bench.run_variant("full_cyclic", hmr_params, md_params, model, video, base)
+            full = bench.run_offline(base, hmr_params, md_params, model, video)
         out["seconds"][seed] = time.perf_counter() - t0
-        out["full"][seed] = _final_mpjpe(full)
         out["rows"][seed] = full.rows
-        for key, variant in (("na", "no_adapt"), ("2d", "2d_only"),
-                             ("nc", "3d_noncyclic"), ("gauss", "gaussian")):
-            run = bench.run_variant(variant, hmr_params, md_params, model, video, base)
-            out[key][seed] = _final_mpjpe(run)
-        rand_h, rand_m = bench.random_nets(seed)
-        rand = bench.run_variant("full_cyclic", rand_h, rand_m, model, video, base)
-        out["rand"][seed] = _final_mpjpe(rand)
-        kept = bench.run_variant("frozen_hmr", hmr_params, md_params, model, video, base)
-        tuned = bench.run_variant("frozen_hmr_adapt_md", hmr_params, md_params, model, video, base)
-        out["frozen"][seed] = _final_mpjpe(kept)
-        out["before"][seed] = _final_mpjpe(kept, "store")
-        out["after"][seed] = _final_mpjpe(tuned, "store")
+        runs = {(base, False): full}  # the full cyclic rows' config and nets
+        nets_for = {False: (hmr_params, md_params), True: bench.random_nets(seed)}
+        for _cycle, label, report in bench.run_suite(rows, nets_for.get, False, model, video, base, runs):
+            out[label][seed] = report.mpjpe
+        assert len(runs) == 8  # one run per config and nets in the union of the suites
         out["online"][seed] = bench.run_online(hmr_params, md_params, model, video, base).report.mpjpe
     return out
 
@@ -201,47 +196,46 @@ def test_benchmark_ordering_of_adaptation_variants(sweep):
     assert bench.FEATURE_DIM == 512
     target = bench.target_domain()
     assert target.kp_noise_std == 0.02 and target.p_drop == 0.2
-    med = {k: statistics.median(sweep[k].values()) for k in ("na", "2d", "nc", "full")}
-    ordered = med["na"] > med["2d"] > med["nc"] > med["full"]
+    med = [statistics.median(sweep[label].values()) for label, *_ in bench.SUITES["table2"]]
     slowest = max(sweep["seconds"].values())
     _verdict(
-        ordered and slowest < 300.0,
+        med[0] > med[1] > med[2] > med[3] and slowest < 300.0,
         "benchmark ordering: no-adapt > 2D-only > non-cyclic 3D+2D > full cyclic (medians, 5 seeds)",
-        f"{med['na']:.2f} > {med['2d']:.2f} > {med['nc']:.2f} > {med['full']:.2f}, slowest run {slowest:.1f}s",
+        " > ".join(f"{m:.2f}" for m in med) + f", slowest run {slowest:.1f}s",
     )
 
 
 def test_denoiser_adaptation_improves_the_store_with_regressor_frozen(sweep):
     wins = sum(
-        sweep["after"][s] < sweep["before"][s] and sweep["after"][s] < sweep["frozen"][s]
+        sweep["store_after"][s] < sweep["store_before"][s] and sweep["store_after"][s] < sweep["frozen_hmrnet"][s]
         for s in SEEDS
     )
     detail = ", ".join(
-        f"s{s}: {sweep['after'][s]:.2f} vs {sweep['before'][s]:.2f}/{sweep['frozen'][s]:.2f}"
+        f"s{s}: {sweep['store_after'][s]:.2f} vs {sweep['store_before'][s]:.2f}/{sweep['frozen_hmrnet'][s]:.2f}"
         for s in SEEDS
     )
     _verdict(wins >= 4, "frozen regressor: adapted store beats pretrained store and raw outputs (>=4/5)", detail)
 
 
 def test_learned_denoiser_beats_gaussian_filter_stage(sweep):
-    wins = sum(sweep["full"][s] < sweep["gauss"][s] for s in SEEDS)
-    detail = ", ".join(f"s{s}: {sweep['full'][s]:.2f} vs {sweep['gauss'][s]:.2f}" for s in SEEDS)
+    wins = sum(sweep["full_cyclic"][s] < sweep["gaussian"][s] for s in SEEDS)
+    detail = ", ".join(f"s{s}: {sweep['full_cyclic'][s]:.2f} vs {sweep['gaussian'][s]:.2f}" for s in SEEDS)
     _verdict(wins >= 4, "full cyclic beats the Gaussian-filter denoiser stage (>=4/5)", detail)
 
 
 def test_pretrained_initialization_beats_random(sweep):
-    wins = sum(sweep["full"][s] < sweep["rand"][s] for s in SEEDS)
-    detail = ", ".join(f"s{s}: {sweep['full'][s]:.2f} vs {sweep['rand'][s]:.2f}" for s in SEEDS)
+    wins = sum(sweep["full_cyclic"][s] < sweep["random_init"][s] for s in SEEDS)
+    detail = ", ".join(f"s{s}: {sweep['full_cyclic'][s]:.2f} vs {sweep['random_init'][s]:.2f}" for s in SEEDS)
     _verdict(wins >= 4, "pretrained initialization beats random initialization (>=4/5)", detail)
 
 
 def test_online_trails_offline_but_beats_no_adaptation(sweep):
     wins = sum(
-        sweep["online"][s] >= sweep["full"][s] and sweep["online"][s] < sweep["na"][s]
+        sweep["online"][s] >= sweep["full_cyclic"][s] and sweep["online"][s] < sweep["no_adapt"][s]
         for s in SEEDS
     )
     detail = ", ".join(
-        f"s{s}: {sweep['online'][s]:.2f} in [{sweep['full'][s]:.2f}, {sweep['na'][s]:.2f})"
+        f"s{s}: {sweep['online'][s]:.2f} in [{sweep['full_cyclic'][s]:.2f}, {sweep['no_adapt'][s]:.2f})"
         for s in SEEDS
     )
     _verdict(wins >= 4, "online sits between offline and no adaptation (>=4/5)", detail)

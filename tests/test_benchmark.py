@@ -1,4 +1,4 @@
-"""Benchmark plumbing: domains, gap dial, evaluator, variant configs, the nets' checkpoints.
+"""Benchmark plumbing: domains, gap dial, evaluator, the experiment table and `run_suite`, the nets' checkpoints.
 
 Everything here runs on shrunken stand-ins; the full-size orderings live in
 the acceptance suite.
@@ -13,8 +13,8 @@ from cycleadapt import benchmark as bench
 from cycleadapt.adapt import AdaptConfig
 from cycleadapt.bodymodel import build_toy_body, scale_body
 from cycleadapt.checkpoint import load_hmr, load_md
-from cycleadapt.hmrnet import hmr_init
-from cycleadapt.mdnet import md_init
+from cycleadapt.hmrnet import HmrConfig, hmr_init
+from cycleadapt.mdnet import MdConfig, md_init
 from cycleadapt.metrics import DegenerateGeometryError
 from cycleadapt.synth import make_video
 
@@ -76,47 +76,48 @@ def test_target_mixing_rejects_out_of_range_alpha():
         bench.target_mixing(alpha=1.5)
 
 
-def test_variant_config_flags():
-    base = AdaptConfig(seed=3)
-    assert bench.variant_config("no_adapt", base).cycles == 0
-    assert bench.variant_config("2d_only", base).md_denoiser == "none"
-    assert bench.variant_config("3d_noncyclic", base).md_denoiser == "frozen_mdnet"
-    full = bench.variant_config("full_cyclic", base)
-    assert full.md_denoiser == "mdnet" and not full.frozen_hmrnet
-    assert full.seed == 3
-    assert bench.variant_config("gaussian", base).md_denoiser == "gaussian"
-    frozen = bench.variant_config("frozen_hmr", base)
-    assert frozen.frozen_hmrnet and frozen.md_denoiser == "frozen_mdnet"
-    adapting = bench.variant_config("frozen_hmr_adapt_md", frozen)
-    assert adapting.frozen_hmrnet and adapting.md_denoiser == "mdnet"
-    with pytest.raises(ValueError, match="unknown variant"):
-        bench.variant_config("bogus", base)
-
-
+# the denoiser mode each table row's label names; no_adapt keeps the base's
 NAMED_MODES = {
-    "2d_only": "none",
-    "3d_noncyclic": "frozen_mdnet",
-    "full_cyclic": "mdnet",
-    "gaussian": "gaussian",
-    "frozen_hmr": "frozen_mdnet",
-    "frozen_hmr_adapt_md": "mdnet",
+    "frozen_hmrnet": "frozen_mdnet", "store_before": "frozen_mdnet", "store_after": "mdnet", "2d_only": "none",
+    "3d_noncyclic": "frozen_mdnet", "full_cyclic": "mdnet", "gaussian": "gaussian", "pretrained": "mdnet",
+    "random_init": "mdnet",
 }
+ALL_ROWS = [row for rows in bench.SUITES.values() for row in rows]
 
 
 @pytest.mark.parametrize("base_mode", ["mdnet", "frozen_mdnet", "gaussian", "none"])
-def test_variant_config_runs_the_mode_its_label_names_on_any_base(base_mode):
-    base = AdaptConfig(md_denoiser=base_mode, seed=3)
-    for variant in bench.VARIANTS:
-        want = NAMED_MODES.get(variant, base_mode)  # no_adapt keeps the base's
-        assert bench.variant_config(variant, base).md_denoiser == want, variant
-    assert bench.variant_config(None, base) == base  # the base as given
+def test_each_table_row_runs_what_its_label_names_on_any_base(base_mode):
+    base = AdaptConfig(cycles=2, batch=8, gamma=0.5, md_denoiser=base_mode, seed=7)
+    for label, overrides, _, _ in ALL_ROWS:  # a row changes no other field, the seed included
+        mode, frozen = NAMED_MODES.get(label, base_mode), label in ("frozen_hmrnet", "store_before", "store_after")
+        want = dataclasses.replace(base, md_denoiser=mode, frozen_hmrnet=frozen, cycles=0 if label == "no_adapt" else 2)
+        assert dataclasses.replace(base, **overrides) == want, label
 
 
-def test_variant_config_respects_base():
-    base = AdaptConfig(cycles=2, batch=8, gamma=0.5, seed=7)
-    cfg = bench.variant_config("2d_only", base)
-    assert cfg.cycles == 2 and cfg.batch == 8 and cfg.gamma == 0.5
-    assert cfg.seed == 7 and cfg.md_denoiser == "none"
+def test_run_suite_runs_each_config_and_nets_once(tiny_bench):
+    model, video = tiny_bench
+    configs = dict(hmr_config=HmrConfig(feature_dim=8, hidden_dim=12, num_hidden_layers=1),
+                   md_config=MdConfig(window=9, blocks=1))
+    inits = []  # one entry per run: the random_init its nets were asked for
+
+    def run(rows, random_init=False, runs=None):
+        inits.clear()
+        return bench.run_suite(rows, nets, random_init, model, video, AdaptConfig(cycles=1, batch=8), runs, **configs)
+
+    def nets(random_init):
+        inits.append(random_init)
+        return bench.random_nets(0, *configs.values())
+
+    assert [label for _, label, _ in run(bench.SUITES["table1"])] == ["frozen_hmrnet", "store_before", "store_after"]
+    assert inits == [False, False]  # the two frozen-regressor rows share a run
+    run(bench.SUITES["table2"], random_init=True)
+    assert inits == [True] * 4  # a row's None takes the caller's random_init
+    runs = {}
+    table2 = run(bench.SUITES["table2"], runs=runs)
+    table4 = run(bench.SUITES["table4"], runs=runs)
+    assert inits == [False] and table4[0][2] is table2[3][2]  # full_cyclic: table2's run, kept in runs
+    run(ALL_ROWS)
+    assert len(inits) == 8  # the union of the four suites
 
 
 def test_source_videos_are_the_bytes_of_one_make_video_call_each():

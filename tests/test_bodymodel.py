@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import DEGENERATE_CODES, rot6d_batch, weighted_sum
+from oracles import DEGENERATE_CODES, project_batch, rot6d_batch, weighted_sum
 
 from cycleadapt.bodymodel import (
     BETA_SIZE,
@@ -466,13 +466,6 @@ def test_projection_scales_linearly_without_translation():
     lhs = project_weak_perspective(cam, 2.5 * points)
     rhs = 2.5 * project_weak_perspective(cam, points)
     assert np.abs(lhs - rhs).max() < 1e-12
-
-
-def project_batch(cameras, points) -> np.ndarray:
-    """Reference weak perspective: (B, 3) cameras against (B, N, 3) points."""
-    k = np.asarray(cameras, dtype=np.float64)
-    p = np.asarray(points, dtype=np.float64)
-    return k[:, :1, None] * p[:, :, :2] + k[:, None, 1:]
 
 
 def test_project_graph_matches_numpy():

@@ -157,6 +157,9 @@ def test_config_casts_loosely_typed_json_values():
     assert echo["body"]["vertices"] == 24 and isinstance(echo["body"]["vertices"], int)
     assert isinstance(echo["synth"]["gap_alpha"], float)
     assert echo["flags"]["online"] is True
+    for lr_end in (0, 1):  # the edges of lr_end's range [0, lr_start]: a schedule down to zero, a constant one
+        adapt = cli.config_from_dict({"adapt": {"lr_start": 1, "lr_end": lr_end}}).adapt_config()
+        assert adapt.lr_end == lr_end and isinstance(adapt.lr_end, float)
 
 
 @pytest.mark.parametrize(

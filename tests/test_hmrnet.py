@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from oracles import project_batch
+
 from cycleadapt.bodymodel import body_forward_batch, build_toy_body, identity_pose
 from cycleadapt.diffcore import Graph, backward, evaluate, grad_check
 from cycleadapt.hmrnet import (
@@ -15,13 +17,6 @@ from cycleadapt.hmrnet import (
 )
 
 SMALL = HmrConfig(feature_dim=5, hidden_dim=6, num_hidden_layers=2)
-
-
-def project_batch(cameras, points) -> np.ndarray:
-    """Reference weak perspective: (B, 3) cameras against (B, N, 3) points."""
-    k = np.asarray(cameras, dtype=np.float64)
-    p = np.asarray(points, dtype=np.float64)
-    return k[:, :1, None] * p[:, :, :2] + k[:, None, 1:]
 
 
 def _loss_value(model, config, params, features, keypoints, **kw):

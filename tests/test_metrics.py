@@ -315,6 +315,7 @@ def test_frame_permutation_changes_accel_but_not_mpjpe():
 def test_metric_report_rejects_negative_values():
     with pytest.raises(ValueError):
         MetricReport(mpjpe=1.0, pa_mpjpe=0.5, mpvpe=-0.1, accel=0.0)
+    MetricReport(mpjpe=0.0, pa_mpjpe=0.0, mpvpe=0.0, accel=0.0)  # a perfect prediction is accepted
 
 
 def test_metric_report_rejects_pa_above_mpjpe():

@@ -30,6 +30,8 @@ def _bits(arrays: dict) -> dict:
 def test_cosine_endpoints():
     assert cosine_lr(0, 100) == 5e-5
     assert cosine_lr(100, 100) == pytest.approx(1e-6, abs=1e-20)
+    assert cosine_lr(0, 1) == 5e-5 and cosine_lr(1, 1) == pytest.approx(1e-6, abs=1e-20)  # a one-step schedule
+    assert all(cosine_lr(s, 10, 3e-5, 3e-5) == 3e-5 for s in range(11))  # lr_start == lr_end: constant
 
 
 def test_cosine_midpoint_value():
