@@ -76,22 +76,60 @@ def test_target_mixing_rejects_out_of_range_alpha():
         bench.target_mixing(alpha=1.5)
 
 
+# a variant is one row of the experiment table: a label and the AdaptConfig fields it overrides
+ALL_ROWS = [row for rows in bench.SUITES.values() for row in rows]
+VARIANTS = {label: overrides for label, overrides, _, _ in ALL_ROWS}
+
+
+def variant_config(label, base):
+    return dataclasses.replace(base, **VARIANTS[label])
+
+
+def test_variant_config_flags():
+    assert all(VARIANTS[label] == overrides for label, overrides, _, _ in ALL_ROWS)  # a label means one config
+    base = AdaptConfig(seed=3)
+    assert variant_config("no_adapt", base).cycles == 0
+    assert variant_config("2d_only", base).md_denoiser == "none"
+    assert variant_config("3d_noncyclic", base).md_denoiser == "frozen_mdnet"
+    full = variant_config("full_cyclic", base)
+    assert full.md_denoiser == "mdnet" and not full.frozen_hmrnet
+    assert full.seed == 3
+    assert variant_config("gaussian", base).md_denoiser == "gaussian"
+    for label in ("frozen_hmrnet", "store_before"):
+        frozen = variant_config(label, base)
+        assert frozen.frozen_hmrnet and frozen.md_denoiser == "frozen_mdnet"
+    adapting = variant_config("store_after", base)
+    assert adapting.frozen_hmrnet and adapting.md_denoiser == "mdnet"
+    for label in ("pretrained", "random_init"):
+        assert variant_config(label, base) == full
+
+
 # the denoiser mode each table row's label names; no_adapt keeps the base's
 NAMED_MODES = {
     "frozen_hmrnet": "frozen_mdnet", "store_before": "frozen_mdnet", "store_after": "mdnet", "2d_only": "none",
     "3d_noncyclic": "frozen_mdnet", "full_cyclic": "mdnet", "gaussian": "gaussian", "pretrained": "mdnet",
     "random_init": "mdnet",
 }
-ALL_ROWS = [row for rows in bench.SUITES.values() for row in rows]
 
 
 @pytest.mark.parametrize("base_mode", ["mdnet", "frozen_mdnet", "gaussian", "none"])
-def test_each_table_row_runs_what_its_label_names_on_any_base(base_mode):
-    base = AdaptConfig(cycles=2, batch=8, gamma=0.5, md_denoiser=base_mode, seed=7)
-    for label, overrides, _, _ in ALL_ROWS:  # a row changes no other field, the seed included
-        mode, frozen = NAMED_MODES.get(label, base_mode), label in ("frozen_hmrnet", "store_before", "store_after")
-        want = dataclasses.replace(base, md_denoiser=mode, frozen_hmrnet=frozen, cycles=0 if label == "no_adapt" else 2)
-        assert dataclasses.replace(base, **overrides) == want, label
+def test_variant_config_runs_the_mode_its_label_names_on_any_base(base_mode):
+    base = AdaptConfig(md_denoiser=base_mode, seed=3)
+    for label in VARIANTS:
+        frozen = label in ("frozen_hmrnet", "store_before", "store_after")
+        cfg = variant_config(label, base)
+        assert (cfg.md_denoiser, cfg.frozen_hmrnet) == (NAMED_MODES.get(label, base_mode), frozen), label
+
+
+def test_variant_config_respects_base():
+    base = AdaptConfig(cycles=2, batch=8, gamma=0.5, seed=7)
+    for label in VARIANTS:  # a row changes no other field, the seed included
+        cfg = variant_config(label, base)
+        moved = dict(md_denoiser=cfg.md_denoiser, frozen_hmrnet=cfg.frozen_hmrnet)
+        assert cfg == dataclasses.replace(base, cycles=0 if label == "no_adapt" else 2, **moved), label
+    cfg = variant_config("2d_only", base)
+    assert cfg.cycles == 2 and cfg.batch == 8 and cfg.gamma == 0.5
+    assert cfg.seed == 7 and cfg.md_denoiser == "none"
 
 
 def test_run_suite_runs_each_config_and_nets_once(tiny_bench):
