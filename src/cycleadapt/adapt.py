@@ -147,15 +147,15 @@ class AdaptConfig:
             raise ValueError(f"AdaptConfig.cycles must be >= 0, got {self.cycles}")
         if self.batch < 1:
             raise ValueError(f"AdaptConfig.batch must be >= 1, got {self.batch}")
-        if self.lr_start < self.lr_end or self.lr_end < 0:
+        if not 0 <= self.lr_end <= self.lr_start:
             raise ValueError(f"AdaptConfig.lr_end must be in [0, lr_start {self.lr_start}], got {self.lr_end}")
-        if self.gamma < 0:
+        if not self.gamma >= 0:
             raise ValueError(f"AdaptConfig.gamma must be >= 0, got {self.gamma}")
         if self.seed < 0:
             raise ValueError(f"AdaptConfig.seed must be >= 0, got {self.seed}")
         if self.md_denoiser not in DENOISERS:
             raise ValueError(f"AdaptConfig.md_denoiser must be one of {DENOISERS}, got {self.md_denoiser!r}")
-        if self.gaussian_std <= 0:
+        if not self.gaussian_std > 0:
             raise ValueError(f"AdaptConfig.gaussian_std must be > 0, got {self.gaussian_std}")
 
 

@@ -1,4 +1,8 @@
-"""The standard desk-scale benchmark: domains, pre-training, the experiment table and its runs.
+"""The standard desk-scale benchmark: body, domains, pre-training, the experiment table and its runs.
+
+`Body`, `Pretrain`, `SOURCE` and `TARGET` are the standard set-up; they are
+also the ``body``, ``pretrain``, ``source`` and ``target`` sections of the
+command line's config, so each setting and its check is declared here once.
 
 One source domain (clean keypoints, ground truth available) pre-trains both
 networks; one target domain (noisy, dropped keypoints, shifted feature map)
@@ -19,7 +23,8 @@ headroom on the test video.
 
 from __future__ import annotations
 
-from dataclasses import replace
+import math
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -45,17 +50,12 @@ from .synth import DomainSpec, SyntheticVideo, make_video, mixing_matrices
 N_FRAMES = 500
 FEATURE_DIM = 512
 JOINTS = 24
-VERTICES = 120
-BODY_SEED = 7
-BODY_SCALE = 0.15
 GAP_ALPHA = 0.35
 FREQ_RANGE = (0.01, 0.04)
 AMP_RANGE = (0.2, 0.6)
 
 SOURCE_SEEDS = tuple(range(1000, 1006))
 SOURCE_FRAMES = 400
-HMR_PRETRAIN_STEPS = 4000
-HMR_PRETRAIN_LR = 1e-3
 MD_PRETRAIN_SIGMA = 0.05
 # (steps, lr) stages run back to back; two stages with a decayed rate land
 # the denoiser well-trained but short of convergence on purpose
@@ -63,6 +63,66 @@ MD_PRETRAIN_PLAN = ((6000, 1e-3), (6000, 3e-4))
 
 HMR_CONFIG = HmrConfig(feature_dim=FEATURE_DIM)
 MD_CONFIG = MdConfig()
+
+SOURCE = DomainSpec(
+    name="source",
+    freq_range=FREQ_RANGE,
+    amp_range=AMP_RANGE,
+    mixing_seed=101,
+    feature_noise_std=0.01,
+    kp_noise_std=0.0,
+    p_drop=0.0,
+)
+TARGET = DomainSpec(
+    name="target",
+    freq_range=FREQ_RANGE,
+    amp_range=AMP_RANGE,
+    mixing_seed=202,
+    feature_noise_std=0.3,
+    kp_noise_std=0.02,
+    p_drop=0.2,
+)
+
+
+@dataclass(frozen=True)
+class Body:
+    """The toy body every video is posed with (`benchmark_body`)."""
+
+    seed: int = 7
+    vertices: int = 120
+    scale: float = 0.15
+
+    def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"Body.seed must be >= 0, got {self.seed}")
+        if self.vertices < JOINTS:
+            raise ValueError(f"Body.vertices must be >= {JOINTS} (one per joint), got {self.vertices}")
+        if not 0 < self.scale < math.inf:
+            raise ValueError(f"Body.scale must be a finite number > 0, got {self.scale}")
+
+
+@dataclass(frozen=True)
+class Pretrain:
+    """The source pre-training recipe of both nets (`pretrain_nets`)."""
+
+    hmr_steps: int = 4000
+    hmr_lr: float = 1e-3
+    md_sigma: float = MD_PRETRAIN_SIGMA
+    md_plan: tuple = MD_PRETRAIN_PLAN
+
+    def __post_init__(self) -> None:
+        # in the words the config parser uses for a non-finite JSON number
+        for name in ("hmr_lr", "md_sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"Pretrain.{name} must be a finite number, got {getattr(self, name)!r}")
+        if self.hmr_steps < 1:
+            raise ValueError(f"Pretrain.hmr_steps must be >= 1, got {self.hmr_steps}")
+        if self.hmr_lr <= 0:
+            raise ValueError(f"Pretrain.hmr_lr must be > 0, got {self.hmr_lr}")
+        if self.md_sigma < 0:
+            raise ValueError(f"Pretrain.md_sigma must be >= 0, got {self.md_sigma}")
+        if not self.md_plan or not all(s >= 1 and 0 < lr < math.inf for s, lr in self.md_plan):
+            raise ValueError("Pretrain.md_plan needs at least one (steps >= 1, lr > 0) stage")
 
 # the paper's experiments: suite -> rows of (label, the AdaptConfig fields the
 # row overrides in the caller's base, random_init or None for the caller's
@@ -86,39 +146,15 @@ SUITES = {
 }
 
 
-def benchmark_body(seed: int = BODY_SEED, vertices: int = VERTICES, scale: float = BODY_SCALE) -> BodyModel:
-    return scale_body(build_toy_body(seed, joints=JOINTS, vertices=vertices), scale)
-
-
-def source_domain() -> DomainSpec:
-    return DomainSpec(
-        name="source",
-        freq_range=FREQ_RANGE,
-        amp_range=AMP_RANGE,
-        mixing_seed=101,
-        feature_noise_std=0.01,
-        kp_noise_std=0.0,
-        p_drop=0.0,
-    )
-
-
-def target_domain() -> DomainSpec:
-    return DomainSpec(
-        name="target",
-        freq_range=FREQ_RANGE,
-        amp_range=AMP_RANGE,
-        mixing_seed=202,
-        feature_noise_std=0.3,
-        kp_noise_std=0.02,
-        p_drop=0.2,
-    )
+def benchmark_body(body: Body = Body()) -> BodyModel:
+    return scale_body(build_toy_body(body.seed, joints=JOINTS, vertices=body.vertices), body.scale)
 
 
 def target_mixing(
     feature_dim: int = FEATURE_DIM,
     alpha: float = GAP_ALPHA,
-    source: DomainSpec | None = None,
-    target: DomainSpec | None = None,
+    source: DomainSpec = SOURCE,
+    target: DomainSpec = TARGET,
 ):
     """Target feature map: source map blended toward an independent one.
 
@@ -127,8 +163,8 @@ def target_mixing(
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"target_mixing: alpha must be in [0, 1], got {alpha}")
-    a_src, b_src = mixing_matrices(source_domain() if source is None else source, feature_dim)
-    a_far, b_far = mixing_matrices(target_domain() if target is None else target, feature_dim)
+    a_src, b_src = mixing_matrices(source, feature_dim)
+    a_far, b_far = mixing_matrices(target, feature_dim)
     return (1.0 - alpha) * a_src + alpha * a_far, (1.0 - alpha) * b_src + alpha * b_far
 
 
@@ -138,11 +174,10 @@ def make_target_video(
     feature_dim: int = FEATURE_DIM,
     model: BodyModel | None = None,
     alpha: float = GAP_ALPHA,
-    source: DomainSpec | None = None,
-    target: DomainSpec | None = None,
+    source: DomainSpec = SOURCE,
+    target: DomainSpec = TARGET,
 ) -> SyntheticVideo:
     model = benchmark_body() if model is None else model
-    target = target_domain() if target is None else target
     mixing = target_mixing(feature_dim, alpha, source, target)
     return make_video(target, model, n_frames, feature_dim, seed, mixing=mixing)
 
@@ -152,10 +187,9 @@ def make_source_videos(
     seeds=SOURCE_SEEDS,
     n_frames: int = SOURCE_FRAMES,
     feature_dim: int = FEATURE_DIM,
-    source: DomainSpec | None = None,
+    source: DomainSpec = SOURCE,
 ) -> list:
     model = benchmark_body() if model is None else model
-    source = source_domain() if source is None else source
     mixing = mixing_matrices(source, feature_dim)
     return [make_video(source, model, n_frames, feature_dim, s, mixing=mixing) for s in seeds]
 
@@ -239,16 +273,15 @@ def hmr_pretrain(
 def pretrain_nets(
     model: BodyModel | None = None,
     cache_dir=None,
-    hmr_steps: int = HMR_PRETRAIN_STEPS,
-    md_plan=MD_PRETRAIN_PLAN,
-    hmr_lr: float = HMR_PRETRAIN_LR,
-    md_sigma: float = MD_PRETRAIN_SIGMA,
+    recipe: Pretrain = Pretrain(),
     videos: list | None = None,
     hmr_config: HmrConfig = HMR_CONFIG,
     md_config: MdConfig = MD_CONFIG,
 ) -> tuple[dict, dict, float]:
-    """Both networks trained on source videos, plus the recorded tau.
+    """Both networks trained on source videos by ``recipe``, plus the recorded tau.
 
+    The regressor takes ``recipe.hmr_steps`` steps at ``recipe.hmr_lr``; the
+    denoiser runs the stages of ``recipe.md_plan`` at noise ``recipe.md_sigma``.
     The videos default to `make_source_videos(model)`. With cache_dir set,
     the two nets are also written there, as ``hmr_src.ckpt`` and
     ``md_src.ckpt``; nothing is read back from it.
@@ -256,17 +289,18 @@ def pretrain_nets(
     model = benchmark_body() if model is None else model
     videos = make_source_videos(model) if videos is None else videos
     hmr_params, curve = hmr_pretrain(
-        model, hmr_config, hmr_init(hmr_config, seed=0), videos, steps=hmr_steps, lr=hmr_lr, seed=0
+        model, hmr_config, hmr_init(hmr_config, seed=0), videos, steps=recipe.hmr_steps, lr=recipe.hmr_lr, seed=0
     )
     tau = curve[-1][1]
     motions = [v.gt_params.theta for v in videos]
     md_params = md_init(md_config, seed=0)
-    for stage, (steps, lr) in enumerate(md_plan):
+    sigma, plan = recipe.md_sigma, recipe.md_plan
+    for stage, (steps, lr) in enumerate(plan):
         # each stage starts a fresh Adam state, so a divergence names its stage
         try:
-            md_params, _ = md_pretrain(md_config, md_params, motions, sigma=md_sigma, steps=steps, lr=lr, seed=stage)
+            md_params, _ = md_pretrain(md_config, md_params, motions, sigma=sigma, steps=steps, lr=lr, seed=stage)
         except InvariantError as err:
-            raise InvariantError(f"md_plan stage {stage + 1} of {len(md_plan)}: {err}") from err
+            raise InvariantError(f"md_plan stage {stage + 1} of {len(plan)}: {err}") from err
     if cache_dir is not None:
         cache = Path(cache_dir)
         cache.mkdir(parents=True, exist_ok=True)

@@ -9,7 +9,11 @@ Subcommands cover the whole pipeline on synthetic data:
   ablate    run a named suite of configurations into one combined CSV
 
 The work itself is done by the `benchmark` module; this one parses the
-config, writes the files and maps failures onto exit codes. Every command
+config, writes the files and maps failures onto exit codes. Most config
+sections are library types themselves (`benchmark.Body`, `benchmark.Pretrain`,
+the two `synth.DomainSpec` domains, `HmrConfig`, `MdConfig`), so a setting is
+checked where it is declared; the sections defined here hold the run's
+paths, its flags, the adaptation knobs and the synthesis sizes. Every command
 echoes its effective config as ``config.json`` into the output directory,
 so any run is reproducible from that file and nothing else.
 
@@ -37,21 +41,18 @@ from pathlib import Path
 
 from .adapt import AdaptConfig, InvariantError
 from .benchmark import (
-    BODY_SCALE,
-    BODY_SEED,
     GAP_ALPHA,
     HMR_CONFIG,
-    HMR_PRETRAIN_LR,
-    HMR_PRETRAIN_STEPS,
     JOINTS,
     MD_CONFIG,
-    MD_PRETRAIN_PLAN,
-    MD_PRETRAIN_SIGMA,
     N_FRAMES,
+    SOURCE,
     SOURCE_FRAMES,
     SOURCE_SEEDS,
     SUITES,
-    VERTICES,
+    TARGET,
+    Body,
+    Pretrain,
     benchmark_body,
     last_row,
     make_evaluator,
@@ -62,8 +63,6 @@ from .benchmark import (
     run_offline,
     run_online,
     run_suite,
-    source_domain,
-    target_domain,
 )
 from .bodymodel import body_forward_batch
 from .checkpoint import load_hmr, load_md, save_hmr, save_md
@@ -142,21 +141,6 @@ class AdaptKnobs:
 
 
 @dataclass(frozen=True)
-class Body:
-    seed: int = BODY_SEED
-    vertices: int = VERTICES
-    scale: float = BODY_SCALE
-
-    def __post_init__(self) -> None:
-        if self.seed < 0:
-            raise ValueError(f"body.seed must be >= 0, got {self.seed}")
-        if self.vertices < JOINTS:
-            raise ValueError(f"body.vertices must be >= {JOINTS} (one per joint), got {self.vertices}")
-        if not 0 < self.scale < math.inf:
-            raise ValueError(f"body.scale must be a finite number > 0, got {self.scale}")
-
-
-@dataclass(frozen=True)
 class Synth:
     video_frames: int = N_FRAMES
     gap_alpha: float = GAP_ALPHA
@@ -174,24 +158,6 @@ class Synth:
 
 
 @dataclass(frozen=True)
-class Pretrain:
-    hmr_steps: int = HMR_PRETRAIN_STEPS
-    hmr_lr: float = HMR_PRETRAIN_LR
-    md_sigma: float = MD_PRETRAIN_SIGMA
-    md_plan: tuple = MD_PRETRAIN_PLAN
-
-    def __post_init__(self) -> None:
-        if self.hmr_steps < 1:
-            raise ValueError(f"pretrain.hmr_steps must be >= 1, got {self.hmr_steps}")
-        if self.hmr_lr <= 0:
-            raise ValueError(f"pretrain.hmr_lr must be > 0, got {self.hmr_lr}")
-        if self.md_sigma < 0:
-            raise ValueError(f"pretrain.md_sigma must be >= 0, got {self.md_sigma}")
-        if not self.md_plan or any(s < 1 or lr <= 0 for s, lr in self.md_plan):
-            raise ValueError("pretrain.md_plan needs at least one (steps >= 1, lr > 0) stage")
-
-
-@dataclass(frozen=True)
 class RunConfig:
     """Everything one run needs: the seed plus one field per JSON section.
 
@@ -206,8 +172,8 @@ class RunConfig:
     hmr: HmrConfig = HMR_CONFIG
     md: MdConfig = MD_CONFIG
     adapt: AdaptKnobs = AdaptKnobs()
-    source: DomainSpec = source_domain()
-    target: DomainSpec = target_domain()
+    source: DomainSpec = SOURCE
+    target: DomainSpec = TARGET
     body: Body = Body()
     synth: Synth = Synth()
     pretrain: Pretrain = Pretrain()
@@ -311,10 +277,6 @@ def emit_metrics_csv(path, rows) -> None:
         fh.write(format_metrics_rows(rows))
 
 
-def _body(cfg: RunConfig):
-    return benchmark_body(**dataclasses.asdict(cfg.body))
-
-
 def _source_videos(cfg: RunConfig, model, seeds) -> list:
     return make_source_videos(model, seeds, cfg.synth.source_frames, cfg.hmr.feature_dim, cfg.source)
 
@@ -361,8 +323,9 @@ def _load_checked(load, path, config, what: str) -> dict:
     return params
 
 
-def load_nets(cfg: RunConfig) -> tuple[dict, dict]:
-    if cfg.flags.random_init:
+def load_nets(cfg: RunConfig, random_init: bool) -> tuple[dict, dict]:
+    """Fresh nets from the run's seed if random_init, else the config's checkpoints."""
+    if random_init:
         return random_nets(cfg.seed, cfg.hmr, cfg.md)
     return (
         _load_checked(load_hmr, cfg.paths.hmr_ckpt, cfg.hmr, "regressor"),
@@ -376,7 +339,7 @@ def _run_args(cfg: RunConfig, model, video) -> dict:
 
 
 def cmd_synth(cfg: RunConfig) -> int:
-    model = _body(cfg)
+    model = benchmark_body(cfg.body)
     out = Path(cfg.paths.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     # the source sample reuses the pretraining seed family so it looks like
@@ -391,14 +354,10 @@ def cmd_synth(cfg: RunConfig) -> int:
 
 
 def cmd_pretrain(cfg: RunConfig) -> int:
-    model = _body(cfg)
+    model = benchmark_body(cfg.body)
     seeds = range(SOURCE_SEEDS[0], SOURCE_SEEDS[0] + cfg.synth.source_count)
     hmr_params, md_params, tau = pretrain_nets(
-        model,
-        videos=_source_videos(cfg, model, seeds),
-        hmr_config=cfg.hmr,
-        md_config=cfg.md,
-        **dataclasses.asdict(cfg.pretrain),
+        model, recipe=cfg.pretrain, videos=_source_videos(cfg, model, seeds), hmr_config=cfg.hmr, md_config=cfg.md
     )
     for p in (cfg.paths.hmr_ckpt, cfg.paths.md_ckpt):
         Path(p).parent.mkdir(parents=True, exist_ok=True)
@@ -414,9 +373,9 @@ def cmd_pretrain(cfg: RunConfig) -> int:
 
 
 def cmd_adapt(cfg: RunConfig) -> int:
-    model = _body(cfg)
+    model = benchmark_body(cfg.body)
     video = target_video(cfg, model)
-    hmr_params, md_params = load_nets(cfg)
+    hmr_params, md_params = load_nets(cfg, cfg.flags.random_init)
     out = Path(cfg.paths.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if cfg.flags.online:
@@ -437,7 +396,7 @@ def cmd_adapt(cfg: RunConfig) -> int:
 def cmd_eval(cfg: RunConfig, checkpoint, video_path) -> int:
     if video_path is None:
         raise ConfigError("eval needs a video file: pass --video or set paths.video")
-    model = _body(cfg)
+    model = benchmark_body(cfg.body)
     video = _read_checked_video(cfg, model, video_path)
     params = _load_checked(load_hmr, checkpoint, cfg.hmr, "regressor")
     theta, beta, _cam = hmr_forward(params, video.features)
@@ -455,11 +414,11 @@ def cmd_ablate(cfg: RunConfig, suite: str) -> int:
         raise ConfigError(f"unknown suite {suite!r}, expected one of {sorted(SUITES)}")
     if cfg.flags.online:
         raise ConfigError("ablate runs offline cycles only; flags.online must be false")
-    model = _body(cfg)
+    model = benchmark_body(cfg.body)
     video = target_video(cfg, model)
     rows = run_suite(
         SUITES[suite],
-        lambda random_init: load_nets(replace(cfg, flags=replace(cfg.flags, random_init=random_init))),
+        lambda random_init: load_nets(cfg, random_init),
         cfg.flags.random_init,
         **_run_args(cfg, model, video),
     )

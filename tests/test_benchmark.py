@@ -1,4 +1,5 @@
-"""Benchmark plumbing: domains, gap dial, evaluator, the experiment table and `run_suite`, the nets' checkpoints.
+"""Benchmark plumbing: body, domains, recipe checks, gap dial, evaluator, the experiment table and `run_suite`,
+the nets' checkpoints.
 
 Everything here runs on shrunken stand-ins; the full-size orderings live in
 the acceptance suite.
@@ -21,11 +22,54 @@ from cycleadapt.synth import make_video
 
 def test_benchmark_body_dimensions_and_scale():
     model = bench.benchmark_body()
+    body = bench.Body()
     assert model.joint_count == bench.JOINTS
-    assert model.template_vertices.shape == (bench.VERTICES, 3)
-    unscaled = build_toy_body(bench.BODY_SEED, joints=bench.JOINTS, vertices=bench.VERTICES)
+    assert model.template_vertices.shape == (body.vertices, 3)
+    unscaled = build_toy_body(body.seed, joints=bench.JOINTS, vertices=body.vertices)
     rest_joints = model.joint_regressor @ model.template_vertices
-    assert np.allclose(rest_joints, unscaled.joint_regressor @ unscaled.template_vertices * bench.BODY_SCALE)
+    assert np.allclose(rest_joints, unscaled.joint_regressor @ unscaled.template_vertices * body.scale)
+
+
+# the body and pretrain cases of the CLI's refused-setting test, built directly
+@pytest.mark.parametrize(
+    "cls, key, value",
+    [
+        ("Pretrain", "md_sigma", -1.0),
+        pytest.param("Pretrain", "md_plan", ((0, 1e-3),), id="Pretrain-md_plan-no_steps"),
+        ("Pretrain", "hmr_lr", float("inf")),
+        pytest.param("Pretrain", "md_plan", ((10, float("nan")),), id="Pretrain-md_plan-nan_lr"),
+        ("Body", "vertices", 3),
+        ("Body", "scale", 0.0),
+        ("Body", "scale", -1.0),
+        ("Body", "scale", float("nan")),
+        ("Body", "seed", -1),
+    ],
+)
+def test_a_refused_body_or_recipe_setting_raises_in_the_library(cls, key, value):
+    with pytest.raises(ValueError, match=rf"^{cls}\.{key} "):
+        getattr(bench, cls)(**{key: value})
+
+
+FLOAT_FIELDS = [
+    (cls, field.name)
+    for cls in (AdaptConfig, bench.Body, bench.Pretrain)
+    for field in dataclasses.fields(cls)
+    if field.type == "float"
+]
+
+
+@pytest.mark.parametrize("cls, name", FLOAT_FIELDS, ids=[f"{cls.__name__}.{name}" for cls, name in FLOAT_FIELDS])
+def test_a_nan_float_setting_is_refused_by_its_type(cls, name):
+    with pytest.raises(ValueError, match=rf"^{cls.__name__}\."):
+        cls(**{name: float("nan")})
+
+
+@pytest.mark.parametrize("setting", [dict(hmr_lr=-1.0), dict(md_plan=((10, -1e-3),))], ids=["hmr_lr", "md_plan"])
+def test_pretrain_nets_cannot_be_reached_with_a_refused_recipe(setting):
+    with pytest.raises(TypeError):  # the recipe is one argument, not loose keywords
+        bench.pretrain_nets(**setting)
+    with pytest.raises(ValueError):
+        bench.pretrain_nets(recipe=bench.Pretrain(**setting))
 
 
 def test_scale_body_scales_posed_geometry_exactly():
@@ -49,7 +93,7 @@ def test_scale_body_rejects_nonpositive():
 
 
 def test_domains_differ_only_where_the_gap_lives():
-    src, tgt = bench.source_domain(), bench.target_domain()
+    src, tgt = bench.SOURCE, bench.TARGET
     assert src.freq_range == tgt.freq_range
     assert src.amp_range == tgt.amp_range
     assert src.mixing_seed != tgt.mixing_seed
@@ -62,11 +106,11 @@ def test_target_mixing_endpoints():
     a_src, b_src = bench.target_mixing(alpha=0.0)
     from cycleadapt.synth import mixing_matrices
 
-    a0, b0 = mixing_matrices(bench.source_domain(), bench.FEATURE_DIM)
+    a0, b0 = mixing_matrices(bench.SOURCE, bench.FEATURE_DIM)
     assert np.array_equal(a_src, a0)
     assert np.array_equal(b_src, b0)
     a_far, b_far = bench.target_mixing(alpha=1.0)
-    a1, b1 = mixing_matrices(bench.target_domain(), bench.FEATURE_DIM)
+    a1, b1 = mixing_matrices(bench.TARGET, bench.FEATURE_DIM)
     assert np.array_equal(a_far, a1)
     assert np.array_equal(b_far, b1)
 
@@ -165,7 +209,7 @@ def test_source_videos_are_the_bytes_of_one_make_video_call_each():
     videos = bench.make_source_videos(model, seeds=seeds, n_frames=frames, feature_dim=dim)
     assert len(videos) == len(seeds)
     for seed, video in zip(seeds, videos):
-        alone = make_video(bench.source_domain(), model, frames, dim, seed)
+        alone = make_video(bench.SOURCE, model, frames, dim, seed)
         for field in dataclasses.fields(alone):
             a, b = getattr(video, field.name), getattr(alone, field.name)
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), (seed, field.name)
@@ -222,9 +266,9 @@ def test_pretrain_nets_writes_both_nets_to_cache_dir(tmp_path):
     """cache_dir is where the two checkpoints go; nothing is read back, so a
     second call trains again and writes the same nets."""
     # tiny step counts: the write, not the training quality, is under test
-    plan = ((4, 1e-3),)
+    recipe = bench.Pretrain(hmr_steps=3, md_plan=((4, 1e-3),))
     nets_dir = tmp_path / "nets"
-    hmr_params, md_params, tau = bench.pretrain_nets(cache_dir=nets_dir, hmr_steps=3, md_plan=plan)
+    hmr_params, md_params, tau = bench.pretrain_nets(cache_dir=nets_dir, recipe=recipe)
     assert sorted(f.name for f in nets_dir.iterdir()) == ["hmr_src.ckpt", "md_src.ckpt"]
     for (config, params), want_config, want in (
         (load_hmr(nets_dir / "hmr_src.ckpt"), bench.HMR_CONFIG, hmr_params),
@@ -236,7 +280,7 @@ def test_pretrain_nets_writes_both_nets_to_cache_dir(tmp_path):
     written = [(nets_dir / name).read_bytes() for name in names]
     for name in names:
         (nets_dir / name).write_bytes(b"not a checkpoint")
-    again = bench.pretrain_nets(cache_dir=nets_dir, hmr_steps=3, md_plan=plan)
+    again = bench.pretrain_nets(cache_dir=nets_dir, recipe=recipe)
     assert again[2] == tau
     assert all(np.array_equal(again[1][k], md_params[k]) for k in md_params)
     assert [(nets_dir / name).read_bytes() for name in names] == written

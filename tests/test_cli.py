@@ -2,7 +2,6 @@
 dialect, config round trips, and the documented exit codes.
 """
 
-import dataclasses
 import json
 import math
 import re
@@ -518,7 +517,7 @@ def test_eval_with_the_matching_body_scores_the_video(ws, tmp_path):
     code, video = _eval_with_body(ws, tmp_path)
     assert code == 0
     cfg = cli.config_from_dict(ws["config"])
-    model = benchmark.benchmark_body(**dataclasses.asdict(cfg.body))
+    model = benchmark.benchmark_body(cfg.body)
     clip, _spec = read_video(video)
     theta, beta, _cam = hmr_forward(load_hmr(cfg.paths.hmr_ckpt)[1], clip.features)
     expected = tmp_path / "expected.csv"

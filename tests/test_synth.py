@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from cycleadapt.benchmark import source_domain, target_domain, target_mixing
+from cycleadapt.benchmark import SOURCE, TARGET, target_mixing
 from cycleadapt.bodymodel import build_toy_body, identity_pose, project_weak_perspective
 from cycleadapt.checkpoint import read_arrays, write_arrays
 from cycleadapt.mdnet import gaussian_filter_baseline
@@ -186,9 +186,9 @@ def _per_frame_video(spec, model, n_frames, feature_dim, seed, mixing=None):
 
 
 BATCHED_SYNTHESIS_CASES = {
-    "source domain": dict(spec=source_domain()),
-    "target domain": dict(spec=target_domain()),
-    "a mixing override": dict(spec=target_domain(), mixing=target_mixing(64, 0.6, source_domain(), target_domain())),
+    "source domain": dict(spec=SOURCE),
+    "target domain": dict(spec=TARGET),
+    "a mixing override": dict(spec=TARGET, mixing=target_mixing(64, 0.6, SOURCE, TARGET)),
     "p_drop 0": dict(spec=_spec(p_drop=0.0)),
     "p_drop 1": dict(spec=_spec(p_drop=1.0)),
     "kp_noise_std 0": dict(spec=_spec(kp_noise_std=0.0)),
