@@ -143,6 +143,9 @@ class AdaptConfig:
     gaussian_std: float = 2.0
 
     def __post_init__(self) -> None:
+        for name in ("lr_start", "lr_end", "gamma", "gaussian_std"):  # in the config parser's words
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"AdaptConfig.{name} must be a finite number, got {getattr(self, name)!r}")
         if self.cycles < 0:
             raise ValueError(f"AdaptConfig.cycles must be >= 0, got {self.cycles}")
         if self.batch < 1:

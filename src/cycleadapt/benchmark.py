@@ -195,11 +195,14 @@ def make_source_videos(
 
 
 def make_evaluator(model: BodyModel, video: SyntheticVideo):
-    """Closure over the ground truth; adaptation itself never sees it."""
-    gt_joints = video.gt_joints
-    gt_mesh = video.gt_mesh
+    """Closure over the ground truth, whose mesh its first call poses; adaptation never sees it."""
+    gt_joints, gt_params, gt_mesh = video.gt_joints, video.gt_params, None
 
     def evaluator(theta: np.ndarray, beta: np.ndarray) -> MetricReport:
+        nonlocal gt_mesh, gt_params
+        if gt_mesh is None:
+            gt_mesh, _ = body_forward_batch(model, gt_params.theta, gt_params.beta)
+            gt_params = None
         verts, joints = body_forward_batch(model, theta, beta)
         return evaluate_sequence(joints, gt_joints, verts, gt_mesh)
 

@@ -25,11 +25,12 @@ map so that each frame's features have the bits of ``A @ x``.
 
 A video's ground truth is arrays: `gt_params` is one (N,) `GT_PARAMS` record
 array (``gt_params.theta`` is (N, 144), ``gt_params[i].theta`` one frame's)
-and `gt_camera` the weak-perspective (s, tx, ty). A video file
+and `gt_camera` the weak-perspective (s, tx, ty); its mesh is not stored, as
+the evaluator poses it from `gt_params` (`benchmark.make_evaluator`). A video file
 (`write_video`/`read_video`) is one `checkpoint.write_arrays` file, the
 package's one format: the format version, the domain spec as JSON, the
-camera, and one array per stream (features, theta, beta, keypoints, joints,
-mesh), each member under a CRC-32 that is checked on every read.
+camera, and one array per stream (features, theta, beta, keypoints, joints),
+each member under a CRC-32 that is checked on every read.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .bodymodel import (
 )
 from .checkpoint import read_arrays, write_arrays
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 PARAM_SIZE = THETA_SIZE + BETA_SIZE
 GT_PARAMS = np.dtype([("theta", np.float64, (THETA_SIZE,)), ("beta", np.float64, (BETA_SIZE,))])
 
@@ -78,9 +79,9 @@ class DomainSpec:
             if len(pair) != 2 or not (0.0 <= pair[0] <= pair[1] < np.inf):
                 raise ValueError(f"DomainSpec.{label} must be an ordered finite pair >= 0, got {rng}")
             object.__setattr__(self, label, pair)
-        for label in ("feature_noise_std", "kp_noise_std"):
-            if getattr(self, label) < 0:
-                raise ValueError(f"DomainSpec.{label} must be >= 0")
+        for label in ("feature_noise_std", "kp_noise_std", "mixing_seed"):
+            if not 0 <= getattr(self, label) < np.inf:
+                raise ValueError(f"DomainSpec.{label} must be a finite number >= 0, got {getattr(self, label)!r}")
         if not 0.0 <= self.p_drop <= 1.0:
             raise ValueError(f"DomainSpec.p_drop must be in [0, 1], got {self.p_drop}")
 
@@ -88,12 +89,11 @@ class DomainSpec:
 @dataclass(frozen=True)
 class SyntheticVideo:
     """Every array but the keypoints' coordinates at confidence-0 slots is
-    finite; ``gt_params`` and ``gt_camera`` are read-only copies."""
+    finite; ``gt_params`` and ``gt_camera`` are read-only copies. No mesh."""
 
     features: np.ndarray  # (N, F)
     gt_params: np.recarray  # (N,) GT_PARAMS records
     gt_joints: np.ndarray  # (N, J, 3)
-    gt_mesh: np.ndarray  # (N, V, 3)
     keypoints: np.ndarray  # (N, J, 3) as (x, y, confidence)
     gt_camera: np.ndarray  # (3,) as (s, tx, ty)
 
@@ -106,11 +106,10 @@ class SyntheticVideo:
             raise ValueError(f"SyntheticVideo: features must be (N, F), with ({n},) GT_PARAMS records as gt_params")
         if camera.shape != (3,):
             raise ValueError(f"SyntheticVideo.gt_camera must be (s, tx, ty), got shape {camera.shape}")
-        for label, arr in (("gt_joints", self.gt_joints), ("gt_mesh", self.gt_mesh)):
-            if arr.ndim != 3 or arr.shape[0] != n or arr.shape[2] != 3:
-                raise ValueError(f"SyntheticVideo.{label} must be ({n}, *, 3), got {arr.shape}")
+        if self.gt_joints.ndim != 3 or self.gt_joints.shape[0] != n or self.gt_joints.shape[2] != 3:
+            raise ValueError(f"SyntheticVideo.gt_joints must be ({n}, *, 3), got {self.gt_joints.shape}")
         finite = {"features": self.features, "gt_params.theta": params.theta, "gt_params.beta": params.beta,
-                  "gt_joints": self.gt_joints, "gt_mesh": self.gt_mesh, "gt_camera": camera}
+                  "gt_joints": self.gt_joints, "gt_camera": camera}
         for label, arr in finite.items():
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"SyntheticVideo.{label} must be finite")
@@ -158,7 +157,7 @@ def _axis_angle_rotations(axis: np.ndarray, angles: np.ndarray) -> np.ndarray:
 
 
 def gen_motion(spec: DomainSpec, model: BodyModel, n_frames: int, seed: int):
-    """Smooth seeded motion: returns ((N,) `GT_PARAMS` records, joints (N,J,3), mesh (N,V,3)).
+    """Smooth seeded motion: returns ((N,) `GT_PARAMS` records, posed joints (N,J,3)).
 
     Joint angles follow amp * sin(2*pi*freq*t + phase) around fixed axes;
     beta is drawn once per video from N(0, 0.5) clipped to [-2, 2].
@@ -180,8 +179,8 @@ def gen_motion(spec: DomainSpec, model: BodyModel, n_frames: int, seed: int):
         angles = amp_scale * amps[j] * np.sin(2.0 * np.pi * freqs[j] * t + phases[j] + global_phase)
         thetas[:, 6 * j : 6 * j + 6] = rotmat_to_rot6d(_axis_angle_rotations(axes[j], angles))
     betas = np.tile(beta, (n_frames, 1))
-    mesh, joints3d = body_forward_batch(model, thetas, betas)
-    return np.rec.fromarrays([thetas, betas], dtype=GT_PARAMS), joints3d, mesh
+    _mesh, joints3d = body_forward_batch(model, thetas, betas)
+    return np.rec.fromarrays([thetas, betas], dtype=GT_PARAMS), joints3d
 
 
 def mixing_matrices(spec: DomainSpec, feature_dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -236,7 +235,7 @@ def make_video(
     ``mixing`` substitutes an explicit (A, b) pair for the domain's own map,
     e.g. a blend of two domains' maps to dial the gap between them.
     """
-    params, joints3d, mesh = gen_motion(spec, model, n_frames, seed)
+    params, joints3d = gen_motion(spec, model, n_frames, seed)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     camera = np.array([rng.uniform(0.95, 1.05), rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05)])
     a, b = mixing_matrices(spec, feature_dim) if mixing is None else mixing
@@ -248,7 +247,6 @@ def make_video(
         features=features,
         gt_params=params,
         gt_joints=joints3d,
-        gt_mesh=mesh,
         keypoints=keypoints,
         gt_camera=camera,
     )
@@ -256,7 +254,7 @@ def make_video(
 
 def write_video(path, video: SyntheticVideo, spec: DomainSpec) -> None:
     """One `write_arrays` file; writing the same video twice gives the same bytes."""
-    members = {
+    write_arrays(path, {
         "version": np.array(FORMAT_VERSION),
         "spec": np.array(json.dumps(dataclasses.asdict(spec))),
         "camera": video.gt_camera,
@@ -265,9 +263,7 @@ def write_video(path, video: SyntheticVideo, spec: DomainSpec) -> None:
         "beta": video.gt_params.beta,
         "keypoints": video.keypoints,
         "joints": video.gt_joints,
-        "mesh": video.gt_mesh,
-    }
-    write_arrays(path, members)
+    })
 
 
 def read_video(path) -> tuple[SyntheticVideo, DomainSpec]:
@@ -282,7 +278,6 @@ def read_video(path) -> tuple[SyntheticVideo, DomainSpec]:
             features=members["features"],
             gt_params=np.rec.fromarrays([members["theta"], members["beta"]], dtype=GT_PARAMS),
             gt_joints=members["joints"],
-            gt_mesh=members["mesh"],
             keypoints=members["keypoints"],
             gt_camera=members["camera"],
         )

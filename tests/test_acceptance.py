@@ -147,13 +147,18 @@ def test_rotation_codes_give_orthonormal_proper_matrices():
 def test_metric_oracles_hold():
     rng = np.random.default_rng(0)
 
-    # on these random clouds the similarity fit also beats root alignment in
-    # the mean (not a theorem: it bounds only the summed squared error)
-    pa_bound = True
+    # root alignment is one of the transforms the similarity fit searches, so
+    # it bounds the fit's summed squared error (the theorem); on these random
+    # clouds the fit also beats it in the mean distance (not a theorem)
+    pa_bound = sse_bound = True
     for _ in range(1_000):
         pred = rng.normal(size=(1, 12, 3))
         gt = rng.normal(size=(1, 12, 3))
         pa_bound &= pa_mpjpe(pred, gt) <= mpjpe(pred, gt) + 1e-9
+        (s,), (rot,), (t,) = procrustes_align(pred, gt)
+        fit = float(((s * pred[0] @ rot.T + t - gt[0]) ** 2).sum())
+        root = float((((pred[0] - pred[0, 0]) - (gt[0] - gt[0, 0])) ** 2).sum())
+        sse_bound &= fit <= root * (1 + 1e-9) + 1e-12
 
     # the closed-form alignment beats a million random similarity transforms
     # on its own objective, the summed squared distance
@@ -186,9 +191,10 @@ def test_metric_oracles_hold():
     )
 
     _verdict(
-        pa_bound and beats_random and recovery and translation,
+        sse_bound and pa_bound and beats_random and recovery and translation,
         "metric oracles: alignment bound, optimality, exact recovery, shift invariance",
-        f"bound {pa_bound}, optimal {beats_random}, recovery {recovery}, shift {translation}",
+        f"squared-error bound {sse_bound}, mean bound {pa_bound}, optimal {beats_random}, "
+        f"recovery {recovery}, shift {translation}",
     )
 
 

@@ -6,6 +6,7 @@ the acceptance suite.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -60,8 +61,9 @@ FLOAT_FIELDS = [
 
 @pytest.mark.parametrize("cls, name", FLOAT_FIELDS, ids=[f"{cls.__name__}.{name}" for cls, name in FLOAT_FIELDS])
 def test_a_nan_float_setting_is_refused_by_its_type(cls, name):
-    with pytest.raises(ValueError, match=rf"^{cls.__name__}\."):
-        cls(**{name: float("nan")})
+    for value in (float("nan"), float("inf"), float("-inf")):  # and an infinite one
+        with pytest.raises(ValueError, match=rf"^{cls.__name__}\.{name} "):
+            cls(**{name: value})
 
 
 @pytest.mark.parametrize("setting", [dict(hmr_lr=-1.0), dict(md_plan=((10, -1e-3),))], ids=["hmr_lr", "md_plan"])
@@ -213,6 +215,21 @@ def test_source_videos_are_the_bytes_of_one_make_video_call_each():
         for field in dataclasses.fields(alone):
             a, b = getattr(video, field.name), getattr(alone, field.name)
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), (seed, field.name)
+
+
+def test_source_videos_hold_no_mesh():
+    """A video keeps its parameters, not their (N, V, 3) posing: on a body of
+    many vertices, the videos together hold less than one video's mesh."""
+    model = build_toy_body(2, joints=24, vertices=2000)
+    seeds, frames = (1000, 1001), 20
+    tracemalloc.start()
+    try:
+        videos = bench.make_source_videos(model, seeds=seeds, n_frames=frames, feature_dim=16)
+        held, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(videos) == len(seeds)
+    assert held < frames * model.vertex_count * 3 * np.dtype(np.float64).itemsize
 
 
 def test_make_evaluator_hides_ground_truth(tiny_bench):

@@ -261,6 +261,9 @@ def test_md_denoiser_is_set_in_the_adapt_section():
         ("body", "seed", -1),
         ("synth", "video_frames", 2),
         ("synth", "source_frames", 5),
+        ("source", "feature_noise_std", float("inf")),
+        ("target", "kp_noise_std", float("inf")),
+        ("target", "mixing_seed", -1),
     ],
 )
 def test_a_refused_setting_is_a_config_error_naming_its_key(section, key, value, tmp_path, capsys):
@@ -510,7 +513,9 @@ def test_eval_of_a_video_posed_with_another_body_exits_1(ws, tmp_path, capsys):
 def test_eval_of_a_video_with_another_vertex_count_names_the_video(ws, tmp_path, capsys):
     code, video = _eval_with_body(ws, tmp_path, vertices=30)
     assert code == 1
-    assert f"{video}: meshes of 24 vertices, not posed with the config's body" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{video}: not posed with the config's body (body.seed 7, body.scale 0.15, 30 vertices)" in err
+    assert not (tmp_path / "ev" / "metrics.csv").exists()
 
 
 def test_eval_with_the_matching_body_scores_the_video(ws, tmp_path):

@@ -4,12 +4,13 @@ import json
 import numpy as np
 import pytest
 
-from cycleadapt.benchmark import SOURCE, TARGET, target_mixing
-from cycleadapt.bodymodel import build_toy_body, identity_pose, project_weak_perspective
+from cycleadapt.benchmark import SOURCE, TARGET, make_evaluator, target_mixing
+from cycleadapt.bodymodel import body_forward_batch, build_toy_body, identity_pose, project_weak_perspective
 from cycleadapt.checkpoint import read_arrays, write_arrays
 from cycleadapt.mdnet import gaussian_filter_baseline
-from cycleadapt.metrics import accel_error
+from cycleadapt.metrics import accel_error, evaluate_sequence
 from cycleadapt.synth import (
+    FORMAT_VERSION,
     GT_PARAMS,
     DomainSpec,
     SyntheticVideo,
@@ -50,20 +51,29 @@ def test_spec_validation():
         _spec(kp_noise_std=-1.0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("feature_noise_std", float("nan")), ("feature_noise_std", float("inf")), ("kp_noise_std", float("nan")),
+     ("kp_noise_std", float("inf")), ("mixing_seed", -1)],
+)
+def test_a_domain_refuses_a_non_finite_noise_or_a_negative_mixing_seed(field, value):
+    with pytest.raises(ValueError, match=rf"^DomainSpec\.{field} must be"):
+        dataclasses.replace(SOURCE, **{field: value})
+
+
 def test_gen_motion_is_deterministic():
-    a_params, a_joints, a_mesh = gen_motion(_spec(), MODEL, 20, seed=3)
-    b_params, b_joints, b_mesh = gen_motion(_spec(), MODEL, 20, seed=3)
+    a_params, a_joints = gen_motion(_spec(), MODEL, 20, seed=3)
+    b_params, b_joints = gen_motion(_spec(), MODEL, 20, seed=3)
     assert np.array_equal(a_joints, b_joints)
-    assert np.array_equal(a_mesh, b_mesh)
     assert a_params.dtype == GT_PARAMS and a_params.shape == (20,)
     assert np.array_equal(a_params.theta, b_params.theta)
     assert np.array_equal(a_params.beta, b_params.beta)
-    _, c_joints, _ = gen_motion(_spec(), MODEL, 20, seed=4)
+    _, c_joints = gen_motion(_spec(), MODEL, 20, seed=4)
     assert not np.array_equal(a_joints, c_joints)
 
 
 def test_zero_amplitude_means_constant_identity_pose():
-    params, joints, _ = gen_motion(_spec(amp_range=(0.0, 0.0)), MODEL, 8, seed=0)
+    params, joints = gen_motion(_spec(amp_range=(0.0, 0.0)), MODEL, 8, seed=0)
     rest = identity_pose(24)
     for p in params:
         assert np.array_equal(p.theta, rest)
@@ -71,7 +81,7 @@ def test_zero_amplitude_means_constant_identity_pose():
 
 
 def test_generated_motion_is_smooth():
-    _, joints, _ = gen_motion(_spec(), MODEL, 120, seed=1)
+    _, joints = gen_motion(_spec(), MODEL, 120, seed=1)
     n = joints.shape[0]
     flat = joints.reshape(n, -1)
     smooth_ref = gaussian_filter_baseline(flat, 2.0).reshape(joints.shape)
@@ -86,11 +96,11 @@ def test_generated_motion_is_smooth():
 def test_motion_pattern_shared_when_ranges_match():
     a = _spec(mixing_seed=1, name="a")
     b = _spec(mixing_seed=2, name="b")
-    _, aj, _ = gen_motion(a, MODEL, 10, seed=5)
-    _, bj, _ = gen_motion(b, MODEL, 10, seed=5)
+    _, aj = gen_motion(a, MODEL, 10, seed=5)
+    _, bj = gen_motion(b, MODEL, 10, seed=5)
     assert np.array_equal(aj, bj)
     c = _spec(freq_range=(0.02, 0.04))
-    _, cj, _ = gen_motion(c, MODEL, 10, seed=5)
+    _, cj = gen_motion(c, MODEL, 10, seed=5)
     assert not np.array_equal(aj, cj)
 
 
@@ -165,8 +175,10 @@ def test_simulate_keypoints_drop_fraction():
 
 def _per_frame_video(spec, model, n_frames, feature_dim, seed, mixing=None):
     """Reference: make_video as it was written frame by frame, one gemv, one
-    record and a projection per frame, drawing in the same order."""
-    params, joints3d, mesh = gen_motion(spec, model, n_frames, seed)
+    record and a projection per frame, drawing in the same order. Returns the
+    video and its ground-truth mesh, posed here as synthesis once stored it."""
+    params, joints3d = gen_motion(spec, model, n_frames, seed)
+    mesh, _ = body_forward_batch(model, np.ascontiguousarray(params.theta), np.ascontiguousarray(params.beta))
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     camera = np.array([rng.uniform(0.95, 1.05), rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05)])
     a, b = mixing_matrices(spec, feature_dim) if mixing is None else mixing
@@ -182,7 +194,7 @@ def _per_frame_video(spec, model, n_frames, feature_dim, seed, mixing=None):
         points[kept, :2] = noisy[kept]
         points[:, 2] = kept.astype(np.float64)
         keypoints[i] = points
-    return SyntheticVideo(features, params, joints3d, mesh, keypoints, camera)
+    return SyntheticVideo(features, params, joints3d, keypoints, camera), mesh
 
 
 BATCHED_SYNTHESIS_CASES = {
@@ -201,10 +213,25 @@ def test_make_video_gives_the_per_frame_loops_bytes(case):
     kwargs = dict(n_frames=40, feature_dim=64, seed=3) | BATCHED_SYNTHESIS_CASES[case]
     spec, mixing = kwargs.pop("spec"), kwargs.pop("mixing", None)
     got = make_video(spec, MODEL, mixing=mixing, **kwargs)
-    want = _per_frame_video(spec, MODEL, mixing=mixing, **kwargs)
-    for name in ("features", "gt_joints", "gt_mesh", "keypoints", "gt_camera"):
+    want, _mesh = _per_frame_video(spec, MODEL, mixing=mixing, **kwargs)
+    for name in ("features", "gt_joints", "keypoints", "gt_camera"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
     assert got.gt_params.tobytes() == want.gt_params.tobytes()
+
+
+def test_the_evaluator_scores_against_the_reference_mesh_byte_for_byte():
+    """The evaluator poses the ground-truth mesh from the video's parameters;
+    its reports are those against the mesh the reference poses itself."""
+    video, mesh = _per_frame_video(_spec(), MODEL, n_frames=6, feature_dim=16, seed=5)
+    evaluator = make_evaluator(MODEL, video)
+    rng = np.random.default_rng(0)
+    for _ in range(2):  # the first call poses the mesh, the second reuses it
+        theta = video.gt_params.theta + rng.normal(scale=0.05, size=video.gt_params.theta.shape)
+        beta = video.gt_params.beta + rng.normal(scale=0.1, size=video.gt_params.beta.shape)
+        verts, joints = body_forward_batch(MODEL, theta, beta)
+        got = dataclasses.astuple(evaluator(theta, beta))
+        want = dataclasses.astuple(evaluate_sequence(joints, video.gt_joints, verts, mesh))
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_make_video_refuses_a_mixing_of_another_width():
@@ -219,7 +246,6 @@ def test_make_video_shapes_and_determinism():
     assert video.frame_count == 12
     assert video.features.shape == (12, 16)
     assert video.gt_joints.shape == (12, 24, 3)
-    assert video.gt_mesh.shape == (12, 40, 3)
     assert video.gt_params.shape == (12,) and video.keypoints.shape == (12, 24, 3)
     assert video.gt_camera.shape == (3,)
     assert np.array_equal(video.features, again.features)
@@ -228,7 +254,7 @@ def test_make_video_shapes_and_determinism():
 
 
 def test_ground_truth_rows_equal_its_arrays_and_are_read_only():
-    params, _, _ = gen_motion(_spec(), MODEL, 5, seed=1)
+    params, _ = gen_motion(_spec(), MODEL, 5, seed=1)
     camera = np.array([1.0, 0.01, -0.02])
     video = make_video(_spec(), MODEL, 5, feature_dim=8, seed=1)
     # per-row access, as the benchmark's set-up reads it, gives the arrays
@@ -239,7 +265,7 @@ def test_ground_truth_rows_equal_its_arrays_and_are_read_only():
         with pytest.raises(ValueError, match="read-only"):
             target[0] = 0.0
     # the video holds copies: the caller's arrays stay writable and apart
-    copy = SyntheticVideo(video.features, params, video.gt_joints, video.gt_mesh, video.keypoints, camera)
+    copy = SyntheticVideo(video.features, params, video.gt_joints, video.keypoints, camera)
     params.theta[0, 0] = camera[0] = 7.0
     assert copy.gt_params.theta[0, 0] != 7.0 and copy.gt_camera[0] == 1.0
 
@@ -257,7 +283,7 @@ def test_video_keypoints_validation():
     video = make_video(_spec(), MODEL, 2, feature_dim=8, seed=4)
 
     def with_keypoints(kp):
-        return SyntheticVideo(video.features, video.gt_params, video.gt_joints, video.gt_mesh, kp, video.gt_camera)
+        return SyntheticVideo(video.features, video.gt_params, video.gt_joints, kp, video.gt_camera)
 
     kp = video.keypoints.copy()
     kp[1, 3] = [np.nan, np.nan, 0.0]
@@ -281,7 +307,6 @@ def _assert_same_video(loaded, loaded_spec, video, spec):
     assert np.array_equal(loaded.gt_camera, video.gt_camera)
     assert np.array_equal(loaded.features, video.features)
     assert np.array_equal(loaded.gt_joints, video.gt_joints)
-    assert np.array_equal(loaded.gt_mesh, video.gt_mesh)
     assert np.array_equal(loaded.keypoints, video.keypoints)
     assert loaded.gt_params.dtype == GT_PARAMS
     assert np.array_equal(loaded.gt_params.theta, video.gt_params.theta)
@@ -322,12 +347,24 @@ def test_wrong_version_is_rejected(tmp_path):
     video = make_video(spec, MODEL, 3, feature_dim=8, seed=4)
     path = tmp_path / "clip.video"
     write_video(path, video, spec)
-    _rewrite_members(path, version=np.array(3))
-    with pytest.raises(VideoFormatError, match="unsupported version 3"):
+    _rewrite_members(path, version=np.array(FORMAT_VERSION + 1))
+    with pytest.raises(VideoFormatError, match=f"unsupported version {FORMAT_VERSION + 1}"):
         read_video(path)
     # the JSON-lines layout of format version 1 is not read at all
     path.write_text(json.dumps({"version": 1, "n": 0, "spec": {}, "camera": {}}) + "\n")
     with pytest.raises(VideoFormatError, match="clip.video"):
+        read_video(path)
+
+
+def test_a_version_2_video_file_is_refused_naming_its_path(tmp_path):
+    """Version 2 stored the posed mesh as a member; such a file is refused."""
+    spec = _spec()
+    video = make_video(spec, MODEL, 3, feature_dim=8, seed=4)
+    path = tmp_path / "clip.video"
+    write_video(path, video, spec)
+    mesh, _ = body_forward_batch(MODEL, video.gt_params.theta, video.gt_params.beta)
+    _rewrite_members(path, version=np.array(2), mesh=mesh)
+    with pytest.raises(VideoFormatError, match=r"clip\.video: not a readable version-3 video.*unsupported version 2"):
         read_video(path)
 
 
@@ -350,10 +387,10 @@ def test_malformed_members_name_the_path(tmp_path):
         {"camera": np.array([1.0, 0.0])},
         {"beta": np.zeros((2, 10))},
         {"keypoints": bad_kp},
-        {"mesh": video.gt_mesh[:, :, :2]},
+        {"joints": video.gt_joints[:, :, :2]},
         {"features": _with_nan(video.features, (0, 0))},
         {"joints": _with_nan(video.gt_joints, (0, 0, 0))},
-        {"mesh": _with_nan(video.gt_mesh, (2, 5, 1))},
+        {"keypoints": video.keypoints[:, :5]},
         {"theta": _with_nan(video.gt_params.theta, (1, 7))},
     ):
         write_video(path, video, spec)
@@ -371,7 +408,7 @@ def test_params_validation(tmp_path):
     nan_theta, nan_beta = _with_nan(theta, (1, 5)), _with_nan(beta, (2, 0))
 
     def with_ground_truth(params, camera=video.gt_camera):
-        return SyntheticVideo(video.features, params, video.gt_joints, video.gt_mesh, video.keypoints, camera)
+        return SyntheticVideo(video.features, params, video.gt_joints, video.keypoints, camera)
 
     for params, match in (
         (np.rec.fromarrays([theta[:, :143], beta], dtype=[("theta", "f8", 143), ("beta", "f8", 10)]), "GT_PARAMS"),
