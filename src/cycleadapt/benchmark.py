@@ -41,9 +41,10 @@ from .adapt import (
 )
 from .bodymodel import BodyModel, body_forward_batch, build_toy_body, project_weak_perspective, scale_body
 from .checkpoint import save_hmr, save_md
+from .diffcore import DegenerateRotationError
 from .hmrnet import HmrConfig, hmr_forward, hmr_init
 from .mdnet import MdConfig, md_init, md_pretrain
-from .metrics import MetricReport, evaluate_sequence
+from .metrics import MetricReport, evaluate_sequence, vertex_errors
 from .optim import InvariantError, adam_init
 from .synth import DomainSpec, SyntheticVideo, make_video, mixing_matrices
 
@@ -53,6 +54,11 @@ JOINTS = 24
 GAP_ALPHA = 0.35
 FREQ_RANGE = (0.01, 0.04)
 AMP_RANGE = (0.2, 0.6)
+
+# the evaluator poses and scores at most this many frames at a time; a video
+# is split into even blocks, because a one-row block's posing goes through
+# gemv, whose bits differ from the same frame's in a larger batch
+_EVAL_FRAMES = 64
 
 SOURCE_SEEDS = tuple(range(1000, 1006))
 SOURCE_FRAMES = 400
@@ -194,17 +200,50 @@ def make_source_videos(
     return [make_video(source, model, n_frames, feature_dim, s, mixing=mixing) for s in seeds]
 
 
+def _frame_blocks(frames: int) -> list:
+    """Slices of ``frames`` in ceil(frames / _EVAL_FRAMES) blocks of near-equal size."""
+    count = max(1, -(-frames // _EVAL_FRAMES))
+    return [slice(frames * k // count, frames * (k + 1) // count) for k in range(count)]
+
+
 def make_evaluator(model: BodyModel, video: SyntheticVideo):
-    """Closure over the ground truth, whose mesh its first call poses; adaptation never sees it."""
+    """Closure over the ground truth, whose mesh its first call poses; adaptation never sees it.
+
+    It poses the ground-truth mesh and each prediction in blocks of at most
+    _EVAL_FRAMES frames, writes each block's `vertex_errors` into one
+    (frames, vertices) array and keeps the joints whole for the joint
+    metrics, so no whole-video prediction mesh or error temporary exists.
+    The blocks split the video evenly, never into a one-frame tail, so the
+    reports are those of whole-video posing, bit for bit. A degenerate pose
+    code or a non-finite prediction is named by its frame in the video.
+    """
     gt_joints, gt_params, gt_mesh = video.gt_joints, video.gt_params, None
+    frames = len(gt_joints)
+    blocks = _frame_blocks(frames)
+
+    def pose(thetas, betas, rows):
+        try:
+            return body_forward_batch(model, thetas[rows], betas[rows])
+        except DegenerateRotationError as err:  # name the row in the video, not in the block
+            raise DegenerateRotationError(err.what, err.row + rows.start, err.joint) from None
 
     def evaluator(theta: np.ndarray, beta: np.ndarray) -> MetricReport:
         nonlocal gt_mesh, gt_params
         if gt_mesh is None:
-            gt_mesh, _ = body_forward_batch(model, gt_params.theta, gt_params.beta)
+            gt_mesh = np.empty((frames, model.vertex_count, 3))
+            thetas, betas = gt_params.theta, gt_params.beta
+            for rows in blocks:
+                gt_mesh[rows] = pose(thetas, betas, rows)[0]
             gt_params = None
-        verts, joints = body_forward_batch(model, theta, beta)
-        return evaluate_sequence(joints, gt_joints, verts, gt_mesh)
+        theta, beta = np.asarray(theta, dtype=np.float64), np.asarray(beta, dtype=np.float64)
+        if len(theta) != frames or len(beta) != frames:
+            raise ValueError(f"evaluator: {len(theta)} pose and {len(beta)} shape rows for a {frames}-frame video")
+        joints = np.empty(gt_joints.shape)
+        errors = np.empty((frames, model.vertex_count))
+        for rows in blocks:
+            verts, joints[rows] = pose(theta, beta, rows)
+            errors[rows] = vertex_errors(verts, gt_mesh[rows], joints[rows, 0], gt_joints[rows, 0])
+        return evaluate_sequence(joints, gt_joints, errors)
 
     return evaluator
 

@@ -117,6 +117,12 @@ def body_forward_batch(model: BodyModel, thetas, betas) -> tuple[np.ndarray, np.
     Returns (vertices (B, V, 3), joints (B, J, 3)); joints are regressed from
     the skinned mesh, not taken from the kinematic transforms. A degenerate
     pose code raises `DegenerateRotationError` from the graph's rot6d node.
+
+    A frame's bits do not depend on the batch it is posed in, except in a
+    one-row batch: its 2-D products go through BLAS's gemv, which rounds
+    differently from gemm. So `benchmark.make_evaluator` never poses a
+    one-frame block of a longer video, and `cli._read_checked_video`, which
+    re-poses frame 0 alone, compares it within 1e-9 m, not bit for bit.
     """
     th = np.asarray(thetas, dtype=np.float64)
     be = np.asarray(betas, dtype=np.float64)

@@ -7,7 +7,8 @@ CRC-32 that `read_arrays` checks for every member before it parses any.
 
 A checkpoint holds the version, the net kind ("hmr" for the mesh regressor,
 "md" for the motion denoiser), the config ints and one float64 member per
-parameter; a load checks the member set and every shape against the config.
+parameter; a load checks the member set and every shape against the stored
+config.
 """
 
 from __future__ import annotations
@@ -44,11 +45,23 @@ def write_arrays(path, members: dict) -> None:
                 np.lib.format.write_array(fh, array, allow_pickle=False)
 
 
-def read_arrays(path) -> dict:
-    """Every member of a `write_arrays` file; a bad CRC-32 raises `zipfile.BadZipFile`."""
+def read_arrays(path, names) -> dict:
+    """The members of a `write_arrays` file, which must be exactly the names
+    that ``names(members)`` gives.
+
+    ``names`` sees every member read, so a reader can check the file's
+    version, or derive the names from a stored config, before the member set
+    is compared. A missing or an extra member raises `ValueError`; a bad
+    CRC-32 raises `zipfile.BadZipFile`.
+    """
     with zipfile.ZipFile(path) as archive:
         raw = {info.filename: archive.read(info) for info in archive.infolist()}
-    return {name.removesuffix(".npy"): _npy_array(data) for name, data in raw.items()}
+    members = {name.removesuffix(".npy"): _npy_array(data) for name, data in raw.items()}
+    expected = set(names(members))
+    missing, extra = sorted(expected - set(members)), sorted(set(members) - expected)
+    if missing or extra:
+        raise ValueError(f"members {missing} missing and {extra} not expected")
+    return members
 
 
 # the one header form `np.lib.format.write_array` writes, padded with spaces to a newline
@@ -91,19 +104,32 @@ def _save(path, kind: str, config, params: dict) -> None:
     write_arrays(path, members)
 
 
+def _stored_config(members: dict, kind: str):
+    """The config a checkpoint's members store, once its version, kind and
+    parameter count are checked; the count is checked before any shape is
+    built, so that a huge stored layer count costs nothing."""
+    config_type, _, param_count = NETS[kind]
+    found = (members["version"].item(), members["kind"].item())
+    if found != (VERSION, kind):
+        raise ValueError(f"version {found[0]!r} {found[1]!r} checkpoint, expected version {VERSION} {kind!r}")
+    header = ("version", "kind", *(f.name for f in fields(config_type)))
+    config = config_type(**{name: operator.index(members[name].item()) for name in header[2:]})
+    if len(members) - len(header) != param_count(config):
+        raise ValueError(
+            f"{len(members) - len(header)} parameter members, but the stored {config} implies {param_count(config)}"
+        )
+    return config
+
+
+def _member_names(kind: str, config) -> list:
+    return ["version", "kind", *(f.name for f in fields(config)), *(name for name, _ in NETS[kind][1](config))]
+
+
 def _load(path, kind: str):
-    config_type, param_shapes, param_count = NETS[kind]
     try:
-        members = read_arrays(path)
-        found = (members.pop("version").item(), members.pop("kind").item())
-        if found != (VERSION, kind):
-            raise ValueError(f"version {found[0]!r} {found[1]!r} checkpoint, expected version {VERSION} {kind!r}")
-        config = config_type(**{f.name: operator.index(members.pop(f.name).item()) for f in fields(config_type)})
-        if len(members) != param_count(config):
-            raise ValueError(f"{len(members)} parameter members, but the stored {config} implies {param_count(config)}")
-        shapes = dict(param_shapes(config))
-        if set(members) != set(shapes):
-            raise ValueError(f"parameter members {sorted(members)}, expected {sorted(shapes)}")
+        members = read_arrays(path, lambda found: _member_names(kind, _stored_config(found, kind)))
+        config = _stored_config(members, kind)
+        shapes = dict(NETS[kind][1](config))
         for name, shape in shapes.items():
             if members[name].dtype != np.float64 or members[name].shape != shape:
                 raise ValueError(f"parameter {name} is {members[name].dtype} {members[name].shape}, expected {shape}")

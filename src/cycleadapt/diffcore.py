@@ -95,7 +95,16 @@ class NonScalarLossError(DiffcoreError):
 
 
 class DegenerateRotationError(DiffcoreError, ValueError):
-    """6D code whose two columns are too short or too parallel to orthonormalize."""
+    """6D code whose two columns are too short or too parallel to orthonormalize.
+
+    A rot6d node gives ``what`` failed and the first bad code's batch ``row``
+    and ``joint``, so a caller that posed a slice of a batch can name the
+    row in the whole.
+    """
+
+    def __init__(self, what: str, row: int | None = None, joint: int | None = None):
+        super().__init__(what if row is None else f"{what} at (row {row}, joint {joint})")
+        self.what, self.row, self.joint = what, row, joint
 
 
 @dataclass
@@ -260,7 +269,7 @@ def _check_norms(i: int, node: Node, norms: np.ndarray, what: str) -> None:
     bad = norms[..., 0] <= 1e-8
     if np.any(bad):
         row, joint = np.argwhere(bad)[0]
-        raise DegenerateRotationError(f"node {i} ({node.kind}): {what} at or below 1e-8 at (row {row}, joint {joint})")
+        raise DegenerateRotationError(f"node {i} ({node.kind}): {what} at or below 1e-8", int(row), int(joint))
 
 
 def _rot6d(i: int, node: Node, codes: np.ndarray, keep: bool) -> tuple:

@@ -119,20 +119,32 @@ def pa_mpjpe(pred_joints, gt_joints) -> float:
     return float(_norms(d).mean(axis=1).mean() * MM_PER_M)
 
 
-def mpvpe(pred_mesh, gt_mesh, pred_root, gt_root) -> float:
-    """Mean per vertex position error in mm, root-aligned like mpjpe.
+def vertex_errors(pred_mesh, gt_mesh, pred_root, gt_root) -> np.ndarray:
+    """Distance of each vertex from its ground truth in meters, root-aligned
+    like mpjpe: a (frames, vertices) array.
 
     Meshes carry no root vertex, so the per-frame root positions are taken
-    from the joint sets and passed in as (frames, 3) arrays.
+    from the joint sets and passed in as (frames, 3) arrays. Each frame's
+    row depends on that frame alone, so a caller may fill one array block
+    of frames by block.
     """
-    p, g = _as_pair(pred_mesh, gt_mesh, "mpvpe")
+    p, g = _as_pair(pred_mesh, gt_mesh, "vertex_errors")
     pr = np.asarray(pred_root, dtype=np.float64)
     gr = np.asarray(gt_root, dtype=np.float64)
     if pr.shape != (p.shape[0], 3) or gr.shape != (g.shape[0], 3):
-        raise ValueError(f"mpvpe: roots must be (frames, 3), got {pr.shape} and {gr.shape}")
+        raise ValueError(f"vertex_errors: roots must be (frames, 3), got {pr.shape} and {gr.shape}")
     d = p - pr[:, None, :]
     d -= g - gr[:, None, :]
-    return float(_norms(d).mean() * MM_PER_M)
+    return _norms(d)
+
+
+def mpvpe(errors) -> float:
+    """Mean per vertex position error in mm: the mean of a sequence's
+    (frames, vertices) `vertex_errors`."""
+    e = np.asarray(errors, dtype=np.float64)
+    if e.ndim != 2:
+        raise ValueError(f"mpvpe: expected (frames, vertices) errors, got {e.shape}")
+    return float(e.mean() * MM_PER_M)
 
 
 def _second_difference(x: np.ndarray) -> np.ndarray:
@@ -157,24 +169,27 @@ def accel_error(pred_joints, gt_joints) -> float:
     return float(_norms(d).mean() * MM_PER_M)
 
 
-def evaluate_sequence(pred_joints, gt_joints, pred_mesh, gt_mesh) -> MetricReport:
+def evaluate_sequence(pred_joints, gt_joints, errors) -> MetricReport:
     """All four metrics for one sequence, packed into a MetricReport.
 
-    A prediction with a non-finite joint or vertex raises
+    ``errors`` are the sequence's (frames, vertices) `vertex_errors`, whose
+    mean is the MPVPE; the joint metrics take the joints whole. A
+    prediction whose joints or vertex errors are not finite raises
     DegenerateGeometryError naming the first such frame.
     """
     pj = np.asarray(pred_joints, dtype=np.float64)
     gj = np.asarray(gt_joints, dtype=np.float64)
-    pv = np.asarray(pred_mesh, dtype=np.float64)
-    bad = [np.flatnonzero(~np.isfinite(a).all(axis=tuple(range(1, a.ndim)))) for a in (pj, pv)]
-    first = min((b[0] for b in bad if b.size), default=None)
-    if first is not None:
+    ve = np.asarray(errors, dtype=np.float64)
+    if ve.ndim != 2 or ve.shape[0] != pj.shape[0]:
+        raise ValueError(f"evaluate_sequence: {pj.shape} joints but {ve.shape} vertex errors")
+    bad = ~np.isfinite(pj).all(axis=tuple(range(1, pj.ndim))) | ~np.isfinite(ve).all(axis=1)
+    if bad.any():
         raise DegenerateGeometryError(
-            f"evaluate_sequence: predicted joints or vertices are not finite in frame {first}"
+            f"evaluate_sequence: predicted joints or vertices are not finite in frame {np.argmax(bad)}"
         )
     return MetricReport(
         mpjpe=mpjpe(pj, gj),
         pa_mpjpe=pa_mpjpe(pj, gj),
-        mpvpe=mpvpe(pv, gt_mesh, pj[:, 0], gj[:, 0]),
+        mpvpe=mpvpe(ve),
         accel=accel_error(pj, gj),
     )

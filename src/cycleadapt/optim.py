@@ -9,6 +9,12 @@ parameter array, so an array handed out earlier keeps its values; a loop
 that must leave its caller's dict untouched steps a shallow copy of it. The
 moment arrays of `OptState` are updated in place, so one state persists
 across many stages.
+
+Each parameter is updated in blocks of rows, slices along axis 0 of at most
+2**14 elements, which are views whatever the array's memory layout. Every
+op is elementwise, so the bits are those of the whole-array update, while a
+step's temporaries are block-sized: beside the gradients it holds the new
+parameter array it is filling and one block.
 """
 
 from __future__ import annotations
@@ -20,6 +26,10 @@ import numpy as np
 
 # Adam's moment decays and denominator floor, the defaults of Kingma & Ba
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+# adam_step updates each parameter in row blocks of at most this many
+# elements (128 KB), so its temporaries are block-sized, not parameter-sized
+_ADAM_BLOCK = 1 << 14
 
 
 class InvariantError(RuntimeError):
@@ -51,6 +61,16 @@ def check_loss(value, net: str, state: OptState) -> None:
         raise InvariantError(f"{net} loss is {float(value)} (Adam updates completed: {state.step})")
 
 
+def _row_blocks(shape: tuple) -> list:
+    """Index keys of the slices along axis 0 that `adam_step` updates one at a
+    time: at most _ADAM_BLOCK elements each, or one row where a row is longer.
+    A 0-d parameter is one block."""
+    if not shape:
+        return [...]
+    rows = max(1, _ADAM_BLOCK // max(1, math.prod(shape[1:])))
+    return [slice(lo, lo + rows) for lo in range(0, shape[0], rows)]
+
+
 def adam_step(params: dict, grads: dict, state: OptState, lr: float) -> None:
     """One bias-corrected Adam update of ``params``; missing gradients count as
     zero. Each entry is replaced by a fresh array, and no array passed in is
@@ -65,18 +85,31 @@ def adam_step(params: dict, grads: dict, state: OptState, lr: float) -> None:
     state.step += 1
     c1, c2 = 1.0 - BETA1**state.step, 1.0 - BETA2**state.step
     for name, (g, m, v) in checked.items():
-        # beta * m + (1 - beta) * g and p - lr * (m / c1) / (sqrt(v / c2) + eps), op for op
-        m *= BETA1
-        m += (1.0 - BETA1) * g
-        v *= BETA2
-        v += (1.0 - BETA2) * (g * g)
-        den = np.divide(v, c2, out=np.empty_like(v))
-        np.sqrt(den, out=den)
-        den += EPS
-        upd = np.divide(m, c1, out=np.empty_like(m))
-        upd *= lr
-        upd /= den
-        params[name] = np.subtract(params[name], upd, out=upd)
+        p, new = params[name], np.empty_like(m)
+        for key in _row_blocks(p.shape):
+            _adam_block(p[key], g[key] if g.shape else g, m[key], v[key], new[key], lr, c1, c2)
+        params[name] = new
+
+
+def _adam_block(p, g, m, v, out, lr: float, c1: float, c2: float) -> None:
+    """One block of an Adam update: ``m`` and ``v`` in place, the new
+    parameter into ``out``. The ops are those of beta * m + (1 - beta) * g
+    and p - lr * (m / c1) / (sqrt(v / c2) + eps), and all are elementwise,
+    so any block gets the whole array's bits; one block-sized temporary is
+    alive at a time."""
+    m *= BETA1
+    m += (1.0 - BETA1) * g
+    v *= BETA2
+    t = np.multiply(g, g, out=np.empty_like(v))
+    t *= 1.0 - BETA2
+    v += t
+    den = np.divide(v, c2, out=t)
+    np.sqrt(den, out=den)
+    den += EPS
+    np.divide(m, c1, out=out)
+    out *= lr
+    out /= den
+    np.subtract(p, out, out=out)
 
 
 def cosine_lr(step: int, total_steps: int, lr_start: float = 5e-5, lr_end: float = 1e-6) -> float:

@@ -30,7 +30,8 @@ the evaluator poses it from `gt_params` (`benchmark.make_evaluator`). A video fi
 (`write_video`/`read_video`) is one `checkpoint.write_arrays` file, the
 package's one format: the format version, the domain spec as JSON, the
 camera, and one array per stream (features, theta, beta, keypoints, joints),
-each member under a CRC-32 that is checked on every read.
+each member under a CRC-32 that is checked on every read. A file with a
+member missing or one more is refused.
 """
 
 from __future__ import annotations
@@ -54,6 +55,8 @@ from .checkpoint import read_arrays, write_arrays
 FORMAT_VERSION = 3
 PARAM_SIZE = THETA_SIZE + BETA_SIZE
 GT_PARAMS = np.dtype([("theta", np.float64, (THETA_SIZE,)), ("beta", np.float64, (BETA_SIZE,))])
+# a video file's members: `read_video` refuses a file with one missing or one more
+_MEMBERS = ("version", "spec", "camera", "features", "theta", "beta", "keypoints", "joints")
 
 
 class VideoFormatError(ValueError):
@@ -266,13 +269,18 @@ def write_video(path, video: SyntheticVideo, spec: DomainSpec) -> None:
     })
 
 
+def _member_names(members: dict) -> tuple:
+    """`_MEMBERS`, once the file is of the version this reads."""
+    version = members["version"].item()
+    if version != FORMAT_VERSION:
+        raise ValueError(f"unsupported version {version!r}, expected {FORMAT_VERSION}")
+    return _MEMBERS
+
+
 def read_video(path) -> tuple[SyntheticVideo, DomainSpec]:
     """Inverse of write_video, bit for bit; any damage raises `VideoFormatError`."""
     try:
-        members = read_arrays(path)
-        version = members["version"].item()
-        if version != FORMAT_VERSION:
-            raise ValueError(f"unsupported version {version!r}, expected {FORMAT_VERSION}")
+        members = read_arrays(path, _member_names)
         spec = DomainSpec(**json.loads(members["spec"].item()))
         video = SyntheticVideo(
             features=members["features"],

@@ -125,3 +125,27 @@ def test_churn_medians_leave_out_the_runs_that_built_nets(bench_pairs):
     out = bench_pairs.summarize_churn(pairs)
     assert out["parent"] == {"runs": 2, "minflt": 25, "stime_s": 0.25}
     assert out["change"] == {"runs": 3, "minflt": 30, "stime_s": 0.3}
+
+
+@pytest.mark.parametrize("parent, change, better, met", [
+    pytest.param([3.0] * 5 + [4.0] * 5, [1.0] * 10, "lower", True, id="ten-wins"),
+    pytest.param([3.0] * 5 + [4.0] * 5, [1.0] * 9 + [5.0], "lower", True, id="nine-of-ten"),
+    pytest.param([3.0] * 5 + [4.0] * 5, [1.0] * 8 + [4.0, 4.0], "lower", False, id="a-tie-is-no-win"),
+    pytest.param([3.0] * 5 + [4.0] * 5, [1.0] * 9, "lower", False, id="nine-pairs"),
+    pytest.param([1.0, 2.0, 3.0, 4.0, 5.0] * 2, [0.9, 1.9, 2.9, 3.9, 4.9] * 2, "lower", False, id="gap-within-iqr"),
+    pytest.param([1.0] * 10, [3.0] * 10, "lower", False, id="worse"),
+    pytest.param([10.0] * 10, [11.0] * 10, "higher", True, id="higher-is-better"),
+    pytest.param([10.0] * 10, [9.0] * 10, "higher", False, id="higher-is-better-worse"),
+])
+def test_claim_met_takes_nine_tenths_of_the_pairs_and_a_gap_beyond_the_parent_iqr(bench_pairs, parent, change, better, met):
+    out = bench_pairs.summarize(_pairs(parent, change, "m"), {"m": better})["m"]
+    assert out["claim_met"] is met
+
+
+def test_claim_met_counts_a_failed_pair_against_the_change(bench_pairs):
+    pairs = _pairs([3.0] * 10, [1.0] * 10)
+    assert bench_pairs.summarize(pairs, {"run_s": "lower"})["run_s"]["claim_met"] is True
+    pairs[0]["correct"]["change"] = False
+    pairs[1]["correct"]["parent"] = False
+    out = bench_pairs.summarize(pairs, {"run_s": "lower"})["run_s"]
+    assert out["change_wins"] == 8 and out["claim_met"] is False  # 8 wins of the 10 pairs run

@@ -13,11 +13,12 @@ import pytest
 
 from cycleadapt import benchmark as bench
 from cycleadapt.adapt import AdaptConfig
-from cycleadapt.bodymodel import build_toy_body, scale_body
+from cycleadapt.bodymodel import body_forward_batch, build_toy_body, scale_body
 from cycleadapt.checkpoint import load_hmr, load_md
+from cycleadapt.diffcore import DegenerateRotationError
 from cycleadapt.hmrnet import HmrConfig, hmr_init
 from cycleadapt.mdnet import MdConfig, md_init
-from cycleadapt.metrics import DegenerateGeometryError
+from cycleadapt.metrics import ACCEL_MIN_FRAMES, DegenerateGeometryError, evaluate_sequence, vertex_errors
 from cycleadapt.synth import make_video
 
 
@@ -251,6 +252,80 @@ def test_evaluator_reports_a_non_finite_pose_code_as_degenerate(tiny_bench):
     thetas[5, 7] = np.nan
     with pytest.raises(DegenerateGeometryError, match="frame 5$"):
         bench.make_evaluator(model, video)(thetas, betas)
+
+
+@pytest.fixture(scope="module")
+def standard_body():
+    return bench.benchmark_body()
+
+
+def _whole_video_report(model, video, thetas, betas):
+    """The evaluator's report by whole-video posing and scoring: the bits
+    its frame blocks must give."""
+    verts, joints = body_forward_batch(model, thetas, betas)
+    mesh, _ = body_forward_batch(model, video.gt_params.theta, video.gt_params.beta)
+    errors = vertex_errors(verts, mesh, joints[:, 0], video.gt_joints[:, 0])
+    return evaluate_sequence(joints, video.gt_joints, errors)
+
+
+def _outcome(score):
+    try:
+        return np.array(dataclasses.astuple(score())).tobytes()
+    except ValueError as err:  # fewer frames than accel_error needs
+        return repr(err)
+
+
+@pytest.mark.parametrize("frames", [1, 2, 64, 65, 129, 500])
+def test_the_block_evaluator_gives_the_whole_video_reports_byte_for_byte(standard_body, frames):
+    """65 and 129 frames would leave a one-frame block under plain 64-frame
+    blocks, whose posing takes other bits; the even split does not."""
+    video = bench.make_target_video(frames, n_frames=frames, feature_dim=16, model=standard_body)
+    evaluator = bench.make_evaluator(standard_body, video)
+    rng = np.random.default_rng(frames)
+    for _ in range(2):  # the first call poses the ground-truth mesh, the second reuses it
+        thetas = video.gt_params.theta + rng.normal(scale=0.05, size=video.gt_params.theta.shape)
+        betas = video.gt_params.beta + rng.normal(scale=0.1, size=video.gt_params.beta.shape)
+        got = _outcome(lambda: evaluator(thetas, betas))
+        assert got == _outcome(lambda: _whole_video_report(standard_body, video, thetas, betas))
+    if frames < ACCEL_MIN_FRAMES:
+        assert "accel_error: need at least" in got
+
+
+@pytest.mark.parametrize("code, error, match", [
+    (np.nan, DegenerateGeometryError, "not finite in frame 70$"),
+    (0.0, DegenerateRotationError, r"first column norm at or below 1e-8 at \(row 70, joint 3\)$"),
+], ids=["nan", "zero"])
+def test_the_block_evaluator_names_the_frame_in_the_video(standard_body, code, error, match):
+    """Frame 70 of 130 lies in the second of three blocks (43, 43 and 44
+    frames); errors name it by its place in the video, as whole-video
+    posing does."""
+    video = bench.make_target_video(3, n_frames=130, feature_dim=16, model=standard_body)
+    thetas, betas = video.gt_params.theta.copy(), video.gt_params.beta
+    thetas[70, 18:21] = code  # joint 3's first column
+    with pytest.raises(error, match=match) as info:
+        bench.make_evaluator(standard_body, video)(thetas, betas)
+    if error is DegenerateRotationError:
+        with pytest.raises(error) as whole:
+            body_forward_batch(standard_body, thetas, betas)
+        assert str(info.value) == str(whole.value)
+
+
+def test_a_500_frame_evaluation_holds_no_whole_video_prediction(standard_body):
+    """Posing and scoring in frame blocks: two calls, the first posing the
+    ground-truth mesh (1.44 MB, kept), peak at 3.7 MB; whole-video posing
+    and scoring peaked at 7.7 MB."""
+    video = bench.make_target_video(0, n_frames=500, feature_dim=16, model=standard_body)
+    thetas = video.gt_params.theta + np.random.default_rng(0).normal(scale=0.05, size=video.gt_params.theta.shape)
+    betas = np.ascontiguousarray(video.gt_params.beta)
+    evaluator = bench.make_evaluator(standard_body, video)
+    tracemalloc.start()
+    try:
+        for _ in range(2):
+            evaluator(thetas, betas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.0e6, f"peak {peak} B"
 
 
 @pytest.fixture(scope="module")

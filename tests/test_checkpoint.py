@@ -27,6 +27,11 @@ SMALL_HMR = HmrConfig(feature_dim=4, hidden_dim=3, num_hidden_layers=1)
 SMALL_MD = MdConfig(window=3, blocks=1)
 
 
+def _members(path) -> dict:
+    """Every member of a file, whatever it holds: for tests that edit one."""
+    return read_arrays(path, lambda found: found)
+
+
 def test_hmr_round_trip(tmp_path):
     config = HmrConfig(feature_dim=12, hidden_dim=9, num_hidden_layers=2)
     params = hmr_init(config, 5)
@@ -44,7 +49,7 @@ def test_md_round_trip(tmp_path):
     params = md_init(config, 3)
     path = tmp_path / "net.camd"
     save_md(path, config, params)
-    members = read_arrays(path)
+    members = _members(path)
     assert [members[name].item() for name in ("version", "kind", "window", "blocks")] == [2, "md", 7, 2]
     loaded_config, loaded = load_md(path)
     assert loaded_config == config
@@ -58,7 +63,7 @@ def test_md_round_trip(tmp_path):
 def test_version_is_checked(tmp_path):
     path = tmp_path / "net.cahm"
     save_hmr(path, SMALL_HMR, hmr_init(SMALL_HMR, 0))
-    write_arrays(path, {**read_arrays(path), "version": np.array(9)})
+    write_arrays(path, {**_members(path), "version": np.array(9)})
     with pytest.raises(CheckpointError, match="net.cahm.*version 9"):
         load_hmr(path)
     # version 1, the packed binary: magic, version, config words, raw float64s
@@ -92,7 +97,7 @@ def test_a_checkpoint_of_the_other_kind_is_refused(tmp_path):
 def test_a_wrong_member_is_refused(tmp_path, changes):
     path = tmp_path / "net.camd"
     save_md(path, SMALL_MD, md_init(SMALL_MD, 0))
-    members = {**read_arrays(path), **changes}
+    members = {**_members(path), **changes}
     write_arrays(path, {name: value for name, value in members.items() if value is not None})
     with pytest.raises(CheckpointError, match="net.camd"):
         load_md(path)
@@ -109,7 +114,7 @@ def test_a_wrong_member_is_refused(tmp_path, changes):
 def test_a_huge_stored_layer_count_is_refused_before_its_shapes_are_built(tmp_path, save, load, config, params, member):
     path = tmp_path / "net.ckpt"
     save(path, config, params)
-    write_arrays(path, {**read_arrays(path), member: np.array(10**5)})
+    write_arrays(path, {**_members(path), member: np.array(10**5)})
     tracemalloc.start()
     try:
         with pytest.raises(CheckpointError, match=r"net\.ckpt: .* parameter members, but the stored .* implies"):
@@ -145,7 +150,7 @@ def test_read_arrays_gives_writable_arrays_of_every_layout(tmp_path):
         "flags": np.array([True, False]),
     }
     write_arrays(tmp_path / "a.npz", members)
-    got = read_arrays(tmp_path / "a.npz")
+    got = read_arrays(tmp_path / "a.npz", lambda found: members)
     assert list(got) == list(members)
     for name, want in members.items():
         assert got[name].dtype == want.dtype and got[name].shape == want.shape
@@ -154,7 +159,7 @@ def test_read_arrays_gives_writable_arrays_of_every_layout(tmp_path):
     assert got["columns"].flags.f_contiguous
     wide = np.zeros((1,) * 40 + (2,))  # a header too long for version 1
     _write_raw_members(tmp_path / "v2.npz", {"wide": _npy_bytes(wide, version=(2, 0))})
-    assert np.array_equal(read_arrays(tmp_path / "v2.npz")["wide"], wide)
+    assert np.array_equal(read_arrays(tmp_path / "v2.npz", lambda found: ["wide"])["wide"], wide)
 
 
 @pytest.mark.parametrize("damage,match", [
@@ -168,14 +173,24 @@ def test_read_arrays_refuses_a_malformed_member(tmp_path, damage, match):
     path = tmp_path / "bad.npz"
     _write_raw_members(path, {"x": damage(_npy_bytes(np.ones((2, 3))))})
     with pytest.raises(ValueError, match=match):
-        read_arrays(path)
+        read_arrays(path, lambda found: ["x"])
+
+
+def test_read_arrays_refuses_a_missing_or_an_extra_member(tmp_path):
+    path = tmp_path / "a.npz"
+    write_arrays(path, {"x": np.ones(2), "y": np.zeros(3)})
+    assert list(read_arrays(path, lambda found: ["y", "x"])) == ["x", "y"]
+    with pytest.raises(ValueError, match=r"members \['z'\] missing and \['y'\] not expected"):
+        read_arrays(path, lambda found: ["x", "z"])
+    with pytest.raises(ValueError, match=r"members \[\] missing and \['x', 'y'\] not expected"):
+        read_arrays(path, lambda found: [])
 
 
 def test_read_arrays_refuses_an_object_member(tmp_path):
     path = tmp_path / "pickled.npz"
     _write_raw_members(path, {"x": _npy_bytes(np.array([{"a": 1}], dtype=object), allow_pickle=True)})
     with pytest.raises(ValueError, match="object dtype"):
-        read_arrays(path)
+        read_arrays(path, lambda found: ["x"])
 
 
 def test_truncated_file_names_path(tmp_path):

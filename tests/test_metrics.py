@@ -16,6 +16,7 @@ from cycleadapt.metrics import (
     mpvpe,
     pa_mpjpe,
     procrustes_align,
+    vertex_errors,
 )
 
 
@@ -256,7 +257,7 @@ def test_mpvpe_identical_is_zero():
     rng = np.random.default_rng(7)
     mesh = rng.normal(size=(3, 120, 3))
     roots = rng.normal(size=(3, 3))
-    assert mpvpe(mesh, mesh, roots, roots) == 0.0
+    assert mpvpe(vertex_errors(mesh, mesh, roots, roots)) == 0.0
 
 
 def test_mpvpe_offset_matching_root_cancels():
@@ -264,7 +265,7 @@ def test_mpvpe_offset_matching_root_cancels():
     gt = rng.normal(size=(2, 50, 3))
     gt_roots = rng.normal(size=(2, 3))
     offset = np.array([0.4, -0.1, 2.0])
-    assert mpvpe(gt + offset, gt, gt_roots + offset, gt_roots) < 1e-9
+    assert mpvpe(vertex_errors(gt + offset, gt, gt_roots + offset, gt_roots)) < 1e-9
 
 
 def test_mpvpe_single_vertex_hand_case():
@@ -272,7 +273,7 @@ def test_mpvpe_single_vertex_hand_case():
     pred = gt.copy()
     pred[0, 17, 0] = 0.005
     roots = np.zeros((1, 3))
-    assert abs(mpvpe(pred, gt, roots, roots) - 5.0 / 120.0) < 1e-12
+    assert abs(mpvpe(vertex_errors(pred, gt, roots, roots)) - 5.0 / 120.0) < 1e-12
 
 
 def test_accel_identical_is_zero():
@@ -324,7 +325,7 @@ def test_a_sequence_with_pa_mpjpe_above_mpjpe_evaluates():
     gt = 0.3 * np.random.default_rng(0).normal(size=(3, 24, 3))
     pred = gt.copy()
     pred[:, 5, 0] += 0.2
-    rep = evaluate_sequence(pred, gt, gt, gt)
+    rep = evaluate_sequence(pred, gt, vertex_errors(gt, gt, pred[:, 0], gt[:, 0]))
     assert abs(rep.mpjpe - 200.0 / 24) < 1e-9
     assert abs(rep.pa_mpjpe - 18.95) < 0.01
 
@@ -349,10 +350,11 @@ def test_evaluate_sequence_matches_parts():
     pred_j = gt_j + rng.normal(scale=0.05, size=gt_j.shape)
     gt_v = rng.normal(size=(5, 40, 3))
     pred_v = gt_v + rng.normal(scale=0.05, size=gt_v.shape)
-    rep = evaluate_sequence(pred_j, gt_j, pred_v, gt_v)
+    errors = vertex_errors(pred_v, gt_v, pred_j[:, 0], gt_j[:, 0])
+    rep = evaluate_sequence(pred_j, gt_j, errors)
     assert rep.mpjpe == mpjpe(pred_j, gt_j)
     assert rep.pa_mpjpe == pa_mpjpe(pred_j, gt_j)
-    assert rep.mpvpe == mpvpe(pred_v, gt_v, pred_j[:, 0], gt_j[:, 0])
+    assert rep.mpvpe == mpvpe(errors)
     assert rep.accel == accel_error(pred_j, gt_j)
 
 
@@ -365,7 +367,7 @@ def test_evaluate_sequence_names_first_non_finite_frame(points):
     pred[points][4, 2, 1] = np.nan
     pred[points][2, 0, 0] = np.inf
     with pytest.raises(DegenerateGeometryError, match="not finite in frame 2$"):
-        evaluate_sequence(pred["joints"], gt_j, pred["vertices"], gt_v)
+        evaluate_sequence(pred["joints"], gt_j, vertex_errors(pred["vertices"], gt_v, pred["joints"][:, 0], gt_j[:, 0]))
 
 
 def _norm_form_metrics(pj, gj, pv, gv) -> tuple:
@@ -407,7 +409,7 @@ def test_each_metric_gives_the_bits_of_its_norm_form(frames, joints, vertices, l
     got = (
         mpjpe(pj, gj),
         pa_mpjpe(pj, gj),
-        mpvpe(pv, gv, pj[:, 0], gj[:, 0]),
+        mpvpe(vertex_errors(pv, gv, pj[:, 0], gj[:, 0])),
         accel_error(pj, gj),
     )
     assert got == _norm_form_metrics(pj, gj, pv, gv)
@@ -422,10 +424,14 @@ def test_scoring_500_frames_keeps_no_whole_video_temporaries():
     gt_v = rng.normal(size=(500, 120, 3))
     pred_j = gt_j + rng.normal(scale=0.05, size=gt_j.shape)
     pred_v = gt_v + rng.normal(scale=0.05, size=gt_v.shape)
-    evaluate_sequence(pred_j[:4], gt_j[:4], pred_v[:4], gt_v[:4])
+    def score(frames):
+        errors = vertex_errors(pred_v[frames], gt_v[frames], pred_j[frames, 0], gt_j[frames, 0])
+        return evaluate_sequence(pred_j[frames], gt_j[frames], errors)
+
+    score(slice(4))
     tracemalloc.start()
     try:
-        evaluate_sequence(pred_j, gt_j, pred_v, gt_v)
+        score(slice(None))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

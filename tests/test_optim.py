@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cycleadapt.benchmark import HMR_CONFIG
+from cycleadapt.hmrnet import hmr_init
 from cycleadapt.optim import InvariantError, OptState, adam_init, adam_step, check_loss, cosine_lr
 
 
@@ -163,6 +166,51 @@ def test_adam_step_matches_the_functional_update_bit_for_bit(run):
         assert _bits(state.m) == _bits(ref_m)
         assert _bits(state.v) == _bits(ref_v)
         assert state.step == ref_step
+
+
+@pytest.mark.parametrize("case", ["2.5 blocks", "fortran order", "missing gradient"])
+def test_blocked_adam_matches_the_functional_update_bit_for_bit(case):
+    """Each parameter is updated in row blocks of 2**14 elements (64 rows of
+    256 here): a 160-row parameter is two blocks and a half, its moments
+    views of a Fortran-ordered array in one case; the 0-d gradient of a
+    missing entry is broadcast into every block."""
+    rng = np.random.default_rng(5)
+    w = rng.normal(size=(160, 256))
+    params = {"w": np.asfortranarray(w) if case == "fortran order" else w, "b": rng.normal(size=256)}
+    state = adam_init(params)
+    ref_p, ref_m, ref_v, ref_step = dict(params), adam_init(params).m, adam_init(params).v, 0
+    for step in range(4):
+        grads = {"w": rng.normal(size=(160, 256)), "b": rng.normal(size=256)}
+        if case == "missing gradient" and step % 2:
+            del grads["w"]
+        adam_step(params, grads, state, lr=0.01)
+        ref_p, ref_m, ref_v, ref_step = _reference_adam(ref_p, grads, ref_m, ref_v, ref_step, 0.01)
+        assert _bits(params) == _bits(ref_p)
+        assert _bits(state.m) == _bits(ref_m)
+        assert _bits(state.v) == _bits(ref_v)
+    assert params["w"].flags.f_contiguous == (case == "fortran order")
+
+
+def test_an_adam_step_on_the_standard_regressor_allocates_one_w0_and_one_block():
+    """The step's temporaries are block-sized, so beside the gradients it
+    holds the new parameter being built (w0, 1 MB, is the largest) and one
+    block of 2**14 elements; whole-parameter quotients took about 2.1 MB."""
+    tracemalloc.start()
+    try:
+        params = hmr_init(HMR_CONFIG, 0)
+        state = adam_init(params)
+        rng = np.random.default_rng(0)
+        grads = {name: rng.normal(size=p.shape) for name, p in params.items()}
+        adam_step(params, grads, state, lr=1e-3)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        adam_step(params, grads, state, lr=1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = np.dtype(np.float64).itemsize << 14
+    slack = 8 << 10  # the views, slices and dict entries of one step
+    assert peak - held <= params["w0"].nbytes + block + slack, f"peak {peak - held} B over what the step started with"
 
 
 def test_adam_step_never_writes_into_an_array_it_was_given():

@@ -8,7 +8,7 @@ from cycleadapt.benchmark import SOURCE, TARGET, make_evaluator, target_mixing
 from cycleadapt.bodymodel import body_forward_batch, build_toy_body, identity_pose, project_weak_perspective
 from cycleadapt.checkpoint import read_arrays, write_arrays
 from cycleadapt.mdnet import gaussian_filter_baseline
-from cycleadapt.metrics import accel_error, evaluate_sequence
+from cycleadapt.metrics import accel_error, evaluate_sequence, vertex_errors
 from cycleadapt.synth import (
     FORMAT_VERSION,
     GT_PARAMS,
@@ -230,7 +230,8 @@ def test_the_evaluator_scores_against_the_reference_mesh_byte_for_byte():
         beta = video.gt_params.beta + rng.normal(scale=0.1, size=video.gt_params.beta.shape)
         verts, joints = body_forward_batch(MODEL, theta, beta)
         got = dataclasses.astuple(evaluator(theta, beta))
-        want = dataclasses.astuple(evaluate_sequence(joints, video.gt_joints, verts, mesh))
+        errors = vertex_errors(verts, mesh, joints[:, 0], video.gt_joints[:, 0])
+        want = dataclasses.astuple(evaluate_sequence(joints, video.gt_joints, errors))
         assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
@@ -315,7 +316,7 @@ def _assert_same_video(loaded, loaded_spec, video, spec):
 
 def _rewrite_members(path, **changes):
     """Re-save a video file with some members replaced (CRCs stay valid)."""
-    write_arrays(path, {**read_arrays(path), **changes})
+    write_arrays(path, {**read_arrays(path, lambda found: found), **changes})
 
 
 def test_video_round_trip_is_bit_identical(tmp_path):
@@ -365,6 +366,20 @@ def test_a_version_2_video_file_is_refused_naming_its_path(tmp_path):
     mesh, _ = body_forward_batch(MODEL, video.gt_params.theta, video.gt_params.beta)
     _rewrite_members(path, version=np.array(2), mesh=mesh)
     with pytest.raises(VideoFormatError, match=r"clip\.video: not a readable version-3 video.*unsupported version 2"):
+        read_video(path)
+
+
+@pytest.mark.parametrize("changes", [{"mesh": np.zeros((3, 120, 3))}, {"keypoints": None}], ids=["extra-mesh", "missing-keypoints"])
+def test_a_video_with_a_member_too_many_or_too_few_is_refused(tmp_path, changes):
+    """A version-3 file re-saved with the mesh that version 2 stored, or
+    without its keypoints, names the path and the member."""
+    spec = _spec()
+    path = tmp_path / "clip.video"
+    write_video(path, make_video(spec, MODEL, 3, feature_dim=8, seed=4), spec)
+    members = {**read_arrays(path, lambda found: found), **changes}
+    write_arrays(path, {name: value for name, value in members.items() if value is not None})
+    name = next(iter(changes))
+    with pytest.raises(VideoFormatError, match=rf"clip\.video: not a readable version-3 video.*'{name}'"):
         read_video(path)
 
 

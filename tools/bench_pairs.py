@@ -15,8 +15,8 @@ hashes, both sides' ``src/cycleadapt`` and ``tests`` line counts, the
 machine, the BLAS thread count, every pair's end-to-end metrics, and per
 workload and metric both medians and quartiles, the number of pairs the
 working tree won, the relative change of the medians, their gap in units of
-the parent's interquartile range and the runs that failed the benchmark's
-correctness check. Each run also records its heap churn: the minor page
+the parent's interquartile range, whether a claimed gain would hold
+(``claim_met``) and the runs that failed the benchmark's correctness check. Each run also records its heap churn: the minor page
 faults and the system CPU time of ``run.py`` and the workers it waits for,
 and whether it built the nets; the summary gives their medians per side,
 over the runs that built none, without a gate. Running again with the same tag adds pairs to the file, as
@@ -40,6 +40,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS_DIR = ROOT / ".perfbench" / "pairs"
+# the fewest pairs a claimed gain may rest on
+CLAIM_PAIRS = 10
 
 
 def summarize(pairs: list, metrics: dict) -> dict:
@@ -55,6 +57,10 @@ def summarize(pairs: list, metrics: dict) -> dict:
     ``change_rel`` is the change median over the parent median, minus one;
     ``gap_over_parent_iqr`` is the absolute gap between the medians over the
     parent's interquartile range. Each is None where its divisor is 0.
+    ``claim_met`` applies the rule for claiming a gain: at least
+    ``CLAIM_PAIRS`` pairs run, the change winning at least nine tenths of
+    all of them (ties and failed pairs count for neither side), and the
+    change's median better than the parent's by more than the parent's IQR.
     """
     failed = {side: sum(not p["correct"][side] for p in pairs) for side in ("parent", "change")}
     kept = [p for p in pairs if all(p["correct"].values())]
@@ -73,6 +79,8 @@ def summarize(pairs: list, metrics: dict) -> dict:
         entry["change_rel"] = change["median"] / parent["median"] - 1.0 if parent["median"] else None
         gap = abs(change["median"] - parent["median"])
         entry["gap_over_parent_iqr"] = gap / parent["iqr"] if parent["iqr"] else None
+        ahead = parent["median"] - change["median"] if better == "lower" else change["median"] - parent["median"]
+        entry["claim_met"] = len(pairs) >= CLAIM_PAIRS and wins >= 0.9 * len(pairs) and ahead > parent["iqr"]
         out[name] = entry
     return out
 
