@@ -4,12 +4,16 @@ Each cycle runs one epoch of regressor updates over the video (batches in a
 seeded-shuffled order, loss = 2D reprojection plus an L1 pull toward stored
 pseudo-ground-truth, the latter disabled in the first cycle), then a handful
 of denoiser updates on random windows of the stored poses (masked
-self-supervision), whose unmasked outputs overwrite the stored thetas. A
-single cosine learning-rate schedule spans every update of the whole run;
-each step takes its own net's Adam state, and the schedule's position is
-the two states' update count. The causal online pass is built from the same
-two steps, `hmr_step` and `md_step`; source pre-training is `hmr_step` with
-ground truth as the targets (`benchmark.hmr_pretrain`).
+self-supervision), whose unmasked outputs overwrite the stored thetas. Each
+net has one bare Adam state, and each step call is one update of its net.
+One cosine learning-rate schedule spans the whole run; the stages read it
+through a zero-argument ``lr`` whose position is the two states' summed
+update count. The causal online pass takes the same two steps, `hmr_step`
+and `md_step`, at a constant rate; source pre-training is `hmr_step` with
+ground truth as the targets (`benchmark.hmr_pretrain`). A frozen
+regressor's outputs are its forward pass (`hmr_forward`) on the same
+batches, and a frozen denoiser's `md_step` gets no mask and only writes
+back; both draw the random numbers a trained net would.
 
 Each training loop (`cycle_adapt`, `online_adapt`, and `hmr_pretrain` and
 `mdnet.md_pretrain` outside this module) owns a shallow copy of each
@@ -162,26 +166,8 @@ class AdaptConfig:
             raise ValueError(f"AdaptConfig.gaussian_std must be > 0, got {self.gaussian_std}")
 
 
-@dataclass
-class AdaptOptimizers:
-    """One Adam state per network and the length of the offline loop's cosine
-    schedule, whose position is the two nets' update count."""
-
-    hmr: OptState
-    md: OptState
-    total_steps: int
-
-    @property
-    def steps_taken(self) -> int:
-        return self.hmr.step + self.md.step
-
-
 def windows_per_cycle(n_frames: int, window: int) -> int:
     return -(-n_frames // window)
-
-
-def _lr(opt: AdaptOptimizers, config: AdaptConfig) -> float:
-    return cosine_lr(min(opt.steps_taken, opt.total_steps), opt.total_steps, config.lr_start, config.lr_end)
 
 
 def hmr_step(
@@ -191,34 +177,31 @@ def hmr_step(
     hmr_config: HmrConfig,
     hmr_params: dict,
     state: OptState,
-    config: AdaptConfig,
+    gamma: float,
     lr: float,
     pseudo_theta=None,
     pseudo_beta=None,
     rows=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One regressor update of ``hmr_params`` on the frames ``idx``, loss as
-    in `hmr_loss_graph`.
+    in `hmr_loss_graph` with the beta pull weighted by ``gamma``.
 
     Returns the batch's theta and beta from the forward pass before the
-    update; a frozen regressor only runs forward and leaves ``hmr_params``
-    as it is. A loss that is not finite raises `InvariantError`
-    (`check_loss`).
+    update. A loss that is not finite raises `InvariantError` (`check_loss`).
     """
     g = Graph()
     theta, beta, cam = hmr_forward_graph(g, hmr_config, g.const(inputs.features[idx]))
     loss = hmr_loss_graph(
         g, model, theta, beta, cam, idx.size, inputs.keypoints[idx], pseudo_theta=pseudo_theta,
-        pseudo_beta=pseudo_beta, gamma=config.gamma, rows=rows,
+        pseudo_beta=pseudo_beta, gamma=gamma, rows=rows,
     )
     values = evaluate(g, hmr_params)
     check_loss(values[loss], "regressor", state)
     out_theta, out_beta = values[theta], values[beta]
-    if not config.frozen_hmrnet:
-        grads = backward_from_values(g, values, loss)
-        # the forward values and the tape are dead once the gradients exist
-        del values, g
-        adam_step(hmr_params, grads, state, lr)
+    grads = backward_from_values(g, values, loss)
+    # the forward values and the tape are dead once the gradients exist
+    del values, g
+    adam_step(hmr_params, grads, state, lr)
     return out_theta, out_beta
 
 
@@ -230,17 +213,16 @@ def md_step(
     md_config: MdConfig,
     md_params: dict,
     state: OptState,
-    config: AdaptConfig,
     lr: float,
 ) -> None:
-    """One denoiser update of ``md_params`` on a masked window, then the
-    unmasked write-back.
+    """One denoiser update of ``md_params`` on a window masked by ``mask``,
+    then the unmasked write-back.
 
+    With ``mask`` None (a frozen denoiser) there is only the write-back.
     Rows of ``window_theta`` past ``idx`` are padding and never written. A
-    frozen denoiser skips the update (and needs no mask) but still writes.
-    A loss or a written pose that is not finite raises `InvariantError`.
+    loss or a written pose that is not finite raises `InvariantError`.
     """
-    if config.md_denoiser == "mdnet":
+    if mask is not None:
         masked_input = np.where(mask[:, None] > 0, 0.0, window_theta)
         g = Graph()
         out = md_forward_graph(g, md_config, g.const(masked_input))
@@ -263,16 +245,18 @@ def hmr_stage(
     model: BodyModel,
     hmr_config: HmrConfig,
     hmr_params: dict,
-    opt: AdaptOptimizers,
+    state: OptState,
+    lr,
     config: AdaptConfig,
     cycle_index: int,
     rng: np.random.Generator,
 ) -> None:
-    """One seeded-shuffled epoch of regressor updates of ``hmr_params``.
+    """One seeded-shuffled epoch of `hmr_step` updates at the rate ``lr()``.
 
     Pseudo targets come from the store as written by the previous cycle;
     they are ignored entirely in cycle 1. Every batch's forward outputs are
-    written back to the store after that batch's update.
+    written back to the store after that batch's update; a frozen
+    regressor's are those of `hmr_forward` on the same batch.
     """
     n = inputs.frame_count
     if store.size != n:
@@ -281,10 +265,13 @@ def hmr_stage(
     order = rng.permutation(n)
     for lo in range(0, n, config.batch):
         idx = order[lo : lo + config.batch]
-        pseudo_theta, pseudo_beta = store.fetch(idx) if use_pseudo else (None, None)
-        out_theta, out_beta = hmr_step(
-            inputs, idx, model, hmr_config, hmr_params, opt.hmr, config, _lr(opt, config), pseudo_theta, pseudo_beta
-        )
+        if config.frozen_hmrnet:
+            out_theta, out_beta, _ = hmr_forward(hmr_params, inputs.features[idx])
+        else:
+            pseudo = store.fetch(idx) if use_pseudo else (None, None)
+            out_theta, out_beta = hmr_step(
+                inputs, idx, model, hmr_config, hmr_params, state, config.gamma, lr(), *pseudo
+            )
         store.write_hmr(idx, out_theta, out_beta)
 
 
@@ -292,16 +279,17 @@ def md_stage(
     store: ResultStore,
     md_config: MdConfig,
     md_params: dict,
-    opt: AdaptOptimizers,
+    state: OptState,
+    lr,
     config: AdaptConfig,
     rng: np.random.Generator,
 ) -> None:
-    """Denoiser updates of ``md_params`` on random store windows, then
-    unmasked write-backs.
+    """`md_step` updates at the rate ``lr()`` on random store windows, each
+    followed by its unmasked write-back.
 
     Touches thetas only. With the gaussian denoiser the whole sequence is
-    filtered once instead; with a frozen denoiser the write-backs still
-    happen but no parameter moves.
+    filtered once instead; a frozen denoiser's masks are drawn but not
+    given to `md_step`, so only the write-backs happen.
     """
     n = store.size
     t = md_config.window
@@ -321,7 +309,8 @@ def md_stage(
                 idx = np.arange(n)
                 window_theta = np.concatenate([store.theta, np.repeat(store.theta[-1:], t - n, axis=0)])
                 mask = np.concatenate([sample_mask(n, rng), np.zeros(t - n)])
-            md_step(store, idx, window_theta, mask, md_config, md_params, opt.md, config, _lr(opt, config))
+            mask = mask if config.md_denoiser == "mdnet" else None  # drawn all the same
+            md_step(store, idx, window_theta, mask, md_config, md_params, state, lr())
 
 
 @dataclass
@@ -364,25 +353,25 @@ def cycle_adapt(
 
     hmr_steps = 0 if config.frozen_hmrnet else -(-n // config.batch)
     md_steps = windows_per_cycle(n, md_config.window) if config.md_denoiser == "mdnet" else 0
-    opt = AdaptOptimizers(
-        hmr=adam_init(hmr_params),
-        md=adam_init(md_params),
-        total_steps=max(1, config.cycles * (hmr_steps + md_steps)),
-    )
+    total = max(1, config.cycles * (hmr_steps + md_steps))
+    hmr_state, md_state = adam_init(hmr_params), adam_init(md_params)
+
+    def lr() -> float:
+        return cosine_lr(hmr_state.step + md_state.step, total, config.lr_start, config.lr_end)
 
     rows: list = []
     _log_rows(rows, 0, evaluator, hmr_params, inputs, None)
     for cycle in range(1, config.cycles + 1):
         hmr_rng = np.random.default_rng(np.random.SeedSequence([config.seed, cycle, 0]))
-        hmr_stage(inputs, store, model, hmr_config, hmr_params, opt, config, cycle, hmr_rng)
+        hmr_stage(inputs, store, model, hmr_config, hmr_params, hmr_state, lr, config, cycle, hmr_rng)
         if config.md_denoiser != "none":
             md_rng = np.random.default_rng(np.random.SeedSequence([config.seed, cycle, 1]))
-            md_stage(store, md_config, md_params, opt, config, md_rng)
+            md_stage(store, md_config, md_params, md_state, lr, config, md_rng)
         _log_rows(rows, cycle, evaluator, hmr_params, inputs, store)
         if checkpoint_dir is not None:
             save_hmr(Path(checkpoint_dir) / f"hmr_cycle{cycle:02d}.ckpt", hmr_config, hmr_params)
             save_md(Path(checkpoint_dir) / f"md_cycle{cycle:02d}.ckpt", md_config, md_params)
-    return AdaptRun(hmr_params, md_params, store, rows, steps_taken=opt.steps_taken)
+    return AdaptRun(hmr_params, md_params, store, rows, steps_taken=hmr_state.step + md_state.step)
 
 
 @dataclass
@@ -431,10 +420,13 @@ def online_adapt(
             idx = np.concatenate([[i], past]).astype(int)
         else:
             idx = np.array([i])
-        theta, beta = hmr_step(
-            inputs, idx, model, hmr_config, hmr_params, hmr_state, config, config.lr_start,
-            *store.fetch(idx), rows=store.md_written[idx],
-        )
+        if config.frozen_hmrnet:
+            theta, beta, _ = hmr_forward(hmr_params, inputs.features[idx])
+        else:
+            theta, beta = hmr_step(
+                inputs, idx, model, hmr_config, hmr_params, hmr_state, config.gamma, config.lr_start,
+                *store.fetch(idx), rows=store.md_written[idx],
+            )
         out_theta[i] = theta[0]
         out_beta[i] = beta[0]
         store.write_hmr(np.array([i]), out_theta[i : i + 1], out_beta[i : i + 1])
@@ -446,7 +438,7 @@ def online_adapt(
                 store.write_md(idx_w, gaussian_filter_baseline(window_theta, config.gaussian_std))
             else:
                 mask = sample_mask(t, rng) if config.md_denoiser == "mdnet" else None
-                md_step(store, idx_w, window_theta, mask, md_config, md_params, md_state, config, config.lr_start)
+                md_step(store, idx_w, window_theta, mask, md_config, md_params, md_state, config.lr_start)
 
     report = evaluator(out_theta, out_beta)
     return OnlineRun(hmr_params, md_params, out_theta, out_beta, report, steps_taken=hmr_state.step + md_state.step)

@@ -200,10 +200,19 @@ def make_source_videos(
     return [make_video(source, model, n_frames, feature_dim, s, mixing=mixing) for s in seeds]
 
 
-def _frame_blocks(frames: int) -> list:
-    """Slices of ``frames`` in ceil(frames / _EVAL_FRAMES) blocks of near-equal size."""
+def pose_blocks(model: BodyModel, theta, beta):
+    """Pose a sequence in ceil(frames / _EVAL_FRAMES) blocks of near-equal size:
+    yields (rows, vertices, joints) per block, rows a slice of the sequence. A
+    degenerate pose code is named by its row in the sequence, not in the block."""
+    frames = len(theta)
     count = max(1, -(-frames // _EVAL_FRAMES))
-    return [slice(frames * k // count, frames * (k + 1) // count) for k in range(count)]
+    for k in range(count):
+        rows = slice(frames * k // count, frames * (k + 1) // count)
+        try:
+            verts, joints = body_forward_batch(model, theta[rows], beta[rows])
+        except DegenerateRotationError as err:
+            raise DegenerateRotationError(err.what, err.row + rows.start, err.joint) from None
+        yield rows, verts, joints
 
 
 def make_evaluator(model: BodyModel, video: SyntheticVideo):
@@ -215,34 +224,28 @@ def make_evaluator(model: BodyModel, video: SyntheticVideo):
     metrics, so no whole-video prediction mesh or error temporary exists.
     The blocks split the video evenly, never into a one-frame tail, so the
     reports are those of whole-video posing, bit for bit. A degenerate pose
-    code or a non-finite prediction is named by its frame in the video.
+    code or a non-finite prediction is named by its frame in the video. The
+    ground-truth mesh is kept only once every block of it is posed, so a
+    call that fails there leaves the next call to pose it again.
     """
     gt_joints, gt_params, gt_mesh = video.gt_joints, video.gt_params, None
     frames = len(gt_joints)
-    blocks = _frame_blocks(frames)
-
-    def pose(thetas, betas, rows):
-        try:
-            return body_forward_batch(model, thetas[rows], betas[rows])
-        except DegenerateRotationError as err:  # name the row in the video, not in the block
-            raise DegenerateRotationError(err.what, err.row + rows.start, err.joint) from None
 
     def evaluator(theta: np.ndarray, beta: np.ndarray) -> MetricReport:
         nonlocal gt_mesh, gt_params
         if gt_mesh is None:
-            gt_mesh = np.empty((frames, model.vertex_count, 3))
-            thetas, betas = gt_params.theta, gt_params.beta
-            for rows in blocks:
-                gt_mesh[rows] = pose(thetas, betas, rows)[0]
-            gt_params = None
+            mesh = np.empty((frames, model.vertex_count, 3))
+            for rows, verts, _ in pose_blocks(model, gt_params.theta, gt_params.beta):
+                mesh[rows] = verts
+            gt_mesh, gt_params = mesh, None
         theta, beta = np.asarray(theta, dtype=np.float64), np.asarray(beta, dtype=np.float64)
         if len(theta) != frames or len(beta) != frames:
             raise ValueError(f"evaluator: {len(theta)} pose and {len(beta)} shape rows for a {frames}-frame video")
         joints = np.empty(gt_joints.shape)
         errors = np.empty((frames, model.vertex_count))
-        for rows in blocks:
-            verts, joints[rows] = pose(theta, beta, rows)
-            errors[rows] = vertex_errors(verts, gt_mesh[rows], joints[rows, 0], gt_joints[rows, 0])
+        for rows, verts, block_joints in pose_blocks(model, theta, beta):
+            joints[rows] = block_joints
+            errors[rows] = vertex_errors(verts, gt_mesh[rows], block_joints[:, 0], gt_joints[rows, 0])
         return evaluate_sequence(joints, gt_joints, errors)
 
     return evaluator
@@ -301,12 +304,11 @@ def hmr_pretrain(
     eval_idx = rng.choice(n, size=min(256, n), replace=False)
     params = dict(params)
     state = adam_init(params)
-    step_config = AdaptConfig(gamma=1.0)
     every = max(1, -(-steps // 5))
     curve = [(0, pose_code_error(params, inputs.features[eval_idx], thetas[eval_idx]))]
     for step in range(1, steps + 1):
         idx = rng.choice(n, size=min(batch, n), replace=False)
-        hmr_step(inputs, idx, model, config, params, state, step_config, lr, thetas[idx], betas[idx])
+        hmr_step(inputs, idx, model, config, params, state, 1.0, lr, thetas[idx], betas[idx])
         if step % every == 0 or step == steps:
             curve.append((step, pose_code_error(params, inputs.features[eval_idx], thetas[eval_idx])))
     return params, curve

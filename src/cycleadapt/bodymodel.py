@@ -120,9 +120,8 @@ def body_forward_batch(model: BodyModel, thetas, betas) -> tuple[np.ndarray, np.
 
     A frame's bits do not depend on the batch it is posed in, except in a
     one-row batch: its 2-D products go through BLAS's gemv, which rounds
-    differently from gemm. So `benchmark.make_evaluator` never poses a
-    one-frame block of a longer video, and `cli._read_checked_video`, which
-    re-poses frame 0 alone, compares it within 1e-9 m, not bit for bit.
+    differently from gemm. So `benchmark.pose_blocks` never poses a
+    one-frame block of a longer video.
     """
     th = np.asarray(thetas, dtype=np.float64)
     be = np.asarray(betas, dtype=np.float64)

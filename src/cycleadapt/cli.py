@@ -58,13 +58,13 @@ from .benchmark import (
     make_evaluator,
     make_source_videos,
     make_target_video,
+    pose_blocks,
     pretrain_nets,
     random_nets,
     run_offline,
     run_online,
     run_suite,
 )
-from .bodymodel import body_forward_batch
 from .checkpoint import load_hmr, load_md, save_hmr, save_md
 from .diffcore import DegenerateRotationError
 from .hmrnet import HmrConfig, hmr_forward
@@ -288,7 +288,8 @@ def _synth_target(cfg: RunConfig, model):
 
 
 def _read_checked_video(cfg: RunConfig, model, path):
-    """A video file, checked against the run's regressor and body (frame 0's joints are posed again)."""
+    """A video file, checked against the run's regressor and body: every frame's
+    joints are posed again, in the evaluator's blocks, and must match to 1e-9 m."""
     video, _spec = read_video(path)
     if video.frame_count < ACCEL_MIN_FRAMES:
         raise ConfigError(f"{path}: {video.frame_count or 'no'} frames; accel_error needs at least {ACCEL_MIN_FRAMES}")
@@ -300,10 +301,14 @@ def _read_checked_video(cfg: RunConfig, model, path):
     if video.gt_joints.shape[1] != JOINTS:
         raise ConfigError(f"{path}: {video.gt_joints.shape[1]} joints but the body has {JOINTS}")
     body = f"the config's body (body.seed {cfg.body.seed}, body.scale {cfg.body.scale}, {cfg.body.vertices} vertices)"
-    _verts, joints = body_forward_batch(model, video.gt_params.theta[:1], video.gt_params.beta[:1])
-    gap = abs(joints[0] - video.gt_joints[0]).max()
-    if not gap <= 1e-9:
-        raise ConfigError(f"{path}: not posed with {body}: frame 0 posed with it is {gap:.3g} m off")
+    try:
+        for rows, _verts, joints in pose_blocks(model, video.gt_params.theta, video.gt_params.beta):
+            gaps = abs(joints - video.gt_joints[rows]).max(axis=(1, 2))
+            k = int(gaps.argmax())
+            if not gaps[k] <= 1e-9:
+                raise ConfigError(f"{path}: not posed with {body}: frame {rows.start + k} is {gaps[k]:.3g} m off")
+    except DegenerateRotationError as err:
+        raise ConfigError(f"{path}: ground-truth pose codes: {err}") from None
     return video
 
 

@@ -45,7 +45,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "Tensor",
     "Node",
     "Graph",
     "GradientMap",
@@ -61,9 +60,6 @@ __all__ = [
     "NonScalarLossError",
     "DegenerateRotationError",
 ]
-
-# Dense float64 row-major arrays are the only value type.
-Tensor = np.ndarray
 
 # Maps leaf name -> gradient array shaped like the leaf binding.
 GradientMap = dict

@@ -112,7 +112,7 @@ def _adam_block(p, g, m, v, out, lr: float, c1: float, c2: float) -> None:
     np.subtract(p, out, out=out)
 
 
-def cosine_lr(step: int, total_steps: int, lr_start: float = 5e-5, lr_end: float = 1e-6) -> float:
+def cosine_lr(step: int, total_steps: int, lr_start: float, lr_end: float) -> float:
     """Cosine annealing from lr_start at step 0 down to lr_end at total_steps."""
     if total_steps < 1:
         raise ValueError(f"cosine_lr: total_steps must be >= 1, got {total_steps}")

@@ -11,7 +11,6 @@ from cycleadapt import adapt, benchmark, diffcore, mdnet
 from cycleadapt.adapt import (
     AdaptConfig,
     AdaptInputs,
-    AdaptOptimizers,
     InvariantError,
     ResultStore,
     adapt_inputs,
@@ -54,8 +53,9 @@ def _config(**overrides):
     return AdaptConfig(**base)
 
 
-def _opt(hmr_params, md_params, total=100):
-    return AdaptOptimizers(hmr=adam_init(hmr_params), md=adam_init(md_params), total_steps=total)
+def _lr():
+    """A stage's learning-rate schedule, held constant."""
+    return 1e-4
 
 
 def _stub_evaluator(theta, beta):
@@ -86,17 +86,17 @@ def record_loop(monkeypatch) -> dict:
     cycle = [None]
     hmr_stage, md_stage, hmr_step, md_step = adapt.hmr_stage, adapt.md_stage, adapt.hmr_step, adapt.md_step
 
-    def hmr_stage_(inputs, store, model, hmr_config, params, opt, config, cycle_index, rng):
+    def hmr_stage_(inputs, store, model, hmr_config, params, state, lr, config, cycle_index, rng):
         if log["store_at_start"] is None:
             log["store_at_start"] = (store.theta.copy(), store.beta.copy())
         cycle[0] = cycle_index
-        return hmr_stage(inputs, store, model, hmr_config, params, opt, config, cycle_index, rng)
+        return hmr_stage(inputs, store, model, hmr_config, params, state, lr, config, cycle_index, rng)
 
-    def hmr_step_(inputs, idx, model, hmr_config, params, state, config, lr, pseudo_theta=None, pseudo_beta=None, rows=None):
-        out = hmr_step(inputs, idx, model, hmr_config, params, state, config, lr, pseudo_theta, pseudo_beta, rows)
+    def hmr_step_(inputs, idx, model, hmr_config, params, state, gamma, lr, pseudo_theta=None, pseudo_beta=None, rows=None):
+        out = hmr_step(inputs, idx, model, hmr_config, params, state, gamma, lr, pseudo_theta, pseudo_beta, rows)
         pull = None
         if pseudo_theta is not None:
-            pull = float(np.abs(out[0] - pseudo_theta).mean() + config.gamma * np.abs(out[1] - pseudo_beta).mean())
+            pull = float(np.abs(out[0] - pseudo_theta).mean() + gamma * np.abs(out[1] - pseudo_beta).mean())
         log["steps"].append((cycle[0], pull))
         return out
 
@@ -195,13 +195,13 @@ def test_hmr_stage_step_count_and_full_store_coverage(monkeypatch):
     store = ResultStore(64)
     params = hmr_init(HMR_CONFIG, seed=0)
     config = _config(batch=32)
-    opt = _opt(params, md_init(MD_CONFIG, seed=0))
+    state = adam_init(params)
     log = record_loop(monkeypatch)
     hmr_stage(
-        inputs, store, MODEL, HMR_CONFIG, params, opt, config, 1,
+        inputs, store, MODEL, HMR_CONFIG, params, state, _lr, config, 1,
         np.random.default_rng(0),
     )
-    assert opt.hmr.step == 2 and opt.md.step == 0  # 64 frames / batch 32
+    assert state.step == 2  # 64 frames / batch 32
     assert np.all(np.any(store.theta != 0.0, axis=1))
     assert np.all(np.any(store.beta != 0.0, axis=1))
     assert log["steps"] == [(None, None), (None, None)]  # no pseudo targets in cycle 1
@@ -212,14 +212,14 @@ def test_hmr_stage_second_cycle_pulls_toward_store(monkeypatch):
     store = ResultStore(16)
     params = hmr_init(HMR_CONFIG, seed=0)
     config = _config()
-    opt = _opt(params, md_init(MD_CONFIG, seed=0))
+    state = adam_init(params)
     hmr_stage(
-        inputs, store, MODEL, HMR_CONFIG, params, opt, config, 1,
+        inputs, store, MODEL, HMR_CONFIG, params, state, _lr, config, 1,
         np.random.default_rng(0),
     )
     log = record_loop(monkeypatch)
     hmr_stage(
-        inputs, store, MODEL, HMR_CONFIG, params, opt, config, 2,
+        inputs, store, MODEL, HMR_CONFIG, params, state, _lr, config, 2,
         np.random.default_rng(1),
     )
     assert len(log["steps"]) == 2
@@ -231,14 +231,46 @@ def test_hmr_stage_frozen_writes_but_never_steps():
     store = ResultStore(16)
     params = hmr_init(HMR_CONFIG, seed=0)
     config = _config(frozen_hmrnet=True)
-    opt = _opt(params, md_init(MD_CONFIG, seed=0))
+    state = adam_init(params)
     given = dict(params)
     hmr_stage(
-        inputs, store, MODEL, HMR_CONFIG, params, opt, config, 1,
+        inputs, store, MODEL, HMR_CONFIG, params, state, _lr, config, 1,
         np.random.default_rng(0),
     )
-    assert _same_arrays(params, given) and opt.hmr.step == 0
+    assert _same_arrays(params, given) and state.step == 0
     assert np.all(np.any(store.theta != 0.0, axis=1))
+
+
+@pytest.mark.parametrize("cycle_index", [1, 2])
+def test_a_frozen_regressor_stage_writes_its_step_outputs_byte_for_byte(monkeypatch, cycle_index):
+    """17 frames in batches of 8 end in a one-row batch, whose forward pass
+    takes gemv's bits. The frozen stage's rows equal, byte for byte, what
+    `hmr_step` returns for the same batches, yet the stage calls neither
+    `hmr_step` nor the Adam update."""
+    inputs = _setup(17)
+    params = hmr_init(HMR_CONFIG, seed=0)
+    config = _config(frozen_hmrnet=True)
+    order = np.random.default_rng(5).permutation(17)
+    batches = [order[lo : lo + 8] for lo in range(0, 17, 8)]
+    assert [b.size for b in batches] == [8, 8, 1]
+    store = _filled_store(17)
+    expected_theta, expected_beta = store.theta.copy(), store.beta.copy()
+    for idx in batches:
+        pseudo = store.fetch(idx) if cycle_index > 1 else (None, None)
+        state = adam_init(params)
+        theta, beta = adapt.hmr_step(inputs, idx, MODEL, HMR_CONFIG, dict(params), state, 0.001, 1e-4, *pseudo)
+        expected_theta[idx], expected_beta[idx] = theta, beta
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a frozen regressor's stage took a step")
+
+    monkeypatch.setattr(adapt, "hmr_step", refuse)
+    monkeypatch.setattr(adapt, "adam_step", refuse)
+    state = adam_init(params)
+    hmr_stage(inputs, store, MODEL, HMR_CONFIG, params, state, _lr, config, cycle_index, np.random.default_rng(5))
+    assert store.theta.tobytes() == expected_theta.tobytes()
+    assert store.beta.tobytes() == expected_beta.tobytes()
+    assert state.step == 0 and not store.md_written.any()
 
 
 def _filled_store(n, seed=7):
@@ -253,23 +285,22 @@ def test_md_stage_overwrites_thetas_but_never_betas(monkeypatch):
     beta_before = store.beta.copy()
     theta_before = store.theta.copy()
     params = md_init(MD_CONFIG, seed=0)
-    opt = _opt({}, params)
+    state = adam_init(params)
     log = record_loop(monkeypatch)
-    md_stage(store, MD_CONFIG, params, opt, _config(), np.random.default_rng(2))
+    md_stage(store, MD_CONFIG, params, state, _lr, _config(), np.random.default_rng(2))
     assert np.array_equal(store.beta, beta_before)
     # one window covers all five frames, so every theta row is rewritten
     assert store.md_written.all()
     assert np.all(np.any(store.theta != theta_before, axis=1))
-    assert opt.md.step == 1 and opt.hmr.step == 0
+    assert state.step == 1
     assert [m.sum() for m in log["masks"]] == [3]  # ceil(5 / 2)
 
 
 def test_md_stage_short_video_masks_real_rows_only(monkeypatch):
     store = _filled_store(3)
     params = md_init(MD_CONFIG, seed=0)
-    opt = _opt({}, params)
     log = record_loop(monkeypatch)
-    md_stage(store, MD_CONFIG, params, opt, _config(), np.random.default_rng(2))
+    md_stage(store, MD_CONFIG, params, adam_init(params), _lr, _config(), np.random.default_rng(2))
     (mask,) = log["masks"]
     assert mask.shape == (5,) and mask.sum() == 2  # ceil(3 / 2)
     assert not mask[3:].any()  # padding excluded
@@ -279,11 +310,11 @@ def test_md_stage_short_video_masks_real_rows_only(monkeypatch):
 def test_md_stage_frozen_keeps_params_but_still_denoises():
     store = _filled_store(5)
     params = md_init(MD_CONFIG, seed=0)
-    opt = _opt({}, params)
+    state = adam_init(params)
     config = _config(md_denoiser="frozen_mdnet")
     given = dict(params)
-    md_stage(store, MD_CONFIG, params, opt, config, np.random.default_rng(2))
-    assert _same_arrays(params, given) and opt.md.step == 0
+    md_stage(store, MD_CONFIG, params, state, _lr, config, np.random.default_rng(2))
+    assert _same_arrays(params, given) and state.step == 0
     assert store.md_written.all()
 
 
@@ -291,11 +322,11 @@ def test_md_stage_gaussian_filters_whole_sequence():
     store = _filled_store(12)
     theta_before = store.theta.copy()
     params = md_init(MD_CONFIG, seed=0)
-    opt = _opt({}, params)
+    state = adam_init(params)
     config = _config(md_denoiser="gaussian", gaussian_std=2.0)
     given = dict(params)
-    md_stage(store, MD_CONFIG, params, opt, config, np.random.default_rng(2))
-    assert _same_arrays(params, given) and opt.md.step == 0
+    md_stage(store, MD_CONFIG, params, state, _lr, config, np.random.default_rng(2))
+    assert _same_arrays(params, given) and state.step == 0
     assert np.array_equal(store.theta, gaussian_filter_baseline(theta_before, 2.0))
     assert store.md_written.all()
 
@@ -480,7 +511,7 @@ def test_hmr_step_rejects_a_non_finite_loss():
     state = adam_init(params)
     state.step = 7
     with pytest.raises(InvariantError, match=r"regressor loss is nan \(Adam updates completed: 7\)"):
-        adapt.hmr_step(inputs, np.arange(8), MODEL, HMR_CONFIG, params, state, _config(), 1e-4)
+        adapt.hmr_step(inputs, np.arange(8), MODEL, HMR_CONFIG, params, state, 0.001, 1e-4)
     assert state.step == 7
 
 
@@ -494,7 +525,7 @@ def test_hmr_step_refuses_a_degenerate_pose_code(code):
     params["b_out"][30:36] = code
     state = adam_init(params)
     with pytest.raises(DegenerateRotationError, match=r"\(rot6d\).*at \(row 0, joint 5\)"):
-        adapt.hmr_step(inputs, np.arange(8), MODEL, HMR_CONFIG, params, state, _config(), 1e-4)
+        adapt.hmr_step(inputs, np.arange(8), MODEL, HMR_CONFIG, params, state, 0.001, 1e-4)
     assert state.step == 0
 
 
@@ -505,8 +536,10 @@ def test_md_step_rejects_a_non_finite_loss():
     state = adam_init(params)
     state.step = 4
     mask = np.array([0.0, 1.0, 0.0, 1.0, 0.0])
-    with pytest.raises(InvariantError, match=r"denoiser loss is (nan|inf) \(Adam updates completed: 4\)"):
-        adapt.md_step(store, np.arange(5), store.theta.copy(), mask, MD_CONFIG, params, state, _config(), 1e-4)
+    # the infinite weight meets zeroed inputs in the first matmul: inf * 0
+    with pytest.warns(RuntimeWarning, match="invalid value encountered in matmul"):
+        with pytest.raises(InvariantError, match=r"denoiser loss is (nan|inf) \(Adam updates completed: 4\)"):
+            adapt.md_step(store, np.arange(5), store.theta.copy(), mask, MD_CONFIG, params, state, 1e-4)
 
 
 def test_md_step_refuses_to_write_non_finite_poses():
@@ -516,9 +549,9 @@ def test_md_step_refuses_to_write_non_finite_poses():
     params["w_out"][1, 2] = np.nan
     state = adam_init(params)
     state.step = 3
-    config = _config(md_denoiser="frozen_mdnet")  # no loss, so only the write-back can see it
+    # no mask (a frozen denoiser), so no loss: only the write-back can see it
     with pytest.raises(InvariantError, match=r"denoiser wrote non-finite poses \(Adam updates completed: 3\)"):
-        adapt.md_step(store, np.arange(5), store.theta.copy(), None, MD_CONFIG, params, state, config, 1e-4)
+        adapt.md_step(store, np.arange(5), store.theta.copy(), None, MD_CONFIG, params, state, 1e-4)
     assert np.array_equal(store.theta, theta_before) and not store.md_written.any()
 
 

@@ -328,6 +328,43 @@ def test_a_500_frame_evaluation_holds_no_whole_video_prediction(standard_body):
     assert peak <= 5.0e6, f"peak {peak} B"
 
 
+def test_a_ground_truth_that_cannot_be_posed_fails_every_call(standard_body):
+    """A degenerate ground-truth code at frame 150 of 200 (the fourth of four
+    blocks) fails the first call; the second, with the clean codes as its
+    predictions, fails alike instead of scoring against a half-posed mesh."""
+    video = bench.make_target_video(4, n_frames=200, feature_dim=16, model=standard_body)
+    thetas, betas = video.gt_params.theta.copy(), video.gt_params.beta
+    params = video.gt_params.copy()
+    params.theta[150, 18:21] = 0.0  # joint 3's first column
+    evaluator = bench.make_evaluator(standard_body, dataclasses.replace(video, gt_params=params))
+    for _ in range(2):
+        with pytest.raises(DegenerateRotationError, match=r"at \(row 150, joint 3\)$"):
+            evaluator(thetas, betas)
+
+
+def test_a_call_that_fails_posing_the_ground_truth_leaves_it_to_the_next(standard_body, monkeypatch):
+    """The ground-truth mesh is kept only once every block is posed: after
+    a failure in its third block, the next call poses it again, so the
+    video's own codes score 0."""
+    video = bench.make_target_video(4, n_frames=200, feature_dim=16, model=standard_body)
+    calls, pose = [], bench.body_forward_batch
+
+    def fail_third_block(*args):
+        calls.append(None)
+        if len(calls) == 3:
+            raise MemoryError("third block")
+        return pose(*args)
+
+    monkeypatch.setattr(bench, "body_forward_batch", fail_third_block)
+    evaluator = bench.make_evaluator(standard_body, video)
+    thetas, betas = video.gt_params.theta, video.gt_params.beta
+    with pytest.raises(MemoryError):
+        evaluator(thetas, betas)
+    report = evaluator(thetas, betas)
+    assert report.mpvpe == 0.0 and report.mpjpe == 0.0
+    assert report == _whole_video_report(standard_body, video, thetas, betas)
+
+
 @pytest.fixture(scope="module")
 def tiny_bench():
     model = scale_body(build_toy_body(1, joints=24, vertices=24), 0.15)

@@ -489,6 +489,37 @@ def test_adapt_on_a_video_with_a_nan_exits_1_naming_the_file(ws, tmp_path, capsy
     assert not (tmp_path / "o" / "metrics.csv").exists()
 
 
+def _video_with_a_degenerate_code(ws, tmp_path):
+    """A 130-frame target video file whose ground-truth code for joint 3 is
+    degenerate at frame 100 (the third of three blocks), its joints as written."""
+    config = json.loads(json.dumps(ws["config"]))
+    config["synth"]["video_frames"] = 130
+    cfg_path = tmp_path / "long.json"
+    cfg_path.write_text(json.dumps(config))
+    vids = tmp_path / "vids"
+    assert cli.run(["synth", "--config", str(cfg_path), "--out", str(vids)]) == 0
+    video = vids / "target.video"
+    members = read_arrays(video, lambda found: found)
+    members["theta"] = members["theta"].copy()
+    members["theta"][100, 18:21] = 0.0
+    write_arrays(video, members)
+    return video
+
+
+@pytest.mark.parametrize("command", ["eval", "adapt"])
+def test_a_video_with_a_degenerate_ground_truth_code_exits_1_naming_the_file(ws, tmp_path, capsys, command):
+    video = _video_with_a_degenerate_code(ws, tmp_path)
+    config = json.loads(json.dumps(ws["config"]))
+    config["paths"]["video"] = str(video)
+    cfg_path = tmp_path / "degenerate.json"
+    cfg_path.write_text(json.dumps(config))
+    assert cli.run([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {video}: ground-truth pose codes: node 3 (rot6d)" in err
+    assert err.rstrip().endswith("at (row 100, joint 3)")
+    assert not (tmp_path / "o" / "metrics.csv").exists()
+
+
 def _eval_with_body(ws, tmp_path, **body):
     """Synthesize with the workspace's body, then eval under a config with ``body``."""
     vids = tmp_path / "vids"

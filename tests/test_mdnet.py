@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cycleadapt import adapt
-from cycleadapt.adapt import AdaptConfig, ResultStore
+from cycleadapt.adapt import ResultStore
 from cycleadapt.diffcore import Graph, backward, evaluate, grad_check
 from cycleadapt.mdnet import (
     MdConfig,
@@ -98,7 +98,7 @@ def test_masked_rows_cannot_leak(monkeypatch):
     garbled[0] = 1e9
     garbled[2] = -3.0
     for window in (x, garbled):
-        adapt.md_step(ResultStore(5), np.arange(5), window, mask, TINY, params, adam_init(params), AdaptConfig(), 1e-4)
+        adapt.md_step(ResultStore(5), np.arange(5), window, mask, TINY, params, adam_init(params), 1e-4)
     assert len(seen) == 2  # one training graph per step; the write-back builds its own
     for net_input in seen:
         assert not net_input[mask == 1.0].any()

@@ -31,28 +31,28 @@ def _bits(arrays: dict) -> dict:
 
 
 def test_cosine_endpoints():
-    assert cosine_lr(0, 100) == 5e-5
-    assert cosine_lr(100, 100) == pytest.approx(1e-6, abs=1e-20)
-    assert cosine_lr(0, 1) == 5e-5 and cosine_lr(1, 1) == pytest.approx(1e-6, abs=1e-20)  # a one-step schedule
+    assert cosine_lr(0, 100, 5e-5, 1e-6) == 5e-5
+    assert cosine_lr(100, 100, 5e-5, 1e-6) == pytest.approx(1e-6, abs=1e-20)
+    assert cosine_lr(0, 1, 5e-5, 1e-6) == 5e-5 and cosine_lr(1, 1, 5e-5, 1e-6) == pytest.approx(1e-6, abs=1e-20)  # a one-step schedule
     assert all(cosine_lr(s, 10, 3e-5, 3e-5) == 3e-5 for s in range(11))  # lr_start == lr_end: constant
 
 
 def test_cosine_midpoint_value():
-    assert cosine_lr(50, 100) == pytest.approx(2.55e-5, abs=1e-15)
+    assert cosine_lr(50, 100, 5e-5, 1e-6) == pytest.approx(2.55e-5, abs=1e-15)
 
 
 def test_cosine_is_monotone_decreasing():
-    values = [cosine_lr(s, 200) for s in range(201)]
+    values = [cosine_lr(s, 200, 5e-5, 1e-6) for s in range(201)]
     assert all(b < a for a, b in zip(values, values[1:]))
 
 
 def test_cosine_range_errors():
     with pytest.raises(ValueError):
-        cosine_lr(0, 0)
+        cosine_lr(0, 0, 5e-5, 1e-6)
     with pytest.raises(ValueError):
-        cosine_lr(-1, 10)
+        cosine_lr(-1, 10, 5e-5, 1e-6)
     with pytest.raises(ValueError):
-        cosine_lr(11, 10)
+        cosine_lr(11, 10, 5e-5, 1e-6)
     with pytest.raises(ValueError):
         cosine_lr(0, 10, lr_start=1e-6, lr_end=5e-5)
 
@@ -130,7 +130,7 @@ def test_state_persists_across_calls():
 def test_cosine_matches_formula_at_arbitrary_step():
     step, total = 37, 120
     expected = 1e-6 + 0.5 * (5e-5 - 1e-6) * (1.0 + math.cos(math.pi * step / total))
-    assert cosine_lr(step, total) == expected
+    assert cosine_lr(step, total, 5e-5, 1e-6) == expected
 
 
 @st.composite
