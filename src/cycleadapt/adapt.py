@@ -199,8 +199,8 @@ def hmr_step(
     check_loss(values[loss], "regressor", state)
     out_theta, out_beta = values[theta], values[beta]
     grads = backward_from_values(g, values, loss)
-    # the forward values and the tape are dead once the gradients exist
-    del values, g
+    # the pass consumed the forward values; the tape's constants are dead too
+    del g
     adam_step(hmr_params, grads, state, lr)
     return out_theta, out_beta
 

@@ -2,18 +2,23 @@
 
 A ``Graph`` is a flat, topologically ordered list of nodes built through
 its builder methods; node ids are plain list indices.  ``evaluate`` runs
-the forward pass for a set of leaf bindings and keeps every value for a
-backward pass; ``forward`` returns only the requested nodes' values and
-frees each other value after its last use.  ``backward`` accumulates the
-gradient of a scalar node into every trainable leaf, and ``grad_check``
-compares those gradients against central finite differences, skipping
-parameters whose perturbation crosses an L1 or relu kink.  The backward
-pass forms no gradient toward a node that no trainable leaf reaches.
+the forward pass for a set of leaf bindings and keeps every value for one
+backward pass, which consumes them; ``forward`` returns only the requested
+nodes' values and frees each other value after its last use.  ``backward``
+accumulates the gradient of a scalar node into every trainable leaf, and
+``grad_check`` compares those gradients against central finite
+differences, skipping parameters whose perturbation crosses an L1 or relu
+kink.  The backward pass forms no gradient toward a node that no trainable
+leaf reaches, and mirrors ``forward``'s last-use rule in reverse: it drops
+each value, gradient and residual once it has been read for the last time.
 
 The single ops are the ones the package's graphs build: ``add``, ``sub``,
 ``mul``, ``scalar_mul``, ``matmul``, ``transpose``, ``reshape``, ``relu``,
 ``layer_norm``, ``mean_abs`` and ``take``, plus ``concat``, which only a
 test's live reference graph builds (see its docstring).
+
+``layer_norm`` under ``evaluate`` keeps its normalized input and inverse
+deviation as residuals, so its VJP does not recompute them.
 
 Besides the single ops there are two fused ops.  ``rot6d`` decodes
 continuous 6D rotation codes to rotation matrices by Gram-Schmidt and
@@ -525,7 +530,10 @@ def _forward(i: int, node: Node, xs: list, bindings: dict, residuals=None) -> np
         mu = x.mean(axis=-1, keepdims=True)
         var = np.mean((x - mu) ** 2, axis=-1, keepdims=True)
         inv = 1.0 / np.sqrt(var + node.attrs["eps"])
-        return (x - mu) * inv * gain + bias
+        xhat = (x - mu) * inv
+        if residuals is not None:
+            residuals[i] = [xhat, inv]
+        return xhat * gain + bias
     if kind == "mean_abs":
         return np.asarray(np.mean(np.abs(xs[0])))
     if kind == "take":
@@ -544,9 +552,11 @@ def _forward(i: int, node: Node, xs: list, bindings: dict, residuals=None) -> np
 class Values(list):
     """Every node's value, indexed by node id, from one `evaluate` call.
 
-    ``residuals`` maps each fused node's id to the intermediates its VJP
-    reads. They live here, with the values of the call that made them,
-    and not on the graph, which `grad_check` evaluates many times.
+    ``residuals`` maps each fused or layer-norm node's id to the
+    intermediates its VJP reads. They live here, with the values of the
+    call that made them, and not on the graph, which `grad_check` evaluates
+    many times. `backward_from_values` consumes both: it leaves the list
+    and ``residuals`` empty.
     """
 
     def __init__(self) -> None:
@@ -555,7 +565,8 @@ class Values(list):
 
 
 def evaluate(graph: Graph, bindings: dict) -> Values:
-    """Forward pass; returns the value of every node, indexed by node id."""
+    """Forward pass; returns the value of every node, indexed by node id,
+    with the residuals the VJPs read, for one `backward_from_values` call."""
     values = Values()
     for i, node in enumerate(graph.nodes):
         xs = [values[j] for j in node.inputs]
@@ -606,7 +617,8 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 def _accum(grads: list, idx: int, contrib: np.ndarray, shared: bool = False) -> None:
     """Add a VJP term to node ``idx``'s gradient, in place after the first term.
     A first term is kept even when it is the consumer's ``g`` or a view of it (`add`,
-    `sub`, `transpose`, `reshape`, `concat`): nothing reads ``g`` after its VJP.
+    `sub`, `transpose`, `reshape`, `concat`): the backward pass drops the consumer's
+    own reference once its VJP has run, and nothing reads ``g`` after that.
     Only a ``shared`` term, one another input already took (`add`'s second), is copied."""
     if grads[idx] is None:
         grads[idx] = np.array(contrib, dtype=np.float64) if shared else np.asarray(contrib, dtype=np.float64)
@@ -614,15 +626,106 @@ def _accum(grads: list, idx: int, contrib: np.ndarray, shared: bool = False) -> 
         grads[idx] += contrib
 
 
-def _needs_grad(graph: Graph) -> list:
-    """Per node: does a trainable leaf reach it? Only those nodes take gradients."""
+def _backward_plan(graph: Graph) -> tuple:
+    """Per node: does a trainable leaf reach it (only those take gradients),
+    and which values the backward pass drops once it has passed the node.
+
+    A value is dropped after its lowest-numbered reader, the last one the
+    reverse sweep visits; a value nothing reads, and a trainable leaf's
+    (whose gradient falls back to zeros shaped like it), at the node itself.
+    """
     need: list = []
-    for node in graph.nodes:
-        if node.kind == "leaf":
-            need.append(bool(node.attrs["trainable"]))
-        else:
-            need.append(any(need[j] for j in node.inputs))
-    return need
+    owner: list = []  # the node whose step drops each value
+    drops: list = []
+    for i, node in enumerate(graph.nodes):
+        trainable = node.kind == "leaf" and node.attrs["trainable"]
+        need.append(trainable or any(need[j] for j in node.inputs))
+        owner.append(i if trainable else None)
+        drops.append([])
+        for j in node.inputs:
+            if owner[j] is None:
+                owner[j] = i
+                drops[i].append(j)
+    for j, o in enumerate(owner):
+        if o is None or o == j:
+            drops[j].append(j)
+    return need, drops
+
+
+def _vjp(i: int, node: Node, g: np.ndarray, xs: list, saved, grads: list, need: list) -> None:
+    """Accumulate node ``i``'s VJP terms, from its gradient ``g``, its inputs'
+    values ``xs`` and its residuals ``saved``, into ``grads``. Its temporaries
+    die when it returns, before the next node's VJP runs."""
+    kind = node.kind
+    # a single-input node takes a gradient only if its input needs one
+    a, b = node.inputs[0], node.inputs[1] if len(node.inputs) > 1 else None
+    if kind == "add":
+        if need[a]:
+            _accum(grads, a, _unbroadcast(g, xs[0].shape))
+        if need[b]:
+            _accum(grads, b, _unbroadcast(g, xs[1].shape), shared=True)
+    elif kind == "sub":
+        if need[a]:
+            _accum(grads, a, _unbroadcast(g, xs[0].shape))
+        if need[b]:
+            _accum(grads, b, _unbroadcast(-g, xs[1].shape))
+    elif kind == "mul":
+        if need[a]:
+            _accum(grads, a, _unbroadcast(g * xs[1], xs[0].shape))
+        if need[b]:
+            _accum(grads, b, _unbroadcast(g * xs[0], xs[1].shape))
+    elif kind == "scalar_mul":
+        _accum(grads, a, node.attrs["c"] * g)
+    elif kind == "matmul":
+        if need[a]:
+            _accum(grads, a, _unbroadcast(g @ np.swapaxes(xs[1], -1, -2), xs[0].shape))
+        if need[b]:
+            _accum(grads, b, _unbroadcast(np.swapaxes(xs[0], -1, -2) @ g, xs[1].shape))
+    elif kind == "transpose":
+        _accum(grads, a, np.swapaxes(g, -1, -2))
+    elif kind == "reshape":
+        _accum(grads, a, g.reshape(xs[0].shape))
+    elif kind == "concat":
+        axis = node.attrs["axis"]
+        sizes = np.cumsum([x.shape[axis] for x in xs])[:-1]
+        for inp, piece in zip(node.inputs, np.split(g, sizes, axis=axis)):
+            if need[inp]:
+                _accum(grads, inp, piece)
+    elif kind == "relu":
+        _accum(grads, a, g * (xs[0] > 0.0))
+    elif kind == "layer_norm":
+        gain = xs[1]
+        xhat, inv = saved
+        if need[a]:
+            dxhat = g * gain
+            dx = inv * (
+                dxhat
+                - dxhat.mean(axis=-1, keepdims=True)
+                - xhat * np.mean(dxhat * xhat, axis=-1, keepdims=True)
+            )
+            _accum(grads, a, dx)
+        if need[b]:
+            _accum(grads, b, _unbroadcast(g * xhat, gain.shape))
+        if need[node.inputs[2]]:
+            _accum(grads, node.inputs[2], _unbroadcast(g, gain.shape))
+    elif kind == "mean_abs":
+        x = xs[0]
+        # L1 subgradient at 0 is taken as 0.
+        _accum(grads, a, float(g) * np.sign(x) / x.size)
+    elif kind == "take":
+        full = np.zeros_like(xs[0])
+        full[_take_key(i, node, full.shape)] = g
+        _accum(grads, a, full)
+    elif kind == "rot6d":
+        _accum(grads, a, _rot6d_vjp(g, saved))
+    elif kind == "rigid_chain":
+        grad_rot, grad_shaped = _rigid_chain_vjp(node, g, xs[1], saved, need[a], need[b])
+        if need[a]:
+            _accum(grads, a, grad_rot)
+        if need[b]:
+            _accum(grads, b, grad_shaped)
+    else:
+        raise DiffcoreError(f"node {i}: unknown kind {kind!r}")
 
 
 def backward_from_values(graph: Graph, values: Values, loss_node: int) -> GradientMap:
@@ -630,106 +733,38 @@ def backward_from_values(graph: Graph, values: Values, loss_node: int) -> Gradie
 
     VJP terms toward nodes that no trainable leaf reaches (constants, and
     whatever is computed from constants alone) are never formed.
+
+    The pass consumes ``values``, so its peak holds no buffer past its last
+    read: a node's gradient is dropped once its VJP has run (a trainable
+    leaf's is returned), a value once its lowest-numbered reader's VJP has
+    run, and a fused or layer-norm node's residuals after its own VJP. On return
+    ``values`` and its ``residuals`` are empty, so a read after the pass
+    raises; a caller that needs an output reads it before.
     """
     loss = values[loss_node]
     if loss.size != 1:
         raise NonScalarLossError(
             f"loss node {loss_node} has shape {loss.shape}; a scalar is required"
         )
-    need = _needs_grad(graph)
+    need, drops = _backward_plan(graph)
     grads: list = [None] * len(graph.nodes)
     if need[loss_node]:
         grads[loss_node] = np.ones_like(loss)
-    for i in range(loss_node, -1, -1):
-        g = grads[i]
-        if g is None:
-            continue
-        node = graph.nodes[i]
-        kind = node.kind
-        if kind in ("leaf", "const"):
-            continue
-        xs = [values[j] for j in node.inputs]
-        # a single-input node takes a gradient only if its input needs one
-        a, b = node.inputs[0], node.inputs[1] if len(node.inputs) > 1 else None
-        if kind == "add":
-            if need[a]:
-                _accum(grads, a, _unbroadcast(g, xs[0].shape))
-            if need[b]:
-                _accum(grads, b, _unbroadcast(g, xs[1].shape), shared=True)
-        elif kind == "sub":
-            if need[a]:
-                _accum(grads, a, _unbroadcast(g, xs[0].shape))
-            if need[b]:
-                _accum(grads, b, _unbroadcast(-g, xs[1].shape))
-        elif kind == "mul":
-            if need[a]:
-                _accum(grads, a, _unbroadcast(g * xs[1], xs[0].shape))
-            if need[b]:
-                _accum(grads, b, _unbroadcast(g * xs[0], xs[1].shape))
-        elif kind == "scalar_mul":
-            _accum(grads, a, node.attrs["c"] * g)
-        elif kind == "matmul":
-            if need[a]:
-                _accum(grads, a, _unbroadcast(g @ np.swapaxes(xs[1], -1, -2), xs[0].shape))
-            if need[b]:
-                _accum(grads, b, _unbroadcast(np.swapaxes(xs[0], -1, -2) @ g, xs[1].shape))
-        elif kind == "transpose":
-            _accum(grads, a, np.swapaxes(g, -1, -2))
-        elif kind == "reshape":
-            _accum(grads, a, g.reshape(xs[0].shape))
-        elif kind == "concat":
-            axis = node.attrs["axis"]
-            sizes = np.cumsum([x.shape[axis] for x in xs])[:-1]
-            for inp, piece in zip(node.inputs, np.split(g, sizes, axis=axis)):
-                if need[inp]:
-                    _accum(grads, inp, piece)
-        elif kind == "relu":
-            _accum(grads, a, g * (xs[0] > 0.0))
-        elif kind == "layer_norm":
-            x, gain, _bias = xs
-            eps = node.attrs["eps"]
-            mu = x.mean(axis=-1, keepdims=True)
-            var = np.mean((x - mu) ** 2, axis=-1, keepdims=True)
-            inv = 1.0 / np.sqrt(var + eps)
-            xhat = (x - mu) * inv
-            if need[a]:
-                dxhat = g * gain
-                dx = inv * (
-                    dxhat
-                    - dxhat.mean(axis=-1, keepdims=True)
-                    - xhat * np.mean(dxhat * xhat, axis=-1, keepdims=True)
-                )
-                _accum(grads, a, dx)
-            if need[b]:
-                _accum(grads, b, _unbroadcast(g * xhat, gain.shape))
-            if need[node.inputs[2]]:
-                _accum(grads, node.inputs[2], _unbroadcast(g, gain.shape))
-        elif kind == "mean_abs":
-            x = xs[0]
-            # L1 subgradient at 0 is taken as 0.
-            _accum(grads, a, float(g) * np.sign(x) / x.size)
-        elif kind == "take":
-            full = np.zeros_like(xs[0])
-            full[_take_key(i, node, full.shape)] = g
-            _accum(grads, a, full)
-        elif kind == "rot6d":
-            _accum(grads, a, _rot6d_vjp(g, values.residuals[i]))
-        elif kind == "rigid_chain":
-            grad_rot, grad_shaped = _rigid_chain_vjp(node, g, xs[1], values.residuals[i], need[a], need[b])
-            if need[a]:
-                _accum(grads, a, grad_rot)
-            if need[b]:
-                _accum(grads, b, grad_shaped)
-        else:
-            raise DiffcoreError(f"node {i}: unknown kind {kind!r}")
-
-    out: GradientMap = {}
-    for idx, name in graph.trainable_leaves():
-        if grads[idx] is None:
-            out[name] = np.zeros_like(values[idx])
-        else:
-            out[name] = grads[idx]
-    return out
+    del loss
+    # nodes past the loss take no gradient; the sweep passes them only to drop their values
+    for i in range(len(graph.nodes) - 1, -1, -1):
+        node, g = graph.nodes[i], grads[i]
+        saved = values.residuals.pop(i, None)
+        if node.kind == "leaf":
+            if need[i] and g is None:
+                grads[i] = np.zeros_like(values[i])
+        elif g is not None:
+            _vjp(i, node, g, [values[j] for j in node.inputs], saved, grads, need)
+            grads[i] = None
+        for j in drops[i]:
+            values[j] = None
+    values.clear()
+    return {name: grads[idx] for idx, name in graph.trainable_leaves()}
 
 
 def backward(graph: Graph, bindings: dict, loss_node: int) -> GradientMap:

@@ -10,11 +10,17 @@ that must leave its caller's dict untouched steps a shallow copy of it. The
 moment arrays of `OptState` are updated in place, so one state persists
 across many stages.
 
-Each parameter is updated in blocks of rows, slices along axis 0 of at most
-2**14 elements, which are views whatever the array's memory layout. Every
-op is elementwise, so the bits are those of the whole-array update, while a
-step's temporaries are block-sized: beside the gradients it holds the new
-parameter array it is filling and one block.
+`adam_step` consumes the gradient dict it is given: it empties the dict once
+every shape has passed, updates the smallest parameter first, and drops
+each gradient once its parameter is updated. So the largest parameter's new
+array is built beside its own gradient alone.
+
+A parameter larger than 2**14 elements is updated in blocks of rows, slices
+along axis 0 of at most that many elements, which are views whatever the
+array's memory layout. Every op is elementwise, so the bits are those of the
+whole-array update, while a step's temporaries are block-sized: beside the
+gradients still to use it holds the new parameter array it is filling and
+one block. A smaller parameter is one block, updated on its whole arrays.
 """
 
 from __future__ import annotations
@@ -63,31 +69,35 @@ def check_loss(value, net: str, state: OptState) -> None:
 
 def _row_blocks(shape: tuple) -> list:
     """Index keys of the slices along axis 0 that `adam_step` updates one at a
-    time: at most _ADAM_BLOCK elements each, or one row where a row is longer.
-    A 0-d parameter is one block."""
-    if not shape:
-        return [...]
-    rows = max(1, _ADAM_BLOCK // max(1, math.prod(shape[1:])))
+    time for a parameter of more than _ADAM_BLOCK elements: at most that many
+    each, or one row where a row is longer."""
+    rows = max(1, _ADAM_BLOCK // math.prod(shape[1:]))
     return [slice(lo, lo + rows) for lo in range(0, shape[0], rows)]
 
 
 def adam_step(params: dict, grads: dict, state: OptState, lr: float) -> None:
     """One bias-corrected Adam update of ``params``; missing gradients count as
     zero. Each entry is replaced by a fresh array, and no array passed in is
-    written. A gradient of the wrong shape raises before ``params`` or
-    ``state`` changes."""
+    written. A gradient of the wrong shape raises before ``params``, ``grads``
+    or ``state`` changes; otherwise ``grads`` is left empty, each gradient
+    dropped once its parameter is updated, smallest parameter first."""
     checked = {}
     for name, p in params.items():
         g = np.asarray(grads.get(name, 0.0), dtype=np.float64)
         if g.shape != () and g.shape != p.shape:
             raise ValueError(f"adam_step: gradient for {name} has shape {g.shape}, parameter {p.shape}")
         checked[name] = g, state.m[name], state.v[name]
+    grads.clear()
     state.step += 1
     c1, c2 = 1.0 - BETA1**state.step, 1.0 - BETA2**state.step
-    for name, (g, m, v) in checked.items():
-        p, new = params[name], np.empty_like(m)
-        for key in _row_blocks(p.shape):
-            _adam_block(p[key], g[key] if g.shape else g, m[key], v[key], new[key], lr, c1, c2)
+    for name in sorted(checked, key=lambda name: params[name].size):
+        (g, m, v), p = checked.pop(name), params[name]
+        new = np.empty_like(m)
+        if p.size <= _ADAM_BLOCK:
+            _adam_block(p, g, m, v, new, lr, c1, c2)
+        else:
+            for key in _row_blocks(p.shape):
+                _adam_block(p[key], g[key] if g.shape else g, m[key], v[key], new[key], lr, c1, c2)
         params[name] = new
 
 

@@ -87,6 +87,65 @@ def test_layer_norm_constant_vector_is_zero():
     np.testing.assert_allclose(vals[y], np.zeros(4), atol=1e-12)
 
 
+def test_layer_norm_vjp_from_its_residuals_gives_the_recomputing_vjps_bytes():
+    """Under `evaluate` a layer norm keeps its normalized input and inverse
+    deviation; the VJP that reads them must give the bytes of the one that
+    recomputed both, on a denoiser-sized (144, 49) input."""
+    rng = np.random.default_rng(21)
+    x = rng.normal(size=(144, 49)) * 3.0 + 1.0
+    gain, bias, target = 1 + 0.1 * rng.normal(size=49), 0.1 * rng.normal(size=49), rng.normal(size=(144, 49))
+    g = Graph()
+    xs = [g.leaf(name, trainable=True) for name in ("x", "gain", "bias")]
+    out = g.layer_norm(*xs, eps=1e-5)
+    loss = g.mean_abs(g.sub(out, g.const(target)))
+    values = evaluate(g, {"x": x, "gain": gain, "bias": bias})
+    y = values[out]
+    got = backward_from_values(g, values, loss)
+
+    # the recomputing forward and VJP, with the loss's gradient toward the norm
+    mu = x.mean(axis=-1, keepdims=True)
+    var = np.mean((x - mu) ** 2, axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + 1e-5)
+    assert y.tobytes() == ((x - mu) * inv * gain + bias).tobytes()
+    up = 1.0 * np.sign(y - target) / y.size
+    xhat = (x - mu) * inv
+    dxhat = up * gain
+    dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * np.mean(dxhat * xhat, axis=-1, keepdims=True))
+    want = {"x": dx, "gain": (up * xhat).sum(axis=0), "bias": up.sum(axis=0)}
+    for name in want:
+        assert got[name].tobytes() == want[name].tobytes(), name
+
+
+def test_backward_consumes_its_values_and_residuals():
+    """After the reverse pass the values and every residual are gone, those
+    of fused nodes that took no gradient and of nodes past the loss included,
+    and a read raises rather than returning a stale or missing value. A
+    trainable leaf read only past the loss still gets zeros shaped like it."""
+    rng = np.random.default_rng(22)
+    g = Graph()
+    codes = g.leaf("codes", trainable=True)
+    rot = g.reshape(g.rot6d(codes), (2, 27))
+    fixed = g.rot6d(g.const(rng.normal(size=(2, 3, 6))))  # no trainable leaf reaches it
+    normed = g.layer_norm(rot, g.leaf("gain", trainable=True), g.leaf("bias"))
+    loss = g.mean_abs(g.add(normed, g.reshape(fixed, (2, 27))))
+    g.relu(g.add(normed, g.leaf("idle", trainable=True)))  # past the loss
+    bindings = {
+        "codes": rng.normal(size=(2, 3, 6)),
+        "gain": 1 + 0.1 * rng.normal(size=27),
+        "bias": np.zeros(27),
+        "idle": np.ones((2, 27)),
+    }
+    values = evaluate(g, bindings)
+    assert len(values.residuals) == 3
+    got = backward_from_values(g, values, loss)
+    assert len(values) == 0 and values.residuals == {}
+    with pytest.raises(IndexError):
+        values[loss]
+    assert sorted(got) == ["codes", "gain", "idle"]
+    assert np.array_equal(got["idle"], np.zeros((2, 27)))
+    assert grad_check(g, bindings, loss) < 1e-6
+
+
 def test_three_layer_perceptron_matches_central_differences():
     rng = np.random.default_rng(0)
     g = Graph()
@@ -502,6 +561,7 @@ def test_gradients_passed_to_several_inputs_are_right_and_unaliased(name):
     g, loss, expected = cases[name]
     bindings = {k: inputs[k] for k in expected}
     values = evaluate(g, bindings)
+    forward_values = list(values)  # the backward pass empties ``values``
     grads = backward_from_values(g, values, loss)
     assert sorted(grads) == sorted(expected)
     for leaf, want in expected.items():
@@ -511,7 +571,7 @@ def test_gradients_passed_to_several_inputs_are_right_and_unaliased(name):
     for i, first in enumerate(arrays):
         for second in arrays[i + 1:]:
             assert not np.shares_memory(first, second)
-        for value in values:
+        for value in forward_values:
             assert not np.shares_memory(first, value)
 
 

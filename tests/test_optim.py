@@ -63,7 +63,7 @@ def test_adam_first_step_magnitude():
     grads = {"w": np.array([0.5, -3.0])}
     w0 = params["w"].copy()
     state = adam_init(params)
-    adam_step(params, grads, state, lr=0.1)
+    adam_step(params, dict(grads), state, lr=0.1)
     expected = w0 - 0.1 * np.sign(grads["w"]) * (
         np.abs(grads["w"]) * (1.0 - 0.9) / (1.0 - 0.9)
     ) / (np.sqrt(np.abs(grads["w"]) ** 2 * (1.0 - 0.999) / (1.0 - 0.999)) + 1e-8)
@@ -160,7 +160,7 @@ def test_adam_step_matches_the_functional_update_bit_for_bit(run):
                 grads[name] = rng.normal(size=p.shape) * 10.0 ** rng.integers(-6, 3)
             elif kind == "scalar":
                 grads[name] = float(rng.normal())
-        adam_step(params, grads, state, lr)
+        adam_step(params, dict(grads), state, lr)
         ref_p, ref_m, ref_v, ref_step = _reference_adam(ref_p, grads, ref_m, ref_v, ref_step, lr)
         assert _bits(params) == _bits(ref_p)
         assert _bits(state.m) == _bits(ref_m)
@@ -183,7 +183,7 @@ def test_blocked_adam_matches_the_functional_update_bit_for_bit(case):
         grads = {"w": rng.normal(size=(160, 256)), "b": rng.normal(size=256)}
         if case == "missing gradient" and step % 2:
             del grads["w"]
-        adam_step(params, grads, state, lr=0.01)
+        adam_step(params, dict(grads), state, lr=0.01)
         ref_p, ref_m, ref_v, ref_step = _reference_adam(ref_p, grads, ref_m, ref_v, ref_step, 0.01)
         assert _bits(params) == _bits(ref_p)
         assert _bits(state.m) == _bits(ref_m)
@@ -201,10 +201,10 @@ def test_an_adam_step_on_the_standard_regressor_allocates_one_w0_and_one_block()
         state = adam_init(params)
         rng = np.random.default_rng(0)
         grads = {name: rng.normal(size=p.shape) for name, p in params.items()}
-        adam_step(params, grads, state, lr=1e-3)
+        adam_step(params, dict(grads), state, lr=1e-3)
         held = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        adam_step(params, grads, state, lr=1e-3)
+        adam_step(params, dict(grads), state, lr=1e-3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -224,14 +224,16 @@ def test_adam_step_never_writes_into_an_array_it_was_given():
         old = dict(params)
         given.append((old, _bits(old)))
         grads = {"w": rng.normal(size=(5, 4)), "b": rng.normal(size=4)}
-        grad_bits = _bits(grads)
+        given_grads = dict(grads)  # adam_step empties the dict it is given
+        grad_bits = _bits(given_grads)
         assert adam_step(params, grads, state, lr=0.1) is None
+        assert grads == {}
         assert list(params) == list(old)
-        assert _bits(grads) == grad_bits
+        assert _bits(given_grads) == grad_bits
         for name, new in params.items():
             assert not np.shares_memory(new, old[name])
             assert not np.shares_memory(new, state.m[name]) and not np.shares_memory(new, state.v[name])
-            assert not np.shares_memory(new, grads[name])
+            assert not np.shares_memory(new, given_grads[name])
         for arrays, bits in given:
             assert _bits(arrays) == bits
 
@@ -244,8 +246,11 @@ def test_adam_step_with_a_rejected_gradient_leaves_the_state_untouched():
         adam_step(params, {"w": rng.normal(size=(3, 2)), "b": rng.normal(size=2)}, state, lr=0.1)
     step, m, v = state.step, _bits(state.m), _bits(state.v)
     arrays, p = dict(params), _bits(params)
+    grads = {"w": rng.normal(size=(3, 2)), "b": rng.normal(size=3)}
+    given = dict(grads)
     with pytest.raises(ValueError, match="gradient for b has shape"):
-        adam_step(params, {"w": rng.normal(size=(3, 2)), "b": rng.normal(size=3)}, state, lr=0.1)
+        adam_step(params, grads, state, lr=0.1)
+    assert list(grads) == list(given) and all(grads[k] is given[k] for k in given)
     assert list(params) == list(arrays) and all(params[k] is arrays[k] for k in arrays)
     assert _bits(params) == p
     assert state.step == step
