@@ -39,7 +39,7 @@ from .adapt import (
     hmr_step,
     online_adapt,
 )
-from .bodymodel import BodyModel, body_forward_batch, build_toy_body, project_weak_perspective, scale_body
+from .bodymodel import BodyModel, body_forward_batch, build_toy_body, frame_blocks, project_weak_perspective, scale_body
 from .checkpoint import save_hmr, save_md
 from .diffcore import DegenerateRotationError
 from .hmrnet import HmrConfig, hmr_forward, hmr_init
@@ -54,11 +54,6 @@ JOINTS = 24
 GAP_ALPHA = 0.35
 FREQ_RANGE = (0.01, 0.04)
 AMP_RANGE = (0.2, 0.6)
-
-# the evaluator poses and scores at most this many frames at a time; a video
-# is split into even blocks, because a one-row block's posing goes through
-# gemv, whose bits differ from the same frame's in a larger batch
-_EVAL_FRAMES = 64
 
 SOURCE_SEEDS = tuple(range(1000, 1006))
 SOURCE_FRAMES = 400
@@ -200,33 +195,16 @@ def make_source_videos(
     return [make_video(source, model, n_frames, feature_dim, s, mixing=mixing) for s in seeds]
 
 
-def pose_blocks(model: BodyModel, theta, beta):
-    """Pose a sequence in ceil(frames / _EVAL_FRAMES) blocks of near-equal size:
-    yields (rows, vertices, joints) per block, rows a slice of the sequence. A
-    degenerate pose code is named by its row in the sequence, not in the block."""
-    frames = len(theta)
-    count = max(1, -(-frames // _EVAL_FRAMES))
-    for k in range(count):
-        rows = slice(frames * k // count, frames * (k + 1) // count)
-        try:
-            verts, joints = body_forward_batch(model, theta[rows], beta[rows])
-        except DegenerateRotationError as err:
-            raise DegenerateRotationError(err.what, err.row + rows.start, err.joint) from None
-        yield rows, verts, joints
-
-
 def make_evaluator(model: BodyModel, video: SyntheticVideo):
     """Closure over the ground truth, whose mesh its first call poses; adaptation never sees it.
 
-    It poses the ground-truth mesh and each prediction in blocks of at most
-    _EVAL_FRAMES frames, writes each block's `vertex_errors` into one
-    (frames, vertices) array and keeps the joints whole for the joint
-    metrics, so no whole-video prediction mesh or error temporary exists.
-    The blocks split the video evenly, never into a one-frame tail, so the
-    reports are those of whole-video posing, bit for bit. A degenerate pose
-    code or a non-finite prediction is named by its frame in the video. The
-    ground-truth mesh is kept only once every block of it is posed, so a
-    call that fails there leaves the next call to pose it again.
+    The ground-truth mesh is posed in one `body_forward_batch` call and kept
+    once that call returns, so a call that fails there leaves it to the next.
+    Each prediction is posed and scored over `frame_blocks`: the blocks'
+    `vertex_errors` and joints fill whole-video arrays, so no whole-video
+    prediction mesh or error temporary exists, and the reports are those of
+    whole-video posing, bit for bit. A degenerate pose code or a non-finite
+    prediction is named by its frame in the video.
     """
     gt_joints, gt_params, gt_mesh = video.gt_joints, video.gt_params, None
     frames = len(gt_joints)
@@ -234,18 +212,19 @@ def make_evaluator(model: BodyModel, video: SyntheticVideo):
     def evaluator(theta: np.ndarray, beta: np.ndarray) -> MetricReport:
         nonlocal gt_mesh, gt_params
         if gt_mesh is None:
-            mesh = np.empty((frames, model.vertex_count, 3))
-            for rows, verts, _ in pose_blocks(model, gt_params.theta, gt_params.beta):
-                mesh[rows] = verts
-            gt_mesh, gt_params = mesh, None
+            gt_mesh, _ = body_forward_batch(model, gt_params.theta, gt_params.beta)
+            gt_params = None
         theta, beta = np.asarray(theta, dtype=np.float64), np.asarray(beta, dtype=np.float64)
         if len(theta) != frames or len(beta) != frames:
             raise ValueError(f"evaluator: {len(theta)} pose and {len(beta)} shape rows for a {frames}-frame video")
         joints = np.empty(gt_joints.shape)
         errors = np.empty((frames, model.vertex_count))
-        for rows, verts, block_joints in pose_blocks(model, theta, beta):
-            joints[rows] = block_joints
-            errors[rows] = vertex_errors(verts, gt_mesh[rows], block_joints[:, 0], gt_joints[rows, 0])
+        for rows in frame_blocks(frames):
+            try:
+                verts, joints[rows] = body_forward_batch(model, theta[rows], beta[rows])
+            except DegenerateRotationError as err:
+                raise DegenerateRotationError(err.what, err.row + rows.start, err.joint) from None
+            errors[rows] = vertex_errors(verts, gt_mesh[rows], joints[rows, 0], gt_joints[rows, 0])
         return evaluate_sequence(joints, gt_joints, errors)
 
     return evaluator

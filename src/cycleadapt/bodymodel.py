@@ -12,9 +12,10 @@ All positions are meters. Posing is written once, as the graph builder
 `body_graph`, which appends it to a `diffcore.Graph` so gradients can flow
 to pose, shape, and anything upstream of them; `body_forward_batch` builds
 that graph on constant inputs and runs it forward only, for data generation
-and evaluation. The 6D decoder is one `diffcore` ``rot6d`` node, and forward
-kinematics and skinning are one ``rigid_chain`` node, each with a
-hand-written VJP; shape blending, the posed-joint regression and projection
+and evaluation, in the even blocks of `frame_blocks`, so that posing a whole
+video holds one block's intermediates. The 6D decoder is one `diffcore`
+``rot6d`` node, and forward kinematics and skinning are one ``rigid_chain``
+node, each with a hand-written VJP; shape blending, the posed-joint regression and projection
 are single-op nodes. The two fused ops keep their VJP's intermediates only
 when `evaluate` runs them (never under `forward`), and compute in the order
 of the single-op graphs they replaced, so poses and gradients kept their
@@ -28,12 +29,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffcore import Graph, forward
+from .diffcore import DegenerateRotationError, Graph, forward
 
 IDENTITY_ROT6D = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
 
 THETA_SIZE = 144
 BETA_SIZE = 10
+
+# body_forward_batch poses at most this many frames at a time, in even
+# blocks: a one-row block's 2-D products go through BLAS's gemv, which
+# rounds differently from gemm, so no longer batch is split into one
+POSE_FRAMES = 64
 
 
 def _frozen_array(value, shape, what: str) -> np.ndarray:
@@ -111,17 +117,20 @@ def rotmat_to_rot6d(rots) -> np.ndarray:
     return np.concatenate([r[..., :, 0], r[..., :, 1]], axis=-1)
 
 
+def frame_blocks(frames: int) -> list:
+    """ceil(frames / POSE_FRAMES) slices of near-equal size that cover ``frames`` rows, in order."""
+    count = max(1, -(-frames // POSE_FRAMES))
+    return [slice(frames * k // count, frames * (k + 1) // count) for k in range(count)]
+
+
 def body_forward_batch(model: BodyModel, thetas, betas) -> tuple[np.ndarray, np.ndarray]:
     """Pose a batch: (B, 6J) pose codes and (B, 10) shapes to vertices and joints.
 
     Returns (vertices (B, V, 3), joints (B, J, 3)); joints are regressed from
-    the skinned mesh, not taken from the kinematic transforms. A degenerate
-    pose code raises `DegenerateRotationError` from the graph's rot6d node.
-
-    A frame's bits do not depend on the batch it is posed in, except in a
-    one-row batch: its 2-D products go through BLAS's gemv, which rounds
-    differently from gemm. So `benchmark.pose_blocks` never poses a
-    one-frame block of a longer video.
+    the skinned mesh, not taken from the kinematic transforms. Each block of
+    `frame_blocks` is its own forward-only graph, and a frame's bits do not
+    depend on its block. A degenerate pose code raises the rot6d node's
+    `DegenerateRotationError`, naming its row in the whole batch.
     """
     th = np.asarray(thetas, dtype=np.float64)
     be = np.asarray(betas, dtype=np.float64)
@@ -130,8 +139,16 @@ def body_forward_batch(model: BodyModel, thetas, betas) -> tuple[np.ndarray, np.
         raise ValueError(f"body_forward_batch: pose must be (B, {6 * joints}), got {th.shape}")
     if be.shape != (th.shape[0], BETA_SIZE):
         raise ValueError(f"body_forward_batch: shape must be ({th.shape[0]}, {BETA_SIZE}), got {be.shape}")
-    g = Graph()
-    return tuple(forward(g, {}, body_graph(g, model, g.const(th), g.const(be), th.shape[0])))
+    verts = np.empty((th.shape[0], model.vertex_count, 3))
+    out_joints = np.empty((th.shape[0], joints, 3))
+    for rows in frame_blocks(th.shape[0]):
+        g = Graph()
+        nodes = body_graph(g, model, g.const(th[rows]), g.const(be[rows]), rows.stop - rows.start)
+        try:
+            verts[rows], out_joints[rows] = forward(g, {}, nodes)
+        except DegenerateRotationError as err:
+            raise DegenerateRotationError(err.what, err.row + rows.start, err.joint) from None
+    return verts, out_joints
 
 
 def project_weak_perspective(camera, points) -> np.ndarray:

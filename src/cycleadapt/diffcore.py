@@ -27,11 +27,8 @@ joint), on a column or remainder norm at or below 1e-8.  ``rigid_chain``
 runs forward kinematics down a joint tree plus linear blend skinning, as
 in SMPL, from local rotations and a rest mesh to posed vertices; it copies
 the rotations to a contiguous array first, so a transposed view and a
-contiguous array of the same values give the same bits.  It skins 64 batch
-rows at a time, so ``forward`` on a whole video never holds the (B, V, 9)
-skinning blend that ``evaluate`` keeps for the VJP; the blocks make the
-same per-row products, so the bits do not depend on the batch size.  Their
-shared contract:
+contiguous array of the same values give the same bits.  Their shared
+contract:
 - only ``evaluate`` keeps the intermediates a fused op's VJP reads, on the
   values it returns (``Values.residuals``); ``forward`` keeps none of them;
 - the forward and the hand-written VJP run the ufuncs, products and sums
@@ -68,10 +65,6 @@ __all__ = [
 
 # Maps leaf name -> gradient array shaped like the leaf binding.
 GradientMap = dict
-
-# rigid_chain skins this many batch rows at a time: a 0.55 MB blend at 120
-# vertices, where a 500-row batch's whole blend is 4.3 MB
-_BLEND_ROWS = 64
 
 # Ops whose derivative jumps at zero input; grad_check watches their
 # inputs for sign changes to detect finite-difference steps that
@@ -384,23 +377,15 @@ def _rigid_chain(i: int, node: Node, rot: np.ndarray, shaped: np.ndarray, keep: 
     shift = np.concatenate(trans, axis=1) - (rest[:, :, None, :] @ rots_t)[:, :, 0]
     rows_t = rots_t.reshape(batch, joints, 9)
     saved = [loc, rots, rest, bones] if keep else None
-    # unless saved, each intermediate is freed before the skinning loop
+    # unless saved, each intermediate is freed before the next wide product
     del loc, rest, rots, rots_t, trans, rows, bones
-    # skin _BLEND_ROWS rows at a time; each row's products are the same
-    # per-item BLAS calls on the same layouts, so the bits do not change
-    blended = np.empty((batch, nverts, 9)) if keep else None
-    verts = np.empty((batch, nverts, 3))
-    for lo in range(0, batch, _BLEND_ROWS):
-        hi = min(lo + _BLEND_ROWS, batch)
-        block = np.matmul(sw, rows_t[lo:hi], out=None if blended is None else blended[lo:hi])
-        np.matmul(
-            shaped[lo:hi].reshape(hi - lo, nverts, 1, 3),
-            block.reshape(hi - lo, nverts, 3, 3),
-            out=verts[lo:hi].reshape(hi - lo, nverts, 1, 3),
-        )
-        verts[lo:hi] += sw @ shift[lo:hi]
+    blended = (sw @ rows_t).reshape(batch, nverts, 3, 3)
+    del rows_t
+    verts = (shaped.reshape(batch, nverts, 1, 3) @ blended).reshape(batch, nverts, 3)
     if keep:
-        saved.append(blended.reshape(batch, nverts, 3, 3))
+        saved.append(blended)
+    del blended
+    verts += sw @ shift
     return verts, saved
 
 

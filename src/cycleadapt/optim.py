@@ -76,15 +76,18 @@ def _row_blocks(shape: tuple) -> list:
 
 
 def adam_step(params: dict, grads: dict, state: OptState, lr: float) -> None:
-    """One bias-corrected Adam update of ``params``; missing gradients count as
-    zero. Each entry is replaced by a fresh array, and no array passed in is
-    written. A gradient of the wrong shape raises before ``params``, ``grads``
-    or ``state`` changes; otherwise ``grads`` is left empty, each gradient
-    dropped once its parameter is updated, smallest parameter first."""
+    """One bias-corrected Adam update of ``params``, with one gradient of its
+    shape per parameter. Each entry is replaced by a fresh array, and no
+    array passed in is written. A missing gradient or one of the wrong shape
+    raises before ``params``, ``grads`` or ``state`` changes; otherwise
+    ``grads`` is left empty, each gradient dropped once its parameter is
+    updated, smallest parameter first."""
     checked = {}
     for name, p in params.items():
-        g = np.asarray(grads.get(name, 0.0), dtype=np.float64)
-        if g.shape != () and g.shape != p.shape:
+        if name not in grads:
+            raise ValueError(f"adam_step: no gradient for {name}")
+        g = np.asarray(grads[name], dtype=np.float64)
+        if g.shape != p.shape:
             raise ValueError(f"adam_step: gradient for {name} has shape {g.shape}, parameter {p.shape}")
         checked[name] = g, state.m[name], state.v[name]
     grads.clear()
@@ -97,7 +100,7 @@ def adam_step(params: dict, grads: dict, state: OptState, lr: float) -> None:
             _adam_block(p, g, m, v, new, lr, c1, c2)
         else:
             for key in _row_blocks(p.shape):
-                _adam_block(p[key], g[key] if g.shape else g, m[key], v[key], new[key], lr, c1, c2)
+                _adam_block(p[key], g[key], m[key], v[key], new[key], lr, c1, c2)
         params[name] = new
 
 

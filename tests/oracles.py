@@ -1,7 +1,11 @@
-"""Reference implementations that the tests hold the package's fused code to,
-and the sum-free weighted-sum loss that their gradient checks share."""
+"""Reference implementations that the tests hold the package's fused and
+blocked code to, and the sum-free weighted-sum loss that their gradient
+checks share."""
 
 import numpy as np
+
+from cycleadapt.bodymodel import body_graph
+from cycleadapt.diffcore import Graph, forward
 
 # a zero first column; parallel columns
 DEGENERATE_CODES = [[0, 0, 0, 0, 1, 0], [1, 0, 0, 2, 0, 0]]
@@ -39,3 +43,12 @@ def weighted_sum(g, node: int, w) -> int:
     w = np.asarray(w, dtype=np.float64)
     flat = g.reshape(g.mul(node, g.const(w)), (1, w.size))
     return g.reshape(g.matmul(flat, g.const(np.ones((w.size, 1)))), ())
+
+
+def whole_batch_pose(model, thetas, betas) -> tuple:
+    """(vertices, joints) of one forward-only posing graph over the whole
+    batch: the bits `body_forward_batch`'s frame blocks must give."""
+    th = np.asarray(thetas, dtype=np.float64)
+    g = Graph()
+    nodes = body_graph(g, model, g.const(th), g.const(np.asarray(betas, dtype=np.float64)), len(th))
+    return tuple(forward(g, {}, nodes))

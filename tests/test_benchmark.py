@@ -11,9 +11,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import whole_batch_pose
+
 from cycleadapt import benchmark as bench
 from cycleadapt.adapt import AdaptConfig
-from cycleadapt.bodymodel import body_forward_batch, build_toy_body, scale_body
+from cycleadapt.bodymodel import build_toy_body, scale_body
 from cycleadapt.checkpoint import load_hmr, load_md
 from cycleadapt.diffcore import DegenerateRotationError
 from cycleadapt.hmrnet import HmrConfig, hmr_init
@@ -262,8 +264,8 @@ def standard_body():
 def _whole_video_report(model, video, thetas, betas):
     """The evaluator's report by whole-video posing and scoring: the bits
     its frame blocks must give."""
-    verts, joints = body_forward_batch(model, thetas, betas)
-    mesh, _ = body_forward_batch(model, video.gt_params.theta, video.gt_params.beta)
+    verts, joints = whole_batch_pose(model, thetas, betas)
+    mesh, _ = whole_batch_pose(model, video.gt_params.theta, video.gt_params.beta)
     errors = vertex_errors(verts, mesh, joints[:, 0], video.gt_joints[:, 0])
     return evaluate_sequence(joints, video.gt_joints, errors)
 
@@ -306,7 +308,7 @@ def test_the_block_evaluator_names_the_frame_in_the_video(standard_body, code, e
         bench.make_evaluator(standard_body, video)(thetas, betas)
     if error is DegenerateRotationError:
         with pytest.raises(error) as whole:
-            body_forward_batch(standard_body, thetas, betas)
+            whole_batch_pose(standard_body, thetas, betas)
         assert str(info.value) == str(whole.value)
 
 
@@ -343,26 +345,44 @@ def test_a_ground_truth_that_cannot_be_posed_fails_every_call(standard_body):
 
 
 def test_a_call_that_fails_posing_the_ground_truth_leaves_it_to_the_next(standard_body, monkeypatch):
-    """The ground-truth mesh is kept only once every block is posed: after
-    a failure in its third block, the next call poses it again, so the
+    """The ground-truth mesh is kept only once its one posing call returns:
+    after that call fails, the next evaluator call poses it again, so the
     video's own codes score 0."""
     video = bench.make_target_video(4, n_frames=200, feature_dim=16, model=standard_body)
-    calls, pose = [], bench.body_forward_batch
-
-    def fail_third_block(*args):
-        calls.append(None)
-        if len(calls) == 3:
-            raise MemoryError("third block")
-        return pose(*args)
-
-    monkeypatch.setattr(bench, "body_forward_batch", fail_third_block)
-    evaluator = bench.make_evaluator(standard_body, video)
     thetas, betas = video.gt_params.theta, video.gt_params.beta
+    posed, pose = [], bench.body_forward_batch
+
+    def fail_the_ground_truth(model, theta, beta):
+        posed.append(len(theta))
+        if len(posed) == 1:
+            raise MemoryError("ground truth")
+        return pose(model, theta, beta)
+
+    monkeypatch.setattr(bench, "body_forward_batch", fail_the_ground_truth)
+    evaluator = bench.make_evaluator(standard_body, video)
     with pytest.raises(MemoryError):
         evaluator(thetas, betas)
     report = evaluator(thetas, betas)
+    assert posed == [200, 200, 50, 50, 50, 50]  # the ground truth twice, then the prediction's blocks
     assert report.mpvpe == 0.0 and report.mpjpe == 0.0
     assert report == _whole_video_report(standard_body, video, thetas, betas)
+    evaluator(thetas, betas)
+    assert posed[6:] == [50, 50, 50, 50]  # the kept mesh is not posed again
+
+
+def test_making_a_500_frame_target_video_holds_one_posing_block(standard_body):
+    """Synthesis poses the video's 500 frames in frame blocks, so the
+    skinning blend and the posing graph's intermediates exist for one block
+    at a time: the peak is at most 5.5 MB, where whole-batch posing took
+    7.3 MB."""
+    bench.make_target_video(0, n_frames=8, model=standard_body)
+    tracemalloc.start()
+    try:
+        bench.make_target_video(0, n_frames=500, model=standard_body)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5e6, f"peak {peak} B"
 
 
 @pytest.fixture(scope="module")

@@ -9,14 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import DEGENERATE_CODES, project_batch, rot6d_batch, weighted_sum
+from oracles import DEGENERATE_CODES, project_batch, rot6d_batch, weighted_sum, whole_batch_pose
 
 from cycleadapt.bodymodel import (
     BETA_SIZE,
     BodyModel,
     body_forward_batch,
+    POSE_FRAMES,
     body_graph,
     build_toy_body,
+    frame_blocks,
     identity_pose,
     project_graph,
     project_weak_perspective,
@@ -359,7 +361,6 @@ def test_body_graph_matches_numpy_forward():
         assert np.abs(got - want).max() < 1e-12
 
 
-# 129 rows: rigid_chain skins in blocks of 64, so this crosses two block edges
 @pytest.mark.parametrize("batch", [1, 32, 129])
 @pytest.mark.parametrize("seed,joints,scale", [(0, 2, 1.0), (1, 8, 1.0), (2, 15, 1.7), (3, 24, 1.0), (4, 24, 0.6)])
 def test_body_graph_matches_node_by_node_graph_bit_for_bit(seed, joints, scale, batch):
@@ -417,6 +418,42 @@ def test_forward_only_posing_gives_the_evaluate_paths_bytes(batch):
     values = evaluate(g, {})
     assert verts.tobytes() == values[nodes[0]].tobytes()
     assert joints.tobytes() == values[nodes[1]].tobytes()
+
+
+BLOCKED_BODY = build_toy_body(2, joints=24, vertices=120)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(
+        st.integers(1, 300),
+        st.integers(1, 8).flatmap(lambda k: st.sampled_from([POSE_FRAMES * k - 1, POSE_FRAMES * k + 1])),
+    ),
+    st.data(),
+)
+def test_blocked_posing_gives_whole_batch_posings_bytes(frames, data):
+    """body_forward_batch poses in frame blocks; its vertices and joints are
+    those of one posing graph over the whole batch, byte for byte, and a
+    degenerate code is named by its row in the whole batch."""
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    rng = np.random.default_rng(seed)
+    thetas = identity_pose(24)[None] + 0.3 * rng.normal(size=(frames, 144))
+    betas = rng.normal(size=(frames, 10))
+    blocks = frame_blocks(frames)
+    sizes = [rows.stop - rows.start for rows in blocks]
+    assert blocks[0].start == 0 and blocks[-1].stop == frames and max(sizes) <= POSE_FRAMES
+    assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:])) and (frames == 1 or min(sizes) > 1)
+    whole = whole_batch_pose(BLOCKED_BODY, thetas, betas)
+    for got, want in zip(body_forward_batch(BLOCKED_BODY, thetas, betas), whole):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    row, joint = data.draw(st.integers(0, frames - 1), label="row"), data.draw(st.integers(0, 23), label="joint")
+    thetas[row, 6 * joint : 6 * joint + 6] = data.draw(st.sampled_from(DEGENERATE_CODES), label="code")
+    with pytest.raises(DegenerateRotationError) as blocked:
+        body_forward_batch(BLOCKED_BODY, thetas, betas)
+    with pytest.raises(DegenerateRotationError) as at_once:
+        whole_batch_pose(BLOCKED_BODY, thetas, betas)
+    assert (blocked.value.row, blocked.value.joint) == (row, joint)
+    assert str(blocked.value) == str(at_once.value)
 
 
 def test_posing_500_frames_keeps_no_intermediates():

@@ -63,3 +63,36 @@ def test_each_step_is_timed_once_under_its_own_net(perfbench_modules, tmp_path, 
     for metric in ("diffcore.md_forward", "diffcore.md_backward", "optim.md_adam"):
         assert counts.get(metric, 0) == md_steps, metric
     assert hmr_steps + md_steps == record["steps"] == workloads.expected_steps(workload, workloads.TINY)
+
+
+# per workload, the timings that fire on a tiny traced run; "_self" timings
+# are named by their span
+_EVAL_AND_MODELS = {
+    "benchmark.evaluator", "bodymodel.body_forward_batch", "checkpoint.save", "diffcore.hmr_forward",
+    "diffcore.hmr_backward", "diffcore.md_forward", "diffcore.md_backward", "mdnet.forward_np", "mdnet.graph_build",
+    "hmrnet.graph_build", "metrics.mpjpe", "metrics.pa_mpjpe", "metrics.mpvpe", "metrics.accel_error",
+    "optim.hmr_adam", "optim.md_adam", "synth.make_video",
+}
+FIRING = {
+    "cyclic_offline": _EVAL_AND_MODELS | {"adapt.hmr_stage", "adapt.md_stage", "hmrnet.forward_np"},
+    "online_causal": _EVAL_AND_MODELS | {"adapt.online"},
+    "pretrain_denoiser": {
+        "checkpoint.save", "diffcore.md_forward", "diffcore.md_backward", "mdnet.forward_np", "mdnet.graph_build",
+        "optim.md_adam", "synth.make_video",
+    },
+}
+
+
+@pytest.mark.parametrize("workload", list(FIRING))
+def test_every_timing_still_fires(perfbench_modules, tmp_path, workload):
+    """A refactor that stops calling a probed name through the module the
+    probe patches leaves its timing empty without failing `install`."""
+    layers, tracer = perfbench_modules
+    import worker
+    import workloads
+
+    t = tracer.Tracer()
+    record = worker.one_run(workload, 0, workloads.TINY, None, tmp_path, t)
+    assert record["error"] is None, record["error"]
+    fired = {metric.removesuffix("_self") for metric, how in layers.TIMINGS if layers.timing_samples(t, metric, how)}
+    assert FIRING[workload] <= fired, sorted(FIRING[workload] - fired)

@@ -4,6 +4,8 @@ import json
 import numpy as np
 import pytest
 
+from oracles import whole_batch_pose
+
 from cycleadapt.benchmark import SOURCE, TARGET, make_evaluator, target_mixing
 from cycleadapt.bodymodel import body_forward_batch, build_toy_body, identity_pose, project_weak_perspective
 from cycleadapt.checkpoint import read_arrays, write_arrays
@@ -178,7 +180,7 @@ def _per_frame_video(spec, model, n_frames, feature_dim, seed, mixing=None):
     record and a projection per frame, drawing in the same order. Returns the
     video and its ground-truth mesh, posed here as synthesis once stored it."""
     params, joints3d = gen_motion(spec, model, n_frames, seed)
-    mesh, _ = body_forward_batch(model, np.ascontiguousarray(params.theta), np.ascontiguousarray(params.beta))
+    mesh, _ = whole_batch_pose(model, np.ascontiguousarray(params.theta), np.ascontiguousarray(params.beta))
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     camera = np.array([rng.uniform(0.95, 1.05), rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05)])
     a, b = mixing_matrices(spec, feature_dim) if mixing is None else mixing
@@ -228,7 +230,7 @@ def test_the_evaluator_scores_against_the_reference_mesh_byte_for_byte():
     for _ in range(2):  # the first call poses the mesh, the second reuses it
         theta = video.gt_params.theta + rng.normal(scale=0.05, size=video.gt_params.theta.shape)
         beta = video.gt_params.beta + rng.normal(scale=0.1, size=video.gt_params.beta.shape)
-        verts, joints = body_forward_batch(MODEL, theta, beta)
+        verts, joints = whole_batch_pose(MODEL, theta, beta)
         got = dataclasses.astuple(evaluator(theta, beta))
         errors = vertex_errors(verts, mesh, joints[:, 0], video.gt_joints[:, 0])
         want = dataclasses.astuple(evaluate_sequence(joints, video.gt_joints, errors))
