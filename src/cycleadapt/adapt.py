@@ -18,9 +18,12 @@ back; both draw the random numbers a trained net would.
 Each training loop (`cycle_adapt`, `online_adapt`, and `hmr_pretrain` and
 `mdnet.md_pretrain` outside this module) owns a shallow copy of each
 parameter dict it is given and returns that copy. The steps and stages
-update the loop's dict through `adam_step`, which replaces its arrays one at
-a time and never writes into one, so the caller's dicts and arrays stay as
-they were: one pretrained pair serves any number of runs.
+update the loop's dict through `adam_step` with the loop's own Adam state,
+which puts a fresh array under each name on its first update and from then
+on writes only into the arrays it made. So the caller's dicts and arrays
+stay as they were, and one pretrained pair serves any number of runs, while
+a run allocates no parameter-sized array after its first update of each
+net.
 
 Nothing in this module reads 3D ground truth. Adaptation consumes features
 and 2D keypoints only (`AdaptInputs`); quality measurement happens through
@@ -325,6 +328,8 @@ class AdaptRun:
 def _log_rows(rows, cycle, evaluator, hmr_params, inputs, store) -> None:
     theta, beta, _ = hmr_forward(hmr_params, inputs.features)
     rows.append((cycle, "hmrnet", evaluator(theta, beta)))
+    # views of the whole video's regressor output, dead before the store is scored
+    del theta, beta, _
     if store is not None:
         rows.append((cycle, "store", evaluator(store.theta.copy(), store.beta.copy())))
 

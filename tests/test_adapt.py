@@ -1,6 +1,7 @@
 """Adaptation loop: store contract, stage semantics, determinism, online mode."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -23,8 +24,8 @@ from cycleadapt.adapt import (
 from cycleadapt.bodymodel import build_toy_body
 from cycleadapt.checkpoint import load_hmr, load_md
 from cycleadapt.diffcore import DegenerateRotationError
-from cycleadapt.hmrnet import HmrConfig, hmr_init
-from cycleadapt.mdnet import MdConfig, gaussian_filter_baseline, md_init
+from cycleadapt.hmrnet import HmrConfig, hmr_forward, hmr_init
+from cycleadapt.mdnet import MdConfig, gaussian_filter_baseline, md_forward, md_init
 from cycleadapt.optim import adam_init
 from cycleadapt.synth import DomainSpec, make_video
 
@@ -631,6 +632,11 @@ def test_steps_taken_is_the_two_nets_adam_update_count(monkeypatch):
     assert online.steps_taken == states["hmr"].step + states["md"].step
 
 
+# the nets each loop of `_loop_run` trains; the others it leaves as given
+_TRAINED = {"cycle_adapt": ("hmr", "md"), "online_adapt": ("hmr", "md"), "hmr_pretrain": ("hmr",),
+            "md_pretrain": ("md",)}
+
+
 def _loop_run(loop: str, hmr0: dict, md0: dict):
     """Run one training loop on the given nets; returns (hmr, md) as it returned them."""
     inputs = _setup(16)
@@ -663,12 +669,108 @@ def test_training_loops_leave_the_callers_dicts_unchanged(loop):
         assert _same_arrays(params, arrays)
         assert {k: a.tobytes() for k, a in params.items()} == data
         assert list(out[net]) == list(params)
-    trained = {"cycle_adapt": ("hmr", "md"), "online_adapt": ("hmr", "md"), "hmr_pretrain": ("hmr",),
-               "md_pretrain": ("md",)}.get(loop, ())
-    for net in trained:  # the loop did move the net it trained
+    trained = _TRAINED.get(loop, ())
+    for net in trained:  # the loop did move the net it trained, in arrays of its own
         assert any(out[net][k].tobytes() != data for k, data in given[net][1].items()), net
+        assert not _any_shared(out[net].values(), given[net][0].values()), net
     for net in {"hmr", "md"} - set(trained):
         assert all(out[net][k].tobytes() == data for k, data in given[net][1].items()), net
+
+
+def _any_shared(arrays, others) -> bool:
+    """Whether an array of ``arrays`` shares memory with one of ``others``."""
+    others = list(others)
+    return any(np.shares_memory(a, b) for a in arrays for b in others)
+
+
+@pytest.mark.parametrize("loop", ["cycle_adapt", "online_adapt", "hmr_pretrain", "md_pretrain"])
+def test_a_training_loop_keeps_the_arrays_of_its_first_update(monkeypatch, loop):
+    """Adam puts a fresh array under each name on a loop's first update of a
+    net and writes into it from then on, so every later update, and the dict
+    the loop returns, holds the very arrays of that first update."""
+    after = {"hmr": [], "md": []}  # each update's parameter arrays, per net
+    real = adapt.adam_step
+
+    def recording_adam_step(params, grads, state, lr):
+        real(params, grads, state, lr)
+        after["md" if "w_in" in params else "hmr"].append(dict(params))
+
+    monkeypatch.setattr(adapt, "adam_step", recording_adam_step)
+    monkeypatch.setattr(mdnet, "adam_step", recording_adam_step)
+    hmr0, md0 = hmr_init(HMR_CONFIG, seed=0), md_init(MD_CONFIG, seed=0)
+    out = dict(zip(("hmr", "md"), _loop_run(loop, hmr0, md0)))
+    for net, updates in after.items():
+        assert (len(updates) >= 2) == (net in _TRAINED[loop]), net
+        for params in updates[1:]:
+            assert _same_arrays(params, updates[0]), net
+        if updates:
+            assert _same_arrays(out[net], updates[0]), net
+
+
+def test_step_and_forward_outputs_share_no_memory_with_a_parameter(monkeypatch):
+    """Parameters change in place from a net's second update on, so nothing a
+    step or a forward pass hands out may be a view of one, and no gradient
+    may be either; each step's outputs keep their bytes after the next."""
+    real = adapt.adam_step
+
+    def checking_adam_step(params, grads, state, lr):
+        assert not _any_shared(grads.values(), params.values())
+        real(params, grads, state, lr)
+
+    monkeypatch.setattr(adapt, "adam_step", checking_adam_step)
+    inputs = _setup(16)
+    hmr_params, md_params = hmr_init(HMR_CONFIG, seed=0), md_init(MD_CONFIG, seed=0)
+    hmr_state, md_state = adam_init(hmr_params), adam_init(md_params)
+    store = _filled_store(16)
+    window = store.theta[: MD_CONFIG.window]
+    outs = []
+    for _ in range(3):
+        step_outs = adapt.hmr_step(inputs, np.arange(8), MODEL, HMR_CONFIG, hmr_params, hmr_state, 0.001, 1e-4)
+        adapt.md_step(store, np.arange(MD_CONFIG.window), window, np.eye(MD_CONFIG.window)[1], MD_CONFIG,
+                      md_params, md_state, 1e-4)
+        outs += [(a, a.tobytes()) for a in (*step_outs, *hmr_forward(hmr_params, inputs.features),
+                                            md_forward(md_params, window))]
+    params = [*hmr_params.values(), *md_params.values()]
+    assert not _any_shared([a for a, _ in outs], params)
+    assert all(a.tobytes() == data for a, data in outs)
+
+
+@pytest.mark.parametrize("train", [cycle_adapt, online_adapt], ids=["cycle_adapt", "online_adapt"])
+def test_a_runs_arrays_other_than_its_nets_share_no_memory_with_a_parameter(train):
+    seen = []  # every array the evaluator was given
+
+    def evaluator(theta, beta):
+        seen.extend((theta, beta))
+        return _stub_evaluator(theta, beta)
+
+    run = train(_setup(16), MODEL, HMR_CONFIG, hmr_init(HMR_CONFIG, seed=0), MD_CONFIG,
+                md_init(MD_CONFIG, seed=0), _config(), evaluator)
+    params = [*run.hmr_params.values(), *run.md_params.values()]
+    if train is cycle_adapt:
+        others = [run.store.theta, run.store.beta, run.store.md_written]
+    else:
+        others = [run.theta, run.beta]
+    assert seen and not _any_shared([*others, *seen], params)
+    for i, a in enumerate(params):  # nor does one parameter share memory with another
+        assert not _any_shared([a], params[i + 1 :])
+
+
+def test_log_rows_lets_go_of_the_regressor_output_before_scoring_the_store():
+    """The store is scored after the regressor's whole-video output, of which
+    theta and beta are views, has died."""
+    inputs = _setup(16)
+    output = []
+
+    def evaluator(theta, beta):
+        if not output:
+            output.append(weakref.ref(theta.base))
+        else:
+            assert output[0]() is None, "the regressor's output is alive while the store is scored"
+        return _stub_evaluator(theta, beta)
+
+    rows = []
+    adapt._log_rows(rows, 1, evaluator, hmr_init(HMR_CONFIG, seed=0), inputs, _filled_store(16))
+    assert [source for _, source, _ in rows] == ["hmrnet", "store"]
 
 
 def test_a_regressor_stage_holds_one_working_copy_of_the_regressor():
@@ -700,16 +802,18 @@ def test_a_regressor_stage_holds_one_working_copy_of_the_regressor():
     assert peak < 6.2 * sum(a.nbytes for a in hmr0.values())
 
 
-def test_a_regressor_step_peaks_below_4_mib_above_its_start():
+def test_a_regressor_step_peaks_below_3_mib_above_its_start():
     """Traced peak of one `hmr_step` on the standard regressor (2.43 MB of
     parameters, w0 1 MB), batch 32, 2D loss only, after one warm step.
 
     The backward pass drops each value, gradient and residual after its last
     read, and Adam empties the gradient dict, updating the smallest parameter
-    first and dropping each gradient once its parameter is updated. Measured:
+    first and dropping each gradient once its parameter is updated; after a
+    net's first update Adam writes each parameter in place. Measured:
     5 027 490 B (4.79 MiB) when the backward pass kept every forward value and
     node gradient to its end and Adam built each new array beside the whole
-    gradient set, and 3 651 496 B (3.48 MiB) with both releasing early.
+    gradient set, 3 651 496 B (3.48 MiB) with both releasing early, and
+    2 724 816 B (2.60 MiB) with Adam in place.
     """
     model = benchmark.benchmark_body()
     inputs = adapt_inputs(benchmark.make_target_video(0, n_frames=32, model=model))
@@ -729,4 +833,4 @@ def test_a_regressor_step_peaks_below_4_mib_above_its_start():
     finally:
         tracemalloc.stop()
     assert state.step == 2
-    assert peak - held <= 4 << 20, f"peak {peak - held} B above the step's start"
+    assert peak - held <= 3 << 20, f"peak {peak - held} B above the step's start"

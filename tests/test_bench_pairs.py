@@ -127,6 +127,23 @@ def test_churn_medians_leave_out_the_runs_that_built_nets(bench_pairs):
     assert out["change"] == {"runs": 3, "minflt": 30, "stime_s": 0.3}
 
 
+def test_churn_counts_the_pairs_with_fewer_faults_and_their_relative_change(bench_pairs):
+    def churn(minflt, built_nets=False):
+        return {"minflt": minflt, "stime_s": 0.1, "built_nets": built_nets}
+
+    pairs = _pairs([1.0] * 5, [1.0] * 5)
+    sides = [(40, 20), (50, 30), (60, 60), (80, 90), (900_000, 10)]  # a tie is not fewer
+    for pair, (parent, change) in zip(pairs, sides):
+        pair["churn"] = {"parent": churn(parent), "change": churn(change)}
+    pairs[4]["churn"]["parent"]["built_nets"] = True  # the pair is left out of the count
+    out = bench_pairs.summarize_churn(pairs)
+    assert out["minflt_pairs"] == 4
+    assert out["change_fewer_minflt"] == 2
+    assert out["parent"]["minflt"] == 55.0 and out["change"]["minflt"] == 30
+    assert out["minflt_change_rel"] == 30 / 55.0 - 1.0
+    assert bench_pairs.summarize_churn(_pairs([1.0], [1.0])) == {}  # no pair recorded churn
+
+
 @pytest.mark.parametrize("parent, change, better, met", [
     pytest.param([3.0] * 5 + [4.0] * 5, [1.0] * 10, "lower", True, id="ten-wins"),
     pytest.param([3.0] * 5 + [4.0] * 5, [1.0] * 9 + [5.0], "lower", True, id="nine-of-ten"),

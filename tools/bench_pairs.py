@@ -19,7 +19,8 @@ the parent's interquartile range, whether a claimed gain would hold
 (``claim_met``) and the runs that failed the benchmark's correctness check. Each run also records its heap churn: the minor page
 faults and the system CPU time of ``run.py`` and the workers it waits for,
 and whether it built the nets; the summary gives their medians per side,
-over the runs that built none, without a gate. Running again with the same tag adds pairs to the file, as
+over the runs that built none, the pairs in which the change took fewer
+minor faults and the relative change of the fault medians, without a gate. Running again with the same tag adds pairs to the file, as
 long as both ``src/`` hashes still match. Uses only the standard library, git and
 the benchmark itself.
 """
@@ -123,13 +124,23 @@ def run_counted(cmd: list, cwd: Path) -> tuple[subprocess.CompletedProcess, dict
 
 def summarize_churn(pairs: list) -> dict:
     """Per side, the median minor faults and system CPU seconds of a run,
-    over the runs that did not build the nets; not gated."""
+    over the runs that did not build the nets. Then ``minflt_pairs``, the
+    pairs in which neither side built them, ``change_fewer_minflt``, how
+    many of those the change took fewer minor faults in, and
+    ``minflt_change_rel``, the change's median minor faults over the
+    parent's, minus one (None where the parent's is 0). Not gated."""
     out = {}
     for side in ("parent", "change"):
         runs = [p["churn"][side] for p in pairs if "churn" in p and not p["churn"][side]["built_nets"]]
         if runs:
             out[side] = {"runs": len(runs)}
             out[side].update((key, statistics.median(r[key] for r in runs)) for key in ("minflt", "stime_s"))
+    both = [p["churn"] for p in pairs if "churn" in p and not any(c["built_nets"] for c in p["churn"].values())]
+    if both:
+        out["minflt_pairs"] = len(both)
+        out["change_fewer_minflt"] = sum(c["change"]["minflt"] < c["parent"]["minflt"] for c in both)
+        parent = out["parent"]["minflt"]
+        out["minflt_change_rel"] = out["change"]["minflt"] / parent - 1.0 if parent else None
     return out
 
 
